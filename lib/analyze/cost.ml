@@ -1,15 +1,16 @@
 module Is = Nd_util.Interval_set
 module Json = Nd_util.Json
 module Fire_rule = Nd.Fire_rule
-module Pedigree = Nd.Pedigree
+module Drs = Nd.Drs
 module Program = Nd.Program
 module Spawn_tree = Nd.Spawn_tree
 module Strand = Nd.Strand
 module Pmh = Nd_pmh.Pmh
 module Sb = Nd_sched.Sb_sched
 
-(* The structural mirror of Program.compile: same post-order node layout,
-   same fire-arrow rewriting, but no DAG.  Span is a longest-path DP over
+(* Program.compile's post-order node layout and its fire-arrow rewriting
+   (the one Drs resolver, fed this pass's own node array), but events
+   instead of DAG vertices.  Span is a longest-path DP over
    a DFS {e event} numbering of the tree — one event per leaf, a
    pre-visit begin event and post-visit end event per Par/Fire, Seq
    aliasing its first child's begin and last child's end, exactly like
@@ -178,64 +179,20 @@ let analyze ~registry tree =
   let root = build tree in
   let nodes = Array.sub !store 0 !n_nodes in
   ignore root;
-  (* ---------------- fire-arrow rewriting (mirror of Program) -------- *)
-  let is_leaf id = nodes.(id).children = [||] in
-  let resolve id ped =
-    let rec go id = function
-      | [] -> id
-      | step :: rest ->
-        let cs = nodes.(id).children in
-        if step >= 1 && step <= Array.length cs then go cs.(step - 1) rest
-        else id (* attach at the deepest existing node *)
-    in
-    go id (Pedigree.to_list ped)
-  in
-  let fire_pairs = Hashtbl.create 256 in
-  let full_edge a b =
-    if a <> b then begin
-      let u = nodes.(a).end_ev and v = nodes.(b).begin_ev in
-      if u <> v && not (Hashtbl.mem fire_pairs (a, b)) then begin
-        Hashtbl.add fire_pairs (a, b) ();
-        add_edge u v
-      end
-    end
-  in
-  let visited = Hashtbl.create 4096 in
-  let rec process a b target =
-    match target with
-    | Fire_rule.Full -> full_edge a b
-    | Fire_rule.Named r ->
-      let key = (a, b, r) in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.add visited key ();
-        let rules =
-          try Fire_rule.find registry r
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf "Cost.analyze: undefined fire type %S" r)
-        in
-        if rules <> [] then
-          if is_leaf a && is_leaf b then full_edge a b
-          else
-            List.iter
-              (fun { Fire_rule.src; via; dst } ->
-                let a' = resolve a src and b' = resolve b dst in
-                match via with
-                | Fire_rule.Full -> full_edge a' b'
-                | Fire_rule.Named r' ->
-                  if a' = a && b' = b && r' = r then
-                    (* no structural progress: conservative full edge *)
-                    full_edge a b
-                  else process a' b' via)
-              rules
-      end
-  in
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Fire r -> process n.children.(0) n.children.(1) (Fire_rule.Named r)
-      | Leaf _ | Seq | Par -> ())
-    nodes;
+  (* ---------------- fire-arrow rewriting (the shared Drs walk) ------ *)
+  let n_fire_edges = ref 0 in
+  ignore
+    (Drs.rewrite ~who:"Cost.analyze" ~registry
+       ~children:(Array.map (fun n -> n.children) nodes)
+       ~edge:(fun a b ->
+         incr n_fire_edges;
+         add_edge nodes.(a).end_ev nodes.(b).begin_ev)
+       (List.filter_map
+          (fun id ->
+            match nodes.(id).kind with
+            | Fire r -> Some (id, r)
+            | Leaf _ | Seq | Par -> None)
+          (List.init (Array.length nodes) Fun.id)));
   (* ---------------- span: forward longest-path DP over events ------- *)
   let n_ev = !n_ev in
   let works = !works in
@@ -359,7 +316,7 @@ let analyze ~registry tree =
     root_size = root.s_size;
     n_leaves = !n_leaves;
     n_nodes = Array.length nodes;
-    n_fire_edges = Hashtbl.length fire_pairs;
+    n_fire_edges = !n_fire_edges;
   }
 
 let of_program p = analyze ~registry:(Program.registry p) (Program.tree p)

@@ -1,4 +1,5 @@
 module Fire_rule = Nd.Fire_rule
+module Drs = Nd.Drs
 module Pedigree = Nd.Pedigree
 module Program = Nd.Program
 module Spawn_tree = Nd.Spawn_tree
@@ -233,117 +234,65 @@ let lint_tree reg tree =
 
 (* -------------------------- program checks ------------------------- *)
 
-type resolution = Clean | Bottomed | Mismatch
+(* The fire nodes of [program] with their rule sets, in node order. *)
+let fires program =
+  List.filter_map
+    (fun n ->
+      match Program.kind_of program n with
+      | Program.Fire r -> Some (n, r)
+      | Program.Leaf _ | Program.Seq | Program.Par -> None)
+    (List.init (Program.n_nodes program) Fun.id)
 
-(* mirror of Program.compile's pedigree resolution, but classifying the
-   outcome: [Clean] consumed every step; [Bottomed] stopped at a leaf
-   (the recursion's base case — benign); [Mismatch] asked an internal
-   node for a child it does not have (the rule addresses structure that
-   does not exist). *)
-let resolve program id ped =
-  let rec go id = function
-    | [] -> (id, Clean)
-    | step :: rest ->
-      let cs = Program.children program id in
-      let len = Array.length cs in
-      if len = 0 then (id, Bottomed)
-      else if step >= 1 && step <= len then go cs.(step - 1) rest
-      else (id, Mismatch)
-  in
-  go id (Pedigree.to_list ped)
-
-type rule_stats = {
-  mutable applies : int;
-  mutable cleans : int;
-  mutable bottoms : int;
-}
-
+(* ND002 from the rewriting's own per-rule tallies: a rule is dead when
+   every application asked some node for a child it does not have —
+   never a clean resolution, never the benign stop at a leaf.  The
+   program compiled, so the walk reaches no undefined set. *)
 let dead_rules program =
   let reg = Program.registry program in
-  let stats : (string * int, rule_stats) Hashtbl.t = Hashtbl.create 32 in
-  let get key =
-    match Hashtbl.find_opt stats key with
-    | Some s -> s
-    | None ->
-      let s = { applies = 0; cleans = 0; bottoms = 0 } in
-      Hashtbl.add stats key s;
-      s
-  in
-  let visited = Hashtbl.create 4096 in
-  let is_leaf n = Program.children program n = [||] in
-  let rec process a b = function
-    | Fire_rule.Full -> ()
-    | Fire_rule.Named r ->
-      if not (Hashtbl.mem visited (a, b, r)) then begin
-        Hashtbl.add visited (a, b, r) ();
-        match Fire_rule.find reg r with
-        | exception Not_found -> () (* ND001 covers it *)
-        | [] -> ()
-        | rules ->
-          if not (is_leaf a && is_leaf b) then
-            List.iteri
-              (fun idx rule ->
-                let a', ra = resolve program a rule.Fire_rule.src in
-                let b', rb = resolve program b rule.Fire_rule.dst in
-                let s = get (r, idx) in
-                s.applies <- s.applies + 1;
-                (match (ra, rb) with
-                | Clean, Clean -> s.cleans <- s.cleans + 1
-                | Mismatch, _ | _, Mismatch -> ()
-                | (Bottomed | Clean), (Bottomed | Clean) ->
-                  s.bottoms <- s.bottoms + 1);
-                match rule.Fire_rule.via with
-                | Fire_rule.Full -> ()
-                | Fire_rule.Named r' ->
-                  if not (a' = a && b' = b && r' = r) then
-                    process a' b' rule.Fire_rule.via)
-              rules
-      end
-  in
-  for n = 0 to Program.n_nodes program - 1 do
-    match Program.kind_of program n with
-    | Program.Fire r ->
-      let cs = Program.children program n in
-      process cs.(0) cs.(1) (Fire_rule.Named r)
-    | Program.Leaf _ | Program.Seq | Program.Par -> ()
-  done;
-  Hashtbl.fold
-    (fun (name, idx) s acc ->
-      if s.applies > 0 && s.cleans = 0 && s.bottoms = 0 then
-        let rule = List.nth (Fire_rule.find reg name) idx in
-        finding "ND002" Warning name
-          "rule #%d (%s) is dead: its pedigrees address nonexistent children \
-           at every one of its %d use sites"
-          (idx + 1) (rule_str rule) s.applies
-        :: acc
-      else acc)
-    stats []
+  List.filter_map
+    (fun (u : Drs.use) ->
+      if u.cleans = 0 && u.bottoms = 0 then
+        Some
+          (finding "ND002" Warning u.set
+             "rule #%d (%s) is dead: its pedigrees address nonexistent \
+              children at every one of its %d use sites"
+             (u.index + 1)
+             (rule_str (List.nth (Fire_rule.find reg u.set) u.index))
+             u.applies)
+      else None)
+    (Drs.rewrite ~who:"Lint.dead_rules" ~registry:reg
+       ~children:(Array.init (Program.n_nodes program) (Program.children program))
+       (fires program))
 
+(* ND006: a fire node whose two children are themselves a fire edge.
+   One merge pass of the (src, snk)-sorted fire nodes against the
+   sorted [Program.fire_edges]. *)
 let fire_eq_seq program =
-  let edges = Hashtbl.create 256 in
-  List.iter
-    (fun (a, b) -> Hashtbl.replace edges (a, b) ())
-    (Program.fire_edges program);
-  let is_leaf n = Program.children program n = [||] in
-  let fs = ref [] in
-  for n = 0 to Program.n_nodes program - 1 do
-    match Program.kind_of program n with
-    | Program.Fire r ->
-      let cs = Program.children program n in
-      if
-        Hashtbl.mem edges (cs.(0), cs.(1))
-        && not (is_leaf cs.(0) && is_leaf cs.(1))
-      then
-        fs :=
-          finding "ND006" Warning r
-            "fire node #%d: rule set %S emits a root-to-root full edge, so \
-             the fire construct serializes entirely (fire ≡ seq; span \
-             pessimization)"
-            n r
-          :: !fs
-    | Program.Leaf _ | Program.Seq | Program.Par -> ()
-  done;
-  List.rev !fs
+  let is_leaf n = Array.length (Program.children program n) = 0 in
+  let queries =
+    List.sort compare
+      (List.filter_map
+         (fun (n, r) ->
+           let cs = Program.children program n in
+           if is_leaf cs.(0) && is_leaf cs.(1) then None
+           else Some (cs.(0), cs.(1), n, r))
+         (fires program))
+  in
+  let rec hits qs es acc =
+    match (qs, es) with
+    | [], _ | _, [] -> acc
+    | ((a, b, n, r) :: qs' as qs), ((x, y) :: es' as es) ->
+      if a = x && b = y then hits qs' es' ((n, r) :: acc)
+      else if a < x || (a = x && b < y) then hits qs' es acc
+      else hits qs es' acc
+  in
+  List.map
+    (fun (n, r) ->
+      finding "ND006" Warning r
+        "fire node #%d: rule set %S emits a root-to-root full edge, so the \
+         fire construct serializes entirely (fire ≡ seq; span pessimization)"
+        n r)
+    (List.sort compare (hits queries (Program.fire_edges program) []))
 
 let no_span_recovered program =
   let tree = Program.tree program in

@@ -1,4 +1,5 @@
 module Is = Nd_util.Interval_set
+module Int_set = Nd_util.Int_set
 module Dag = Nd_dag.Dag
 
 type node_id = int
@@ -59,6 +60,22 @@ let dummy_node =
     size = 0;
     work = 0;
   }
+
+(* Stable sort of [src] by [key], whose values lie in [0, buckets). *)
+let counting_sort ~buckets key src =
+  let start = Array.make (buckets + 1) 0 in
+  Array.iter (fun k -> start.(key k + 1) <- start.(key k + 1) + 1) src;
+  for d = 1 to buckets do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  let dst = Array.make (Array.length src) 0 in
+  Array.iter
+    (fun k ->
+      let d = key k in
+      dst.(start.(d)) <- k;
+      start.(d) <- start.(d) + 1)
+    src;
+  dst
 
 let compile ~registry tree =
   let dag = Dag.create () in
@@ -230,64 +247,55 @@ let compile ~registry tree =
           Array.fold_left (fun acc c -> acc + nodes.(c).work) 0 n.children)
     nodes;
   (* ---------------- fire-arrow rewriting ---------------- *)
-  let is_leaf id = nodes.(id).children = [||] in
-  let resolve id ped =
-    let rec go id = function
-      | [] -> id
-      | step :: rest ->
-        let cs = nodes.(id).children in
-        if step >= 1 && step <= Array.length cs then go cs.(step - 1) rest
-        else id (* attach at the deepest existing node *)
-    in
-    go id (Pedigree.to_list ped)
+  let n = Array.length nodes in
+  let fires =
+    List.filter_map
+      (fun id ->
+        match nodes.(id).kind with
+        | Fire r -> Some (id, r)
+        | Leaf _ | Seq | Par -> None)
+      (List.init n Fun.id)
   in
-  let fire_edges = Hashtbl.create 256 in
-  let full_edge a b =
-    if a <> b then begin
-      let u = nodes.(a).end_v and v = nodes.(b).begin_v in
-      if u <> v then begin
-        Dag.add_edge dag u v;
-        if not (Hashtbl.mem fire_edges (a, b)) then
-          Hashtbl.add fire_edges (a, b) ()
-      end
+  let fire_edges =
+    if fires = [] then []
+    else begin
+      (* A rewritten pair runs from inside some fire node's source
+         subtree into its sink subtree, and no structural edge does, so
+         its DAG edge is new unless another pair's is the same: a Seq
+         shares its first child's begin vertex and its last child's end
+         vertex.  [edges] (keyed [u·nv + v]) catches those, since
+         [Dag.add_new_edge] does not check.  Scoped to this compile, like
+         the pair buffer. *)
+      let nv = Dag.n_vertices dag in
+      let edges = Int_set.create nv in
+      let pairs = ref (Array.make n 0) and n_pairs = ref 0 in
+      let push k =
+        if !n_pairs = Array.length !pairs then begin
+          let bigger = Array.make (2 * !n_pairs) 0 in
+          Array.blit !pairs 0 bigger 0 !n_pairs;
+          pairs := bigger
+        end;
+        !pairs.(!n_pairs) <- k;
+        incr n_pairs
+      in
+      let edge a b =
+        let u = nodes.(a).end_v and v = nodes.(b).begin_v in
+        if Int_set.add edges ((u * nv) + v) then Dag.add_new_edge dag u v;
+        push ((a * n) + b)
+      in
+      ignore
+        (Drs.rewrite ~who:"Program.compile" ~registry
+           ~children:(Array.map (fun nd -> nd.children) nodes)
+           ~edge fires);
+      (* LSD radix sort of the packed pairs: by [b], then stably by [a] *)
+      let sorted =
+        counting_sort ~buckets:n (fun k -> k / n)
+          (counting_sort ~buckets:n (fun k -> k mod n)
+             (Array.sub !pairs 0 !n_pairs))
+      in
+      Array.fold_right (fun k acc -> (k / n, k mod n) :: acc) sorted []
     end
   in
-  let visited = Hashtbl.create 4096 in
-  let rec process a b target =
-    match target with
-    | Fire_rule.Full -> full_edge a b
-    | Fire_rule.Named r ->
-      let key = (a, b, r) in
-      if not (Hashtbl.mem visited key) then begin
-        Hashtbl.add visited key ();
-        let rules =
-          try Fire_rule.find registry r
-          with Not_found ->
-            invalid_arg
-              (Printf.sprintf "Program.compile: undefined fire type %S" r)
-        in
-        if rules <> [] then
-          if is_leaf a && is_leaf b then full_edge a b
-          else
-            List.iter
-              (fun { Fire_rule.src; via; dst } ->
-                let a' = resolve a src and b' = resolve b dst in
-                match via with
-                | Fire_rule.Full -> full_edge a' b'
-                | Fire_rule.Named r' ->
-                  if a' = a && b' = b && r' = r then
-                    (* no structural progress: conservative full edge *)
-                    full_edge a b
-                  else process a' b' via)
-              rules
-      end
-  in
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Fire r -> process n.children.(0) n.children.(1) (Fire_rule.Named r)
-      | Leaf _ | Seq | Par -> ())
-    nodes;
   let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
   List.iter (fun (v, id) -> vertex_owner.(v) <- id) !owners;
   {
@@ -299,8 +307,7 @@ let compile ~registry tree =
     leaf_nodes = Array.of_list (List.rev !leaf_nodes);
     leaf_vertices = Array.of_list (List.rev !leaf_vertices);
     vertex_owner;
-    fire_edges =
-      List.sort compare (Hashtbl.fold (fun e () acc -> e :: acc) fire_edges []);
+    fire_edges;
     decomp_cache = Hashtbl.create 16;
     decomp_lock = Mutex.create ();
   }

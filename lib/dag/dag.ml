@@ -49,18 +49,25 @@ let add_vertex t ?(label = "") ~work ~reads ~writes () =
 let check_id t v =
   if v < 0 || v >= t.n then invalid_arg "Dag: vertex id out of range"
 
-let add_edge t u v =
+let check_edge t u v =
   check_id t u;
   check_id t v;
-  if u = v then invalid_arg "Dag.add_edge: self loop";
-  let vu = t.vertices.(u) in
-  if not (List.mem v vu.succs) then begin
-    vu.succs <- v :: vu.succs;
-    let vv = t.vertices.(v) in
-    vv.preds <- u :: vv.preds;
-    t.edges <- t.edges + 1;
-    t.csr_cache <- None
-  end
+  if u = v then invalid_arg "Dag.add_edge: self loop"
+
+let link t u v =
+  let vu = t.vertices.(u) and vv = t.vertices.(v) in
+  vu.succs <- v :: vu.succs;
+  vv.preds <- u :: vv.preds;
+  t.edges <- t.edges + 1;
+  t.csr_cache <- None
+
+let add_edge t u v =
+  check_edge t u v;
+  if not (List.mem v t.vertices.(u).succs) then link t u v
+
+let add_new_edge t u v =
+  check_edge t u v;
+  link t u v
 
 let n_vertices t = t.n
 

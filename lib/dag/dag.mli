@@ -29,6 +29,14 @@ val add_vertex :
     coalesced.  @raise Invalid_argument on out-of-range ids or self loop. *)
 val add_edge : t -> vertex_id -> vertex_id -> unit
 
+(** [add_new_edge t u v] is [add_edge t u v] for an edge the caller
+    knows is absent: O(1), with no scan of [u]'s successors (the scan is
+    quadratic on high-degree vertices).  Callers deduplicate themselves,
+    as the DRS compiler does with a per-compile edge set; adding an
+    edge that is already present duplicates it.
+    @raise Invalid_argument on out-of-range ids or self loop. *)
+val add_new_edge : t -> vertex_id -> vertex_id -> unit
+
 val n_vertices : t -> int
 
 val n_edges : t -> int

@@ -7,9 +7,13 @@ module Hooks = struct
 
   let lost_wakeup = ref false
 
+  let stall_window = ref ignore
+
   let set_yield f = yield := f
 
   let set_lost_wakeup b = lost_wakeup := b
+
+  let set_stall_window f = stall_window := Option.value f ~default:ignore
 end
 
 let[@inline] yield_point what =
@@ -397,9 +401,11 @@ let queues_empty t =
    fiber is mid-flight, so parked = live and empty queues mean no one
    can ever run again. *)
 let stalled t =
-  Atomic.get t.remaining > 0
-  && Atomic.get t.blocked = Atomic.get t.remaining
-  && queues_empty t
+  (* [remaining] is read once: a fiber finishing between two reads would
+     have a completed run compare 0 parked against 0 live *)
+  let live = Atomic.get t.remaining in
+  !Hooks.stall_window ();
+  live > 0 && Atomic.get t.blocked = live && queues_empty t
 
 (* Multi-domain deadlock check: [stalled] alone can race an in-flight
    hand-off, but any hand-off bumps [events], and the performer of an

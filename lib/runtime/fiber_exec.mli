@@ -184,4 +184,11 @@ module Hooks : sig
       parks forever.  Exists solely so the mutation smoke test can
       prove the explorer detects this bug class. *)
   val set_lost_wakeup : bool -> unit
+
+  (** [set_stall_window (Some f)] runs [f] inside {!stalled}, after it
+      has sampled the live-fiber count and before it compares the
+      parked count against it — the window where a fiber finishing
+      concurrently once produced a false [Deadlock {blocked = 0}].  The
+      regression test finishes the last fiber from [f]. *)
+  val set_stall_window : (unit -> unit) option -> unit
 end

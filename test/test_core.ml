@@ -405,6 +405,231 @@ let test_dag_acyclic_property =
       && nd.Analysis.span <= np.Analysis.span
       && par.Analysis.span <= nd.Analysis.span)
 
+(* ----------------------- compile identity ------------------------ *)
+
+(* An MD5 over everything a compile produces that a consumer can
+   observe: every vertex's succ and pred lists in order, the edge count,
+   the CSR arrays and [fire_edges]. *)
+let compile_digest p =
+  let dag = Program.dag p in
+  let b = Buffer.create 4096 in
+  let int x =
+    Buffer.add_string b (string_of_int x);
+    Buffer.add_char b ','
+  in
+  let sep () = Buffer.add_char b ';' in
+  for v = 0 to Dag.n_vertices dag - 1 do
+    List.iter int (Dag.succs dag v);
+    sep ();
+    List.iter int (Dag.preds dag v);
+    sep ()
+  done;
+  int (Dag.n_edges dag);
+  sep ();
+  let c = Dag.csr dag in
+  List.iter
+    (fun a ->
+      Array.iter int a;
+      sep ())
+    [ c.Dag.succ_off; c.Dag.succ_tgt; c.Dag.indeg ];
+  List.iter
+    (fun (x, y) ->
+      int x;
+      int y)
+    (Program.fire_edges p);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded from the Hashtbl-based compiler this resolver replaced:
+   every family at its first three sweep sizes (family base, seed 1), in
+   ND and NP mode. *)
+let recorded_digests =
+  [
+    ("mm", 8, "ND", "05649a20c5d512dc5bf2a2585740fe81");
+    ("mm", 8, "NP", "b863163683c5be8b0ef6a74e149688ed");
+    ("mm", 16, "ND", "d1952d8338623cf9991fdb0214b4e765");
+    ("mm", 16, "NP", "bd9fece2628746cb718b85278b4243b5");
+    ("mm", 32, "ND", "9a19f9ca988ff8b26a1b0f78f451c833");
+    ("mm", 32, "NP", "099f92827697b1e5bdc546ebebb08987");
+    ("mm8", 8, "ND", "4e7ea775190eae758d38615a80dddc06");
+    ("mm8", 8, "NP", "4e7ea775190eae758d38615a80dddc06");
+    ("mm8", 16, "ND", "61ab3df38cfbf25ab30bbf2ea6828387");
+    ("mm8", 16, "NP", "61ab3df38cfbf25ab30bbf2ea6828387");
+    ("mm8", 32, "ND", "10336e53560a9771cc687eb75c6da22d");
+    ("mm8", 32, "NP", "10336e53560a9771cc687eb75c6da22d");
+    ("trs", 8, "ND", "908c8cf0db982f5f974d971833e36a2a");
+    ("trs", 8, "NP", "11dd7a653da283ee28581525bd33bd0b");
+    ("trs", 16, "ND", "7d51991d7433a7f07991831295171def");
+    ("trs", 16, "NP", "1ba65c0133f6e3261152b69a505acad1");
+    ("trs", 32, "ND", "a8a175a4434b03e9be4f404cd7eb80be");
+    ("trs", 32, "NP", "ac0701112dee9ed0b3ebc19d25f8631d");
+    ("cholesky", 8, "ND", "92014866e8460eab19d41a90a010a3ed");
+    ("cholesky", 8, "NP", "5a63f2cef9913817f4400549f3fc2691");
+    ("cholesky", 16, "ND", "d273c2692c72396dbcf596bc2e5cbf05");
+    ("cholesky", 16, "NP", "4d18a9d18b4e8420ad87fe68dfdcc764");
+    ("cholesky", 32, "ND", "416644e2b7f4829c0cdce36cf69541d5");
+    ("cholesky", 32, "NP", "f213596dd72030d5052cd95ebb168d5d");
+    ("lu", 8, "ND", "0ab0fba4dd55bfad906a6d49f7027307");
+    ("lu", 8, "NP", "bd02ebc08ec091e5508cd6f4e7392e1f");
+    ("lu", 16, "ND", "e6bf3a2d505b157b9998c4566b351595");
+    ("lu", 16, "NP", "e524e1942c15b18f000d70bce2001829");
+    ("lu", 32, "ND", "17eb1658650f4eccb5fa285d9f4600e1");
+    ("lu", 32, "NP", "c4ee24532eca32bda56e37a983d99f84");
+    ("apsp", 8, "ND", "8211f7e5b679d602100c83dd0e9c181c");
+    ("apsp", 8, "NP", "1485bd93a34fc898b9770b19b6dfd13d");
+    ("apsp", 16, "ND", "18d8d6b92ddbde0553b93dfb442d78e9");
+    ("apsp", 16, "NP", "91df8a71f485b401ae1aa86f1766327a");
+    ("apsp", 32, "ND", "a33e0b3840886518454dd9151f25a29e");
+    ("apsp", 32, "NP", "32e75b1af282c5eab0338a8b757096c7");
+    ("fw1d", 32, "ND", "ff3a6e81ddc909471775c647878b61b7");
+    ("fw1d", 32, "NP", "01972dcdac0994bcb7d98effaa612922");
+    ("fw1d", 64, "ND", "0e8e4b6d3501710468a7a6c6a9b1aec9");
+    ("fw1d", 64, "NP", "8f1d087c1284b9f8d45e9d1a3fce57a1");
+    ("fw1d", 128, "ND", "8c3f167762bd89bca4f347dabd57fa61");
+    ("fw1d", 128, "NP", "e4ff211db884594da646c8f1894e58e4");
+    ("stencil", 32, "ND", "7682a5a56a37126cc5d9f086c528254d");
+    ("stencil", 32, "NP", "7a10bcf7f766045a5b3185e98abf08ed");
+    ("stencil", 64, "ND", "31c910843b21ee58a86876e5076d2bfd");
+    ("stencil", 64, "NP", "70a178536d8b879bd22bff84cc2ba389");
+    ("stencil", 128, "ND", "77ba7e42f0ad84d29e414d5c5ca621c6");
+    ("stencil", 128, "NP", "b65f76bdbf3b0a7cbef04a61c8f43582");
+    ("gotoh", 32, "ND", "a7abb85374857e9a6a0cff9b5dd4adeb");
+    ("gotoh", 32, "NP", "1ee7772fec45391e36eafd6bd685d657");
+    ("gotoh", 64, "ND", "81cef1d6192e027c3d6ce64bddf4c7ae");
+    ("gotoh", 64, "NP", "f4971ac0d2c6b64bb20d9e1c492584c0");
+    ("gotoh", 128, "ND", "9ba273d1d905420f7a3bf35a76628065");
+    ("gotoh", 128, "NP", "bfacb3b629fec330898903a12a6bc9bc");
+    ("lcs", 32, "ND", "a7abb85374857e9a6a0cff9b5dd4adeb");
+    ("lcs", 32, "NP", "1ee7772fec45391e36eafd6bd685d657");
+    ("lcs", 64, "ND", "81cef1d6192e027c3d6ce64bddf4c7ae");
+    ("lcs", 64, "NP", "f4971ac0d2c6b64bb20d9e1c492584c0");
+    ("lcs", 128, "ND", "9ba273d1d905420f7a3bf35a76628065");
+    ("lcs", 128, "NP", "bfacb3b629fec330898903a12a6bc9bc");
+  ]
+
+let test_compile_identity () =
+  let module W = Nd_algos.Workload in
+  List.iter
+    (fun (name, n, mode, expected) ->
+      let f = Nd_experiments.Workloads.find name in
+      let w = f.Nd_experiments.Workloads.build ~n ~base:f.base ~seed:1 in
+      let mode = if mode = "ND" then W.ND else W.NP in
+      Alcotest.(check string)
+        (Printf.sprintf "%s n=%d %s" name n (W.mode_name mode))
+        expected
+        (compile_digest (W.compile ~mode w)))
+    recorded_digests;
+  Alcotest.(check int) "ten families x three sizes x two modes" 60
+    (List.length recorded_digests)
+
+(* --------------- resolver vs the old Hashtbl walk ----------------- *)
+
+let stress_iters =
+  match Sys.getenv_opt "NDSIM_STRESS_ITERS" with
+  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
+  | None -> 3
+
+(* The compiler's post-order node layout of a spawn tree, and its fire
+   nodes in id order. *)
+let layout tree =
+  let children = ref [] and fires = ref [] and next = ref 0 in
+  let node cs =
+    let id = !next in
+    incr next;
+    children := cs :: !children;
+    id
+  in
+  let rec go = function
+    | Spawn_tree.Leaf _ -> node [||]
+    | Spawn_tree.Seq cs | Spawn_tree.Par cs -> node (Array.of_list (List.map go cs))
+    | Spawn_tree.Fire { rule; src; snk } ->
+      let a = go src in
+      let b = go snk in
+      let id = node [| a; b |] in
+      fires := (id, rule) :: !fires;
+      id
+  in
+  ignore (go tree);
+  (Array.of_list (List.rev !children), List.rev !fires)
+
+(* Generated programs whose registries also carry no-progress rules
+   ([] ~R'~> [], which close rule cycles) and rules via an undefined
+   set. *)
+let gen_rewrite_case =
+  let open QCheck2.Gen in
+  Nd_check.Gen.gen () >>= fun spec ->
+  let names = List.map fst spec.Nd_check.Gen.rules in
+  let pedigree = list_size (int_range 0 2) (int_range 1 3) in
+  let extra =
+    frequency
+      [
+        (4, return []);
+        (2, map (fun r -> [ Fire_rule.rule [] (Fire_rule.Named r) [] ]) (oneofl names));
+        ( 1,
+          map2
+            (fun p q -> [ Fire_rule.rule p (Fire_rule.Named "UNDEF") q ])
+            pedigree pedigree );
+      ]
+  in
+  map
+    (fun rules -> { spec with Nd_check.Gen.rules })
+    (flatten_l
+       (List.map
+          (fun (name, rs) -> map (fun more -> (name, rs @ more)) extra)
+          spec.Nd_check.Gen.rules))
+
+let outcome run =
+  let log = ref [] in
+  let result =
+    match run ~edge:(fun a b -> log := (a, b) :: !log) with
+    | tallies -> Ok tallies
+    | exception Invalid_argument m -> Error m
+  in
+  (List.rev !log, result)
+
+let prop_drs_matches_reference =
+  QCheck2.Test.make ~name:"Drs.rewrite = the old Hashtbl walk"
+    ~count:(min 20_000 (max 500 (50 * stress_iters)))
+    ~print:Nd_check.Gen.to_string gen_rewrite_case
+    (fun spec ->
+      let inst = Nd_check.Gen.build spec in
+      let registry = inst.Nd_check.Gen.registry in
+      let children, fires = layout inst.Nd_check.Gen.tree in
+      let who = "Program.compile" in
+      let tallies uses =
+        List.map
+          (fun (u : Drs.use) -> ((u.set, u.index), (u.applies, u.cleans, u.bottoms)))
+          uses
+      in
+      let edges, result =
+        outcome (fun ~edge ->
+            tallies (Drs.rewrite ~who ~registry ~children ~edge fires))
+      in
+      let ref_edges, ref_result =
+        outcome (fun ~edge -> Drs_ref.rewrite ~who ~registry ~children ~edge fires)
+      in
+      (* same edges in the same order, and the same tallies or the same
+         error after the same edges *)
+      edges = ref_edges
+      && result = ref_result
+      (* without [edge], the same walk: same tallies, same error *)
+      && (match tallies (Drs.rewrite ~who ~registry ~children fires) with
+         | t -> result = Ok t
+         | exception Invalid_argument m -> result = Error m)
+      (* and the compiler agrees: the sorted pairs and a DAG without
+         duplicate edges, or the same error *)
+      &&
+      match Program.compile ~registry inst.Nd_check.Gen.tree with
+      | p ->
+        let dag = Program.dag p in
+        Result.is_ok result
+        && Program.fire_edges p = List.sort compare edges
+        && List.for_all
+             (fun v ->
+               let ss = Dag.succs dag v in
+               List.length (List.sort_uniq compare ss) = List.length ss)
+             (List.init (Dag.n_vertices dag) Fun.id)
+      | exception Invalid_argument m -> result = Error m)
+
 let () =
   Alcotest.run "nd_core"
     [
@@ -434,6 +659,9 @@ let () =
           Alcotest.test_case "no-progress fallback" `Quick
             test_no_progress_falls_back_to_full;
           QCheck_alcotest.to_alcotest test_dag_acyclic_property;
+          Alcotest.test_case "compile identity: recorded digests" `Quick
+            test_compile_identity;
+          QCheck_alcotest.to_alcotest prop_drs_matches_reference;
         ] );
       ( "rule_check",
         [

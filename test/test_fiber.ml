@@ -194,6 +194,59 @@ let test_blocked_fire_chain () =
       stats.Fiber.peak_blocked;
   Alcotest.(check int) "nothing left parked" 0 stats.Fiber.blocked
 
+(* ------------------ no false deadlock at completion ------------------ *)
+
+(* [stalled] compares the parked count against the live count.  Read
+   twice, a live count taken before the last fiber finished and one
+   taken after made a completed run look stalled (0 parked = 0 live),
+   and run_program raised [Deadlock {blocked = 0}].  The stall-window
+   hook opens that window on purpose. *)
+let with_stall_window f body =
+  Fiber.Hooks.set_stall_window (Some f);
+  Fun.protect ~finally:(fun () -> Fiber.Hooks.set_stall_window None) body
+
+let one_strand ?action () =
+  Program.compile ~registry:Fire_rule.empty_registry
+    (Spawn_tree.leaf
+       (Strand.make ~label:"only" ~work:1 ~reads:Nd_util.Interval_set.empty
+          ~writes:Nd_util.Interval_set.empty ?action ()))
+
+(* Deterministic, on one domain: the last fiber runs to completion
+   exactly inside the window. *)
+let test_stall_window_last_fiber () =
+  let pool = Fiber.make_engine ~workers:1 (one_strand ()) in
+  let stalled =
+    with_stall_window
+      (fun () -> while Fiber.try_advance pool 0 do () done)
+      (fun () -> Fiber.stalled pool)
+  in
+  Alcotest.(check bool) "the last fiber finished inside the window" true
+    (Fiber.finished pool);
+  Alcotest.(check bool) "a finished pool is not stalled" false stalled
+
+(* On two domains: one worker runs a 5 ms strand while the idle one
+   keeps checking for deadlock through a 2 ms window, so the strand
+   almost surely finishes inside some window.  Every run must complete
+   without a deadlock report. *)
+let test_stall_window_two_workers () =
+  let ran = Atomic.make 0 in
+  let p =
+    one_strand
+      ~action:(fun () ->
+        Unix.sleepf 5e-3;
+        Atomic.incr ran)
+      ()
+  in
+  with_stall_window (fun () -> Unix.sleepf 2e-3) @@ fun () ->
+  for run = 1 to 20 do
+    match Fiber.run ~workers:2 p with
+    | () -> ()
+    | exception Fiber.Deadlock { blocked } ->
+      Alcotest.failf "run %d: Deadlock {blocked = %d} on a completing run" run
+        blocked
+  done;
+  Alcotest.(check int) "every run ran the strand" 20 (Atomic.get ran)
+
 (* ------------------ three-way differential sweep -------------------- *)
 
 (* Every generated program through all three backends at workers
@@ -279,6 +332,10 @@ let () =
             test_fiber_equivalence;
           Alcotest.test_case "blocked fire chain, fibers >> workers" `Quick
             test_blocked_fire_chain;
+          Alcotest.test_case "no false deadlock: last fiber in the window"
+            `Quick test_stall_window_last_fiber;
+          Alcotest.test_case "no false deadlock: widened window, 2 workers"
+            `Quick test_stall_window_two_workers;
           Alcotest.test_case "three-way backend sweep (generated)" `Quick
             test_three_way_sweep;
           QCheck_alcotest.to_alcotest prop_three_way;

@@ -349,6 +349,67 @@ let prop_json_unicode_roundtrip =
       Json.parse (Json.to_string v) = v
       && Json.parse (Json.to_string_ascii v) = v)
 
+(* ---------------------------- int_set ----------------------------- *)
+
+module Int_set = Nd_util.Int_set
+
+let test_int_set_edges () =
+  let s = Int_set.create 0 in
+  Alcotest.(check bool) "0 absent" false (Int_set.mem s 0);
+  Alcotest.(check bool) "add 0" true (Int_set.add s 0);
+  Alcotest.(check bool) "add 0 again" false (Int_set.add s 0);
+  Alcotest.(check bool) "add max_int" true (Int_set.add s max_int);
+  Alcotest.(check bool) "max_int member" true (Int_set.mem s max_int);
+  Alcotest.(check bool) "max_int - 1 absent" false (Int_set.mem s (max_int - 1));
+  Alcotest.(check int) "cardinal" 2 (Int_set.cardinal s);
+  Alcotest.check_raises "negative add" (Invalid_argument "Int_set: negative key")
+    (fun () -> ignore (Int_set.add s (-1)));
+  Alcotest.check_raises "negative mem" (Invalid_argument "Int_set: negative key")
+    (fun () -> ignore (Int_set.mem s min_int))
+
+let test_int_set_growth () =
+  (* from the minimum table through 14 doublings *)
+  let s = Int_set.create 0 and n = 100_000 in
+  for i = 0 to n - 1 do
+    if not (Int_set.add s (i * 7919)) then Alcotest.failf "%d reported present" i
+  done;
+  Alcotest.(check int) "cardinal" n (Int_set.cardinal s);
+  for i = 0 to n - 1 do
+    if not (Int_set.mem s (i * 7919)) then Alcotest.failf "%d lost" i;
+    if Int_set.mem s ((i * 7919) + 1) then Alcotest.failf "%d + 1 invented" i
+  done
+
+(* small keys (0 included), packed keys near max_int, packed pairs the
+   way the DRS compiler builds them, and anything non-negative *)
+let gen_int_set_key =
+  QCheck2.Gen.(
+    oneof
+      [
+        int_range 0 64;
+        map (fun d -> max_int - d) (int_range 0 64);
+        map (fun (a, b) -> (a * 4001) + b) (pair (int_range 0 4000) (int_range 0 4000));
+        map (fun x -> x land max_int) int;
+      ])
+
+let prop_int_set_model =
+  QCheck2.Test.make ~name:"int_set agrees with a Hashtbl model" ~count:200
+    QCheck2.Gen.(
+      pair (int_range 0 64)
+        (list_size (int_range 0 3000) (pair bool gen_int_set_key)))
+    (fun (hint, ops) ->
+      let s = Int_set.create hint and model = Hashtbl.create 16 in
+      List.for_all
+        (fun (is_add, k) ->
+          if is_add then begin
+            let fresh = not (Hashtbl.mem model k) in
+            Hashtbl.replace model k ();
+            Int_set.add s k = fresh
+          end
+          else Int_set.mem s k = Hashtbl.mem model k)
+        ops
+      && Int_set.cardinal s = Hashtbl.length model
+      && Hashtbl.fold (fun k () ok -> ok && Int_set.mem s k) model true)
+
 (* ----------------------------- table ----------------------------- *)
 
 let test_table () =
@@ -420,5 +481,13 @@ let () =
         :: Alcotest.test_case "surrogate encode" `Quick
              test_json_surrogate_encode
         :: json_qsuite );
+      ( "int_set",
+        [
+          Alcotest.test_case "key 0, max_int, negatives" `Quick
+            test_int_set_edges;
+          Alcotest.test_case "growth past many doublings" `Quick
+            test_int_set_growth;
+          QCheck_alcotest.to_alcotest prop_int_set_model;
+        ] );
       ("table", [ Alcotest.test_case "render" `Quick test_table ]);
     ]
