@@ -42,47 +42,155 @@ let backoff ~spin_cap spin =
     done
   end
 
+(* ------------------------------- crew ------------------------------ *)
+
+(* One crew of helper domains serves every runtime entry point.  A
+   helper waits on its own mailbox for a command; a call borrows
+   [nw - 1] helpers (parked ones first, else fresh spawns, so a nested
+   call never waits for a busy helper) and hands them back once every
+   body has returned.  On OCaml 5.1 a domain that exits drops its cached
+   fiber stacks, so a helper that ever served a [~keep] call parks for
+   the next call, up to [max 1 (default_workers () - 1)] of them; every
+   other helper is joined at the end of its call, because a parked
+   domain turns each minor GC into a two-domain stop-the-world.  The
+   caller parks a helper before it returns, so a back-to-back call
+   finds it idle.  See DESIGN.md §7, "Worker domains". *)
+
+type command = Wait | Run of (unit -> unit) | Quit
+
+type mailbox = {
+  lock : Mutex.t;
+  wake : Condition.t;
+  mutable command : command;
+}
+
+type helper = { box : mailbox; domain : unit Domain.t; mutable keep : bool }
+
+let rec serve box =
+  let command =
+    Mutex.protect box.lock (fun () ->
+        while box.command == Wait do
+          Condition.wait box.wake box.lock
+        done;
+        let c = box.command in
+        box.command <- Wait;
+        c)
+  in
+  match command with
+  | Run f ->
+    f ();
+    serve box
+  | Quit | Wait -> ()
+
+let send h c =
+  Mutex.protect h.box.lock (fun () ->
+      h.box.command <- c;
+      Condition.signal h.box.wake)
+
+let idle : helper list ref = ref []
+
+let idle_lock = Mutex.create ()
+
+let borrow () =
+  match
+    Mutex.protect idle_lock (fun () ->
+        match !idle with
+        | h :: rest ->
+          idle := rest;
+          Some h
+        | [] -> None)
+  with
+  | Some h -> h
+  | None ->
+    let box =
+      { lock = Mutex.create (); wake = Condition.create (); command = Wait }
+    in
+    { box; domain = Domain.spawn (fun () -> serve box); keep = false }
+
+let release h =
+  let cap = max 1 (default_workers () - 1) in
+  let parked =
+    h.keep
+    && Mutex.protect idle_lock (fun () ->
+           let room = List.length !idle < cap in
+           if room then idle := h :: !idle;
+           room)
+  in
+  if not parked then begin
+    send h Quit;
+    Domain.join h.domain
+  end
+
+let crew ?(keep = false) nw body =
+  if nw <= 1 then body (fun () -> false) 0
+  else begin
+    let failure = Atomic.make None in
+    let work = body (fun () -> Atomic.get failure <> None) in
+    let guarded wid =
+      try work wid
+      with e ->
+        let bt = Printexc.get_raw_backtrace () in
+        ignore (Atomic.compare_and_set failure None (Some (e, bt)))
+    in
+    let helpers = ref [] in
+    (try
+       for _ = 2 to nw do
+         helpers := borrow () :: !helpers
+       done
+     with e ->
+       List.iter release !helpers;
+       raise e);
+    (* backtrace recording is per domain and a spawned domain does not
+       inherit it: each run takes the caller's setting *)
+    let record = Printexc.backtrace_status () in
+    let lock = Mutex.create () and all_done = Condition.create () in
+    let pending = ref (nw - 1) in
+    List.iteri
+      (fun i h ->
+        if keep then h.keep <- true;
+        send h
+          (Run
+             (fun () ->
+               Printexc.record_backtrace record;
+               guarded (i + 1);
+               Mutex.protect lock (fun () ->
+                   decr pending;
+                   if !pending = 0 then Condition.signal all_done))))
+      !helpers;
+    guarded 0;
+    Mutex.protect lock (fun () ->
+        while !pending > 0 do
+          Condition.wait all_done lock
+        done);
+    List.iter release !helpers;
+    match Atomic.get failure with
+    | Some (e, bt) -> Printexc.raise_with_backtrace e bt
+    | None -> ()
+  end
+
 (* --------------------------- parallel for -------------------------- *)
 
+(* dynamic work sharing: iterations are claimed one at a time off a
+   shared counter, so uneven iteration costs balance automatically (the
+   experiment suite's phases differ by orders of magnitude) *)
 let parallel_for ?workers n f =
   if n > 0 then begin
     let nw =
       max 1
         (min n (match workers with Some w -> w | None -> default_workers ()))
     in
-    if nw = 1 then
-      for i = 0 to n - 1 do
-        f 0 i
-      done
-    else begin
-      (* dynamic work sharing: iterations are claimed one at a time off a
-         shared counter, so uneven iteration costs balance automatically
-         (the experiment suite's phases differ by orders of magnitude) *)
-      let next = Atomic.make 0 in
-      let failure = Atomic.make None in
-      let body wid () =
-        let continue_ = ref true in
-        while !continue_ do
-          if Atomic.get failure <> None then continue_ := false
-          else begin
+    let next = Atomic.make 0 in
+    crew nw (fun stopped wid ->
+        let rec loop () =
+          if not (stopped ()) then begin
             let i = Atomic.fetch_and_add next 1 in
-            if i >= n then continue_ := false
-            else
-              try f wid i
-              with e ->
-                let bt = Printexc.get_raw_backtrace () in
-                ignore (Atomic.compare_and_set failure None (Some (e, bt)));
-                continue_ := false
+            if i < n then begin
+              f wid i;
+              loop ()
+            end
           end
-        done
-      in
-      let domains = List.init (nw - 1) (fun i -> Domain.spawn (body (i + 1))) in
-      body 0 ();
-      List.iter Domain.join domains;
-      match Atomic.get failure with
-      | Some (e, bt) -> Printexc.raise_with_backtrace e bt
-      | None -> ()
-    end
+        in
+        loop ())
   end
 
 (* ------------------------- strand execution ------------------------ *)
@@ -404,34 +512,30 @@ let run_dataflow ?workers ?grain ?(tracer = Trace.null) program =
   let nw = Engine.n_workers eng in
   let traced = Trace.enabled tracer in
   let cap = spin_cap ~nw in
-  let worker wid () =
-    let spin = ref 0 in
-    while not (Engine.finished eng) do
-      if Engine.try_pop eng wid then spin := 0
-      else begin
-        let stolen = ref false in
-        let i = ref 1 in
-        while (not !stolen) && !i < nw do
-          if Engine.try_steal eng ~thief:wid ~victim:((wid + !i) mod nw)
-          then begin
-            stolen := true;
-            spin := 0
-          end;
-          incr i
-        done;
-        if not !stolen then begin
-          (* record only the idle-period start, not every failed sweep *)
-          if traced && !spin = 0 then
-            Trace.emit_now tracer ~worker:wid
-              (Nd_trace.Event.Steal_attempt { victim = -1 });
-          backoff ~spin_cap:cap spin
+  crew nw (fun stopped wid ->
+      let spin = ref 0 in
+      while not (Engine.finished eng || stopped ()) do
+        if Engine.try_pop eng wid then spin := 0
+        else begin
+          let stolen = ref false in
+          let i = ref 1 in
+          while (not !stolen) && !i < nw do
+            if Engine.try_steal eng ~thief:wid ~victim:((wid + !i) mod nw)
+            then begin
+              stolen := true;
+              spin := 0
+            end;
+            incr i
+          done;
+          if not !stolen then begin
+            (* record only the idle-period start, not every failed sweep *)
+            if traced && !spin = 0 then
+              Trace.emit_now tracer ~worker:wid
+                (Nd_trace.Event.Steal_attempt { victim = -1 });
+            backoff ~spin_cap:cap spin
+          end
         end
-      end
-    done
-  in
-  let domains = List.init (nw - 1) (fun i -> Domain.spawn (worker (i + 1))) in
-  worker 0 ();
-  List.iter Domain.join domains;
+      done);
   assert (Engine.finished eng)
 
 (* ------------------------- fork-join executor ---------------------- *)
@@ -447,7 +551,13 @@ type ctx = {
   grain : int;
   spin_cap : int;
   program : Program.t;
+  stopped : unit -> bool;
 }
+
+(* Raised by a worker that finds its call stopped: the crew re-raises
+   the failure that stopped it, so this only unwinds the wait the worker
+   was in (a join on a job a failed worker will never complete). *)
+exception Stopped
 
 let help ctx wid =
   match Deque.pop ctx.deques.(wid) with
@@ -471,6 +581,20 @@ let help ctx wid =
         | None -> try_steal (i + 1)
     in
     try_steal 1
+
+(* help-first waiting: run other work until [cond] holds *)
+let help_until ctx wid cond =
+  let spin = ref 0 in
+  while not (cond ()) do
+    if ctx.stopped () then raise Stopped;
+    if help ctx wid then spin := 0
+    else begin
+      if ctx.traced && !spin = 0 then
+        Trace.emit_now ctx.tracer ~worker:wid
+          (Nd_trace.Event.Steal_attempt { victim = -1 });
+      backoff ~spin_cap:ctx.spin_cap spin
+    end
+  done
 
 (* walk the program's node array (the spawn tree annotated with work
    counts) rather than the raw spawn tree: work annotations drive the
@@ -514,48 +638,28 @@ let rec exec_node ctx wid n =
             (Nd_trace.Event.Spawn { count = Array.length rest });
         exec_node ctx wid cs.(0);
         Array.iter
-          (fun j ->
-            (* help-first join: run other work while waiting *)
-            let spin = ref 0 in
-            while not (Atomic.get j.completed) do
-              if help ctx wid then spin := 0
-              else begin
-                if ctx.traced && !spin = 0 then
-                  Trace.emit_now ctx.tracer ~worker:wid
-                    (Nd_trace.Event.Steal_attempt { victim = -1 });
-                backoff ~spin_cap:ctx.spin_cap spin
-              end
-            done)
+          (fun j -> help_until ctx wid (fun () -> Atomic.get j.completed))
           jobs
       end
 
 let run_fork_join ?workers ?(grain = 0) ?(tracer = Trace.null) program =
   let nw = match workers with Some w -> max 1 w | None -> default_workers () in
-  let ctx =
-    {
-      deques = Array.init nw (fun _ -> Deque.create ());
-      nw;
-      finished = Atomic.make false;
-      tracer;
-      traced = Trace.enabled tracer;
-      grain;
-      spin_cap = spin_cap ~nw;
-      program;
-    }
-  in
-  let helper wid () =
-    let spin = ref 0 in
-    while not (Atomic.get ctx.finished) do
-      if help ctx wid then spin := 0
-      else begin
-        if ctx.traced && !spin = 0 then
-          Trace.emit_now ctx.tracer ~worker:wid
-            (Nd_trace.Event.Steal_attempt { victim = -1 });
-        backoff ~spin_cap:ctx.spin_cap spin
-      end
-    done
-  in
-  let domains = List.init (nw - 1) (fun i -> Domain.spawn (helper (i + 1))) in
-  exec_node ctx 0 (Program.root program);
-  Atomic.set ctx.finished true;
-  List.iter Domain.join domains
+  crew nw (fun stopped ->
+      let ctx =
+        {
+          deques = Array.init nw (fun _ -> Deque.create ());
+          nw;
+          finished = Atomic.make false;
+          tracer;
+          traced = Trace.enabled tracer;
+          grain;
+          spin_cap = spin_cap ~nw;
+          program;
+          stopped;
+        }
+      in
+      function
+      | 0 ->
+        exec_node ctx 0 (Program.root program);
+        Atomic.set ctx.finished true
+      | wid -> help_until ctx wid (fun () -> Atomic.get ctx.finished))

@@ -36,7 +36,8 @@
     tracing needs no synchronization and the untraced path costs one
     branch per instrumentation point.  Strand events always carry real
     DAG vertex ids, also under coarsening (coarse tasks emit one
-    interval per contained leaf). *)
+    interval per contained leaf).  A raising strand stops every worker
+    and its exception is re-raised (see {!crew}). *)
 val run_dataflow :
   ?workers:int ->
   ?grain:int ->
@@ -50,7 +51,9 @@ val run_dataflow :
     exactly the paper's NP baseline executed for real.  Strand events
     carry the leaf's DAG vertex id; steal events carry no vertex (jobs
     are subtrees, not vertices).  Idle workers back off with capped
-    exponential [cpu_relax] pauses escalating to short sleeps. *)
+    exponential [cpu_relax] pauses escalating to short sleeps.  A
+    raising strand stops every worker, including one blocked in a join
+    on it, and its exception is re-raised (see {!crew}). *)
 val run_fork_join :
   ?workers:int ->
   ?grain:int ->
@@ -75,9 +78,31 @@ val default_workers : unit -> int
     re-raised (with its backtrace) after all workers stop; iterations
     already claimed by other workers run to completion first, so an
     observer never sees a half-executed iteration.  Calls nest: [f] may
-    itself call [parallel_for] (each call spawns its own domains), and
-    an inner exception unwinds through every level. *)
+    itself call [parallel_for] (the workers come from {!crew}, which
+    spawns a helper rather than wait for a busy one), and an inner
+    exception unwinds through every level. *)
 val parallel_for : ?workers:int -> int -> (int -> int -> unit) -> unit
+
+(** [crew ?keep nw body] runs one call on [nw] workers: [body stopped]
+    is applied once, on the caller, and the function it returns runs
+    as worker [0] on the caller and as workers [1 .. nw-1] on helper
+    domains borrowed for the call; [crew] returns once every worker has
+    returned.  When a worker raises, [stopped ()] turns true for the
+    others, which must then return (or raise) promptly, and the first
+    exception is re-raised with its backtrace; a worker's loop that
+    waits on other workers must poll [stopped].  With [nw <= 1] the
+    caller runs worker [0] alone and [stopped] is constantly false.
+
+    Helpers are parked domains when one is idle and fresh spawns
+    otherwise, so a nested call never waits.  A helper that has served
+    a [~keep:true] call (the fiber backend: on OCaml 5.1 an exiting
+    domain drops its cached fiber stacks) parks again at the end of
+    every call, at most [max 1 (default_workers () - 1)] of them; any
+    other helper is joined before [crew] returns.  Every runtime entry
+    point ({!parallel_for}, {!run_dataflow}, {!run_fork_join},
+    [Fiber_exec.run_program]) runs on it. *)
+val crew :
+  ?keep:bool -> int -> ((unit -> bool) -> int -> unit) -> unit
 
 (** {2 The dataflow engine as a value}
 
@@ -85,7 +110,7 @@ val parallel_for : ?workers:int -> int -> (int -> int -> unit) -> unit
     conformance harness ([Nd_check.Explore]) can advance the {e exact}
     production wake-up loop and Chase–Lev deque discipline from a
     single-domain controlled scheduler.  {!run_dataflow} itself is
-    [make_engine] plus one domain per worker looping
+    [make_engine] plus one {!crew} worker per slot looping
     [try_pop]/[try_steal] with backoff. *)
 module Engine : sig
   type t

@@ -477,11 +477,14 @@ let with_worker_dls pool wid f =
   cell := Some (pool, wid);
   Fun.protect ~finally:(fun () -> cell := saved) f
 
-let worker_loop (pool : pool) wid =
+let worker_loop (pool : pool) ~stopped wid =
   with_worker_dls pool wid @@ fun () ->
   let cap = Executor.spin_cap ~nw:pool.nw in
   let spin = ref 0 in
-  while Atomic.get pool.remaining > 0 && not (Atomic.get pool.aborted) do
+  while
+    Atomic.get pool.remaining > 0
+    && not (Atomic.get pool.aborted || stopped ())
+  do
     if try_advance pool wid then spin := 0
     else if !spin > 32 && deadlocked pool then begin
       ignore
@@ -499,25 +502,13 @@ let worker_loop (pool : pool) wid =
     end
   done
 
-(* record any escaping exception (fatal fiber errors kill the worker)
-   so the other workers stop instead of spinning on a count that will
-   never reach zero *)
-let worker_run pool wid () =
-  try worker_loop pool wid
-  with e ->
-    let bt = Printexc.get_raw_backtrace () in
-    ignore (Atomic.compare_and_set pool.failure None (Some (e, bt)));
-    Atomic.set pool.aborted true;
-    raise e
-
+(* an exception escaping a worker (a fatal fiber error) stops the crew
+   call, so the other workers see [stopped] instead of spinning on a
+   count that will never reach zero *)
 let run_program ?workers ?grain ?tracer program =
   let pool = make_engine ?workers ?grain ?tracer program in
-  let domains =
-    List.init (pool.nw - 1) (fun i ->
-        Domain.spawn (fun () -> worker_run pool (i + 1) ()))
-  in
-  (try worker_run pool 0 () with _ -> ());
-  List.iter (fun d -> try Domain.join d with _ -> ()) domains;
+  Executor.crew ~keep:true pool.nw (fun stopped wid ->
+      worker_loop pool ~stopped wid);
   match Atomic.get pool.failure with
   | Some (e, bt) -> Printexc.raise_with_backtrace e bt
   | None -> stats pool

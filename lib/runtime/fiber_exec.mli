@@ -92,7 +92,13 @@ val self : unit -> int option
     returns the pool's counters.  Strand/steal/spawn trace events match
     {!Executor.run_dataflow}'s.  A fiber body raising aborts the run
     and re-raises; an unfulfillable wait raises {!Deadlock} instead of
-    hanging. *)
+    hanging.
+
+    The workers are an {!Executor.crew} call with [~keep:true]: a
+    helper domain that ran them parks for the next call instead of
+    exiting, because on OCaml 5.1 an exiting domain drops the fiber
+    stacks it cached, so back-to-back runs reuse one helper and its
+    stacks (DESIGN.md §7, "Worker domains"). *)
 val run_program :
   ?workers:int ->
   ?grain:int ->
@@ -101,7 +107,7 @@ val run_program :
   stats
 
 (** {!run_program} with the result ignored — the {!Backend.S}-shaped
-    entry point. *)
+    entry point; it borrows and parks helpers the same way. *)
 val run :
   ?workers:int ->
   ?grain:int ->

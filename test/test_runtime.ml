@@ -1,5 +1,8 @@
 module Deque = Nd_runtime.Deque
 module Executor = Nd_runtime.Executor
+module Fiber = Nd_runtime.Fiber_exec
+module Backend = Nd_runtime.Backend
+open Nd
 open Nd_algos
 
 (* ------------------------------ deque ------------------------------ *)
@@ -176,20 +179,63 @@ let test_pfor_exception_propagates () =
         started)
     [ 1; 2; 8 ]
 
+(* a Par of 64 unit strands, strand [k] running [action k] after 50 us,
+   so that every worker of a run gets some *)
+let par_strands action =
+  Program.compile ~registry:Fire_rule.empty_registry
+    (Spawn_tree.par
+       (List.init 64 (fun k ->
+            Spawn_tree.leaf
+              (Strand.make ~label:(string_of_int k) ~work:1
+                 ~reads:Nd_util.Interval_set.empty
+                 ~writes:Nd_util.Interval_set.empty
+                 ~action:(fun () ->
+                   Unix.sleepf 5e-5;
+                   action k)
+                 ()))))
+
+(* the distinct domains that ran a strand over [runs] runs of [run] *)
+let domains_running ?(runs = 1) run =
+  let ids = Hashtbl.create 4 and lock = Mutex.create () in
+  let p =
+    par_strands (fun _ ->
+        let d = (Domain.self () :> int) in
+        Mutex.protect lock (fun () -> Hashtbl.replace ids d ()))
+  in
+  for _ = 1 to runs do
+    run p
+  done;
+  List.of_seq (Hashtbl.to_seq_keys ids)
+
 let test_pfor_nested () =
-  (* a parallel_for body may itself call parallel_for: each call spawns
-     its own domains, so nesting composes (the sharded cache replay runs
-     inside suite experiments that are themselves parallel_for jobs) *)
+  (* a parallel_for body may itself call parallel_for or run a program:
+     a nested call borrows an idle helper or spawns one, so nesting
+     composes (the sharded cache replay and E9's backend runs sit inside
+     suite experiments that are themselves parallel_for jobs) *)
   let outer = 4 and inner = 8 in
   let hits = Array.init (outer * inner) (fun _ -> Atomic.make 0) in
   Executor.parallel_for ~workers:2 outer (fun _ o ->
       Executor.parallel_for ~workers:2 inner (fun _ i ->
-          Atomic.incr hits.((o * inner) + i)));
+          Atomic.incr hits.((o * inner) + i));
+      (* E9's check, per outer iteration: the serial elision and a
+         2-worker fiber run both reproduce the reference *)
+      let w = Lcs.workload ~n:32 ~base:4 ~seed:(60 + o) () in
+      exec_check "nested serial" w (fun p -> Serial_exec.run p) 0.;
+      exec_check "nested fiber" w (Fiber.run ~workers:2) 0.);
   Array.iteri
     (fun k c ->
       if Atomic.get c <> 1 then
         Alcotest.failf "nested cell %d ran %d times" k (Atomic.get c))
     hits;
+  (* the fiber runs left a helper parked: a top-level dataflow run
+     borrows it, so no strand runs on a domain spawned after the fence *)
+  let fence = Domain.join (Domain.spawn (fun () -> (Domain.self () :> int))) in
+  List.iter
+    (fun d ->
+      if d > fence then
+        Alcotest.failf "dataflow ran on domain %d, spawned after the fence %d" d
+          fence)
+    (domains_running (Executor.run_dataflow ~workers:2));
   (* an inner exception unwinds through both levels *)
   match
     Executor.parallel_for ~workers:2 outer (fun _ _ ->
@@ -198,6 +244,68 @@ let test_pfor_nested () =
   with
   | () -> Alcotest.fail "expected Boom through nesting"
   | exception Boom 3 -> ()
+
+(* ------------------------------- crew ------------------------------ *)
+
+(* [f ()] on a thread, waited for at most [secs]: a hung runtime call
+   fails the test instead of hanging the suite (the hung thread is left
+   behind; the executable still exits) *)
+let within ~secs what f =
+  let result = Atomic.make None in
+  ignore
+    (Thread.create
+       (fun () -> Atomic.set result (Some (try Ok (f ()) with e -> Error e)))
+       ());
+  let deadline = Unix.gettimeofday () +. secs in
+  let rec wait () =
+    match Atomic.get result with
+    | Some r -> r
+    | None ->
+      if Unix.gettimeofday () > deadline then
+        Alcotest.failf "watchdog: %s did not return within %.0f s" what secs;
+      Unix.sleepf 1e-3;
+      wait ()
+  in
+  wait ()
+
+let test_raising_strand () =
+  (* a strand that raises, whichever worker runs it, stops every worker
+     and its failure reaches the caller before the deadline; the same
+     backend then runs a clean program to completion *)
+  List.iter
+    (fun (module B : Backend.S) ->
+      List.iter
+        (fun workers ->
+          List.iter
+            (fun target ->
+              let tag =
+                Printf.sprintf "%s w=%d strand %d raises" B.name workers target
+              in
+              let p = par_strands (fun k -> if k = target then failwith tag) in
+              (match within ~secs:10. tag (fun () -> B.run ~workers p) with
+              | Error (Failure m) when m = tag -> ()
+              | Ok () -> Alcotest.failf "%s: returned normally" tag
+              | Error e ->
+                Alcotest.failf "%s: raised %s" tag (Printexc.to_string e));
+              let ran = Atomic.make 0 in
+              let clean = par_strands (fun _ -> Atomic.incr ran) in
+              let what = tag ^ ", then a clean run" in
+              (match within ~secs:10. what (fun () -> B.run ~workers clean) with
+              | Ok () -> ()
+              | Error e ->
+                Alcotest.failf "%s: raised %s" what (Printexc.to_string e));
+              Alcotest.(check int) what 64 (Atomic.get ran))
+            [ 0; 1; 63 ])
+        [ 1; 2; 8 ])
+    Backend.all
+
+let test_helpers_reused () =
+  (* back-to-back fiber runs borrow the helper the previous run parked
+     instead of spawning a domain per run *)
+  let ids = domains_running ~runs:20 (Fiber.run ~workers:2) in
+  if List.length ids > 2 then
+    Alcotest.failf "20 two-worker fiber runs ran on %d distinct domains"
+      (List.length ids)
 
 let () =
   Alcotest.run "nd_runtime"
@@ -221,5 +329,12 @@ let () =
           Alcotest.test_case "exception propagates with backtrace" `Quick
             test_pfor_exception_propagates;
           Alcotest.test_case "nested calls compose" `Quick test_pfor_nested;
+        ] );
+      ( "crew",
+        [
+          Alcotest.test_case "a raising strand stops every backend" `Quick
+            test_raising_strand;
+          Alcotest.test_case "fiber runs reuse the parked helper" `Quick
+            test_helpers_reused;
         ] );
     ]
