@@ -6,6 +6,10 @@ let create_space () = { next = 0; data = Array.make 64 0. }
 
 let words s = s.next
 
+(* Capacity doubles, but the slack past [next] is left uninitialized:
+   writing it would commit pages that [alloc] may never hand out (a
+   space one word past a power of two keeps half its capacity unused),
+   so [alloc] zeroes exactly the region it returns. *)
 let reserve s n =
   let needed = s.next + n in
   if needed > Array.length s.data then begin
@@ -13,7 +17,7 @@ let reserve s n =
     while !cap < needed do
       cap := 2 * !cap
     done;
-    let bigger = Array.make !cap 0. in
+    let bigger = Array.create_float !cap in
     Array.blit s.data 0 bigger 0 s.next;
     s.data <- bigger
   end
@@ -24,6 +28,7 @@ let alloc space ~rows ~cols =
   if rows < 0 || cols < 0 then invalid_arg "Mat.alloc: negative dimension";
   reserve space (rows * cols);
   let base = space.next in
+  Array.fill space.data base (rows * cols) 0.;
   space.next <- space.next + (rows * cols);
   { space; base; rows; cols; stride = cols }
 

@@ -45,8 +45,7 @@ type shape = {
 }
 
 type shape_key =
-  | KLeaf of int * (int * int) list * (int * int) list
-      (* work, normalized read / write intervals *)
+  | KLeaf of int * Is.t * Is.t  (* work, normalized read / write sets *)
   | KNode of int * string * (int * int) list
       (* construct tag, rule name, per-child (shape id, footprint offset) *)
 
@@ -60,12 +59,17 @@ module Shape_key = struct
 
   let equal (a : t) b = a = b
 
-  let fold_pairs = List.fold_left (fun h (a, b) -> ((h * 31) + a) * 31 + b)
+  let mix h a b = (((h * 31) + a) * 31) + b
 
   let hash = function
-    | KLeaf (w, rs, ws) -> fold_pairs (fold_pairs ((w * 31) + 1) rs) ws
+    | KLeaf (w, rs, ws) ->
+      Is.fold (fun lo hi h -> mix h lo hi) ws
+        (Is.fold (fun lo hi h -> mix h lo hi) rs ((w * 31) + 1))
     | KNode (tag, rule, ds) ->
-      fold_pairs ((tag * 31) + Hashtbl.hash rule) ds
+      List.fold_left
+        (fun h (a, b) -> mix h a b)
+        ((tag * 31) + Hashtbl.hash rule)
+        ds
 end
 
 module Shape_tbl = Hashtbl.Make (Shape_key)
@@ -237,13 +241,14 @@ let analyze ~registry tree =
       | Leaf s ->
         let fp = Strand.footprint s in
         let mn =
-          match Is.intervals fp with [] -> 0 | (lo, _) :: _ -> lo
+          if Is.is_empty fp then 0
+          else Is.fold (fun lo _ m -> Int.min lo m) fp max_int
         in
         let key =
           KLeaf
             ( s.Strand.work,
-              Is.intervals (Is.shift s.Strand.reads (-mn)),
-              Is.intervals (Is.shift s.Strand.writes (-mn)) )
+              Is.shift s.Strand.reads (-mn),
+              Is.shift s.Strand.writes (-mn) )
         in
         node_min.(id) <- mn;
         node_shape.(id) <-

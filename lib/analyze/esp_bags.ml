@@ -61,10 +61,10 @@ let leaf_strands program =
       | Program.Seq | Program.Par | Program.Fire _ -> assert false)
 
 let max_address program =
-  List.fold_left
-    (fun acc (_, hi) -> max acc hi)
+  Is.fold
+    (fun _ hi acc -> max acc hi)
+    (Program.footprint program (Program.root program))
     0
-    (Is.intervals (Program.footprint program (Program.root program)))
 
 exception Done
 
@@ -151,9 +151,8 @@ let analyze ?(limit = 16) program =
   let touch me ~pre s =
     (* [pre] and the bag tags are fixed for the whole strand, so the
        ordering predicate is a pure function of the queried leaf here:
-       snapshot the interval set for binary search and memoize — the
-       same neighbours recur at every address of the footprint *)
-    let arr = Array.of_list (Is.intervals pre) in
+       memoize it — the same neighbours recur at every address of the
+       footprint *)
     incr generation;
     let gen = !generation in
     let ordered u =
@@ -166,26 +165,14 @@ let analyze ?(limit = 16) program =
             incr sp_hits;
             true
           end
-          else begin
-            let rec bs lo hi =
-              if lo >= hi then false
-              else begin
-                let mid = (lo + hi) / 2 in
-                let l, h = arr.(mid) in
-                if u < l then bs lo mid
-                else if u >= h then bs (mid + 1) hi
-                else true
-              end
-            in
-            bs 0 (Array.length arr)
-          end
+          else Is.mem u pre
         in
         memo.(u) <- (gen * 2) + Bool.to_int b;
         b
       end
     in
-    List.iter
-      (fun (lo, hi) ->
+    Is.iter
+      (fun lo hi ->
         for a = lo to hi - 1 do
           incr n_accesses;
           let w = writer.(a) in
@@ -195,9 +182,9 @@ let analyze ?(limit = 16) program =
           readers.(a) <-
             me :: List.filter (fun r -> r <> me && not (ordered r)) readers.(a)
         done)
-      (Is.intervals s.Strand.reads);
-    List.iter
-      (fun (lo, hi) ->
+      s.Strand.reads;
+    Is.iter
+      (fun lo hi ->
         for a = lo to hi - 1 do
           incr n_accesses;
           let w = writer.(a) in
@@ -208,7 +195,7 @@ let analyze ?(limit = 16) program =
           writer.(a) <- me;
           readers.(a) <- []
         done)
-      (Is.intervals s.Strand.writes)
+      s.Strand.writes
   in
   let rec visit node ~pre =
     (* fold the fire edges targeting this node into its entry set *)

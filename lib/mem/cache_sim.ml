@@ -243,17 +243,14 @@ let access_set t fp =
   match t with
   | W w ->
     let m = ref 0 in
-    List.iter
-      (fun (lo, hi) ->
+    Is.iter
+      (fun lo hi ->
         for a = lo to hi - 1 do
           if word_access w a then incr m
         done)
-      (Is.intervals fp);
+      fp;
     !m
-  | I i ->
-    List.fold_left
-      (fun acc (lo, hi) -> acc + int_access_range i lo hi)
-      0 (Is.intervals fp)
+  | I i -> Is.fold (fun lo hi acc -> acc + int_access_range i lo hi) fp 0
 
 let misses = function W w -> w.w_misses | I i -> i.i_misses
 

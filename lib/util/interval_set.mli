@@ -2,12 +2,20 @@
     [\[lo, hi)].  Used throughout the library to represent memory footprints
     over a flat global address space: footprint unions, cardinalities and
     difference cardinalities are the primitive operations behind task sizes
-    [s(t)], the PCC metric [Q*] and the scheduler's miss accounting. *)
+    [s(t)], the PCC metric [Q*] and the scheduler's miss accounting.
+
+    Representation: one immutable [int array] [\[| lo0; hi0; lo1; hi1; … |\]]
+    with [lo0 < hi0 < lo1 < hi1 < …] (sorted, disjoint, non-adjacent, no
+    empty piece), i.e. one heap block of [2k + 1] words for [k] intervals.
+    Costs below are for sets of [k] and [k'] intervals; the binary
+    operations allocate their result once and may return an operand
+    unchanged when the other is empty. *)
 
 type t
 
 val empty : t
 
+(** O(1). *)
 val is_empty : t -> bool
 
 (** [interval lo hi] is the half-open interval [\[lo, hi)].
@@ -18,40 +26,56 @@ val interval : int -> int -> t
 val singleton : int -> t
 
 (** [of_intervals l] is the union of the given [(lo, hi)] half-open
-    intervals, which may overlap and come in any order. *)
+    intervals, which may overlap and come in any order; pairs with
+    [lo >= hi] are empty and ignored.  O(n log n) for [n] pairs. *)
 val of_intervals : (int * int) list -> t
 
-(** [shift t d] translates every element by [d] (linear, no
-    renormalization needed: translation preserves the canonical form).
-    Used to compare footprints of subtrees up to translation when
-    memoizing structural cost analysis per subtree shape. *)
+(** [shift t d] translates every element by [d]; O(k).  Translation
+    preserves the canonical form.  Used to compare footprints of subtrees
+    up to translation when memoizing structural cost analysis per subtree
+    shape. *)
 val shift : t -> int -> t
 
+(** O(k + k'). *)
 val union : t -> t -> t
 
+(** O(k + k'). *)
 val inter : t -> t -> t
 
-(** [diff a b] is the set of elements of [a] not in [b]. *)
+(** [diff a b] is the set of elements of [a] not in [b]; O(k + k'). *)
 val diff : t -> t -> t
 
+(** Binary search; O(log k). *)
 val mem : int -> t -> bool
 
-(** [cardinal t] is the number of integers in the set. *)
+(** [cardinal t] is the number of integers in the set; O(k). *)
 val cardinal : t -> int
 
-(** [intervals t] returns the canonical sorted disjoint interval list. *)
+(** [iter f t] calls [f lo hi] on each interval in increasing order;
+    allocates nothing. *)
+val iter : (int -> int -> unit) -> t -> unit
+
+(** [fold f t init] is [f lo_(k-1) hi_(k-1) (… (f lo0 hi0 init))], the
+    intervals in increasing order; allocates nothing itself. *)
+val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
+
+(** [intervals t] returns the canonical sorted disjoint interval list;
+    O(k), allocating the list.  Prefer {!iter} or {!fold} on hot paths. *)
 val intervals : t -> (int * int) list
 
+(** O(k). *)
 val equal : t -> t -> bool
 
-(** [overlaps a b] is [true] iff the intersection is non-empty (cheaper
-    than computing it). *)
+(** [overlaps a b] is [true] iff the intersection is non-empty; O(k + k')
+    and allocation-free, cheaper than computing it. *)
 val overlaps : t -> t -> bool
 
-(** [add_count acc t] unions [t] into the mutable accumulator and returns
+(** [absorb acc t] unions [t] into the mutable accumulator and returns
     how many elements of [t] were new, i.e. [cardinal (diff t !acc)].
-    This is the "first touch within a maximal task" primitive used by the
-    PMH miss accounting. *)
+    The count is one allocation-free merge walk over [t] and the prefix
+    of [!acc] it reaches, and [!acc] is only rebuilt (O(k + k')) when the
+    count is positive.  This is the "first touch within a maximal task"
+    primitive used by the PMH miss accounting. *)
 val absorb : t ref -> t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -68,6 +68,41 @@ let test_region_footprint_disjoint () =
   Alcotest.(check bool) "quad inside parent" true
     (Is.equal (Mat.region q00) (Is.inter (Mat.region q00) (Mat.region a)))
 
+(* Growth leaves the new capacity uninitialized, so [alloc] must zero
+   what it hands out.  Stale floats are left in freed memory before each
+   growth (on the minor heap for the small capacities, the major heap
+   for the large ones) so a region that skipped zeroing would show them. *)
+let test_growth_zeroes_and_keeps () =
+  let s = Mat.create_space () in
+  let dirty words =
+    for _ = 1 to 64 do
+      ignore (Sys.opaque_identity (Array.make words 7.))
+    done;
+    Gc.full_major ()
+  in
+  let expect k m f =
+    for i = 0 to m.Mat.rows - 1 do
+      for j = 0 to m.Mat.cols - 1 do
+        if Mat.get m i j <> f i j then
+          Alcotest.failf "matrix %d reads %g at (%d, %d), expected %g" k
+            (Mat.get m i j) i j (f i j)
+      done
+    done
+  in
+  let contents k i j = float_of_int ((1000 * k) + (10 * i) + j + 1) in
+  let mats =
+    List.init 12 (fun k ->
+        let rows = 1 + (k * k) and cols = 3 + k in
+        dirty (rows * cols);
+        let base = Mat.words s in
+        let m = Mat.alloc s ~rows ~cols in
+        Alcotest.(check int) "base is the previous word count" base m.Mat.base;
+        expect k m (fun _ _ -> 0.);
+        Mat.fill m (contents k);
+        m)
+  in
+  List.iteri (fun k m -> expect k m (contents k)) mats
+
 let () =
   Alcotest.run "nd_algos.mat"
     [
@@ -80,5 +115,7 @@ let () =
           Alcotest.test_case "copy/diff/snapshot" `Quick test_copy_diff_snapshot;
           Alcotest.test_case "regions disjoint" `Quick
             test_region_footprint_disjoint;
+          Alcotest.test_case "growth zeroes new, keeps old" `Quick
+            test_growth_zeroes_and_keeps;
         ] );
     ]

@@ -108,6 +108,139 @@ let prop_overlaps_consistent =
     QCheck2.Gen.(pair gen_set gen_set)
     (fun (a, b) -> Is.overlaps a b = not (Is.is_empty (Is.inter a b)))
 
+(* Differential test against the list representation the packed sets
+   replaced (test/interval_set_ref.ml): every exported operation, on
+   piece lists that overlap, touch, come unsorted, are empty or reversed
+   and reach negative addresses.  Each set result must list the same
+   intervals as the reference and be canonical. *)
+
+module Ref = Interval_set_ref
+
+let stress_iters =
+  match Sys.getenv_opt "NDSIM_STRESS_ITERS" with
+  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
+  | None -> 3
+
+let gen_pieces =
+  QCheck2.Gen.(
+    oneof
+      [
+        return [];
+        (* scattered: overlapping, unsorted, some empty or reversed *)
+        map
+          (List.map (fun (lo, d) -> (lo, lo + d)))
+          (small_list (pair (int_range (-60) 60) (int_range (-3) 12)));
+        (* a run of touching pieces, listed backwards *)
+        map
+          (fun (start, lens) ->
+            snd
+              (List.fold_left
+                 (fun (x, acc) d -> (x + d, (x, x + d) :: acc))
+                 (start, []) lens))
+          (pair (int_range (-40) 40) (small_list (int_range 0 6)));
+      ])
+
+let rec canonical = function
+  | (lo, hi) :: ((lo', _) :: _ as rest) -> lo < hi && hi < lo' && canonical rest
+  | [ (lo, hi) ] -> lo < hi
+  | [] -> true
+
+let same_set what packed reference =
+  let got = Is.intervals packed and want = Ref.intervals reference in
+  if not (canonical got) then
+    QCheck2.Test.fail_reportf "%s: not canonical: %a" what Is.pp packed;
+  if got <> want then
+    QCheck2.Test.fail_reportf "%s: %a, reference %a" what Is.pp packed Ref.pp
+      reference;
+  true
+
+let same what pp got want =
+  if got <> want then
+    QCheck2.Test.fail_reportf "%s: %a, reference %a" what pp got pp want;
+  true
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"packed sets = list reference"
+    ~count:(min 100_000 (max 1000 (100 * stress_iters)))
+    ~print:
+      QCheck2.Print.(
+        quad
+          (list (pair int int))
+          (list (pair int int))
+          (pair int int) int)
+    QCheck2.Gen.(
+      quad gen_pieces gen_pieces
+        (pair (int_range (-70) 80) (int_range (-3) 12))
+        (int_range (-50) 50))
+    (fun (l1, l2, (x, len), d) ->
+      let a = Is.of_intervals l1 and ra = Ref.of_intervals l1 in
+      let b = Is.of_intervals l2 and rb = Ref.of_intervals l2 in
+      let int = Format.pp_print_int and bool = Format.pp_print_bool in
+      let pairs =
+        Format.pp_print_list (fun ppf (lo, hi) ->
+            Format.fprintf ppf "[%d,%d)" lo hi)
+      in
+      let folded t =
+        List.rev (Is.fold (fun lo hi acc -> (lo, hi) :: acc) t [])
+      in
+      let iterated t =
+        let l = ref [] in
+        Is.iter (fun lo hi -> l := (lo, hi) :: !l) t;
+        List.rev !l
+      in
+      let absorbed () =
+        (* absorb b's pieces into a one at a time, then b whole: fresh
+           counts and the accumulator after each step *)
+        let acc = ref a and racc = ref ra in
+        List.for_all
+          (fun (lo, hi) ->
+            let p = Is.of_intervals [ (lo, hi) ]
+            and rp = Ref.of_intervals [ (lo, hi) ] in
+            same "absorb count" int (Is.absorb acc p) (Ref.absorb racc rp)
+            && same_set "absorb acc" !acc !racc)
+          l2
+        && same "absorb whole" int (Is.absorb acc b) (Ref.absorb racc rb)
+        && same_set "absorb whole acc" !acc !racc
+      in
+      same_set "of_intervals a" a ra
+      && same_set "of_intervals b" b rb
+      && same_set "empty" Is.empty Ref.empty
+      && same_set "singleton" (Is.singleton x) (Ref.singleton x)
+      && (if len >= 0 then
+            same_set "interval" (Is.interval x (x + len))
+              (Ref.interval x (x + len))
+          else
+            let raised f =
+              match f () with
+              | () -> None
+              | exception Invalid_argument m -> Some m
+            in
+            same "interval raises"
+              (Format.pp_print_option Format.pp_print_string)
+              (raised (fun () -> ignore (Is.interval x (x + len))))
+              (raised (fun () -> ignore (Ref.interval x (x + len)))))
+      && same_set "shift" (Is.shift a d) (Ref.shift ra d)
+      && same_set "union" (Is.union a b) (Ref.union ra rb)
+      && same_set "inter" (Is.inter a b) (Ref.inter ra rb)
+      && same_set "diff a b" (Is.diff a b) (Ref.diff ra rb)
+      && same_set "diff b a" (Is.diff b a) (Ref.diff rb ra)
+      && same "is_empty" bool (Is.is_empty a) (Ref.is_empty ra)
+      && same "cardinal" int (Is.cardinal a) (Ref.cardinal ra)
+      && same "equal" bool (Is.equal a b) (Ref.equal ra rb)
+      && same "equal copy" bool
+           (Is.equal a (Is.of_intervals (Is.intervals a)))
+           true
+      && same "overlaps" bool (Is.overlaps a b) (Ref.overlaps ra rb)
+      && List.for_all
+           (fun y -> same "mem" bool (Is.mem y a) (Ref.mem y ra))
+           (List.init 281 (fun i -> i - 80))
+      && same "fold" pairs (folded a) (Ref.intervals ra)
+      && same "iter" pairs (iterated a) (Ref.intervals ra)
+      && same "pp" Format.pp_print_string
+           (Format.asprintf "%a" Is.pp a)
+           (Format.asprintf "%a" Ref.pp ra)
+      && absorbed ())
+
 (* --------------------------- statistics --------------------------- *)
 
 let test_mean_stdev () =
@@ -452,6 +585,8 @@ let () =
           Alcotest.test_case "randomized agreement" `Quick test_normalize_random;
         ] );
       ("interval_set.properties", qsuite);
+      ( "interval_set.reference",
+        [ QCheck_alcotest.to_alcotest prop_matches_reference ] );
       ( "stats",
         [
           Alcotest.test_case "mean/stdev/geomean" `Quick test_mean_stdev;
