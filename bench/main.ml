@@ -115,6 +115,51 @@ let run_bechamel () =
     (List.sort compare !rows);
   print_newline ()
 
+(* Where a compiled program's words go: the spine's exec set-up (the
+   four programs at seed 1, compiled) with each program's vertices V,
+   edges E and fire edges P, and the words [Obj.reachable_words] reaches
+   from its DAG adjacency, its fire edges, its node footprints and the
+   whole program (strand actions and operands included), in 10^6-byte
+   MB.  Run first, so the top heap is the set-up's alone. *)
+let run_memory () =
+  let table =
+    Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
+      [ "program"; "V"; "E"; "P"; "adjacency"; "fire pairs"; "footprints"; "program" ]
+  in
+  let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
+  let programs =
+    List.mapi
+      (fun i (name, n, base) ->
+        let w =
+          Nd_experiments.Workloads.build ~n ~base
+            (Nd_experiments.Workloads.find name)
+            ~seed:(1000 + i)
+        in
+        (Printf.sprintf "%s n=%d b=%d" name n base, Workload.compile w))
+      [ ("mm", 128, 8); ("trs", 128, 8); ("cholesky", 128, 8); ("lcs", 1024, 16) ]
+  in
+  Gc.full_major ();
+  let gc = Gc.stat () in
+  List.iter
+    (fun (label, p) ->
+      let dag = Nd.Program.dag p in
+      let w = Nd.Program.heap_words p in
+      Nd_util.Table.add_row table
+        [
+          label;
+          Nd_util.Table.cell_int (Nd_dag.Dag.n_vertices dag);
+          Nd_util.Table.cell_int (Nd_dag.Dag.n_edges dag);
+          Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
+          mb w.Nd.Program.adjacency;
+          mb w.Nd.Program.fire_pairs;
+          mb w.Nd.Program.footprints;
+          mb w.Nd.Program.program;
+        ])
+    programs;
+  Nd_util.Table.print table;
+  Printf.printf "after one set-up: live heap %s MB, top heap %s MB\n\n"
+    (mb gc.Gc.live_words) (mb gc.Gc.top_heap_words)
+
 (* exact reachability checker vs the near-linear ESP-bags detector:
    wall-clock scaling, including sizes where the exact checker trips its
    Race.max_vertices cap and only ESP-bags can answer *)
@@ -150,7 +195,7 @@ let run_bench3 () =
           algo;
           Nd_util.Table.cell_int n;
           Nd_util.Table.cell_int (Nd_dag.Dag.n_vertices dag);
-          Nd_util.Table.cell_int (List.length (Nd.Program.fire_edges p));
+          Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
           exact_ms;
           Nd_util.Table.cell_float ~prec:1 esp_ms;
           agree;
@@ -252,7 +297,7 @@ let run_bench4 () =
 let () =
   let t0 = now_ns () in
   (* BENCH_ONLY=e2,bench4 restricts the run to a comma-separated subset
-     of sections (suite experiment names, "bench3", "bench4",
+     of sections ("memory", suite experiment names, "bench3", "bench4",
      "bechamel") — lets CI fit a time budget without a separate
      harness *)
   let wanted =
@@ -263,6 +308,7 @@ let () =
   let selected name =
     match wanted with None -> true | Some l -> List.mem name l
   in
+  if selected "memory" then run_memory ();
   (* run every experiment; keep the E9 wall-clock table for the
      machine-readable perf trajectory *)
   List.iter

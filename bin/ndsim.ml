@@ -308,7 +308,7 @@ let analyze_cmd =
           (Lint.lint_cost ~machine ~procs ~has_fires cost @ sweep w)
       in
       let cert =
-        if no_certify then None else Some (Cost.certify_theorem1 p machine)
+        if no_certify then None else Some (Cost.certify_theorem1 ~cost p machine)
       in
       (w, cost, cert, findings)
     in
@@ -511,12 +511,12 @@ let drs_cmd =
     Format.printf "MAIN = F ~FG~> G with F = A;B, G = C;D and +<1> ; -<1> (paper Fig. 3-4)@.";
     Format.printf "spawn tree: %a@." Nd.Spawn_tree.pp main;
     Format.printf "algorithm DAG edges:@.";
+    let { Nd_dag.Dag.succ_off; succ_tgt; _ } = Nd_dag.Dag.csr dag in
     for v = 0 to Nd_dag.Dag.n_vertices dag - 1 do
-      List.iter
-        (fun s ->
-          Format.printf "  %s -> %s@." (Nd_dag.Dag.label dag v)
-            (Nd_dag.Dag.label dag s))
-        (Nd_dag.Dag.succs dag v)
+      for k = succ_off.(v) to succ_off.(v + 1) - 1 do
+        Format.printf "  %s -> %s@." (Nd_dag.Dag.label dag v)
+          (Nd_dag.Dag.label dag succ_tgt.(k))
+      done
     done;
     Format.printf "span = %d (A before C; B parallel to C,D)@."
       (Nd_dag.Dag.span dag)

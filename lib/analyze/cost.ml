@@ -403,8 +403,8 @@ type certification = {
   certified : bool;
 }
 
-let certify_theorem1 ?(sigma = 1. /. 3.) program machine =
-  let cost = of_program program in
+let certify_theorem1 ?(sigma = 1. /. 3.) ?cost program machine =
+  let cost = match cost with Some c -> c | None -> of_program program in
   let stats = Sb.run ~sigma ~accounting:Sb.Rho program machine in
   let levels =
     List.init (Pmh.n_levels machine) (fun j ->

@@ -85,14 +85,15 @@ type certification = {
   certified : bool;  (** [misses <= bound] at every level *)
 }
 
-(** [certify_theorem1 ?sigma program machine] runs the space-bounded
-    scheduler under ρ accounting and checks the paper's Theorem 1 cache
-    bound: per-level misses at cache level [j] must not exceed the
-    static [Q*(t; sigma * M_j)].  [sigma] defaults to 1/3 (Lemma 6).
-    The simulation needs the compiled program; the bounds come from the
-    structural pass. *)
+(** [certify_theorem1 ?sigma ?cost program machine] runs the
+    space-bounded scheduler under ρ accounting and checks the paper's
+    Theorem 1 cache bound: per-level misses at cache level [j] must not
+    exceed the static [Q*(t; sigma * M_j)].  [sigma] defaults to 1/3
+    (Lemma 6).  The simulation needs the compiled program; the bounds
+    come from the structural pass, [cost] when the caller already has
+    [of_program program], else a fresh one. *)
 val certify_theorem1 :
-  ?sigma:float -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
+  ?sigma:float -> ?cost:t -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
 
 val certification_to_json : certification -> Nd_util.Json.t
 

@@ -19,7 +19,7 @@ module Strand = Nd.Strand
      query.
 
    - the fire extension: every non-structural edge the DRS adds is
-     [end(a) -> begin(b)] for spawn-tree nodes a, b (Program.fire_edges),
+     [end(a) -> begin(b)] for spawn-tree nodes a, b (Program.fire_src/fire_snk),
      i.e. "the contiguous DFS leaf interval of a precedes that of b".
      We maintain, per node n, interval sets over leaf indices:
 
@@ -72,9 +72,11 @@ let analyze ?(limit = 16) program =
   let n_nodes = Program.n_nodes program in
   let n_leaves = Program.n_leaves program in
   let strands = leaf_strands program in
-  let fire_edges = Program.fire_edges program in
   let fire_in = Array.make n_nodes [] in
-  List.iter (fun (a, b) -> fire_in.(b) <- a :: fire_in.(b)) fire_edges;
+  for i = 0 to Program.n_fire_edges program - 1 do
+    let b = Program.fire_snk program i in
+    fire_in.(b) <- Program.fire_src program i :: fire_in.(b)
+  done;
   (* post.(n) is only valid once completed.(n); pre sets live on the DFS
      stack (one per active node) *)
   let post = Array.make n_nodes Is.empty in
@@ -241,7 +243,7 @@ let analyze ?(limit = 16) program =
     stats =
       {
         n_leaves;
-        n_fire_edges = List.length fire_edges;
+        n_fire_edges = Program.n_fire_edges program;
         n_accesses = !n_accesses;
         n_queries = !n_queries;
         sp_hits = !sp_hits;

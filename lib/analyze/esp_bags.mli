@@ -8,7 +8,7 @@
     series-parallel ordering queries (the classic SP-bags algorithm),
     and the ⇝ fire edges — which in this DRS always order one
     contiguous DFS leaf interval entirely before another
-    ({!Nd.Program.fire_edges}) — are honored through exact per-node
+    ({!Nd.Program.n_fire_edges}) — are honored through exact per-node
     happens-before interval sets.  Shadow memory keeps the last writer
     and an antichain of readers per address.
 

@@ -266,7 +266,7 @@ let dead_rules program =
 
 (* ND006: a fire node whose two children are themselves a fire edge.
    One merge pass of the (src, snk)-sorted fire nodes against the
-   sorted [Program.fire_edges]. *)
+   sorted fire edges. *)
 let fire_eq_seq program =
   let is_leaf n = Array.length (Program.children program n) = 0 in
   let queries =
@@ -278,13 +278,16 @@ let fire_eq_seq program =
            else Some (cs.(0), cs.(1), n, r))
          (fires program))
   in
-  let rec hits qs es acc =
-    match (qs, es) with
-    | [], _ | _, [] -> acc
-    | ((a, b, n, r) :: qs' as qs), ((x, y) :: es' as es) ->
-      if a = x && b = y then hits qs' es' ((n, r) :: acc)
-      else if a < x || (a = x && b < y) then hits qs' es acc
-      else hits qs es' acc
+  let n_edges = Program.n_fire_edges program in
+  let rec hits qs i acc =
+    match qs with
+    | [] -> acc
+    | _ when i = n_edges -> acc
+    | (a, b, n, r) :: qs' ->
+      let x = Program.fire_src program i and y = Program.fire_snk program i in
+      if a = x && b = y then hits qs' (i + 1) ((n, r) :: acc)
+      else if a < x || (a = x && b < y) then hits qs' i acc
+      else hits qs (i + 1) acc
   in
   List.map
     (fun (n, r) ->
@@ -292,7 +295,7 @@ let fire_eq_seq program =
         "fire node #%d: rule set %S emits a root-to-root full edge, so the \
          fire construct serializes entirely (fire ≡ seq; span pessimization)"
         n r)
-    (List.sort compare (hits queries (Program.fire_edges program) []))
+    (List.sort compare (hits queries 0 []))
 
 let no_span_recovered program =
   let tree = Program.tree program in

@@ -325,7 +325,8 @@ let check_cost cfg program ~work ~span =
     (fun sigma ->
       let stage = Printf.sprintf "cost theorem1 sigma=%.2f" sigma in
       let c =
-        guard stage (fun () -> Cost.certify_theorem1 ~sigma program cfg.machine)
+        guard stage (fun () ->
+            Cost.certify_theorem1 ~sigma ~cost program cfg.machine)
       in
       if not c.Cost.certified then
         fail stage "Theorem 1 violated:@ %s"

@@ -1,7 +1,7 @@
 (** The fire-arrow resolver of the DAG Rewriting System: the one place
     a [⇝] arrow is rewritten through the registered rule sets.
 
-    {!Program.compile} (DAG edges and [fire_edges]), the structural cost
+    {!Program.compile} (DAG edges and fire edges), the structural cost
     pass ([Nd_analyze.Cost]) and the dead-rule lint (ND002) all call
     {!rewrite}, each over its own copy of the same post-order node
     layout.  The walk is the paper's: a fire node seeds the arrow

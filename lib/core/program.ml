@@ -1,5 +1,4 @@
 module Is = Nd_util.Interval_set
-module Int_set = Nd_util.Int_set
 module Dag = Nd_dag.Dag
 
 type node_id = int
@@ -37,7 +36,7 @@ type t = {
   leaf_nodes : int array;
   leaf_vertices : int array;
   vertex_owner : int array;
-  fire_edges : (node_id * node_id) list;
+  fire_pairs : int array;  (* [a·n_nodes + b], sorted *)
   decomp_cache : (int, decomposition) Hashtbl.t;
   decomp_lock : Mutex.t;
 }
@@ -101,8 +100,8 @@ let compile ~registry tree =
   let sync label =
     Dag.add_vertex dag ~label ~work:0 ~reads:Is.empty ~writes:Is.empty ()
   in
-  (* Build the spawn-tree structure and the DAG's structural edges.
-     Children are allocated before their parent: post-order ids. *)
+  (* Build the spawn-tree structure and the DAG's vertices.  Children
+     are allocated before their parent: post-order ids. *)
   let rec build t =
     let first = !n_nodes in
     match t with
@@ -138,11 +137,6 @@ let compile ~registry tree =
       let ids = List.map build cs in
       let hi = !n_leaves in
       let arr = Array.of_list ids in
-      (* chain: end(c_i) -> begin(c_{i+1}) *)
-      Array.iteri
-        (fun i c ->
-          if i > 0 then Dag.add_edge dag (get arr.(i - 1)).end_v (get c).begin_v)
-        arr;
       let begin_v = (get arr.(0)).begin_v in
       let end_v = (get arr.(Array.length arr - 1)).end_v in
       add_node
@@ -165,11 +159,6 @@ let compile ~registry tree =
       let hi = !n_leaves in
       let arr = Array.of_list ids in
       let begin_v = sync "par.begin" and end_v = sync "par.end" in
-      Array.iter
-        (fun c ->
-          Dag.add_edge dag begin_v (get c).begin_v;
-          Dag.add_edge dag (get c).end_v end_v)
-        arr;
       let id =
         add_node
           {
@@ -198,10 +187,6 @@ let compile ~registry tree =
       let hi = !n_leaves in
       let begin_v = sync ("fire." ^ rule ^ ".begin")
       and end_v = sync ("fire." ^ rule ^ ".end") in
-      Dag.add_edge dag begin_v (get a).begin_v;
-      Dag.add_edge dag begin_v (get b).begin_v;
-      Dag.add_edge dag (get a).end_v end_v;
-      Dag.add_edge dag (get b).end_v end_v;
       let id =
         add_node
           {
@@ -256,45 +241,77 @@ let compile ~registry tree =
         | Leaf _ | Seq | Par -> None)
       (List.init n Fun.id)
   in
-  let fire_edges =
-    if fires = [] then []
-    else begin
-      (* A rewritten pair runs from inside some fire node's source
-         subtree into its sink subtree, and no structural edge does, so
-         its DAG edge is new unless another pair's is the same: a Seq
-         shares its first child's begin vertex and its last child's end
-         vertex.  [edges] (keyed [u·nv + v]) catches those, since
-         [Dag.add_new_edge] does not check.  Scoped to this compile, like
-         the pair buffer. *)
-      let nv = Dag.n_vertices dag in
-      let edges = Int_set.create nv in
-      let pairs = ref (Array.make n 0) and n_pairs = ref 0 in
-      let push k =
-        if !n_pairs = Array.length !pairs then begin
-          let bigger = Array.make (2 * !n_pairs) 0 in
-          Array.blit !pairs 0 bigger 0 !n_pairs;
-          pairs := bigger
-        end;
-        !pairs.(!n_pairs) <- k;
-        incr n_pairs
-      in
-      let edge a b =
-        let u = nodes.(a).end_v and v = nodes.(b).begin_v in
-        if Int_set.add edges ((u * nv) + v) then Dag.add_new_edge dag u v;
-        push ((a * n) + b)
-      in
-      ignore
-        (Drs.rewrite ~who:"Program.compile" ~registry
-           ~children:(Array.map (fun nd -> nd.children) nodes)
-           ~edge fires);
-      (* LSD radix sort of the packed pairs: by [b], then stably by [a] *)
-      let sorted =
-        counting_sort ~buckets:n (fun k -> k / n)
-          (counting_sort ~buckets:n (fun k -> k mod n)
-             (Array.sub !pairs 0 !n_pairs))
-      in
-      Array.fold_right (fun k acc -> (k / n, k mod n) :: acc) sorted []
-    end
+  (* the rewritten pairs [a·n + b], in emission order *)
+  let pairs = ref [||] and n_pairs = ref 0 in
+  if fires <> [] then begin
+    pairs := Array.make n 0;
+    let push a b =
+      if !n_pairs = Array.length !pairs then begin
+        let bigger = Array.make (2 * !n_pairs) 0 in
+        Array.blit !pairs 0 bigger 0 !n_pairs;
+        pairs := bigger
+      end;
+      !pairs.(!n_pairs) <- (a * n) + b;
+      incr n_pairs
+    in
+    ignore
+      (Drs.rewrite ~who:"Program.compile" ~registry
+         ~children:(Array.map (fun nd -> nd.children) nodes)
+         ~edge:push fires)
+  end;
+  (* ---------------- DAG edges ---------------- *)
+  (* Linked after the walk, so its tables are garbage first, into
+     buffers sized once.  The link order fixes the order of every CSR
+     slice: each node's structural edges, node by node in id order
+     (children before parents), then the rewritten pairs in emission
+     order. *)
+  let structural nd =
+    match nd.kind with
+    | Leaf _ -> 0
+    | Seq -> Array.length nd.children - 1
+    | Par -> 2 * Array.length nd.children
+    | Fire _ -> 4
+  in
+  Dag.reserve_edges dag
+    (Array.fold_left (fun acc nd -> acc + structural nd) !n_pairs nodes);
+  Array.iter
+    (fun nd ->
+      let child i = nodes.(nd.children.(i)) in
+      match nd.kind with
+      | Leaf _ -> ()
+      | Seq ->
+        (* chain: end(c_i) -> begin(c_{i+1}) *)
+        for i = 1 to Array.length nd.children - 1 do
+          Dag.add_edge dag (child (i - 1)).end_v (child i).begin_v
+        done
+      | Par ->
+        Array.iter
+          (fun c ->
+            Dag.add_edge dag nd.begin_v nodes.(c).begin_v;
+            Dag.add_edge dag nodes.(c).end_v nd.end_v)
+          nd.children
+      | Fire _ ->
+        Dag.add_edge dag nd.begin_v (child 0).begin_v;
+        Dag.add_edge dag nd.begin_v (child 1).begin_v;
+        Dag.add_edge dag (child 0).end_v nd.end_v;
+        Dag.add_edge dag (child 1).end_v nd.end_v)
+    nodes;
+  (* Two pairs can name one DAG edge (a Seq shares its first child's
+     begin vertex and its last child's end vertex); the DAG keeps it
+     once, at its first link. *)
+  for i = 0 to !n_pairs - 1 do
+    let k = !pairs.(i) in
+    Dag.add_edge dag nodes.(k / n).end_v nodes.(k mod n).begin_v
+  done;
+  (* builds the CSR and frees the link buffer: a compiled program's
+     DAG is frozen *)
+  ignore (Dag.csr dag);
+  (* LSD radix sort of the packed pairs: by [b], then stably by [a] *)
+  let fire_pairs =
+    if !n_pairs = 0 then [||]
+    else
+      counting_sort ~buckets:n (fun k -> k / n)
+        (counting_sort ~buckets:n (fun k -> k mod n) (Array.sub !pairs 0 !n_pairs))
   in
   let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
   List.iter (fun (v, id) -> vertex_owner.(v) <- id) !owners;
@@ -307,7 +324,7 @@ let compile ~registry tree =
     leaf_nodes = Array.of_list (List.rev !leaf_nodes);
     leaf_vertices = Array.of_list (List.rev !leaf_vertices);
     vertex_owner;
-    fire_edges;
+    fire_pairs;
     decomp_cache = Hashtbl.create 16;
     decomp_lock = Mutex.create ();
   }
@@ -354,7 +371,27 @@ let leaf_vertex t i = t.leaf_vertices.(i)
 
 let vertex_owner t v = t.vertex_owner.(v)
 
-let fire_edges t = t.fire_edges
+let n_fire_edges t = Array.length t.fire_pairs
+
+let fire_src t i = t.fire_pairs.(i) / Array.length t.nodes
+
+let fire_snk t i = t.fire_pairs.(i) mod Array.length t.nodes
+
+type heap_words = {
+  adjacency : int;
+  fire_pairs : int;
+  footprints : int;
+  program : int;
+}
+
+let heap_words t =
+  let words x = Obj.reachable_words (Obj.repr x) in
+  {
+    adjacency = words (Dag.csr t.dag);
+    fire_pairs = words t.fire_pairs;
+    footprints = words (Array.map (fun nd -> nd.footprint) t.nodes);
+    program = words t;
+  }
 
 let begin_vertex t n =
   check t n;

@@ -70,14 +70,20 @@ val leaf_vertex : t -> int -> Nd_dag.Dag.vertex_id
     the node that introduced them). *)
 val vertex_owner : t -> Nd_dag.Dag.vertex_id -> node_id
 
-(** [fire_edges t]: the deduplicated list of non-structural dependencies
-    the fire-rule rewriting added, as spawn-tree node pairs [(a, b)] —
-    each denotes the DAG edge [end(a) -> begin(b)], i.e. {e every} strand
-    of [a]'s subtree precedes {e every} strand of [b]'s subtree.  Sorted
-    by [(a, b)].  This is the complete extra ordering the ⇝ arrows
-    contribute on top of the series-parallel skeleton; the ESP-bags race
-    detector ({!Nd_analyze}) and the fire-rule linter consume it. *)
-val fire_edges : t -> (node_id * node_id) list
+(** The fire edges: the deduplicated non-structural dependencies the
+    fire-rule rewriting added, as spawn-tree node pairs [(a, b)] — each
+    denotes the DAG edge [end(a) -> begin(b)], i.e. {e every} strand of
+    [a]'s subtree precedes {e every} strand of [b]'s subtree.  This is
+    the complete extra ordering the ⇝ arrows contribute on top of the
+    series-parallel skeleton; the ESP-bags race detector
+    ({!Nd_analyze}) and the fire-rule linter consume it.  They are held
+    in one flat int array sorted by [(a, b)]: [n_fire_edges t] pairs,
+    the [i]-th being [(fire_src t i, fire_snk t i)]. *)
+val n_fire_edges : t -> int
+
+val fire_src : t -> int -> node_id
+
+val fire_snk : t -> int -> node_id
 
 (** [begin_vertex t n] / [end_vertex t n]: the DAG vertices such that
     [begin] precedes and [end] follows every strand of [n]'s subtree. *)
@@ -96,6 +102,19 @@ val size : t -> node_id -> int
 
 (** [work_of_node t n]: total strand work in the subtree. *)
 val work_of_node : t -> node_id -> int
+
+(** {2 Memory} *)
+
+(** Heap words reachable from parts of a compiled program, by
+    [Obj.reachable_words]: a block shared within a part counts once. *)
+type heap_words = {
+  adjacency : int;  (** the DAG's CSR, both directions *)
+  fire_pairs : int;  (** the sorted fire edges *)
+  footprints : int;  (** every node's footprint set *)
+  program : int;  (** all of it, strand actions and their operands included *)
+}
+
+val heap_words : t -> heap_words
 
 (** {2 M-maximal decomposition} *)
 

@@ -13,10 +13,8 @@ let run ?rng ?(tracer = Nd_trace.Collector.null) program =
   let traced = Nd_trace.Collector.enabled tracer in
   (* virtual clock for the trace: cumulative work executed so far *)
   let vclock = ref 0 in
-  let indeg = Array.make n 0 in
-  for v = 0 to n - 1 do
-    indeg.(v) <- List.length (Dag.preds dag v)
-  done;
+  let csr = Dag.csr dag in
+  let indeg = Array.copy csr.Dag.indeg in
   (* ready pool as an array with O(1) removal by swap *)
   let ready = Array.make n 0 in
   let n_ready = ref 0 in
@@ -53,25 +51,19 @@ let run ?rng ?(tracer = Nd_trace.Collector.null) program =
           (Nd_trace.Event.Strand_end { vertex = v })
     end;
     incr executed;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then begin
-          push w;
-          if traced then
-            Nd_trace.Collector.emit tracer ~worker:0 ~ts:!vclock
-              (Nd_trace.Event.Fire { target = w; level = 0 })
-        end)
-      (Dag.succs dag v)
+    for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
+      let w = csr.Dag.succ_tgt.(k) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        push w;
+        if traced then
+          Nd_trace.Collector.emit tracer ~worker:0 ~ts:!vclock
+            (Nd_trace.Event.Fire { target = w; level = 0 })
+      end
+    done
   done;
-  if !executed < n then begin
-    (* some vertex never became ready: a cycle *)
-    let witness = ref 0 in
-    for v = 0 to n - 1 do
-      if indeg.(v) > 0 then witness := v
-    done;
-    raise (Dag.Cycle !witness)
-  end
+  (* some vertex never became ready: a cycle *)
+  if !executed < n then raise (Dag.Cycle (Dag.cycle_witness dag indeg))
 
 let run_sequential program =
   let rec go tree =

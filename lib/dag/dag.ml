@@ -2,84 +2,81 @@ module Is = Nd_util.Interval_set
 
 type vertex_id = int
 
-type vertex = {
-  label : string;
-  work : int;
-  reads : Is.t;
-  writes : Is.t;
-  mutable succs : vertex_id list;
-  mutable preds : vertex_id list;
-}
+type vertex = { label : string; work : int; reads : Is.t; writes : Is.t }
 
 type csr = {
   succ_off : int array;
   succ_tgt : int array;
+  pred_off : int array;
+  pred_tgt : int array;
   indeg : int array;
 }
 
+(* Edges live in [links], one packed int each, in link order and
+   duplicates included, until the first read of the adjacency builds
+   the CSR; from then on the DAG is frozen and the CSR is the only edge
+   storage. *)
 type t = {
   mutable vertices : vertex array;
   mutable n : int;
-  mutable edges : int;
-  mutable csr_cache : csr option;
+  mutable links : int array;
+  mutable n_links : int;
+  mutable csr : csr option;
 }
 
-let create () = { vertices = [||]; n = 0; edges = 0; csr_cache = None }
+let create () = { vertices = [||]; n = 0; links = [||]; n_links = 0; csr = None }
 
-let grow t =
-  let cap = Array.length t.vertices in
-  if t.n >= cap then begin
-    let ncap = max 16 (2 * cap) in
-    let dummy =
-      { label = ""; work = 0; reads = Is.empty; writes = Is.empty; succs = []; preds = [] }
-    in
-    let a = Array.make ncap dummy in
-    Array.blit t.vertices 0 a 0 t.n;
-    t.vertices <- a
-  end
+let check_open t =
+  match t.csr with
+  | Some _ -> invalid_arg "Dag: frozen (its adjacency has been read)"
+  | None -> ()
 
 let add_vertex t ?(label = "") ~work ~reads ~writes () =
-  grow t;
+  check_open t;
+  if t.n = 1 lsl 31 then invalid_arg "Dag: too many vertices";
+  if t.n = Array.length t.vertices then begin
+    let dummy = { label = ""; work = 0; reads = Is.empty; writes = Is.empty } in
+    let a = Array.make (max 16 (2 * t.n)) dummy in
+    Array.blit t.vertices 0 a 0 t.n;
+    t.vertices <- a
+  end;
   let id = t.n in
-  t.vertices.(id) <- { label; work; reads; writes; succs = []; preds = [] };
+  t.vertices.(id) <- { label; work; reads; writes };
   t.n <- t.n + 1;
-  t.csr_cache <- None;
   id
 
 let check_id t v =
   if v < 0 || v >= t.n then invalid_arg "Dag: vertex id out of range"
 
 let check_edge t u v =
+  check_open t;
   check_id t u;
   check_id t v;
   if u = v then invalid_arg "Dag.add_edge: self loop"
 
-let link t u v =
-  let vu = t.vertices.(u) and vv = t.vertices.(v) in
-  vu.succs <- v :: vu.succs;
-  vv.preds <- u :: vv.preds;
-  t.edges <- t.edges + 1;
-  t.csr_cache <- None
+let resize t cap =
+  let b = Array.make cap 0 in
+  Array.blit t.links 0 b 0 t.n_links;
+  t.links <- b
+
+let reserve_edges t k =
+  check_open t;
+  if t.n_links + k > Array.length t.links then resize t (t.n_links + k)
+
+(* ids stay below 2^31, so an edge packs into one non-negative int *)
+let pack u v = (u lsl 31) lor v
+
+let src e = e lsr 31
+
+let dst e = e land ((1 lsl 31) - 1)
 
 let add_edge t u v =
   check_edge t u v;
-  if not (List.mem v t.vertices.(u).succs) then link t u v
-
-let add_new_edge t u v =
-  check_edge t u v;
-  link t u v
+  if t.n_links = Array.length t.links then resize t (max 16 (2 * t.n_links));
+  t.links.(t.n_links) <- pack u v;
+  t.n_links <- t.n_links + 1
 
 let n_vertices t = t.n
-
-let n_edges t = t.edges
-
-let succs t v =
-  check_id t v;
-  t.vertices.(v).succs
-
-let preds t v =
-  check_id t v;
-  t.vertices.(v).preds
 
 let label t v =
   check_id t v;
@@ -106,74 +103,135 @@ let work t =
   done;
   !acc
 
-(* Flat CSR adjacency: one offsets array (length n+1) plus one packed
-   successor-id array, so the runtime's wake-up loop is an int-array scan
-   with no list-cell pointer chasing and no per-visit allocation.  Built
-   lazily and cached; any mutation invalidates the cache. *)
-let build_csr t =
-  let n = t.n in
-  let succ_off = Array.make (n + 1) 0 in
-  let indeg = Array.make n 0 in
+(* Drops duplicate edges in place.  [off]/[tgt] hold the slices newest
+   link first, duplicates included; each slice keeps an endpoint's
+   oldest link, its last occurrence, so the edges left, and their order,
+   are those of coalescing each link as it came.  [seen.(x) = v]: [x]
+   is already in [v]'s slice.  Returns the edge count. *)
+let coalesce n off tgt =
+  let seen = Array.make n (-1) in
+  let e = ref 0 in
   for v = 0 to n - 1 do
-    succ_off.(v + 1) <- List.length t.vertices.(v).succs;
-    indeg.(v) <- List.length t.vertices.(v).preds
+    let lo = off.(v) and hi = off.(v + 1) in
+    off.(v) <- !e;
+    for k = hi - 1 downto lo do
+      if seen.(tgt.(k)) = v then tgt.(k) <- -1 else seen.(tgt.(k)) <- v
+    done;
+    for k = lo to hi - 1 do
+      if tgt.(k) >= 0 then begin
+        tgt.(!e) <- tgt.(k);
+        incr e
+      end
+    done
+  done;
+  off.(n) <- !e;
+  !e
+
+(* One counting sort per direction.  Walking the links newest first
+   lists each slice newest link first, the order test_core's recorded
+   compile digests pin. *)
+let build_csr t =
+  let n = t.n and e = t.n_links in
+  let succ_off = Array.make (n + 1) 0 and pred_off = Array.make (n + 1) 0 in
+  for i = 0 to e - 1 do
+    let u = src t.links.(i) and v = dst t.links.(i) in
+    succ_off.(u + 1) <- succ_off.(u + 1) + 1;
+    pred_off.(v + 1) <- pred_off.(v + 1) + 1
   done;
   for v = 1 to n do
-    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
+    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1);
+    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
   done;
-  let succ_tgt = Array.make succ_off.(n) 0 in
-  let fill = Array.make n 0 in
-  for v = 0 to n - 1 do
-    List.iter
-      (fun s ->
-        succ_tgt.(succ_off.(v) + fill.(v)) <- s;
-        fill.(v) <- fill.(v) + 1)
-      t.vertices.(v).succs
+  (* each slice's start is its fill cursor; afterwards the cursors
+     stand one slice on, and are shifted back *)
+  let succ_tgt = Array.make e 0 and pred_tgt = Array.make e 0 in
+  for i = e - 1 downto 0 do
+    let u = src t.links.(i) and v = dst t.links.(i) in
+    succ_tgt.(succ_off.(u)) <- v;
+    succ_off.(u) <- succ_off.(u) + 1;
+    pred_tgt.(pred_off.(v)) <- u;
+    pred_off.(v) <- pred_off.(v) + 1
   done;
-  { succ_off; succ_tgt; indeg }
+  for v = n downto 1 do
+    succ_off.(v) <- succ_off.(v - 1);
+    pred_off.(v) <- pred_off.(v - 1)
+  done;
+  succ_off.(0) <- 0;
+  pred_off.(0) <- 0;
+  let distinct = coalesce n succ_off succ_tgt in
+  ignore (coalesce n pred_off pred_tgt);
+  let succ_tgt, pred_tgt =
+    if distinct = e then (succ_tgt, pred_tgt)
+    else (Array.sub succ_tgt 0 distinct, Array.sub pred_tgt 0 distinct)
+  in
+  let indeg = Array.init n (fun v -> pred_off.(v + 1) - pred_off.(v)) in
+  { succ_off; succ_tgt; pred_off; pred_tgt; indeg }
 
 let csr t =
-  match t.csr_cache with
+  match t.csr with
   | Some c -> c
   | None ->
     let c = build_csr t in
-    t.csr_cache <- Some c;
+    t.links <- [||];
+    t.csr <- Some c;
     c
+
+let n_edges t = (csr t).succ_off.(t.n)
 
 exception Cycle of vertex_id
 
+(* Every vertex a stalled topological pass left blocked has a
+   predecessor that never ran, so walking back through blocked
+   predecessors must repeat a vertex, and the first repeat is on a
+   cycle. *)
+let cycle_witness t remaining =
+  let c = csr t in
+  let seen = Array.make t.n false in
+  let rec back v =
+    if seen.(v) then v
+    else begin
+      seen.(v) <- true;
+      let k = ref c.pred_off.(v) in
+      while remaining.(c.pred_tgt.(!k)) = 0 do
+        incr k
+      done;
+      back c.pred_tgt.(!k)
+    end
+  in
+  let start = ref (-1) in
+  Array.iteri (fun v r -> if r > 0 then start := v) remaining;
+  back !start
+
+(* Kahn's algorithm; [order] doubles as the FIFO queue *)
 let topo_order t =
-  let indeg = Array.make t.n 0 in
-  for v = 0 to t.n - 1 do
-    indeg.(v) <- List.length t.vertices.(v).preds
-  done;
+  let c = csr t in
+  let indeg = Array.copy c.indeg in
   let order = Array.make t.n 0 in
-  let q = Queue.create () in
+  let tail = ref 0 in
   for v = 0 to t.n - 1 do
-    if indeg.(v) = 0 then Queue.add v q
+    if indeg.(v) = 0 then begin
+      order.(!tail) <- v;
+      incr tail
+    end
   done;
-  let k = ref 0 in
-  while not (Queue.is_empty q) do
-    let v = Queue.pop q in
-    order.(!k) <- v;
-    incr k;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.add w q)
-      t.vertices.(v).succs
+  let head = ref 0 in
+  while !head < !tail do
+    let v = order.(!head) in
+    incr head;
+    for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+      let w = c.succ_tgt.(k) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        order.(!tail) <- w;
+        incr tail
+      end
+    done
   done;
-  if !k < t.n then begin
-    (* find a witness still carrying positive in-degree *)
-    let w = ref 0 in
-    for v = 0 to t.n - 1 do
-      if indeg.(v) > 0 then w := v
-    done;
-    raise (Cycle !w)
-  end;
+  if !tail < t.n then raise (Cycle (cycle_witness t indeg));
   order
 
 let longest_path_weighted t weight =
+  let c = csr t in
   let order = topo_order t in
   let dist = Array.make t.n 0 in
   let best = ref 0 in
@@ -181,13 +239,17 @@ let longest_path_weighted t weight =
     (fun v ->
       let d = dist.(v) + weight v in
       if d > !best then best := d;
-      List.iter (fun w -> if d > dist.(w) then dist.(w) <- d) t.vertices.(v).succs)
+      for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+        let w = c.succ_tgt.(k) in
+        if d > dist.(w) then dist.(w) <- d
+      done)
     order;
   !best
 
 let span t = longest_path_weighted t (fun v -> t.vertices.(v).work)
 
 let critical_path t =
+  let c = csr t in
   let order = topo_order t in
   let dist = Array.make t.n 0 in
   let from = Array.make t.n (-1) in
@@ -199,13 +261,13 @@ let critical_path t =
         best := d;
         best_v := v
       end;
-      List.iter
-        (fun w ->
-          if d > dist.(w) then begin
-            dist.(w) <- d;
-            from.(w) <- v
-          end)
-        t.vertices.(v).succs)
+      for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+        let w = c.succ_tgt.(k) in
+        if d > dist.(w) then begin
+          dist.(w) <- d;
+          from.(w) <- v
+        end
+      done)
     order;
   if t.n = 0 then []
   else begin
@@ -214,16 +276,18 @@ let critical_path t =
   end
 
 let sources t =
+  let c = csr t in
   let acc = ref [] in
   for v = t.n - 1 downto 0 do
-    if t.vertices.(v).preds = [] then acc := v :: !acc
+    if c.indeg.(v) = 0 then acc := v :: !acc
   done;
   !acc
 
 let sinks t =
+  let c = csr t in
   let acc = ref [] in
   for v = t.n - 1 downto 0 do
-    if t.vertices.(v).succs = [] then acc := v :: !acc
+    if c.succ_off.(v + 1) = c.succ_off.(v) then acc := v :: !acc
   done;
   !acc
 
@@ -232,6 +296,7 @@ type reachability = { nbits : int; words : int; bits : Bytes.t }
 
 let reachability ?(max_vertices = 60_000) t =
   if t.n > max_vertices then invalid_arg "Dag.reachability: too many vertices";
+  let c = csr t in
   let words = (t.n + 7) / 8 in
   let bits = Bytes.make (t.n * words) '\000' in
   let set row v =
@@ -251,7 +316,9 @@ let reachability ?(max_vertices = 60_000) t =
   for i = t.n - 1 downto 0 do
     let v = order.(i) in
     set v v;
-    List.iter (fun w -> or_row v w) t.vertices.(v).succs
+    for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
+      or_row v c.succ_tgt.(k)
+    done
   done;
   { nbits = t.n; words; bits }
 

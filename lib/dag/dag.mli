@@ -15,7 +15,8 @@ type vertex_id = int
 val create : unit -> t
 
 (** [add_vertex t ~label ~work ~reads ~writes] appends a vertex and returns
-    its id.  Ids are dense and increase in creation order. *)
+    its id.  Ids are dense and increase in creation order.
+    @raise Invalid_argument on a frozen DAG (see {!csr}). *)
 val add_vertex :
   t ->
   ?label:string ->
@@ -25,25 +26,26 @@ val add_vertex :
   unit ->
   vertex_id
 
-(** [add_edge t u v] adds the dependency [u -> v].  Duplicate edges are
-    coalesced.  @raise Invalid_argument on out-of-range ids or self loop. *)
+(** [add_edge t u v] adds the dependency [u -> v], in O(1).  Duplicate
+    edges are coalesced: the DAG keeps each edge as of its first link,
+    and later links of it add nothing.  They are dropped in one pass
+    when the adjacency is built (see {!csr}).
+    @raise Invalid_argument on out-of-range ids, a self loop or a frozen
+    DAG. *)
 val add_edge : t -> vertex_id -> vertex_id -> unit
 
-(** [add_new_edge t u v] is [add_edge t u v] for an edge the caller
-    knows is absent: O(1), with no scan of [u]'s successors (the scan is
-    quadratic on high-degree vertices).  Callers deduplicate themselves,
-    as the DRS compiler does with a per-compile edge set; adding an
-    edge that is already present duplicates it.
-    @raise Invalid_argument on out-of-range ids or self loop. *)
-val add_new_edge : t -> vertex_id -> vertex_id -> unit
+(** [reserve_edges t k] makes room for [k] more links, so the next [k]
+    calls of {!add_edge} allocate nothing.  A builder that knows its edge count, as
+    {!Nd.Program.compile} does, sizes the link buffer once this way;
+    without it the buffer grows by doubling.
+    @raise Invalid_argument on a frozen DAG. *)
+val reserve_edges : t -> int -> unit
 
 val n_vertices : t -> int
 
+(** The number of distinct edges.  It reads the adjacency, so it
+    freezes the DAG (see {!csr}). *)
 val n_edges : t -> int
-
-val succs : t -> vertex_id -> vertex_id list
-
-val preds : t -> vertex_id -> vertex_id list
 
 val label : t -> vertex_id -> string
 
@@ -59,23 +61,39 @@ val footprint_of : t -> vertex_id -> Nd_util.Interval_set.t
 (** Total work [T_1]: sum of vertex works. *)
 val work : t -> int
 
-(** Flat compressed-sparse-row view of the adjacency, for hot loops that
-    cannot afford list traversal or allocation (the multicore dataflow
-    executor's wake-up scan).  [succ_off] has length [n_vertices + 1];
-    the successors of [v] are [succ_tgt.(succ_off.(v)) ..
-    succ_tgt.(succ_off.(v+1) - 1)].  [indeg.(v)] is the in-degree of [v]
-    at build time.  The arrays are cached inside the DAG and shared
-    between calls: treat them as read-only.  Any [add_vertex]/[add_edge]
-    invalidates the cache. *)
+(** The adjacency, in both directions, as compressed sparse rows.
+    [succ_off] and [pred_off] have length [n_vertices + 1]; the
+    successors of [v] are [succ_tgt.(succ_off.(v)) ..
+    succ_tgt.(succ_off.(v+1) - 1)] and its predecessors the same slice
+    of [pred_tgt].  Each slice lists its edges newest link first.
+    [indeg.(v)] is the in-degree of [v].
+
+    The first call builds the arrays from the links and drops the link
+    buffer, so the CSR is the DAG's only edge storage; it is built
+    once and never invalidated, because from then on the DAG is frozen
+    and {!add_vertex}, {!add_edge} and {!reserve_edges} raise.  Every traversal below calls it.  The arrays are shared:
+    treat them as read-only.  That first call mutates the DAG, so a DAG
+    shared across domains must be read once before it is shared;
+    {!Nd.Program.compile} returns every compiled program's DAG frozen. *)
 type csr = {
   succ_off : int array;
   succ_tgt : int array;
+  pred_off : int array;
+  pred_tgt : int array;
   indeg : int array;
 }
 
 val csr : t -> csr
 
 exception Cycle of vertex_id
+
+(** [cycle_witness t remaining] is a vertex on a cycle of [t], given
+    the in-degrees [remaining] a topological pass that ran until no
+    vertex was ready left behind: [remaining.(v) > 0] exactly for the
+    vertices it never reached.  It walks back through predecessors
+    still blocked until one repeats.  {!topo_order} and
+    [Nd.Serial_exec.run] raise {!Cycle} with it. *)
+val cycle_witness : t -> int array -> vertex_id
 
 (** [topo_order t] returns the vertices in a topological order.
     @raise Cycle if the graph has one (the witness is on a cycle). *)

@@ -553,7 +553,7 @@ let e12_cost () =
              "E12: %s n=%d: structural work/span (%d, %d) <> exact (%d, %d)"
              name n r.Cost.work r.Cost.span exact.Nd.Analysis.work
              exact.Nd.Analysis.span);
-      let c = Cost.certify_theorem1 ~sigma p machine in
+      let c = Cost.certify_theorem1 ~sigma ~cost p machine in
       (* the load-bearing acceptance check: every row of the shipped
          table is a certified Theorem-1 instance or the suite run fails *)
       if not c.Cost.certified then

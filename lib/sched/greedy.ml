@@ -17,10 +17,8 @@ let run ~procs program =
   if procs < 1 then invalid_arg "Greedy.run: procs < 1";
   let dag = Program.dag program in
   let nv = Dag.n_vertices dag in
-  let indeg = Array.make nv 0 in
-  for v = 0 to nv - 1 do
-    indeg.(v) <- List.length (Dag.preds dag v)
-  done;
+  let csr = Dag.csr dag in
+  let indeg = Array.copy csr.Dag.indeg in
   let ready = Queue.create () in
   for v = 0 to nv - 1 do
     if indeg.(v) = 0 then Queue.push v ready
@@ -53,11 +51,11 @@ let run ~procs program =
     incr free_procs;
     incr executed;
     resident := !resident - fp_words v;
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then Queue.push w ready)
-      (Dag.succs dag v);
+    for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
+      let w = csr.Dag.succ_tgt.(k) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then Queue.push w ready
+    done;
     dispatch ()
   done;
   if !executed < nv then failwith "Greedy.run: stalled (cyclic DAG?)";

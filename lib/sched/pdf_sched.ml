@@ -68,10 +68,8 @@ let run ?seed:_ ?(comm_delay = 0) program machine =
     done;
     !cost
   in
-  let indeg = Array.make nv 0 in
-  for v = 0 to nv - 1 do
-    indeg.(v) <- List.length (Dag.preds dag v)
-  done;
+  let csr = Dag.csr dag in
+  let indeg = Array.copy csr.Dag.indeg in
   (* global ready pool ordered by serial priority (min-heap, FIFO ties) *)
   let ready : int Heap.t = Heap.create () in
   for v = 0 to nv - 1 do
@@ -80,8 +78,11 @@ let run ?seed:_ ?(comm_delay = 0) program machine =
   (* owner.(v) = processor that executed v, for the comm-delay charge *)
   let owner = Array.make nv (-1) in
   let needs_comm p v =
-    comm_delay > 0
-    && List.exists (fun u -> owner.(u) <> p) (Dag.preds dag v)
+    let rec remote k =
+      k < csr.Dag.pred_off.(v + 1)
+      && (owner.(csr.Dag.pred_tgt.(k)) <> p || remote (k + 1))
+    in
+    comm_delay > 0 && remote csr.Dag.pred_off.(v)
   in
   let events : int Heap.t = Heap.create () in
   let idle = Array.make n_procs false in
@@ -113,14 +114,14 @@ let run ?seed:_ ?(comm_delay = 0) program machine =
       running.(p) <- (-1);
       incr executed;
       resident := !resident - fp_words v;
-      List.iter
-        (fun w ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then begin
-            Heap.push ready prio.(w) w;
-            wake_all ()
-          end)
-        (Dag.succs dag v)
+      for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
+        let w = csr.Dag.succ_tgt.(k) in
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then begin
+          Heap.push ready prio.(w) w;
+          wake_all ()
+        end
+      done
     end;
     if not idle.(p) then
       if Heap.is_empty ready then idle.(p) <- true

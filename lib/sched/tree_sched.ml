@@ -110,10 +110,8 @@ let run ?seed:_ ?(comm_delay = 0) ?budget program machine =
     done;
     !cost
   in
-  let indeg = Array.make nv 0 in
-  for v = 0 to nv - 1 do
-    indeg.(v) <- List.length (Dag.preds dag v)
-  done;
+  let csr = Dag.csr dag in
+  let indeg = Array.copy csr.Dag.indeg in
   (* admission control: a task's vertices become dispatchable only once
      the task is admitted against the budget.  Ready vertices of
      unadmitted tasks wait in their task's buffer; tasks with buffered
@@ -169,7 +167,11 @@ let run ?seed:_ ?(comm_delay = 0) ?budget program machine =
   admit_fitting ~force:true;
   let owner = Array.make nv (-1) in
   let needs_comm p v =
-    comm_delay > 0 && List.exists (fun u -> owner.(u) <> p) (Dag.preds dag v)
+    let rec remote k =
+      k < csr.Dag.pred_off.(v + 1)
+      && (owner.(csr.Dag.pred_tgt.(k)) <> p || remote (k + 1))
+    in
+    comm_delay > 0 && remote csr.Dag.pred_off.(v)
   in
   let events : int Heap.t = Heap.create () in
   let idle = Array.make n_procs false in
@@ -208,11 +210,11 @@ let run ?seed:_ ?(comm_delay = 0) ?budget program machine =
           admit_fitting ~force:false
         end
       end;
-      List.iter
-        (fun w ->
-          indeg.(w) <- indeg.(w) - 1;
-          if indeg.(w) = 0 then enable w)
-        (Dag.succs dag v);
+      for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
+        let w = csr.Dag.succ_tgt.(k) in
+        indeg.(w) <- indeg.(w) - 1;
+        if indeg.(w) = 0 then enable w
+      done;
       admit_fitting ~force:false;
       wake_all ()
     end;

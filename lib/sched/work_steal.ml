@@ -103,10 +103,8 @@ let run ?(seed = 0x5eed) ?(steal_cost = 2)
     done;
     !cost
   in
-  let indeg = Array.make nv 0 in
-  for v = 0 to nv - 1 do
-    indeg.(v) <- List.length (Dag.preds dag v)
-  done;
+  let csr = Dag.csr dag in
+  let indeg = Array.copy csr.Dag.indeg in
   let deques = Array.init n_procs (fun _ -> deque_create ()) in
   (* all sources start on processor 0 (classic WS starts serially) *)
   for v = 0 to nv - 1 do
@@ -133,17 +131,17 @@ let run ?(seed = 0x5eed) ?(steal_cost = 2)
   let space_hwm = ref 0 in
   let fp_words v = Is.cardinal (Dag.footprint_of dag v) in
   let complete p v =
-    List.iter
-      (fun w ->
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then begin
-          deque_push_bot deques.(p) w;
-          if traced then
-            Nd_trace.Collector.emit tracer ~worker:p ~ts:!now
-              (Nd_trace.Event.Fire { target = w; level = 0 });
-          wake_all ()
-        end)
-      (Dag.succs dag v)
+    for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
+      let w = csr.Dag.succ_tgt.(k) in
+      indeg.(w) <- indeg.(w) - 1;
+      if indeg.(w) = 0 then begin
+        deque_push_bot deques.(p) w;
+        if traced then
+          Nd_trace.Collector.emit tracer ~worker:p ~ts:!now
+            (Nd_trace.Event.Fire { target = w; level = 0 });
+        wake_all ()
+      end
+    done
   in
   for p = 0 to n_procs - 1 do
     Heap.push events 0 p

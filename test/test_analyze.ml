@@ -464,10 +464,10 @@ let check_cost_matches_exact ~what p =
   if r.Cost.root_size <> root_size then
     Alcotest.failf "%s: Cost root_size %d <> exact %d" what r.Cost.root_size
       root_size;
-  if r.Cost.n_fire_edges <> List.length (Program.fire_edges p) then
+  if r.Cost.n_fire_edges <> Program.n_fire_edges p then
     Alcotest.failf "%s: Cost fire edges %d <> exact %d" what
       r.Cost.n_fire_edges
-      (List.length (Program.fire_edges p));
+      (Program.n_fire_edges p);
   List.iter
     (fun m ->
       let q = Cost.q_star cost ~m in
@@ -522,6 +522,22 @@ let test_cost_matches_exact_workloads () =
         ~what:(Printf.sprintf "%s n=%d base=%d" name n base)
         p)
     workload_cases
+
+(* a caller's own structural pass gives the certificate a fresh one
+   gives, on every family *)
+let test_certify_with_cost () =
+  let machine = Nd_serve.Server.standard_machine ~top:1 in
+  List.iter
+    (fun fam ->
+      let n = List.hd fam.Nd_experiments.Workloads.sizes in
+      let w = Nd_experiments.Workloads.build ~n fam ~seed:7 in
+      let p = Nd_algos.Workload.compile w in
+      let cost = Cost.of_program p in
+      if Cost.certify_theorem1 ~cost p machine <> Cost.certify_theorem1 p machine
+      then
+        Alcotest.failf "%s n=%d: certify_theorem1 ~cost differs"
+          fam.Nd_experiments.Workloads.name n)
+    Nd_experiments.Workloads.all
 
 (* -------------- Cost at paper scale: pinned golden table -------------- *)
 
@@ -627,6 +643,8 @@ let () =
             test_cost_matches_exact_corpus;
           Alcotest.test_case "matches exact: workloads" `Quick
             test_cost_matches_exact_workloads;
+          Alcotest.test_case "certify with a given cost" `Quick
+            test_certify_with_cost;
           Alcotest.test_case "paper-scale golden" `Slow
             test_cost_paper_scale_golden;
         ] );

@@ -407,26 +407,37 @@ let test_dag_acyclic_property =
 
 (* ----------------------- compile identity ------------------------ *)
 
+(* the sorted fire edges as a list *)
+let fire_edges p =
+  List.init (Program.n_fire_edges p) (fun i ->
+      (Program.fire_src p i, Program.fire_snk p i))
+
 (* An MD5 over everything a compile produces that a consumer can
-   observe: every vertex's succ and pred lists in order, the edge count,
-   the CSR arrays and [fire_edges]. *)
+   observe: every vertex's successor and predecessor slices in order,
+   the edge count, the CSR arrays and the fire edges.  The bytes are
+   the ones the list-based DAG produced, so the recorded values still
+   hold. *)
 let compile_digest p =
   let dag = Program.dag p in
+  let c = Dag.csr dag in
   let b = Buffer.create 4096 in
   let int x =
     Buffer.add_string b (string_of_int x);
     Buffer.add_char b ','
   in
   let sep () = Buffer.add_char b ';' in
-  for v = 0 to Dag.n_vertices dag - 1 do
-    List.iter int (Dag.succs dag v);
-    sep ();
-    List.iter int (Dag.preds dag v);
+  let slice off tgt v =
+    for k = off.(v) to off.(v + 1) - 1 do
+      int tgt.(k)
+    done;
     sep ()
+  in
+  for v = 0 to Dag.n_vertices dag - 1 do
+    slice c.Dag.succ_off c.Dag.succ_tgt v;
+    slice c.Dag.pred_off c.Dag.pred_tgt v
   done;
   int (Dag.n_edges dag);
   sep ();
-  let c = Dag.csr dag in
   List.iter
     (fun a ->
       Array.iter int a;
@@ -436,7 +447,7 @@ let compile_digest p =
     (fun (x, y) ->
       int x;
       int y)
-    (Program.fire_edges p);
+    (fire_edges p);
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Recorded from the Hashtbl-based compiler this resolver replaced:
@@ -520,6 +531,32 @@ let test_compile_identity () =
     recorded_digests;
   Alcotest.(check int) "ten families x three sizes x two modes" 60
     (List.length recorded_digests)
+
+(* Neither the DAG nor the fire edges hold a heap block per edge: the
+   adjacency is two int arrays of E entries plus O(V) offsets, the fire
+   edges one int array of at most two words a pair.  A cons cell per
+   edge and direction, or a boxed pair per fire edge, fails this. *)
+let test_packed_shape () =
+  let f = Nd_experiments.Workloads.find "mm" in
+  let p = Nd_algos.Workload.compile (f.Nd_experiments.Workloads.build ~n:32 ~base:2 ~seed:1) in
+  let dag = Program.dag p in
+  let v = Dag.n_vertices dag and e = Dag.n_edges dag and pairs = Program.n_fire_edges p in
+  let w = Program.heap_words p in
+  if pairs = 0 then Alcotest.fail "mm has fire edges";
+  if w.Program.adjacency > (2 * e) + (4 * v) + 16 then
+    Alcotest.failf "adjacency: %d words for %d edges and %d vertices" w.Program.adjacency e v;
+  if w.Program.fire_pairs > (2 * pairs) + 8 then
+    Alcotest.failf "fire edges: %d words for %d pairs" w.Program.fire_pairs pairs;
+  (* and the DAG holds no other edge storage: past its CSR, only its
+     vertices' labels and footprints and O(1) words a vertex *)
+  let payload =
+    Obj.reachable_words
+      (Obj.repr
+         (Array.init v (fun x -> (Dag.label dag x, Dag.reads_of dag x, Dag.writes_of dag x))))
+  in
+  let rest = Obj.reachable_words (Obj.repr dag) - w.Program.adjacency - payload in
+  if rest > (4 * v) + 16 then
+    Alcotest.failf "DAG: %d words past its CSR and vertex payload (%d edges, %d vertices)" rest e v
 
 (* --------------- resolver vs the old Hashtbl walk ----------------- *)
 
@@ -620,14 +657,15 @@ let prop_drs_matches_reference =
       &&
       match Program.compile ~registry inst.Nd_check.Gen.tree with
       | p ->
-        let dag = Program.dag p in
+        let c = Dag.csr (Program.dag p) in
         Result.is_ok result
-        && Program.fire_edges p = List.sort compare edges
+        && fire_edges p = List.sort compare edges
         && List.for_all
              (fun v ->
-               let ss = Dag.succs dag v in
-               List.length (List.sort_uniq compare ss) = List.length ss)
-             (List.init (Dag.n_vertices dag) Fun.id)
+               let lo = c.Dag.succ_off.(v) and hi = c.Dag.succ_off.(v + 1) in
+               let ss = Array.to_list (Array.sub c.Dag.succ_tgt lo (hi - lo)) in
+               List.length (List.sort_uniq compare ss) = hi - lo)
+             (List.init (Array.length c.Dag.indeg) Fun.id)
       | exception Invalid_argument m -> result = Error m)
 
 let () =
@@ -678,5 +716,6 @@ let () =
           Alcotest.test_case "footprint/size" `Quick test_footprint_size;
           Alcotest.test_case "decompose" `Quick test_decompose;
           Alcotest.test_case "decompose invalid" `Quick test_decompose_invalid;
+          Alcotest.test_case "packed shape" `Quick test_packed_shape;
         ] );
     ]

@@ -15,14 +15,36 @@ let diamond () =
   Dag.add_edge dag c d;
   (dag, a, b, c, d)
 
+(* a CSR slice as a list *)
+let slice off tgt v = List.init (off.(v + 1) - off.(v)) (fun i -> tgt.(off.(v) + i))
+
+let succs dag v =
+  let c = Dag.csr dag in
+  slice c.Dag.succ_off c.Dag.succ_tgt v
+
+let preds dag v =
+  let c = Dag.csr dag in
+  slice c.Dag.pred_off c.Dag.pred_tgt v
+
 let test_basic () =
-  let dag, a, b, _, d = diamond () in
+  let dag, a, b, c, d = diamond () in
   Alcotest.(check int) "vertices" 4 (Dag.n_vertices dag);
   Alcotest.(check int) "edges" 4 (Dag.n_edges dag);
   Alcotest.(check int) "work" 8 (Dag.work dag);
-  Alcotest.(check (list int)) "succs a" [ b ] [ List.hd (List.rev (Dag.succs dag a)) ];
-  Alcotest.(check int) "preds d" 2 (List.length (Dag.preds dag d));
+  (* newest link first *)
+  Alcotest.(check (list int)) "succs a" [ c; b ] (succs dag a);
+  Alcotest.(check (list int)) "preds d" [ c; b ] (preds dag d);
+  Alcotest.(check int) "indeg d" 2 (Dag.csr dag).Dag.indeg.(d);
   Alcotest.(check string) "label" "b" (Dag.label dag b)
+
+let test_frozen () =
+  let dag, a, _, _, d = diamond () in
+  Dag.add_edge dag a d;
+  ignore (Dag.span dag);
+  let frozen = Invalid_argument "Dag: frozen (its adjacency has been read)" in
+  Alcotest.check_raises "add_edge" frozen (fun () -> Dag.add_edge dag d a);
+  Alcotest.check_raises "add_vertex" frozen (fun () -> ignore (v dag "e"));
+  Alcotest.(check int) "edges" 5 (Dag.n_edges dag)
 
 let test_duplicate_edge () =
   let dag = Dag.create () in
@@ -66,6 +88,18 @@ let test_cycle_detection () =
   | exception Dag.Cycle _ -> ()
   | _ -> Alcotest.fail "cycle not detected")
 
+(* the witness is on the cycle, not downstream of it *)
+let test_cycle_witness () =
+  let dag = Dag.create () in
+  let a = v dag "a" and b = v dag "b" and c = v dag "c" in
+  Dag.add_edge dag a b;
+  Dag.add_edge dag b a;
+  Dag.add_edge dag b c;
+  match Dag.topo_order dag with
+  | exception Dag.Cycle w ->
+    if w <> a && w <> b then Alcotest.failf "witness %s is not on the cycle" (Dag.label dag w)
+  | _ -> Alcotest.fail "cycle not detected"
+
 let test_sources_sinks () =
   let dag, a, _, _, d = diamond () in
   Alcotest.(check (list int)) "sources" [ a ] (Dag.sources dag);
@@ -98,6 +132,122 @@ let test_reachability_chain () =
   Alcotest.(check bool) "0 -> last" true (Dag.reachable r vs.(0) vs.(n - 1));
   Alcotest.(check bool) "last -> 0" false (Dag.reachable r vs.(n - 1) vs.(0));
   Alcotest.(check int) "span = n" n (Dag.span dag)
+
+(* ------------------ CSR vs the list-based DAG --------------------- *)
+
+module Ref = Dag_ref
+
+let stress_iters =
+  match Sys.getenv_opt "NDSIM_STRESS_ITERS" with
+  | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
+  | None -> 3
+
+(* [n] vertices with works [works], and the [add_edge] calls [links].
+   With [acyclic] each link is oriented along a random vertex ranking,
+   so a DAG's ids are not in topological order; without it, cycles may
+   form. *)
+type case = {
+  works : int list;
+  rank : int list;
+  links : (int * int) list;
+  acyclic : bool;
+}
+
+let gen_case =
+  QCheck2.Gen.(
+    let* n = int_range 1 12 in
+    let* works = list_repeat n (int_range 0 5) in
+    let* rank = shuffle_l (List.init n Fun.id) in
+    let* acyclic = frequency [ (3, return true); (1, return false) ] in
+    let pick = int_range 0 (n - 1) in
+    let* links = small_list (pair pick pick) in
+    (* a prefix again, so duplicate links are common *)
+    let* k = int_range 0 (List.length links) in
+    return { works; rank; links = links @ List.filteri (fun i _ -> i < k) links; acyclic })
+
+let print_case c =
+  Printf.sprintf "works=[%s] rank=[%s] acyclic=%b links=[%s]"
+    (String.concat ";" (List.map string_of_int c.works))
+    (String.concat ";" (List.map string_of_int c.rank))
+    c.acyclic
+    (String.concat ";"
+       (List.map (fun (u, v) -> Printf.sprintf "%d>%d" u v) c.links))
+
+(* the links a case makes, self loops dropped *)
+let links c =
+  let rank = Array.of_list c.rank in
+  List.filter_map
+    (fun (u, v) ->
+      if u = v then None
+      else if c.acyclic && rank.(u) > rank.(v) then Some (v, u)
+      else Some (u, v))
+    c.links
+
+let build c =
+  let dag = Dag.create () and r = Ref.create () in
+  List.iteri
+    (fun i work ->
+      let label = string_of_int i in
+      ignore (Dag.add_vertex dag ~label ~work ~reads:Is.empty ~writes:Is.empty ());
+      ignore (Ref.add_vertex r ~label ~work ~reads:Is.empty ~writes:Is.empty ()))
+    c.works;
+  List.iter
+    (fun (u, v) ->
+      Dag.add_edge dag u v;
+      Ref.add_edge r u v)
+    (links c);
+  (dag, r)
+
+let fail fmt = QCheck2.Test.fail_reportf fmt
+
+let prop_matches_reference =
+  QCheck2.Test.make ~name:"CSR DAG = list reference"
+    ~count:(min 20_000 (max 1000 (100 * stress_iters)))
+    ~print:print_case gen_case
+    (fun case ->
+      let dag, r = build case in
+      let n = Dag.n_vertices dag in
+      if Dag.n_edges dag <> Ref.n_edges r then
+        fail "n_edges %d, reference %d" (Dag.n_edges dag) (Ref.n_edges r);
+      for v = 0 to n - 1 do
+        if succs dag v <> Ref.succs r v then fail "succ slice of %d" v;
+        if preds dag v <> Ref.preds r v then fail "pred slice of %d" v;
+        if (Dag.csr dag).Dag.indeg.(v) <> List.length (Ref.preds r v) then
+          fail "indeg of %d" v
+      done;
+      let c = Dag.csr dag and rc = Ref.csr r in
+      if (c.Dag.succ_off, c.Dag.succ_tgt, c.Dag.indeg)
+         <> (rc.Ref.succ_off, rc.Ref.succ_tgt, rc.Ref.indeg)
+      then fail "CSR arrays";
+      if Dag.sources dag <> Ref.sources r then fail "sources";
+      if Dag.sinks dag <> Ref.sinks r then fail "sinks";
+      (match Ref.topo_order r with
+      | order ->
+        if Dag.topo_order dag <> order then fail "topo_order";
+        if Dag.span dag <> Ref.span r then fail "span";
+        if Dag.critical_path dag <> Ref.critical_path r then fail "critical_path";
+        let reach = Dag.reachability dag and rreach = Ref.reachability r in
+        for u = 0 to n - 1 do
+          for v = 0 to n - 1 do
+            if Dag.reachable reach u v <> Ref.reachable rreach u v then
+              fail "reachable %d %d" u v
+          done
+        done
+      | exception Ref.Cycle _ -> (
+        match Dag.topo_order dag with
+        | _ -> fail "cycle not detected"
+        | exception Dag.Cycle w ->
+          (* on a cycle: [w] is reachable from one of its successors *)
+          let seen = Array.make n false in
+          let rec visit u =
+            if not seen.(u) then begin
+              seen.(u) <- true;
+              List.iter visit (succs dag u)
+            end
+          in
+          List.iter visit (succs dag w);
+          if not seen.(w) then fail "witness %d is not on a cycle" w));
+      true)
 
 (* -------------------------- race detector ------------------------- *)
 
@@ -162,10 +312,13 @@ let () =
           Alcotest.test_case "critical path" `Quick test_critical_path;
           Alcotest.test_case "topo order" `Quick test_topo;
           Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
+          Alcotest.test_case "cycle witness" `Quick test_cycle_witness;
+          Alcotest.test_case "frozen after a read" `Quick test_frozen;
           Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
           Alcotest.test_case "weighted longest path" `Quick test_weighted;
           Alcotest.test_case "reachability" `Quick test_reachability;
           Alcotest.test_case "reachability chain" `Quick test_reachability_chain;
+          QCheck_alcotest.to_alcotest prop_matches_reference;
         ] );
       ( "race",
         [

@@ -63,6 +63,7 @@ let test_merge_sorted () =
 let check_happens_before p tracer =
   let dag = Nd.Program.dag p in
   let n = Nd_dag.Dag.n_vertices dag in
+  let { Nd_dag.Dag.succ_off; succ_tgt; _ } = Nd_dag.Dag.csr dag in
   let begin_ts = Array.make n min_int and end_ts = Array.make n min_int in
   List.iter
     (fun iv ->
@@ -75,12 +76,12 @@ let check_happens_before p tracer =
     (Analyzer.intervals tracer);
   for u = 0 to n - 1 do
     if end_ts.(u) > min_int then
-      List.iter
-        (fun v ->
-          if begin_ts.(v) > min_int && end_ts.(u) > begin_ts.(v) then
-            Alcotest.failf "edge %d->%d violated: end %d > begin %d" u v
-              end_ts.(u) begin_ts.(v))
-        (Nd_dag.Dag.succs dag u)
+      for k = succ_off.(u) to succ_off.(u + 1) - 1 do
+        let v = succ_tgt.(k) in
+        if begin_ts.(v) > min_int && end_ts.(u) > begin_ts.(v) then
+          Alcotest.failf "edge %d->%d violated: end %d > begin %d" u v
+            end_ts.(u) begin_ts.(v)
+      done
   done
 
 let test_ordering_serial () =
