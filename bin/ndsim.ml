@@ -582,8 +582,8 @@ let trace_cmd =
       | "ws" ->
         let t = Nd_trace.Collector.create ~workers:(Pmh.n_procs machine) () in
         Format.printf "machine: %s@." (Pmh.describe machine);
-        let s = Nd_sched.Work_steal.run ~seed ~tracer:t p machine in
-        Format.printf "WS: %a@." Nd_sched.Work_steal.pp_stats s;
+        let s, steals = Nd_sched.Work_steal.run ~seed ~tracer:t p machine in
+        Format.printf "WS: %a steals=%d@." Nd_sched.Scheduler.pp_stats s steals;
         (t, true)
       | "dataflow" ->
         let nw =

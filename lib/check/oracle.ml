@@ -2,6 +2,7 @@ module Dag = Nd_dag.Dag
 module Race = Nd_dag.Race
 module Pmh = Nd_pmh.Pmh
 module Greedy = Nd_sched.Greedy
+module Scheduler = Nd_sched.Scheduler
 module Sb = Nd_sched.Sb_sched
 module Ws = Nd_sched.Work_steal
 module Backend = Nd_runtime.Backend
@@ -88,15 +89,15 @@ let check_greedy cfg program ~work ~span =
     (fun p ->
       let stage = Printf.sprintf "greedy p=%d" p in
       let s = guard stage (fun () -> Greedy.run ~procs:p program) in
-      if s.Greedy.work <> work then
-        fail stage "reported work %d <> %d" s.Greedy.work work;
-      if s.Greedy.span <> span then
-        fail stage "reported span %d <> %d" s.Greedy.span span;
-      if s.Greedy.time < lb ~work ~span p then
-        fail stage "time %d below lower bound %d" s.Greedy.time
+      if s.Scheduler.work <> work then
+        fail stage "reported work %d <> %d" s.Scheduler.work work;
+      if s.Scheduler.span <> span then
+        fail stage "reported span %d <> %d" s.Scheduler.span span;
+      if s.Scheduler.time < lb ~work ~span p then
+        fail stage "time %d below lower bound %d" s.Scheduler.time
           (lb ~work ~span p);
-      if s.Greedy.time > Greedy.brent_bound s then
-        fail stage "time %d violates Brent bound %d" s.Greedy.time
+      if s.Scheduler.time > Greedy.brent_bound s then
+        fail stage "time %d violates Brent bound %d" s.Scheduler.time
           (Greedy.brent_bound s))
     cfg.procs;
   List.length cfg.procs
@@ -216,11 +217,13 @@ let check_ws cfg program ~work ~span =
   List.iter
     (fun seed ->
       let stage = Printf.sprintf "ws seed=%d" seed in
-      let s = guard stage (fun () -> Ws.run ~seed program cfg.machine) in
-      if s.Ws.work <> work then
-        fail stage "reported work %d <> %d" s.Ws.work work;
-      if s.Ws.busy < work then fail stage "busy %d < work %d" s.Ws.busy work;
-      if s.Ws.time < span then fail stage "time %d < span %d" s.Ws.time span)
+      let s, _ = guard stage (fun () -> Ws.run ~seed program cfg.machine) in
+      if s.Scheduler.work <> work then
+        fail stage "reported work %d <> %d" s.Scheduler.work work;
+      if s.Scheduler.busy < work then
+        fail stage "busy %d < work %d" s.Scheduler.busy work;
+      if s.Scheduler.time < span then
+        fail stage "time %d < span %d" s.Scheduler.time span)
     cfg.ws_seeds;
   List.length cfg.ws_seeds
 

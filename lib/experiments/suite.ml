@@ -255,17 +255,17 @@ let e6_work_stealing () =
       let p = Workload.compile w in
       let sb = Nd_sched.Sb_sched.run p machine in
       let sbl = Nd_sched.Sb_sched.run ~accounting:Nd_sched.Sb_sched.Lru p machine in
-      let ws = Nd_sched.Work_steal.run ~seed p machine in
+      let ws, steals = Nd_sched.Work_steal.run ~seed p machine in
       Table.add_row t
         [
           Printf.sprintf "%s n=%d" name n;
           Table.cell_int sb.Nd_sched.Sb_sched.time;
           Table.cell_int sbl.Nd_sched.Sb_sched.time;
-          Table.cell_int ws.Nd_sched.Work_steal.time;
+          Table.cell_int ws.Nd_sched.Scheduler.time;
           Table.cell_int sb.Nd_sched.Sb_sched.miss_cost;
           Table.cell_int sbl.Nd_sched.Sb_sched.miss_cost;
-          Table.cell_int ws.Nd_sched.Work_steal.miss_cost;
-          Table.cell_int ws.Nd_sched.Work_steal.steals;
+          Table.cell_int ws.Nd_sched.Scheduler.miss_cost;
+          Table.cell_int steals;
         ])
     [
       ("mm", 64, 4); ("trs", 64, 4); ("cholesky", 64, 4); ("lcs", 256, 2);

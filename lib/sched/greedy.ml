@@ -3,15 +3,8 @@ module Is = Nd_util.Interval_set
 module Heap = Nd_util.Heap
 open Nd
 
-type stats = {
-  time : int;
-  work : int;
-  span : int;
-  space_hwm : int;
-  n_procs : int;
-}
-
-let brent_bound s = ((s.work + s.n_procs - 1) / s.n_procs) + s.span
+let brent_bound (s : Scheduler.stats) =
+  ((s.work + s.n_procs - 1) / s.n_procs) + s.span
 
 let run ~procs program =
   if procs < 1 then invalid_arg "Greedy.run: procs < 1";
@@ -59,30 +52,25 @@ let run ~procs program =
     dispatch ()
   done;
   if !executed < nv then failwith "Greedy.run: stalled (cyclic DAG?)";
+  (* cache-blind: no misses; busy = work (a greedy processor only ever
+     executes strand work) *)
+  let work = Dag.work dag in
   {
-    time = !makespan;
-    work = Dag.work dag;
+    Scheduler.time = !makespan;
+    work;
     span = Dag.span dag;
+    misses = [||];
+    miss_cost = 0;
     space_hwm = !space_hwm;
+    busy = work;
     n_procs = procs;
+    miss_table = None;
   }
 
 module Shared : Scheduler.S = struct
   let name = "greedy"
 
-  (* cache-blind and deterministic: both knobs are no-ops.  busy = work
-     (a greedy processor only ever executes strand work). *)
+  (* cache-blind and deterministic: both knobs are no-ops *)
   let run ?seed:_ ?comm_delay:_ program machine =
-    let s = run ~procs:(Nd_pmh.Pmh.n_procs machine) program in
-    {
-      Scheduler.time = s.time;
-      work = s.work;
-      span = s.span;
-      misses = [||];
-      miss_cost = 0;
-      space_hwm = s.space_hwm;
-      busy = s.work;
-      n_procs = s.n_procs;
-      miss_table = None;
-    }
+    run ~procs:(Nd_pmh.Pmh.n_procs machine) program
 end

@@ -3,20 +3,14 @@
     sanity bound the tests verify, and a cache-blind lower envelope for
     the scheduling experiments. *)
 
-type stats = {
-  time : int;
-  work : int;
-  span : int;
-  space_hwm : int;
-      (** peak sum of footprints of concurrently running strands *)
-  n_procs : int;
-}
-
-val run : procs:int -> Nd.Program.t -> stats
+(** [run ~procs program] — the schedule on [procs] processors.  No
+    misses ([[||]], no miss table), [busy = work], and [space_hwm] is
+    the peak sum of footprints of concurrently running strands. *)
+val run : procs:int -> Nd.Program.t -> Scheduler.stats
 
 (** [brent_bound s] = W/p + T_inf (ceiling division). *)
-val brent_bound : stats -> int
+val brent_bound : Scheduler.stats -> int
 
 (** Zoo face; [procs] comes from the machine, both common knobs are
-    no-ops (cache-blind and deterministic), [misses = [||]]. *)
+    no-ops (cache-blind and deterministic). *)
 module Shared : Scheduler.S

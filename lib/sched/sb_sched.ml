@@ -311,7 +311,18 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
      the drive loop's per-leaf per-level absorb allocates no tuples and
      probes no hashtable (the former hot-path cost) *)
   let visited = Array.init (max 1 tcount) (fun _ -> ref Is.empty) in
-  let misses = Array.make h 0 in
+  (* inclusive per-cache LRU, used in inline Lru accounting mode only;
+     its live level totals are then the misses *)
+  let lru =
+    if accounting = Lru && sim_workers = None then
+      Some (Nd_mem.Lru_bank.create machine)
+    else None
+  in
+  let misses =
+    match lru with
+    | Some bank -> Nd_mem.Lru_bank.misses bank
+    | None -> Array.make h 0
+  in
   let total_miss_cost = ref 0 in
   (* decoupled measurement mode: schedule under ρ costs while recording
      the global (proc, footprint) trace, replayed post-run by the
@@ -321,39 +332,16 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
     | Some _ -> Some (Nd_mem.Shard_sim.Trace.create ())
     | None -> None
   in
-  let use_lru = accounting = Lru && sim_workers = None in
-  (* inclusive per-cache LRU, used in inline Lru accounting mode only *)
-  let lru_caches =
-    lazy
-      (Array.init h (fun i ->
-           Array.init
-             (Pmh.n_caches machine ~level:(i + 1))
-             (fun _ ->
-               Nd_mem.Cache_sim.create ~m:(Pmh.size machine ~level:(i + 1)) ())))
-  in
-  let atom_cost_lru proc a =
-    let caches = Lazy.force lru_caches in
+  let atom_cost_lru bank proc a =
     let node = task_node 1 a in
     let lo, hi = Program.leaf_range program node in
     let cost = ref 0 in
     for i = lo to hi - 1 do
       match Program.kind_of program (Program.leaf_node program i) with
       | Program.Leaf s ->
-        cost := !cost + s.Strand.work;
-        (* each cache is independent, so batching the whole footprint per
-           level sees the same per-cache access sequence (address order)
-           as the old word-at-a-time loop — identical miss counts *)
-        let fp = Strand.footprint s in
-        for j = 1 to h do
-          let c = Pmh.cache_of_proc machine ~proc ~level:j in
-          let dm = Nd_mem.Cache_sim.access_set caches.(j - 1).(c) fp in
-          if dm > 0 then begin
-            misses.(j - 1) <- misses.(j - 1) + dm;
-            let mc = dm * Pmh.miss_cost machine ~level:j in
-            cost := !cost + mc;
-            total_miss_cost := !total_miss_cost + mc
-          end
-        done
+        cost :=
+          !cost + s.Strand.work
+          + Nd_mem.Lru_bank.charge bank ~proc (Strand.footprint s)
       | Program.Seq | Program.Par | Program.Fire _ -> assert false
     done;
     !cost
@@ -655,7 +643,10 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
         st.(a1) <- st_active;
         let m0 = if traced then Array.copy misses else [||] in
         let d =
-          max 1 (if use_lru then atom_cost_lru p a1 else atom_cost p a1)
+          max 1
+            (match lru with
+            | Some bank -> atom_cost_lru bank p a1
+            | None -> atom_cost p a1)
         in
         if traced then begin
           let node = task_node 1 a1 in
@@ -697,13 +688,13 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
         Nd_mem.Miss_table.total_cost mt ~miss_cost:(fun level ->
             Pmh.miss_cost machine ~level),
         Some mt )
-    | _ ->
-      let mt =
-        if use_lru then
-          Some (Nd_mem.Miss_table.of_sims (Lazy.force lru_caches))
-        else None
-      in
-      (misses, !total_miss_cost, mt)
+    | _ -> (
+      match lru with
+      | Some bank ->
+        ( misses,
+          Nd_mem.Lru_bank.miss_cost bank,
+          Some (Nd_mem.Lru_bank.miss_table bank) )
+      | None -> (misses, !total_miss_cost, None))
   in
   {
     time = !makespan;

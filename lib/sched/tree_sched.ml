@@ -1,7 +1,6 @@
 module Dag = Nd_dag.Dag
 module Heap = Nd_util.Heap
 module Pmh = Nd_pmh.Pmh
-module Cache = Nd_mem.Cache_sim
 open Nd
 
 (* ---- traversal order (Liu / Marchal–Sinnen–Vivien) ----
@@ -12,12 +11,8 @@ open Nd
    of every free-choice node in descending (peak - size) keeps the peak
    residency minimal (Liu's theorem); Seq children are dependency-
    ordered and stay in program order.  The resulting order of the
-   M-maximal task roots is the admission priority. *)
-
-type order = {
-  task_prio : int array;  (* task index -> 1-based priority *)
-  peak_root : int;  (* estimated serial peak residency of the root *)
-}
+   M-maximal task roots is the admission priority: task index ->
+   1-based priority. *)
 
 let traversal_order program (d : Program.decomposition) =
   let n_nodes = Program.n_nodes program in
@@ -66,52 +61,21 @@ let traversal_order program (d : Program.decomposition) =
     else Array.iter visit order.(n)
   in
   visit root;
-  { task_prio; peak_root = peak.(root) }
+  task_prio
 
-let run ?seed:_ ?(comm_delay = 0) ?budget program machine =
+let run ?seed:_ ?comm_delay program machine =
   let dag = Program.dag program in
   let nv = Dag.n_vertices dag in
-  let h = Pmh.n_levels machine in
-  let n_procs = Pmh.n_procs machine in
-  (* the memory bound defaults to the outermost cache: the scheduler
-     promises never to have more task footprint in flight than fits
-     there.  Tasks are the M-maximal decomposition at a quarter of the
-     budget, so several run concurrently under the bound. *)
-  let budget =
-    match budget with
-    | Some b -> max 1 b
-    | None -> Pmh.size machine ~level:h
-  in
-  let m_task = max 1 (budget / 4) in
-  let d = Program.decompose program ~m:m_task in
+  (* the memory bound is the outermost cache: the scheduler promises
+     never to have more task footprint in flight than fits there, save
+     for forced admissions.  Tasks are the M-maximal decomposition at a
+     quarter of the budget, so several run concurrently under the
+     bound. *)
+  let budget = Pmh.size machine ~level:(Pmh.n_levels machine) in
+  let d = Program.decompose program ~m:(max 1 (budget / 4)) in
   let n_tasks = Array.length d.Program.tasks in
   let task_size ti = Program.size program d.Program.tasks.(ti) in
-  let { task_prio; peak_root = _ } = traversal_order program d in
-  let caches =
-    Array.init h (fun i ->
-        Array.init
-          (Pmh.n_caches machine ~level:(i + 1))
-          (fun _ -> Cache.create ~m:(Pmh.size machine ~level:(i + 1)) ()))
-  in
-  let misses = Array.make h 0 in
-  let total_miss_cost = ref 0 in
-  let vertex_cost p v =
-    let cost = ref (Dag.work_of dag v) in
-    let fp = Dag.footprint_of dag v in
-    for j = 1 to h do
-      let c = Pmh.cache_of_proc machine ~proc:p ~level:j in
-      let dm = Cache.access_set caches.(j - 1).(c) fp in
-      if dm > 0 then begin
-        misses.(j - 1) <- misses.(j - 1) + dm;
-        let mc = dm * Pmh.miss_cost machine ~level:j in
-        cost := !cost + mc;
-        total_miss_cost := !total_miss_cost + mc
-      end
-    done;
-    !cost
-  in
-  let csr = Dag.csr dag in
-  let indeg = Array.copy csr.Dag.indeg in
+  let task_prio = traversal_order program d in
   (* admission control: a task's vertices become dispatchable only once
      the task is admitted against the budget.  Ready vertices of
      unadmitted tasks wait in their task's buffer; tasks with buffered
@@ -161,100 +125,44 @@ let run ?seed:_ ?(comm_delay = 0) ?budget program machine =
       end
     end
   in
-  for v = 0 to nv - 1 do
-    if indeg.(v) = 0 then enable v
-  done;
+  Array.iteri (fun v dg -> if dg = 0 then enable v) (Dag.csr dag).Dag.indeg;
   admit_fitting ~force:true;
-  let owner = Array.make nv (-1) in
-  let needs_comm p v =
-    let rec remote k =
-      k < csr.Dag.pred_off.(v + 1)
-      && (owner.(csr.Dag.pred_tgt.(k)) <> p || remote (k + 1))
-    in
-    comm_delay > 0 && remote csr.Dag.pred_off.(v)
-  in
-  let events : int Heap.t = Heap.create () in
-  let idle = Array.make n_procs false in
-  let running = Array.make n_procs (-1) in
-  let n_running = ref 0 in
-  let now = ref 0 in
-  let wake_all () =
-    for p = 0 to n_procs - 1 do
-      if idle.(p) then begin
-        idle.(p) <- false;
-        Heap.push events !now p
+  let retire v =
+    let ti = d.Program.task_of_vertex.(v) in
+    if ti >= 0 then begin
+      remaining.(ti) <- remaining.(ti) - 1;
+      if remaining.(ti) = 0 then begin
+        (* task done: its footprint retires; let the next ones in *)
+        resident := !resident - task_size ti;
+        admit_fitting ~force:false
       end
-    done
+    end
   in
-  let executed = ref 0 in
-  let busy = ref 0 in
-  let makespan = ref 0 in
-  for p = 0 to n_procs - 1 do
-    Heap.push events 0 p
-  done;
-  while not (Heap.is_empty events) do
-    let t, p = Heap.pop events in
-    now := t;
-    if running.(p) >= 0 then begin
-      if t > !makespan then makespan := t;
-      let v = running.(p) in
-      running.(p) <- (-1);
-      decr n_running;
-      incr executed;
-      let ti = d.Program.task_of_vertex.(v) in
-      if ti >= 0 then begin
-        remaining.(ti) <- remaining.(ti) - 1;
-        if remaining.(ti) = 0 then begin
-          (* task done: its footprint retires; let the next ones in *)
-          resident := !resident - task_size ti;
-          admit_fitting ~force:false
-        end
-      end;
-      for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
-        let w = csr.Dag.succ_tgt.(k) in
-        indeg.(w) <- indeg.(w) - 1;
-        if indeg.(w) = 0 then enable w
-      done;
-      admit_fitting ~force:false;
-      wake_all ()
-    end;
-    if not idle.(p) then
-      if Heap.is_empty ready then begin
-        (* nothing dispatchable: if the whole machine is stalled on the
-           budget, force the front pending task in *)
-        if !n_running = 0 && not (Heap.is_empty pending) then begin
+  let s =
+    Vertex_sim.run ?comm_delay
+      ~push:(fun _ v -> enable v)
+      ~pop:(fun _ _ -> if Heap.is_empty ready then -1 else snd (Heap.pop ready))
+      ~retire
+      ~settle:(fun () ->
+        (* wake after every completion: an admission readies vertices
+           that no completion enabled *)
+        admit_fitting ~force:false;
+        true)
+      ~unstick:(fun () ->
+        (* the whole machine is stalled on the budget: force the front
+           pending task in *)
+        (not (Heap.is_empty pending))
+        && begin
           admit_fitting ~force:true;
-          Heap.push events t p
-        end
-        else idle.(p) <- true
-      end
-      else begin
-        let _, v = Heap.pop ready in
-        let extra = if needs_comm p v then comm_delay else 0 in
-        let d = extra + vertex_cost p v in
-        owner.(v) <- p;
-        running.(p) <- v;
-        incr n_running;
-        busy := !busy + d;
-        Heap.push events (t + d) p
-      end
-  done;
-  if !executed < nv then failwith "Tree_sched.run: stalled (cyclic DAG?)";
-  {
-    Scheduler.time = !makespan;
-    work = Dag.work dag;
-    span = Dag.span dag;
-    misses;
-    miss_cost = !total_miss_cost;
-    space_hwm = !space_hwm;
-    busy = !busy;
-    n_procs;
-    miss_table = Some (Nd_mem.Miss_table.of_sims caches);
-  }
+          true
+        end)
+      program machine
+  in
+  (* report what the budget caps: admitted footprint, not running strands *)
+  { s with Scheduler.space_hwm = !space_hwm }
 
 module Shared : Scheduler.S = struct
   let name = "tree"
 
-  let run ?seed ?comm_delay program machine =
-    run ?seed ?comm_delay program machine
+  let run = run
 end

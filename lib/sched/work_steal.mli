@@ -4,41 +4,23 @@
     Simulates classic Chase–Lev-style work stealing directly over the
     algorithm DAG: each processor owns a deque of ready vertices, pushes
     newly enabled successors to its bottom, and steals from a uniformly
-    random victim's top when empty.  Locality is modelled with an
-    inclusive multi-level LRU hierarchy on the same PMH geometry — shared
-    caches see the interleaved streams of the processors below them, so
-    steals destroy the locality that SB anchoring preserves; comparing
-    per-level misses against {!Sb_sched} is experiment E6. *)
+    random victim's top when empty, paying 2 time units per steal.
+    Locality is modelled with an inclusive multi-level LRU hierarchy on
+    the same PMH geometry — shared caches see the interleaved streams of
+    the processors below them, so steals destroy the locality that SB
+    anchoring preserves; comparing per-level misses against {!Sb_sched}
+    is experiment E6.  The ready set is the policy; {!Vertex_sim} runs
+    the events. *)
 
-type stats = {
-  time : int;
-  work : int;
-  misses : int array;  (** per cache level *)
-  miss_cost : int;
-  space_hwm : int;
-      (** peak sum of footprints of concurrently running strands *)
-  steals : int;
-  busy : int;
-  n_procs : int;
-  miss_table : Nd_mem.Miss_table.t;
-      (** per-(level, cache-instance) miss counts; [misses] are its
-          level totals *)
-}
-
-(** [run ?seed ?steal_cost ?tracer program machine] — simulate;
-    [steal_cost] (default 2) time units per successful steal.  With
-    [tracer] (one ring per simulated processor), emits per-vertex strand
-    begin/end, steal attempt/success, fire and per-level cache-miss
-    events at simulation timestamps; tracing never perturbs the
-    schedule or the stats. *)
+(** [run ?seed ?tracer program machine] — simulate; returns the stats
+    and the number of steals.  With [tracer] (one ring per simulated
+    processor), emits per-vertex strand begin/end, steal, fire and
+    per-level cache-miss events at simulation timestamps; tracing never
+    perturbs the schedule or the stats. *)
 val run :
-  ?seed:int -> ?steal_cost:int -> ?tracer:Nd_trace.Collector.t ->
-  Nd.Program.t -> Nd_pmh.Pmh.t -> stats
+  ?seed:int -> ?tracer:Nd_trace.Collector.t -> Nd.Program.t ->
+  Nd_pmh.Pmh.t -> Scheduler.stats * int
 
-val utilization : stats -> float
-
-val pp_stats : Format.formatter -> stats -> unit
-
-(** Zoo face; default steal cost, [comm_delay] is a no-op (the steal
-    cost already models migration latency). *)
+(** Zoo face; [comm_delay] is a no-op (the steal cost already models
+    migration latency). *)
 module Shared : Scheduler.S

@@ -2,6 +2,7 @@ module Pmh = Nd_pmh.Pmh
 module Sb = Nd_sched.Sb_sched
 module Ws = Nd_sched.Work_steal
 module Greedy = Nd_sched.Greedy
+module Scheduler = Nd_sched.Scheduler
 open Nd_algos
 
 let small_machine ?(top = 1) () =
@@ -31,12 +32,12 @@ let test_greedy_brent () =
       List.iter
         (fun procs ->
           let s = Greedy.run ~procs p in
-          if s.Greedy.time > Greedy.brent_bound s then
-            Alcotest.failf "%s p=%d: %d > Brent %d" name procs s.Greedy.time
+          if s.Scheduler.time > Greedy.brent_bound s then
+            Alcotest.failf "%s p=%d: %d > Brent %d" name procs s.Scheduler.time
               (Greedy.brent_bound s);
-          if s.Greedy.time < s.Greedy.span then
+          if s.Scheduler.time < s.Scheduler.span then
             Alcotest.failf "%s: time below span" name;
-          if s.Greedy.time < (s.Greedy.work + procs - 1) / procs then
+          if s.Scheduler.time < (s.Scheduler.work + procs - 1) / procs then
             Alcotest.failf "%s: time below work/p" name)
         [ 1; 2; 4; 16 ])
     (workloads ())
@@ -44,7 +45,7 @@ let test_greedy_brent () =
 let test_greedy_serial_is_work () =
   let _, p = List.hd (workloads ()) in
   let s = Greedy.run ~procs:1 p in
-  Alcotest.(check int) "T_1 = work" s.Greedy.work s.Greedy.time
+  Alcotest.(check int) "T_1 = work" s.Scheduler.work s.Scheduler.time
 
 (* ------------------------------- SB -------------------------------- *)
 
@@ -224,22 +225,23 @@ let test_ws_completes () =
   let machine = small_machine () in
   List.iter
     (fun (name, p) ->
-      let s = Ws.run p machine in
-      if s.Ws.time <= 0 then Alcotest.failf "%s: no time" name;
-      if s.Ws.busy < s.Ws.work then Alcotest.failf "%s: lost work" name)
+      let s, _ = Ws.run p machine in
+      if s.Scheduler.time <= 0 then Alcotest.failf "%s: no time" name;
+      if s.Scheduler.busy < s.Scheduler.work then
+        Alcotest.failf "%s: lost work" name)
     (workloads ())
 
 let test_ws_deterministic_per_seed () =
   let machine = small_machine () in
   let _, p = List.nth (workloads ()) 4 in
-  let a = Ws.run ~seed:7 p machine and b = Ws.run ~seed:7 p machine in
-  Alcotest.(check int) "same seed, same time" a.Ws.time b.Ws.time
+  let a, _ = Ws.run ~seed:7 p machine and b, _ = Ws.run ~seed:7 p machine in
+  Alcotest.(check int) "same seed, same time" a.Scheduler.time b.Scheduler.time
 
 let test_ws_single_proc_no_steals () =
   let machine = Pmh.flat ~procs:1 ~m:64 ~miss_cost:3 in
   let _, p = List.hd (workloads ()) in
-  let s = Ws.run p machine in
-  Alcotest.(check int) "no steals" 0 s.Ws.steals
+  let _, steals = Ws.run p machine in
+  Alcotest.(check int) "no steals" 0 steals
 
 (* regression: a zero-time (or zero-processor) run used to report a
    utilization of 1.0 (0/0 short-circuited to "perfect"); it must be 0. *)
@@ -262,20 +264,20 @@ let test_utilization_degenerate () =
     (Sb.utilization { sb_zero with Sb.time = 10; n_procs = 0 });
   let ws_zero =
     {
-      Ws.time = 0;
+      Scheduler.time = 0;
       work = 0;
+      span = 0;
       misses = [||];
       miss_cost = 0;
       space_hwm = 0;
-      steals = 0;
       busy = 0;
       n_procs = 4;
-      miss_table = Nd_mem.Miss_table.create ~n_caches:[| 1 |];
+      miss_table = Some (Nd_mem.Miss_table.create ~n_caches:[| 1 |]);
     }
   in
-  Alcotest.(check (float 0.)) "ws zero time" 0. (Ws.utilization ws_zero);
+  Alcotest.(check (float 0.)) "ws zero time" 0. (Scheduler.utilization ws_zero);
   Alcotest.(check (float 0.)) "ws zero procs" 0.
-    (Ws.utilization { ws_zero with Ws.time = 10; n_procs = 0 });
+    (Scheduler.utilization { ws_zero with Scheduler.time = 10; n_procs = 0 });
   (* a real run still reports a meaningful positive utilization *)
   let machine = small_machine () in
   let _, p = List.hd (workloads ()) in
@@ -285,7 +287,6 @@ let test_utilization_degenerate () =
 
 (* ------------------------------- zoo -------------------------------- *)
 
-module Scheduler = Nd_sched.Scheduler
 module Zoo = Nd_sched.Zoo
 
 let test_zoo_registry () =
@@ -306,7 +307,7 @@ let test_zoo_invariants () =
   List.iter
     (fun (wname, p) ->
       let g = Greedy.run ~procs:1 p in
-      let work = g.Greedy.work and span = g.Greedy.span in
+      let work = g.Scheduler.work and span = g.Scheduler.span in
       List.iter
         (fun (sname, (module S : Scheduler.S)) ->
           let s = S.run ~seed:1 p machine in
@@ -380,17 +381,125 @@ let test_pdf_not_worse_than_ws_shared_cache () =
       ("mm64", Matmul.workload ~n:64 ~base:8 ~seed:1 ());
     ]
 
-(* the tree scheduler's whole point: admitted-task residency never
-   exceeds the budget when the largest task fits (forced admission can
-   only overrun with tasks bigger than the budget themselves) *)
+(* the tree scheduler's whole point: admitted-task residency stays
+   within the budget (the machine's outermost cache, 4096 words here)
+   between forced admissions.  A forced admission, made when nothing
+   runs and nothing fits, can overrun it, and stacked forced admissions
+   do (E10's fw1d, trs and cholesky rows); mm n=16 stays within it. *)
 let test_tree_space_within_budget () =
   let machine = small_machine ~top:2 () in
   let _, p = List.hd (workloads ()) in
   let budget = 4096 in
-  let s = Nd_sched.Tree_sched.run ~budget p machine in
+  let s = Nd_sched.Tree_sched.run p machine in
   if s.Scheduler.space_hwm > budget then
     Alcotest.failf "space hwm %d exceeds budget %d" s.Scheduler.space_hwm
       budget
+
+(* --------------------------- pinned zoo ----------------------------- *)
+
+(* Every zoo member's table row, busy time, span and per-cache miss
+   table, at seeds {1, 7} and comm delay {0, 3}, on two machines, plus
+   work stealing's steal count and event trace: one digest per program.
+   Each is a simulated count, so any drift is a behaviour change. *)
+let zoo_digest p =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_string b s;
+    Buffer.add_char b ','
+  in
+  let int x = str (string_of_int x) in
+  List.iter
+    (fun machine ->
+      let n_procs = Pmh.n_procs machine in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun comm_delay ->
+              List.iter
+                (fun (name, (module S : Scheduler.S)) ->
+                  let s = S.run ~seed ~comm_delay p machine in
+                  str name;
+                  List.iter str (Scheduler.to_row s);
+                  int s.Scheduler.busy;
+                  int s.Scheduler.span;
+                  match s.Scheduler.miss_table with
+                  | None -> str "-"
+                  | Some mt ->
+                    for level = 1 to Nd_mem.Miss_table.n_levels mt do
+                      for cache = 0 to Nd_mem.Miss_table.n_caches mt ~level - 1 do
+                        int (Nd_mem.Miss_table.get mt ~level ~cache)
+                      done
+                    done)
+                Zoo.all)
+            [ 0; 3 ];
+          let tracer =
+            Nd_trace.Collector.create ~capacity:(1 lsl 14) ~workers:n_procs ()
+          in
+          let _, steals = Ws.run ~seed ~tracer p machine in
+          int steals;
+          int (Nd_trace.Collector.dropped tracer);
+          List.iter
+            (fun e -> str (Format.asprintf "%a" Nd_trace.Event.pp e))
+            (Nd_trace.Collector.events tracer))
+        [ 1; 7 ])
+    [ small_machine ~top:2 (); Nd_check.Oracle.default_config.machine ];
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded before the vertex simulators moved onto one event engine:
+   every family at its first sweep size (family base, seed 1) in ND and
+   NP mode, and the first 50 generated conformance programs. *)
+let recorded_zoo_digests =
+  [
+    ("mm", "ND", "0479bcdbc469de3820aae1f9592699f3");
+    ("mm", "NP", "146c7310a163f81e2ede51d8e8cbb9c5");
+    ("mm8", "ND", "5d9967d540b1c93281287c6ff9fdb522");
+    ("mm8", "NP", "5d9967d540b1c93281287c6ff9fdb522");
+    ("trs", "ND", "f018862e9785ace0499b39e1c770842b");
+    ("trs", "NP", "5db73bed66307fc8e00657c5d6e06cbd");
+    ("cholesky", "ND", "e39395419666eeeddf41e199357e3367");
+    ("cholesky", "NP", "7928735656e1ce41446e60361c130863");
+    ("lu", "ND", "c19d9eafe93c4cc1626eee1e69d8e148");
+    ("lu", "NP", "195bfaf1e03b4493d8ea568a6de5722a");
+    ("apsp", "ND", "9a2bcde80dcd02c4eabdd256f11b536b");
+    ("apsp", "NP", "730c37669e22d735de61bc11f38f5a2a");
+    ("fw1d", "ND", "a6c63a47302f7a8d727d72b5a43ad9bb");
+    ("fw1d", "NP", "570f2fe7c237163488bfe5381740df71");
+    ("stencil", "ND", "310a2345374e4aec5abaa815162fea1a");
+    ("stencil", "NP", "fafacf8dd358f3f5d4c9cb1719040fe4");
+    ("gotoh", "ND", "bb18ad90381a6e74c38c6a3940a4c0fa");
+    ("gotoh", "NP", "1a1902657aed68cd44152643039c07dc");
+    ("lcs", "ND", "9b2bfe65862920b5150a6486f28de295");
+    ("lcs", "NP", "666b4477bf01d75b7e2733fab06023c9")
+  ]
+
+let recorded_gen_digest = "02cec876dbefd82ba1e4ee5bdf4593f1"
+
+let test_zoo_pinned () =
+  let module W = Nd_algos.Workload in
+  let module F = Nd_experiments.Workloads in
+  let got =
+    List.concat_map
+      (fun f ->
+        let n = List.hd f.F.sizes in
+        List.map
+          (fun mode ->
+            let w = f.F.build ~n ~base:f.F.base ~seed:1 in
+            (f.F.name, W.mode_name mode, zoo_digest (W.compile ~mode w)))
+          [ W.ND; W.NP ])
+      F.all
+  in
+  let gen =
+    String.concat ""
+      (List.init 50 (fun seed ->
+           let inst = Nd_check.Gen.build (Nd_check.Gen.generate ~seed ()) in
+           zoo_digest
+             (Nd.Program.compile ~registry:inst.Nd_check.Gen.registry
+                inst.Nd_check.Gen.tree)))
+  in
+  Alcotest.(check (list (triple string string string)))
+    "families x modes" recorded_zoo_digests got;
+  Alcotest.(check string) "generated programs" recorded_gen_digest
+    (Digest.to_hex (Digest.string gen))
 
 let () =
   Alcotest.run "nd_sched"
@@ -443,5 +552,7 @@ let () =
             test_pdf_not_worse_than_ws_shared_cache;
           Alcotest.test_case "tree respects space budget" `Quick
             test_tree_space_within_budget;
+          Alcotest.test_case "pinned stats, misses and ws traces" `Quick
+            test_zoo_pinned;
         ] );
     ]
