@@ -831,9 +831,9 @@ let run_cmd =
   let backend_arg =
     let doc =
       Printf.sprintf
-        "Real-executor backend: one of %s.  $(b,fiber) runs each strand as \
-         an effect-handler fiber that suspends on fire-edge waits instead \
-         of occupying a worker."
+        "Real-executor backend: one of %s.  $(b,fiber) runs each task as \
+         an effect-handler fiber started once its dependences are met; \
+         only a promise awaited inside a strand action parks it."
         (String.concat ", " Backend.names)
     in
     Arg.(value & opt string "dataflow" & info [ "backend" ] ~docv:"B" ~doc)

@@ -70,9 +70,9 @@ val explore_program :
     never registers a domain as a pool worker, so every fiber hand-off
     routes through the pool's synchronized injector and the schedule
     stays a pure function of the controller's choices.  A schedule
-    under which the pool stalls (every live fiber parked — e.g. a lost
-    wake-up) terminates deterministically and fails the post-run
-    check. *)
+    under which the pool stalls (every live fiber parked with work
+    left — e.g. a lost wake-up, or a task never enabled) terminates
+    deterministically and fails the post-run check. *)
 val explore_fiber_program :
   ?workers:int ->
   ?grain:int ->

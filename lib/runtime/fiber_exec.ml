@@ -103,6 +103,7 @@ and pool = {
   deques : (unit -> unit) Deque.t array;
   injector : (unit -> unit) Inject.t;
   remaining : int Atomic.t;  (* fibers spawned and not yet finished *)
+  waiting : int Atomic.t;  (* program tasks whose fiber has not started *)
   blocked : int Atomic.t;  (* fibers currently parked on a promise *)
   peak_blocked : int Atomic.t;
   fibers : int Atomic.t;  (* fibers ever spawned *)
@@ -321,6 +322,7 @@ let make_pool ~nw ~name ~abort_on_error ~tracer () =
     deques = Array.init nw (fun _ -> Deque.create ());
     injector = Inject.create ();
     remaining = Atomic.make 0;
+    waiting = Atomic.make 0;
     blocked = Atomic.make 0;
     peak_blocked = Atomic.make 0;
     fibers = Atomic.make 0;
@@ -343,9 +345,12 @@ let n_workers t = t.nw
 
 let name t = t.name
 
-let remaining t = Atomic.get t.remaining
+(* [remaining] first: once no fiber is live, [waiting] is final *)
+let remaining t =
+  let live = Atomic.get t.remaining in
+  live + Atomic.get t.waiting
 
-let finished t = Atomic.get t.remaining = 0
+let finished t = Atomic.get t.remaining = 0 && Atomic.get t.waiting = 0
 
 let stats (t : pool) =
   {
@@ -399,13 +404,15 @@ let queues_empty t =
 
 (* Exact in the single-domain explorer: between scheduler steps no
    fiber is mid-flight, so parked = live and empty queues mean no one
-   can ever run again. *)
+   can ever run again — and no task can be enabled. *)
 let stalled t =
   (* [remaining] is read once: a fiber finishing between two reads would
      have a completed run compare 0 parked against 0 live *)
   let live = Atomic.get t.remaining in
   !Hooks.stall_window ();
-  live > 0 && Atomic.get t.blocked = live && queues_empty t
+  (live > 0 || Atomic.get t.waiting > 0)
+  && Atomic.get t.blocked = live
+  && queues_empty t
 
 (* Multi-domain deadlock check: [stalled] alone can race an in-flight
    hand-off, but any hand-off bumps [events], and the performer of an
@@ -417,51 +424,44 @@ let deadlocked t =
 
 (* --------------------- one-shot program pools ---------------------- *)
 
-(* One fiber per task of the backend-neutral task graph: await every
-   predecessor's promise, run the task, fulfill our own.  A fire-edge
-   (or any other) wait thereby suspends the fiber — the worker's slot
-   is immediately free for runnable work — instead of pinning a worker
-   into the spin loop the dep-counter engine would need. *)
+(* A compiled program's dependences are all known before it runs, so a
+   task's fiber starts only when its in-degree reaches zero, by the
+   counting rule of [Executor.Engine.run_task]: the sources are seeded
+   before any worker domain exists (so pushing to any deque is safe),
+   and a finishing task decrements each successor's counter (skipping
+   the atomic for a single predecessor) and spawns the ones it enables.
+   Only promises awaited inside strand actions still park. *)
 let seed_program (pool : pool) (g : Executor.task_graph) =
-  let n = g.Executor.tg_tasks in
   let succ_off = g.Executor.tg_succ_off and succ_tgt = g.Executor.tg_succ_tgt in
-  let m = succ_off.(n) in
-  let pred_off = Array.make (n + 1) 0 in
-  for i = 0 to m - 1 do
-    let v = succ_tgt.(i) in
-    pred_off.(v + 1) <- pred_off.(v + 1) + 1
-  done;
-  for v = 1 to n do
-    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
-  done;
-  let fill = Array.sub pred_off 0 (max 1 n) in
-  let pred_tgt = Array.make (max 1 m) 0 in
-  for u = 0 to n - 1 do
-    for i = succ_off.(u) to succ_off.(u + 1) - 1 do
-      let v = succ_tgt.(i) in
-      pred_tgt.(fill.(v)) <- u;
-      fill.(v) <- fill.(v) + 1
+  let indeg = g.Executor.tg_indeg in
+  let counters = Array.map Atomic.make indeg in
+  let worker () = match self () with Some w -> w | None -> 0 in
+  let rec body task () =
+    g.Executor.tg_exec (worker ()) task;
+    for i = succ_off.(task) to succ_off.(task + 1) - 1 do
+      let s = succ_tgt.(i) in
+      if indeg.(s) = 1 || Atomic.fetch_and_add counters.(s) (-1) = 1 then begin
+        do_spawn pool (body s);
+        Atomic.decr pool.waiting;
+        if pool.traced then
+          Trace.emit_now pool.tracer ~worker:(worker ())
+            (Nd_trace.Event.Fire { target = s; level = 0 })
+      end
     done
-  done;
-  let promises = Array.init n (fun _ -> promise ()) in
-  let body task () =
-    for i = pred_off.(task) to pred_off.(task + 1) - 1 do
-      await promises.(pred_tgt.(i))
-    done;
-    let wid = match self () with Some w -> w | None -> 0 in
-    g.Executor.tg_exec wid task;
-    fulfill promises.(task) ()
   in
-  (* seed every fiber round-robin before any worker domain exists, so
-     pushing to arbitrary deques is race-free here *)
-  for task = 0 to n - 1 do
-    Atomic.incr pool.fibers;
-    Atomic.incr pool.remaining;
-    Deque.push pool.deques.(task mod pool.nw) (fiber_thunk pool (body task))
+  let sources = ref 0 in
+  for task = 0 to g.Executor.tg_tasks - 1 do
+    if indeg.(task) = 0 then begin
+      Atomic.incr pool.fibers;
+      Atomic.incr pool.remaining;
+      Deque.push pool.deques.(!sources mod pool.nw) (fiber_thunk pool (body task));
+      incr sources
+    end
   done;
+  Atomic.set pool.waiting (g.Executor.tg_tasks - !sources);
   bump pool;
   if pool.traced then
-    Trace.emit_now pool.tracer ~worker:0 (Nd_trace.Event.Spawn { count = n })
+    Trace.emit_now pool.tracer ~worker:0 (Nd_trace.Event.Spawn { count = !sources })
 
 let make_engine ?workers ?grain ?(tracer = Trace.null) program =
   let nw =
@@ -481,17 +481,13 @@ let worker_loop (pool : pool) ~stopped wid =
   with_worker_dls pool wid @@ fun () ->
   let cap = Executor.spin_cap ~nw:pool.nw in
   let spin = ref 0 in
-  while
-    Atomic.get pool.remaining > 0
-    && not (Atomic.get pool.aborted || stopped ())
-  do
+  while not (finished pool || Atomic.get pool.aborted || stopped ()) do
     if try_advance pool wid then spin := 0
     else if !spin > 32 && deadlocked pool then begin
+      let blocked = Atomic.get pool.blocked + Atomic.get pool.waiting in
       ignore
         (Atomic.compare_and_set pool.failure None
-           (Some
-              ( Deadlock { blocked = Atomic.get pool.blocked },
-                Printexc.get_callstack 0 )));
+           (Some (Deadlock { blocked }, Printexc.get_callstack 0)));
       Atomic.set pool.aborted true
     end
     else begin

@@ -1,15 +1,15 @@
 (** Effects-based fiber executor: the third real backend.
 
-    The paper's schedulers assume a worker never burns its slot waiting
-    on a fire edge; the fork–join backend serializes fires away and the
-    dep-counter backend spins on enabling.  Here every task of the
-    compiled {!Executor.task_graph} is a {e fiber} — a lightweight
-    thread implemented with OCaml 5 effect handlers — that [await]s a
-    {!promise} per predecessor and [fulfill]s its own on completion.  A
-    wait on an unfulfilled promise captures the fiber's continuation
-    into the promise's waiter list and returns the worker to its
-    scheduling loop, so a blocked fire edge costs no worker at all; the
-    matching [fulfill] re-queues the continuation.
+    Every task of the compiled {!Executor.task_graph} runs as a
+    {e fiber}, a lightweight thread built on OCaml 5 effect handlers.
+    The DRS fixes every dependence, fire edges included, before the
+    program runs, so a task's fiber starts only when its in-degree
+    reaches zero (the counting rule of {!Executor.run_dataflow}) and a
+    compiled program never parks.  Parking is for the waits the DAG does
+    not know, such as server jobs or strand actions awaiting a
+    {!promise}: the wait captures the fiber's continuation into the
+    promise's waiter list and returns the worker to its scheduling loop,
+    so it costs no worker; the matching [fulfill] re-queues it.
 
     Scheduling is per-domain Chase–Lev deques ({!Deque}) with stealing,
     plus one synchronized injector for external submissions and for
@@ -32,9 +32,9 @@ type t
 
 type 'a promise
 
-(** Raised by worker 0 of {!run_program} when every live fiber is
-    parked and every queue is empty — the fiber-level image of a
-    cyclic or unfulfillable wait. *)
+(** Raised by {!run_program} when no fiber can run and work is left — a
+    cyclic or unfulfillable wait; [blocked] counts the parked fibers
+    and the tasks never enabled. *)
 exception Deadlock of { blocked : int }
 
 (** Raised by {!submit} after {!shutdown}. *)
@@ -88,11 +88,13 @@ val self : unit -> int option
 
 (** [run_program ?workers ?grain ?tracer program] executes the compiled
     program as one fiber per task of {!Executor.task_graph} (so [grain]
-    and [tracer] mean exactly what they do for the other backends) and
-    returns the pool's counters.  Strand/steal/spawn trace events match
-    {!Executor.run_dataflow}'s.  A fiber body raising aborts the run
-    and re-raises; an unfulfillable wait raises {!Deadlock} instead of
-    hanging.
+    and [tracer] mean exactly what they do for the other backends),
+    each started when its last predecessor finishes, and returns the
+    pool's counters; [suspensions] and [peak_blocked] stay 0 unless a
+    strand action awaits a promise.  Strand, steal, spawn and fire trace
+    events match {!Executor.run_dataflow}'s.  A fiber body raising
+    aborts the run and re-raises; a task never enabled or a wait never
+    fulfilled raises {!Deadlock} instead of returning or hanging.
 
     The workers are an {!Executor.crew} call with [~keep:true]: a
     helper domain that ran them parks for the next call instead of
@@ -144,7 +146,7 @@ val last_error : t -> string option
 (** {2 Engine mode}
 
     The scheduler as a hand-advanced value, mirroring
-    {!Executor.Engine}: [make_engine] seeds one fiber per task onto the
+    {!Executor.Engine}: [make_engine] seeds the sources' fibers onto the
     deques without spawning domains, and [try_advance] runs one
     scheduling step.  [Nd_check.Explore] drives this from a
     single-domain controlled scheduler; with no domain registered as a

@@ -243,6 +243,29 @@ let test_explore_fiber_program () =
   | Ok s -> if s.Explore.runs = 0 then Alcotest.fail "no schedules explored"
   | Error f -> Alcotest.failf "exhaustive: %a" Explore.pp_failure f
 
+(* A fiber-only program: two parallel strands hand a value through a
+   promise the DAG does not know about — one awaits it, its sibling
+   fulfills it.  The serial elision would await first and fail, so only
+   the fiber backend runs it, and there the await can park, which a
+   compiled program's own edges never do.  [reset] gives each schedule
+   a fresh promise. *)
+let promise_handoff () =
+  let link = ref (Fiber.promise ()) in
+  let strand label action =
+    Spawn_tree.leaf
+      (Strand.make ~label ~work:1 ~reads:Nd_util.Interval_set.empty
+         ~writes:Nd_util.Interval_set.empty ~action ())
+  in
+  let program =
+    Program.compile ~registry:Fire_rule.empty_registry
+      (Spawn_tree.par
+         [
+           strand "await" (fun () -> Fiber.await !link);
+           strand "fulfill" (fun () -> Fiber.fulfill !link ());
+         ])
+  in
+  (program, fun () -> link := Fiber.promise ())
+
 (* Lost-wakeup mutation: the hook replaces [await]'s park CAS with a
    blind store, recreating the classic sleep/wakeup race — an await
    reads Pending, loses the processor to the fulfiller (which swings
@@ -252,7 +275,7 @@ let test_explore_fiber_program () =
    stranded fiber surfaces through the built-in stall check.  On trunk
    (hook off) the same engine passes [test_explore_fiber_program]. *)
 let test_explore_fiber_lost_wakeup () =
-  let p = fg_program [ a_before_d; b_before_c ] in
+  let p, reset = promise_handoff () in
   let seeds = List.init (max 100 (10 * stress_iters)) (fun i -> i) in
   Fiber.Hooks.set_lost_wakeup true;
   Fun.protect
@@ -261,7 +284,7 @@ let test_explore_fiber_lost_wakeup () =
       match
         Explore.explore_fiber_program ~workers:2
           ~mode:(Explore.Random { seeds })
-          p
+          ~reset p
       with
       | Ok s ->
         Alcotest.failf
@@ -285,7 +308,7 @@ let test_explore_fiber_lost_wakeup () =
   match
     Explore.explore_fiber_program ~workers:2
       ~mode:(Explore.Random { seeds = explore_seeds })
-      p
+      ~reset p
   with
   | Ok _ -> ()
   | Error f ->

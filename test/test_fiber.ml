@@ -1,7 +1,8 @@
 (* Tests for the effects-based fiber backend (Nd_runtime.Fiber_exec):
    promise/pool unit behaviour, executor-vs-serial equivalence over
-   workers x grain, a blocked-fire stress case that would deadlock any
-   design where a waiting strand occupies its worker, and a generated
+   workers x grain, a blocked promise chain that would deadlock any
+   design where a waiting fiber occupies its worker, the no-parking
+   guarantee for compiled programs, and a generated
    three-way differential sweep (fork-join / dataflow / fiber) checking
    exactly-once delivery and memory equality against the serial
    elision.
@@ -154,38 +155,35 @@ let test_fiber_equivalence () =
         grains)
     [ 1; 2; 8 ]
 
-(* ---------------------- blocked-fire stress ------------------------- *)
+(* --------------------- blocked promise chain ------------------------ *)
 
-(* A fire chain [depth] links deep compiled at vertex granularity: the
-   snk of every fire depends on its src, so at any moment exactly one
-   task is runnable and every other seeded fiber is parked on a fire
-   edge.  With fibers >> workers this deadlocks any design where a
-   blocked wait occupies a worker slot (2 workers cannot host ~1500
-   simultaneous waiters); the fiber backend must instead show massive
-   parking and still finish. *)
-let fire_chain depth =
-  let leaf i =
-    Gen.Leaf { Gen.work = 1; reads = []; writes = [ (i mod 8, (i mod 8) + 1) ] }
-  in
-  let rec chain k = if k = 0 then leaf 0 else Gen.Fire { rule = "R1"; src = leaf k; snk = chain (k - 1) } in
-  {
-    Gen.tree = chain depth;
-    rules = [ ("R1", [ Fire_rule.rule [] Fire_rule.Full [] ]) ];
-    mem = 8;
-  }
-
-let test_blocked_fire_chain () =
+(* A compiled program never parks (below), so the park path is driven
+   by waits the DAG does not know: [depth] server-pool jobs, each
+   awaiting its predecessor's promise, submitted last link first.  The
+   FIFO injector hands every link to a worker before the head of the
+   chain, so nearly every link parks and they all wait at once.  With
+   fibers >> workers this deadlocks any design where a blocked wait
+   occupies a worker slot (2 workers cannot host ~1500 simultaneous
+   waiters); the fiber pool must instead show massive parking and
+   still finish. *)
+let test_blocked_promise_chain () =
   let depth = 1_500 in
-  let spec = fire_chain depth in
-  let inst = Gen.build spec in
-  let program = Program.compile ~registry:inst.Gen.registry inst.Gen.tree in
-  Gen.reset inst;
-  let stats = Fiber.run_program ~workers:2 program in
+  let t = Fiber.create ~workers:2 () in
+  let links = Array.init depth (fun _ -> Fiber.promise ()) in
+  let counts = Array.init depth (fun _ -> Atomic.make 0) in
+  for i = depth - 1 downto 0 do
+    Fiber.submit t (fun () ->
+        if i > 0 then Fiber.await links.(i - 1);
+        Atomic.incr counts.(i);
+        Fiber.fulfill links.(i) ())
+  done;
+  Fiber.shutdown t;
+  let stats = Fiber.stats t in
   Array.iteri
     (fun i c ->
       if Atomic.get c <> 1 then
-        Alcotest.failf "leaf %d ran %d times" i (Atomic.get c))
-    inst.Gen.counts;
+        Alcotest.failf "link %d ran %d times" i (Atomic.get c))
+    counts;
   if stats.Fiber.suspensions < depth / 2 then
     Alcotest.failf "expected heavy parking, got %d suspensions"
       stats.Fiber.suspensions;
@@ -193,6 +191,48 @@ let test_blocked_fire_chain () =
     Alcotest.failf "expected peak blocked >> workers, got %d"
       stats.Fiber.peak_blocked;
   Alcotest.(check int) "nothing left parked" 0 stats.Fiber.blocked
+
+(* ------------------- compiled programs never park -------------------- *)
+
+(* Every dependence of a compiled program is known before it runs, so a
+   task's fiber starts only once its in-degree reaches zero: no fiber
+   parks, one fiber runs per task, and the outputs are the serial
+   elision's (compared through [check], the deviation from the serial
+   kernels' reference, which equal outputs reproduce bit for bit). *)
+let test_compiled_never_parks () =
+  List.iter
+    (fun (fam : Nd_experiments.Workloads.family) ->
+      let n = List.hd fam.Nd_experiments.Workloads.sizes in
+      let w = Nd_experiments.Workloads.build ~n fam ~seed:5 in
+      List.iter
+        (fun mode ->
+          let p = Workload.compile ~mode w in
+          let tasks grain = (Executor.task_graph ~grain p).Executor.tg_tasks in
+          w.Workload.reset ();
+          Serial_exec.run_sequential p;
+          let serial = w.Workload.check () in
+          List.iter
+            (fun workers ->
+              List.iter
+                (fun grain ->
+                  let tag =
+                    Printf.sprintf "%s %s n=%d w=%d g=%d" fam.name
+                      (Workload.mode_name mode) n workers
+                      (if grain = max_int then -1 else grain)
+                  in
+                  w.Workload.reset ();
+                  let s = Fiber.run_program ~workers ~grain p in
+                  Alcotest.(check int) (tag ^ " suspensions") 0 s.Fiber.suspensions;
+                  Alcotest.(check int) (tag ^ " peak blocked") 0 s.Fiber.peak_blocked;
+                  Alcotest.(check int) (tag ^ " fibers") (tasks grain) s.Fiber.fibers;
+                  Alcotest.(check int) (tag ^ " completed") (tasks grain) s.Fiber.completed;
+                  let err = w.Workload.check () in
+                  if not (Float.equal err serial) then
+                    Alcotest.failf "%s: check %g, serial elision %g" tag err serial)
+                [ 0; 17; max_int ])
+            [ 1; 2; 8 ])
+        [ Workload.ND; Workload.NP ])
+    Nd_experiments.Workloads.all
 
 (* ------------------ no false deadlock at completion ------------------ *)
 
@@ -330,8 +370,10 @@ let () =
         [
           Alcotest.test_case "fiber = serial over workers x grain" `Quick
             test_fiber_equivalence;
-          Alcotest.test_case "blocked fire chain, fibers >> workers" `Quick
-            test_blocked_fire_chain;
+          Alcotest.test_case "blocked promise chain, fibers >> workers"
+            `Quick test_blocked_promise_chain;
+          Alcotest.test_case "compiled programs never park" `Quick
+            test_compiled_never_parks;
           Alcotest.test_case "no false deadlock: last fiber in the window"
             `Quick test_stall_window_last_fiber;
           Alcotest.test_case "no false deadlock: widened window, 2 workers"

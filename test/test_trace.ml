@@ -284,6 +284,49 @@ let test_forkjoin_trace () =
   in
   Alcotest.(check int) "one begin per strand leaf" 512 n_leaves
 
+(* The fiber backend starts a task's fiber when its in-degree reaches
+   zero, where the dataflow engine pushes the task: both emit one
+   [Spawn] for the sources and one [Fire] per task they enable, and
+   both traces give the ND span as their critical path. *)
+let test_fiber_trace_matches_dataflow () =
+  let w = Trs.workload ~n:32 ~base:4 ~seed:3 () in
+  let p = Workload.compile w in
+  let dag = Nd.Program.dag p in
+  let span = (Nd.Analysis.analyze p).Nd.Analysis.span in
+  List.iter
+    (fun grain ->
+      let g = Nd_runtime.Executor.task_graph ~grain p in
+      let tasks = g.Nd_runtime.Executor.tg_tasks in
+      let sources =
+        Array.fold_left (fun k d -> if d = 0 then k + 1 else k) 0
+          g.Nd_runtime.Executor.tg_indeg
+      in
+      let traced name run =
+        let tracer = Collector.wallclock ~workers:2 () in
+        w.Workload.reset ();
+        run tracer;
+        let tag = Printf.sprintf "%s grain %d: " name grain in
+        Alcotest.(check (float 1e-9)) (tag ^ "correct result") 0. (w.Workload.check ());
+        let spawned, fires =
+          List.fold_left
+            (fun (s, f) e ->
+              match e.Event.kind with
+              | Event.Spawn { count } -> (s + count, f)
+              | Event.Fire _ -> (s, f + 1)
+              | _ -> (s, f))
+            (0, 0) (Collector.events tracer)
+        in
+        Alcotest.(check int) (tag ^ "spawned = sources") sources spawned;
+        Alcotest.(check int) (tag ^ "fires = tasks - sources") (tasks - sources) fires;
+        Alcotest.(check int) (tag ^ "critical path = ND span") span
+          (Analyzer.critical_path tracer dag)
+      in
+      traced "dataflow" (fun tracer ->
+          Nd_runtime.Executor.run_dataflow ~workers:2 ~grain ~tracer p);
+      traced "fiber" (fun tracer ->
+          ignore (Nd_runtime.Fiber_exec.run_program ~workers:2 ~grain ~tracer p)))
+    [ 0; 512 ]
+
 let () =
   Alcotest.run "nd_trace"
     [
@@ -317,5 +360,7 @@ let () =
         [
           Alcotest.test_case "dataflow trace" `Quick test_dataflow_trace;
           Alcotest.test_case "fork-join trace" `Quick test_forkjoin_trace;
+          Alcotest.test_case "fiber trace = dataflow's spawns and fires" `Quick
+            test_fiber_trace_matches_dataflow;
         ] );
     ]
