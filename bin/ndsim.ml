@@ -906,53 +906,18 @@ let socket_arg =
 
 let serve_cmd =
   let module Server = Nd_serve.Server in
-  let pool_arg =
-    Arg.(value & opt_all string []
-         & info [ "pool" ] ~docv:"NAME=SIZE"
-             ~doc:"Worker-pool size override, e.g. $(b,--pool analyze=2) \
-                   (pools: analyze, simulate, fuzz; repeatable).")
-  in
-  let shards_arg =
-    Arg.(value & opt int 4
-         & info [ "shards" ] ~docv:"K"
-             ~doc:"Request-queue shards per pool.")
-  in
   let max_frame_arg =
     Arg.(value & opt int Nd_util.Json.Frame.default_max_frame
          & info [ "max-frame" ] ~docv:"BYTES"
              ~doc:"Reject request frames above this payload size.")
   in
   let quiet_arg = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No banner.") in
-  let fiber_pool_arg =
-    Arg.(value & opt (some int) None
-         & info [ "fiber-pool" ] ~docv:"W"
-             ~doc:"Run request handlers as effect-handler fibers on one \
-                   shared W-worker pool instead of the named micropools.")
-  in
-  let parse_pool s =
-    match String.index_opt s '=' with
-    | Some i -> (
-      let name = String.sub s 0 i
-      and size = String.sub s (i + 1) (String.length s - i - 1) in
-      match int_of_string_opt size with
-      | Some k when k >= 1 && List.mem name [ "analyze"; "simulate"; "fuzz" ]
-        ->
-        (name, k)
-      | _ -> die_usage "bad --pool %s (want analyze|simulate|fuzz=SIZE)" s)
-    | None -> die_usage "bad --pool %s (want analyze|simulate|fuzz=SIZE)" s
-  in
-  let run addr pools shards max_frame quiet fiber_pool =
-    (match fiber_pool with
-    | Some w when w < 1 -> die_usage "bad --fiber-pool %d (want >= 1)" w
-    | _ -> ());
+  let run addr max_frame quiet =
     let cfg =
       {
         (Server.default_config (Nd_serve.Protocol.addr_of_string addr)) with
-        Server.pool_sizes = List.map parse_pool pools;
-        shards = max 1 shards;
-        max_frame = max 1024 max_frame;
+        Server.max_frame = max 1024 max_frame;
         quiet;
-        fiber_pool;
       }
     in
     match Server.run cfg with
@@ -965,12 +930,14 @@ let serve_cmd =
   Cmd.v
     (Cmd.info "serve"
        ~doc:"Run the analysis daemon: lint/race/analyze/simulate/fuzz/suite \
-             requests \
-             over length-prefixed JSON frames, dispatched to named worker \
-             micropools with keyed artifact caches.  Send a \
-             $(b,{\"kind\":\"shutdown\"}) request (or SIGINT) to stop.")
-    Term.(const run $ socket_arg $ pool_arg $ shards_arg $ max_frame_arg
-          $ quiet_arg $ fiber_pool_arg)
+             requests over length-prefixed JSON frames, run as \
+             effect-handler fibers on one shared worker pool with keyed \
+             artifact caches.  The pool has $(b,NDSIM_WORKERS) workers \
+             (default: the core count, capped at 8), started only as \
+             concurrent requests need them; request kinds have no \
+             reserved workers.  Send a $(b,{\"kind\":\"shutdown\"}) \
+             request (or SIGINT) to stop.")
+    Term.(const run $ socket_arg $ max_frame_arg $ quiet_arg)
 
 (* ----------------------------- loadgen ----------------------------- *)
 

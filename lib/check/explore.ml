@@ -105,7 +105,11 @@ let run_schedule ~choose ~max_steps (bodies : (unit -> unit) array) =
         | Fresh _ | Finished -> ())
       state
   in
-  let yf _label = Effect.perform Yield in
+  (* the hooks are process-wide, but a schedule runs on one domain:
+     other domains (a server pool's workers beside a fuzz request) reach
+     the same preemption points outside this handler and must pass *)
+  let home = Domain.self () in
+  let yf _label = if Domain.self () = home then Effect.perform Yield in
   Deque.Hooks.set_yield (Some yf);
   Fiber.Hooks.set_yield (Some yf);
   Fun.protect

@@ -23,11 +23,10 @@ let[@inline] yield_point what =
 
 (* A small closable MPMC used for external submissions and for
    resumptions arriving from threads that are not workers of the
-   target pool.  The sharded [Nd_serve.Mpmc] lives above this library
-   in the dependency graph, and the injector is off the hot path (the
-   hot path is the per-worker deques), so a single mutex-protected
-   FIFO is the right tool: it is also trivially deterministic, which
-   the interleaving explorer relies on. *)
+   target pool.  It is off the hot path (the hot path is the
+   per-worker deques), so a single mutex-protected FIFO is the right
+   tool: it is also trivially deterministic, which the interleaving
+   explorer relies on. *)
 module Inject = struct
   type 'a t = {
     lock : Mutex.t;
@@ -118,8 +117,9 @@ and pool = {
   failure : (exn * Printexc.raw_backtrace) option Atomic.t;
   abort_on_error : bool;
   aborted : bool Atomic.t;
-  lock : Mutex.t;  (* guards [domains] / lazy start (server mode) *)
+  lock : Mutex.t;  (* guards [domains] and spawning (server mode) *)
   mutable domains : unit Domain.t list;
+  started : int Atomic.t;  (* server workers started so far *)
   tracer : Trace.t;
   traced : bool;
 }
@@ -132,6 +132,7 @@ exception Deadlock of { blocked : int }
 
 type stats = {
   workers : int;
+  started : int;
   fibers : int;
   completed : int;
   suspensions : int;
@@ -191,10 +192,9 @@ let is_fatal = function
   | Out_of_memory | Stack_overflow | Assert_failure _ -> true
   | _ -> false
 
-(* Fiber error policy mirrors Micropool's: fatal runtime exceptions
-   kill the worker (and surface at join); anything else is counted and
-   retained, and additionally aborts the whole run for one-shot
-   program pools. *)
+(* Fiber error policy: fatal runtime exceptions kill the worker (and
+   surface at join); anything else is counted and retained, and
+   additionally aborts the whole run for one-shot program pools. *)
 let wrap_body (pool : pool) f () =
   try f ()
   with e when not (is_fatal e) ->
@@ -337,6 +337,7 @@ let make_pool ~nw ~name ~abort_on_error ~tracer () =
     aborted = Atomic.make false;
     lock = Mutex.create ();
     domains = [];
+    started = Atomic.make 0;
     tracer;
     traced = Trace.enabled tracer;
   }
@@ -355,6 +356,7 @@ let finished t = Atomic.get t.remaining = 0 && Atomic.get t.waiting = 0
 let stats (t : pool) =
   {
     workers = t.nw;
+    started = Atomic.get t.started;
     fibers = Atomic.get t.fibers;
     completed = Atomic.get t.completed;
     suspensions = Atomic.get t.suspensions;
@@ -540,16 +542,29 @@ let server_loop (pool : pool) wid =
   in
   loop ()
 
-let started t = Mutex.protect t.lock (fun () -> t.domains <> [])
-
-let ensure_started t =
-  Mutex.protect t.lock (fun () ->
-      if t.domains = [] && not (Inject.is_closed t.injector) then
-        t.domains <-
-          List.init t.nw (fun wid -> Domain.spawn (fun () -> server_loop t wid)))
+(* Workers start on demand: worker [k+1] when the live fibers, not
+   counting the one being submitted, already number at least [k], the
+   workers started, so a submission that could find every started
+   worker busy gets a new one.  In OCaml 5.1 every idle domain adds to
+   the cost of every minor GC (DESIGN.md §7), so traffic that never
+   overlaps keeps one worker.  The check reads atomics only; [lock] is
+   taken to spawn, and under it a closed pool never spawns. *)
+let start_on_demand t =
+  let live = Atomic.get t.remaining in
+  let needed () =
+    let k = Atomic.get t.started in
+    k < t.nw && live >= k
+  in
+  if needed () then
+    Mutex.protect t.lock (fun () ->
+        if needed () && not (Inject.is_closed t.injector) then begin
+          let wid = Atomic.get t.started in
+          t.domains <- Domain.spawn (fun () -> server_loop t wid) :: t.domains;
+          Atomic.set t.started (wid + 1)
+        end)
 
 let submit (t : pool) job =
-  ensure_started t;
+  start_on_demand t;
   Atomic.incr t.fibers;
   Atomic.incr t.remaining;
   (try Inject.push t.injector (fiber_thunk t job)

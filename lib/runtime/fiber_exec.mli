@@ -42,6 +42,9 @@ exception Closed
 
 type stats = {
   workers : int;
+  started : int;
+      (** server pools: worker domains started so far, at most
+          [workers]; 0 for program runs and engines *)
   fibers : int;  (** fibers ever spawned (tasks, submissions, spawns) *)
   completed : int;  (** fibers finished (including erroring ones) *)
   suspensions : int;  (** times a fiber parked on an unfulfilled promise *)
@@ -119,19 +122,26 @@ val run :
 
 (** {2 Long-lived server pools}
 
-    {!Micropool}-shaped: domains spawn lazily on first {!submit}, each
-    submission runs as a root fiber, errors are counted and retained
-    rather than fatal (except [Out_of_memory]/[Stack_overflow]/
-    [Assert_failure], which kill the worker and re-raise at
-    {!shutdown}'s join). *)
+    The analysis server's one dispatch path.  Each submission runs as a
+    root fiber; errors are counted and retained rather than fatal
+    (except [Out_of_memory]/[Stack_overflow]/[Assert_failure], which
+    kill the worker and re-raise at {!shutdown}'s join).
 
+    Worker domains start on demand, one at a time: {!submit} starts
+    worker [k+1] only when the live fibers, not counting the new one,
+    already number at least [k], the workers started so far, and never
+    more than [workers].  Traffic that never overlaps therefore runs on
+    one domain; an idle domain slows every minor GC (DESIGN.md §7). *)
+
+(** [create ?workers ?name ()] — a pool of up to [workers] domains
+    (default {!Executor.default_workers}); none starts before the
+    first {!submit}. *)
 val create : ?workers:int -> ?name:string -> unit -> t
 
 val name : t -> string
 
-val started : t -> bool
-
-(** @raise Closed after {!shutdown}. *)
+(** Start a worker if the rule above asks for one, then queue [job].
+    @raise Closed after {!shutdown}, having started nothing. *)
 val submit : t -> (unit -> unit) -> unit
 
 (** Close the injector, drain, finish in-flight fibers, join the

@@ -8,27 +8,19 @@ let now_ns () = Int64.to_int (Monotonic_clock.now ())
 
 type config = {
   addr : P.addr;
-  pool_sizes : (string * int) list;
-  shards : int;
   max_frame : int;
   program_cache_cap : int;
   result_cache_cap : int;
   quiet : bool;
-  fiber_pool : int option;
-      (* [Some w]: dispatch every pooled request as a fiber on one shared
-         [w]-worker effects pool instead of the named micropools *)
 }
 
 let default_config addr =
   {
     addr;
-    pool_sizes = [];
-    shards = 4;
     max_frame = Json.Frame.default_max_frame;
     program_cache_cap = 32;
     result_cache_cap = 256;
     quiet = false;
-    fiber_pool = None;
   }
 
 let standard_machine ~top =
@@ -66,8 +58,6 @@ type cost_key = { cpk : prog_key; ctop : int } [@@warning "-69"]
 type fuzz_key = { count : int; fseed : int; max_depth : int }
 [@@warning "-69"]
 
-type pool_slot = { pool : Micropool.t; offset : int  (* first worker slot *) }
-
 type t = {
   cfg : config;
   programs : (prog_key, Workload.t * Nd.Program.t) Cache.t;
@@ -77,21 +67,12 @@ type t = {
   sim_results : (sim_key, Json.t) Cache.t;
   fuzz_results : (fuzz_key, Json.t) Cache.t;
   suite_results : (string, Json.t) Cache.t;
-  pools : (string * pool_slot) list;
-  (* shared effects pool replacing the micropools when [cfg.fiber_pool]
-     is set; the micropools still exist but never start *)
-  fiber : Nd_runtime.Fiber_exec.t option;
-  (* worker slot -> kind -> latencies ns; each slot is written by one
-     worker domain while the stats path reads concurrently, so slots are
-     mutex-guarded Sync histograms (a bare Histogram.record racing a
-     merge yields count/bucket mismatches and garbage percentiles) *)
-  hists : Histogram.Sync.t array array;
-  (* fiber-pool latencies are keyed by kind only: a fiber that parked on
-     a promise may resume on any worker, so per-worker unsynchronized
-     slots would race *)
-  fiber_hists : Histogram.Sync.t array;
-  inline_hists : Histogram.t array;  (* kinds answered by reader threads *)
-  inline_lock : Mutex.t;
+  pool : Nd_runtime.Fiber_exec.t;  (* runs every request not answered inline *)
+  (* kind -> latencies ns.  Reader threads and pool fibers record while
+     the stats path merges, so each is a mutex-guarded Sync histogram (a
+     bare Histogram.record racing a merge yields count/bucket mismatches
+     and garbage percentiles) *)
+  hists : Histogram.Sync.t array;
   stop : bool Atomic.t;
   started_ns : int;
   n_requests : int Atomic.t;
@@ -100,27 +81,7 @@ type t = {
   listen_lock : Mutex.t;
 }
 
-let pool_names = [ "analyze"; "simulate"; "fuzz" ]
-
 let create cfg =
-  let default_size = max 1 (Nd_runtime.Executor.default_workers () / 2) in
-  let sizes =
-    List.map
-      (fun name ->
-        ( name,
-          match List.assoc_opt name cfg.pool_sizes with
-          | Some s -> max 1 s
-          | None -> default_size ))
-      pool_names
-  in
-  let pools, total =
-    List.fold_left
-      (fun (acc, off) (name, size) ->
-        let pool = Micropool.create ~shards:cfg.shards ~name ~size () in
-        ((name, { pool; offset = off }) :: acc, off + size))
-      ([], 0) sizes
-  in
-  let n_kinds = Array.length P.kinds in
   {
     cfg;
     programs = Cache.create ~name:"programs" ~cap:cfg.program_cache_cap ();
@@ -130,18 +91,8 @@ let create cfg =
     sim_results = Cache.create ~name:"simulate" ~cap:cfg.result_cache_cap ();
     fuzz_results = Cache.create ~name:"fuzz" ~cap:cfg.result_cache_cap ();
     suite_results = Cache.create ~name:"suite" ~cap:16 ();
-    pools = List.rev pools;
-    fiber =
-      Option.map
-        (fun w ->
-          Nd_runtime.Fiber_exec.create ~workers:(max 1 w) ~name:"fiber" ())
-        cfg.fiber_pool;
-    hists =
-      Array.init total (fun _ ->
-          Array.init n_kinds (fun _ -> Histogram.Sync.create ()));
-    fiber_hists = Array.init n_kinds (fun _ -> Histogram.Sync.create ());
-    inline_hists = Array.init n_kinds (fun _ -> Histogram.create ());
-    inline_lock = Mutex.create ();
+    pool = Nd_runtime.Fiber_exec.create ();
+    hists = Array.map (fun _ -> Histogram.Sync.create ()) P.kinds;
     stop = Atomic.make false;
     started_ns = now_ns ();
     n_requests = Atomic.make 0;
@@ -149,16 +100,6 @@ let create cfg =
     listen_fd = None;
     listen_lock = Mutex.create ();
   }
-
-let pool_for st req =
-  let name =
-    match (req : P.request) with
-    | P.Lint _ | P.Race _ | P.Analyze _ -> "analyze"
-    | P.Simulate _ | P.Suite _ -> "simulate"
-    | P.Fuzz _ -> "fuzz"
-    | P.Ping | P.Stats | P.Shutdown -> assert false
-  in
-  List.assoc name st.pools
 
 (* ---------------------------- handlers ----------------------------- *)
 
@@ -296,57 +237,21 @@ let handle_suite st ~exp =
 let uptime_s st = float_of_int (now_ns () - st.started_ns) /. 1e9
 
 let stats_json st =
-  let n_kinds = Array.length P.kinds in
-  let merged = Array.init n_kinds (fun _ -> Histogram.create ()) in
-  Array.iter
-    (fun row ->
-      Array.iteri (fun k h -> Histogram.Sync.merge_into ~into:merged.(k) h) row)
-    st.hists;
-  Array.iteri
-    (fun k h -> Histogram.Sync.merge_into ~into:merged.(k) h)
-    st.fiber_hists;
-  Mutex.protect st.inline_lock (fun () ->
-      Array.iteri (fun k h -> Histogram.merge ~into:merged.(k) h) st.inline_hists);
   let kinds =
     Array.to_list
       (Array.mapi
          (fun k h ->
-           (P.kinds.(k), Histogram.to_json h))
-         merged)
+           (P.kinds.(k), Histogram.to_json (Histogram.Sync.snapshot h)))
+         st.hists)
     |> List.filter (fun (_, j) ->
            match Json.member "count" j with
            | Some (Json.Int 0) -> false
            | _ -> true)
   in
-  let fiber_fields =
-    match st.fiber with
-    | None -> []
-    | Some fp ->
-      let module F = Nd_runtime.Fiber_exec in
-      let s = F.stats fp in
-      [
-        ( "fiber_pool",
-          Json.Obj
-            [
-              ("name", Json.String (F.name fp));
-              ("workers", Json.Int s.F.workers);
-              ("started", Json.Bool (F.started fp));
-              ("fibers", Json.Int s.F.fibers);
-              ("completed", Json.Int s.F.completed);
-              ("suspensions", Json.Int s.F.suspensions);
-              ("steals", Json.Int s.F.steals);
-              ("peak_blocked", Json.Int s.F.peak_blocked);
-              ("blocked", Json.Int s.F.blocked);
-              ("errors", Json.Int s.F.errors);
-              ( "last_error",
-                match F.last_error fp with
-                | Some e -> Json.String e
-                | None -> Json.Null );
-            ] );
-      ]
-  in
+  let module F = Nd_runtime.Fiber_exec in
+  let s = F.stats st.pool in
   Json.Obj
-    ([
+    [
       ("uptime_s", Json.Float (uptime_s st));
       ("requests", Json.Int (Atomic.get st.n_requests));
       ("errors", Json.Int (Atomic.get st.n_errors));
@@ -362,26 +267,25 @@ let stats_json st =
             Cache.stats_json st.fuzz_results;
             Cache.stats_json st.suite_results;
           ] );
-      ( "pools",
-        Json.List
-          (List.map
-             (fun (name, { pool; _ }) ->
-               Json.Obj
-                 [
-                   ("name", Json.String name);
-                   ("size", Json.Int (Micropool.size pool));
-                   ("started", Json.Bool (Micropool.started pool));
-                   ("executed", Json.Int (Micropool.executed pool));
-                   ("errors", Json.Int (Micropool.errors pool));
-                   ("backlog", Json.Int (Micropool.backlog pool));
-                   ( "last_error",
-                     match Micropool.last_error pool with
-                     | Some e -> Json.String e
-                     | None -> Json.Null );
-                 ])
-             st.pools) );
+      ( "fiber_pool",
+        Json.Obj
+          [
+            ("name", Json.String (F.name st.pool));
+            ("workers", Json.Int s.F.workers);
+            ("started", Json.Int s.F.started);
+            ("fibers", Json.Int s.F.fibers);
+            ("completed", Json.Int s.F.completed);
+            ("suspensions", Json.Int s.F.suspensions);
+            ("steals", Json.Int s.F.steals);
+            ("peak_blocked", Json.Int s.F.peak_blocked);
+            ("blocked", Json.Int s.F.blocked);
+            ("errors", Json.Int s.F.errors);
+            ( "last_error",
+              match F.last_error st.pool with
+              | Some e -> Json.String e
+              | None -> Json.Null );
+          ] );
     ]
-    @ fiber_fields)
 
 let handle st (req : P.request) =
   match req with
@@ -445,40 +349,22 @@ let initiate_stop st =
           with Unix.Unix_error _ -> ())
         | None -> ())
 
-let record_inline st kind_idx dt =
-  Mutex.protect st.inline_lock (fun () ->
-      Histogram.record st.inline_hists.(kind_idx) dt)
-
 let dispatch st conn ({ P.id; req } : P.envelope) =
   let t0 = now_ns () in
   Atomic.incr st.n_requests;
+  let answer () =
+    respond st conn ~id (result_of_handle st req);
+    Histogram.Sync.record st.hists.(P.kind_index req) (now_ns () - t0)
+  in
   match req with
-  | P.Ping | P.Stats ->
-    respond st conn ~id (result_of_handle st req);
-    record_inline st (P.kind_index req) (now_ns () - t0)
+  | P.Ping | P.Stats -> answer ()
   | P.Shutdown ->
-    respond st conn ~id (result_of_handle st req);
-    record_inline st (P.kind_index req) (now_ns () - t0);
+    answer ();
     initiate_stop st
   | _ -> (
-    let kind_idx = P.kind_index req in
-    match st.fiber with
-    | Some fp ->
-      let job () =
-        respond st conn ~id (result_of_handle st req);
-        Histogram.Sync.record st.fiber_hists.(kind_idx) (now_ns () - t0)
-      in
-      (try Nd_runtime.Fiber_exec.submit fp job
-       with Nd_runtime.Fiber_exec.Closed ->
-         respond st conn ~id (Error "server shutting down"))
-    | None ->
-      let { pool; offset } = pool_for st req in
-      let job ~wid =
-        respond st conn ~id (result_of_handle st req);
-        Histogram.Sync.record st.hists.(offset + wid).(kind_idx) (now_ns () - t0)
-      in
-      (try Micropool.submit pool job
-       with Mpmc.Closed -> respond st conn ~id (Error "server shutting down")))
+    try Nd_runtime.Fiber_exec.submit st.pool answer
+    with Nd_runtime.Fiber_exec.Closed ->
+      respond st conn ~id (Error "server shutting down"))
 
 (* best-effort id for an error response to a frame that decoded as JSON
    but not as a request envelope *)
@@ -553,17 +439,10 @@ let run cfg =
        Sys.signal Sys.sigterm (Sys.Signal_handle (fun _ -> initiate_stop st))
    with Invalid_argument _ -> ());
   if not cfg.quiet then begin
-    Format.printf "ndsim serve: listening on %a (pools: %s)@." P.pp_addr
-      cfg.addr
-      (match st.fiber with
-      | Some fp ->
-        Printf.sprintf "fiber=%d" (Nd_runtime.Fiber_exec.n_workers fp)
-      | None ->
-        String.concat ", "
-          (List.map
-             (fun (n, { pool; _ }) ->
-               Printf.sprintf "%s=%d" n (Micropool.size pool))
-             st.pools));
+    Format.printf
+      "ndsim serve: listening on %a (fiber pool: up to %d workers)@."
+      P.pp_addr cfg.addr
+      (Nd_runtime.Fiber_exec.n_workers st.pool);
     Format.print_flush ()
   end;
   let rec accept_loop () =
@@ -588,8 +467,7 @@ let run cfg =
   Mutex.protect st.listen_lock (fun () ->
       st.listen_fd <- None;
       try Unix.close fd with Unix.Unix_error _ -> ());
-  List.iter (fun (_, { pool; _ }) -> Micropool.shutdown pool) st.pools;
-  Option.iter Nd_runtime.Fiber_exec.shutdown st.fiber;
+  Nd_runtime.Fiber_exec.shutdown st.pool;
   (match cfg.addr with
   | P.Unix_path path -> (
     try Unix.unlink path with Unix.Unix_error _ -> ())

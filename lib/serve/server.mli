@@ -5,37 +5,27 @@
 
     Topology (see DESIGN.md section 11): one accept loop; one reader
     thread per connection decoding length-prefixed
-    {!Nd_util.Json.Frame}s; decoded requests are enqueued on the
-    sharded {!Mpmc} queue of the micropool owning their kind
-    ([analyze] for lint/race, [simulate] for simulate/suite, [fuzz]
-    for fuzz); pool domains execute and write the response frame back
-    under the connection's write lock (responses may therefore
-    interleave across requests — clients match on [id]).  [ping],
-    [stats] and [shutdown] are answered inline by the reader thread.
+    {!Nd_util.Json.Frame}s.  [ping], [stats] and [shutdown] are
+    answered inline by the reader thread; every other request runs as
+    a fiber on one {!Nd_runtime.Fiber_exec} server pool of
+    {!Nd_runtime.Executor.default_workers} workers ([NDSIM_WORKERS]
+    sizes it), whose domains start on demand.  Request kinds have no
+    reserved workers: a long fuzz or suite request holds one of them.
+    A fiber writes its response frame under the connection's write
+    lock, so responses may interleave across requests — clients match
+    on [id].
 
     Per-request latency (decode to response written, queue wait
-    included) is recorded in a per-worker per-kind
-    {!Nd_util.Histogram} and merged on demand by the [stats]
-    request. *)
+    included) is recorded in one {!Nd_util.Histogram.Sync} per request
+    kind, written by reader threads and pool fibers alike, and read by
+    the [stats] request. *)
 
 type config = {
   addr : Protocol.addr;
-  pool_sizes : (string * int) list;
-      (** overrides for the [analyze]/[simulate]/[fuzz] pools; default
-          size for each is [max 1 (Executor.default_workers () / 2)] *)
-  shards : int;  (** request-queue shards per pool *)
   max_frame : int;  (** reject frames above this many payload bytes *)
   program_cache_cap : int;  (** compiled-workload entries *)
   result_cache_cap : int;  (** entries per result cache *)
   quiet : bool;
-  fiber_pool : int option;
-      (** [Some w]: run every pooled request as a fiber on one shared
-          [w]-worker {!Nd_runtime.Fiber_exec} pool instead of the named
-          micropools (which then exist but never start).  Handlers may
-          use {!Nd_runtime.Fiber_exec.spawn}/[await] internally; a
-          parked handler frees its worker for other requests.  Latency
-          histograms are then keyed by kind only — a resumed fiber may
-          finish on any worker. *)
 }
 
 val default_config : Protocol.addr -> config
@@ -45,7 +35,9 @@ val default_config : Protocol.addr -> config
 val standard_machine : top:int -> Nd_pmh.Pmh.t
 
 (** [run config] — bind, serve until a [shutdown] request (or
-    SIGINT/SIGTERM), drain the pools, clean up the socket.  Blocks for
+    SIGINT/SIGTERM), drain the pool, clean up the socket.  A request
+    arriving after the pool has closed is answered with the error
+    ["server shutting down"].  Blocks for
     the server's whole life; returns on clean shutdown.
     @raise Unix.Unix_error when the address cannot be bound. *)
 val run : config -> unit

@@ -6,8 +6,7 @@
     linear sub-buckets, so any recorded value is reconstructed with a
     relative error below [1/n_sub] (6.25%).  The whole structure is a
     flat int array: {!record} is a couple of shifts and one increment,
-    and {!merge} is element-wise addition — each server worker owns a
-    private histogram and the [stats] request folds them together.
+    and {!merge} is element-wise addition.
 
     Thread-safety: a bare histogram must be {e written} by one thread
     at a time, and readers must not overlap writers — {!record}
@@ -59,11 +58,12 @@ val bucket_total : t -> int
     [bucket_total] always equals [count] for a race-free histogram. *)
 val to_json : t -> Json.t
 
-(** Mutex-guarded histogram for slots written by one domain and read
-    by another (the server's per-worker latency slots).  [record] locks
-    per call — a couple of shifts plus an uncontended lock, still cheap
-    enough for the request path; readers take a consistent {!copy}
-    under the same lock. *)
+(** Mutex-guarded histogram for slots written by several threads or
+    domains while another reads them (the server's per-kind latency
+    histograms, recorded by reader threads and pool fibers alike).
+    [record] locks per call — a couple of shifts plus a briefly held
+    lock, still cheap enough for the request path; readers take a
+    consistent {!copy} under the same lock. *)
 module Sync : sig
   type histogram = t
 

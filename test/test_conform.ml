@@ -243,6 +243,41 @@ let test_explore_fiber_program () =
   | Ok s -> if s.Explore.runs = 0 then Alcotest.fail "no schedules explored"
   | Error f -> Alcotest.failf "exhaustive: %a" Explore.pp_failure f
 
+(* The explorer's preemption hooks are process-wide while a schedule
+   runs on one domain.  A server pool runs fuzz requests, and so the
+   explorer, beside workers popping their deques; such a domain must
+   pass the hooks, where it used to perform the explorer's [Yield] with
+   no handler and die. *)
+let test_explore_beside_other_domains () =
+  let stop = Atomic.make false in
+  let bystander =
+    Domain.spawn (fun () ->
+        let d = Deque.create () in
+        match
+          while not (Atomic.get stop) do
+            Deque.push d ();
+            ignore (Deque.pop d)
+          done
+        with
+        | () -> None
+        | exception e -> Some (Printexc.to_string e))
+  in
+  let explored =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        Explore.explore_deque
+          ~mode:(Explore.Random { seeds = explore_seeds })
+          ())
+  in
+  Alcotest.(check (option string)) "bystander domain unharmed" None
+    (Domain.join bystander);
+  match explored with
+  | Ok s ->
+    Alcotest.(check int) "all seeds ran" (List.length explore_seeds)
+      s.Explore.runs
+  | Error f -> Alcotest.failf "random walk: %a" Explore.pp_failure f
+
 (* A fiber-only program: two parallel strands hand a value through a
    promise the DAG does not know about — one awaits it, its sibling
    fulfills it.  The serial elision would await first and fail, so only
@@ -344,6 +379,8 @@ let () =
             test_explore_deque_mutation;
           Alcotest.test_case "fiber: random + exhaustive" `Quick
             test_explore_fiber_program;
+          Alcotest.test_case "hooks pass other domains" `Quick
+            test_explore_beside_other_domains;
           Alcotest.test_case "fiber: lost wakeup is found" `Quick
             test_explore_fiber_lost_wakeup;
         ] );

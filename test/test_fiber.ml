@@ -43,15 +43,24 @@ let test_promise_basics () =
 
 (* --------------------------- server pools --------------------------- *)
 
+(* poll [cond] for up to 10 s; its final value *)
+let within_10s cond =
+  let deadline = Unix.gettimeofday () +. 10. in
+  while (not (cond ())) && Unix.gettimeofday () < deadline do
+    Unix.sleepf 1e-3
+  done;
+  cond ()
+
 let test_pool_submit_shutdown () =
   let t = Fiber.create ~workers:2 ~name:"t" () in
-  Alcotest.(check bool) "lazy: not started" false (Fiber.started t);
+  let started () = (Fiber.stats t).Fiber.started in
+  Alcotest.(check int) "lazy: not started" 0 (started ());
   let hits = Atomic.make 0 in
   let n = 200 in
   for _ = 1 to n do
     Fiber.submit t (fun () -> Atomic.incr hits)
   done;
-  Alcotest.(check bool) "started after submit" true (Fiber.started t);
+  Alcotest.(check bool) "started after submit" true (started () >= 1);
   Fiber.shutdown t;
   Alcotest.(check int) "all jobs ran" n (Atomic.get hits);
   let s = Fiber.stats t in
@@ -61,6 +70,154 @@ let test_pool_submit_shutdown () =
   match Fiber.submit t (fun () -> ()) with
   | () -> Alcotest.fail "submit after shutdown must raise"
   | exception Fiber.Closed -> ()
+
+(* Workers start on demand: a submission starts worker k+1 only when k
+   fibers, the workers started, are already live.  Submissions that
+   never overlap keep one worker; four jobs that can only finish
+   together start all four. *)
+let test_pool_on_demand_start () =
+  let t = Fiber.create ~workers:4 () in
+  let started () = (Fiber.stats t).Fiber.started in
+  let idle () = Fiber.remaining t = 0 in
+  for i = 1 to 20 do
+    if not (within_10s idle) then
+      Alcotest.failf "submission %d never finished" i;
+    Fiber.submit t ignore
+  done;
+  Alcotest.(check bool) "last submission finished" true (within_10s idle);
+  Alcotest.(check int) "sequential submissions: one worker" 1 (started ());
+  (* a 4-party barrier: each job holds its worker until all 4 arrive *)
+  let arrived = Atomic.make 0 and released = Atomic.make 0 in
+  let party () =
+    Atomic.incr arrived;
+    if within_10s (fun () -> Atomic.get arrived = 4) then Atomic.incr released
+  in
+  for _ = 1 to 4 do
+    Fiber.submit t party
+  done;
+  Alcotest.(check bool) "barrier jobs finished" true (within_10s idle);
+  Alcotest.(check int) "barrier released" 4 (Atomic.get released);
+  Alcotest.(check int) "overlapping submissions: four workers" 4 (started ());
+  Fiber.shutdown t;
+  (match Fiber.submit t ignore with
+  | () -> Alcotest.fail "submit after shutdown must raise"
+  | exception Fiber.Closed -> ());
+  Alcotest.(check int) "closed pool starts nothing" 4 (started ())
+
+(* Submissions from several domains at once, as the server's reader
+   threads make them: every job runs exactly once, and the racing
+   on-demand starts never pass the pool size. *)
+let test_pool_many_submitters () =
+  let t = Fiber.create ~workers:3 () in
+  let n_submitters = 4 and per = 500 in
+  let runs = Array.init (n_submitters * per) (fun _ -> Atomic.make 0) in
+  let submitters =
+    List.init n_submitters (fun s ->
+        Domain.spawn (fun () ->
+            for i = 0 to per - 1 do
+              Fiber.submit t (fun () -> Atomic.incr runs.((s * per) + i))
+            done))
+  in
+  List.iter Domain.join submitters;
+  Fiber.shutdown t;
+  Array.iteri
+    (fun i c ->
+      if Atomic.get c <> 1 then
+        Alcotest.failf "job %d ran %d times (want exactly once)" i
+          (Atomic.get c))
+    runs;
+  let s = Fiber.stats t in
+  Alcotest.(check int) "every submission a fiber" (n_submitters * per)
+    s.Fiber.fibers;
+  Alcotest.(check int) "every fiber completed" (n_submitters * per)
+    s.Fiber.completed;
+  if s.Fiber.started < 1 || s.Fiber.started > 3 then
+    Alcotest.failf "started %d workers of 3" s.Fiber.started
+
+(* Submissions racing [shutdown]: each either raises [Closed] or runs,
+   exactly once, so on every round the accepted and the run balance and
+   no refused submission stays counted as live. *)
+let test_pool_submit_vs_shutdown () =
+  for round = 1 to 40 do
+    let t = Fiber.create ~workers:2 () in
+    let accepted = Atomic.make 0 and ran = Atomic.make 0 in
+    let submitters =
+      List.init 2 (fun _ ->
+          Domain.spawn (fun () ->
+              try
+                while true do
+                  Fiber.submit t (fun () -> Atomic.incr ran);
+                  Atomic.incr accepted
+                done
+              with Fiber.Closed -> ()))
+    in
+    (* close the pool mid-stream, a little later each round *)
+    let deadline = Unix.gettimeofday () +. 10. in
+    while Atomic.get accepted < round && Unix.gettimeofday () < deadline do
+      Domain.cpu_relax ()
+    done;
+    Fiber.shutdown t;
+    List.iter Domain.join submitters;
+    let accepted = Atomic.get accepted and ran = Atomic.get ran in
+    if accepted <> ran then
+      Alcotest.failf "round %d: %d submissions accepted, %d ran" round
+        accepted ran;
+    if Fiber.remaining t <> 0 then
+      Alcotest.failf "round %d: %d fibers still counted live" round
+        (Fiber.remaining t);
+    if (Fiber.stats t).Fiber.started > 2 then
+      Alcotest.failf "round %d: more workers than the pool size" round
+  done
+
+(* [shutdown] closes the pool but drains it: jobs queued behind a busy
+   worker all run before it returns, and a refused submission leaves
+   the counters as they were. *)
+let test_pool_shutdown_drains () =
+  let t = Fiber.create ~workers:1 () in
+  let gate = Atomic.make false and hits = Atomic.make 0 in
+  Fiber.submit t (fun () ->
+      while not (Atomic.get gate) do
+        Domain.cpu_relax ()
+      done);
+  for _ = 1 to 10 do
+    Fiber.submit t (fun () -> Atomic.incr hits)
+  done;
+  let opener =
+    Domain.spawn (fun () ->
+        Unix.sleepf 0.1;
+        Atomic.set gate true)
+  in
+  Fiber.shutdown t;
+  Domain.join opener;
+  Alcotest.(check int) "queued jobs all ran" 10 (Atomic.get hits);
+  (match Fiber.submit t ignore with
+  | () -> Alcotest.fail "submit after shutdown must raise"
+  | exception Fiber.Closed -> ());
+  let s = Fiber.stats t in
+  Alcotest.(check int) "refused submission not counted" 11 s.Fiber.fibers;
+  Alcotest.(check int) "all completed" 11 s.Fiber.completed;
+  Alcotest.(check int) "nothing live" 0 (Fiber.remaining t);
+  Alcotest.(check int) "one worker" 1 s.Fiber.started
+
+(* A pool fiber parked on a promise that a thread outside the pool
+   fulfills: the resumption crosses in through the injector and wakes
+   the idle worker, which finishes the fiber. *)
+let test_pool_offpool_fulfill () =
+  let t = Fiber.create ~workers:1 () in
+  let p = Fiber.promise () and out = Fiber.promise () in
+  Fiber.submit t (fun () -> Fiber.fulfill out (Fiber.await p + 1));
+  Alcotest.(check bool) "fiber parked" true
+    (within_10s (fun () -> (Fiber.stats t).Fiber.blocked = 1));
+  Fiber.fulfill p 41;
+  Alcotest.(check bool) "resumed fiber finished" true
+    (within_10s (fun () -> Fiber.peek out <> None));
+  Alcotest.(check (option int)) "value through the resumption" (Some 42)
+    (Fiber.peek out);
+  Fiber.shutdown t;
+  let s = Fiber.stats t in
+  Alcotest.(check int) "one suspension" 1 s.Fiber.suspensions;
+  Alcotest.(check int) "nothing parked" 0 s.Fiber.blocked;
+  Alcotest.(check int) "no errors" 0 s.Fiber.errors
 
 let test_pool_spawn_await () =
   (* a submitted fiber fans out via spawn and joins via promises *)
@@ -109,6 +266,28 @@ let test_pool_error_accounting () =
     if not (contains ~sub:"boom-7" msg) then
       Alcotest.failf "last_error %S does not mention boom-7" msg
   | None -> Alcotest.fail "last_error not retained"
+
+(* A raising job neither kills its worker nor stays counted as live:
+   submissions that never overlap, one of which raises, all run on the
+   one worker that the first of them started. *)
+let test_pool_error_keeps_worker () =
+  let t = Fiber.create ~workers:2 () in
+  let ok = Atomic.make 0 in
+  let idle () = Fiber.remaining t = 0 in
+  List.iter
+    (fun job ->
+      Fiber.submit t job;
+      if not (within_10s idle) then Alcotest.fail "job never finished")
+    [
+      (fun () -> Atomic.incr ok);
+      (fun () -> failwith "boom");
+      (fun () -> Atomic.incr ok);
+    ];
+  Alcotest.(check int) "jobs around the error ran" 2 (Atomic.get ok);
+  let s = Fiber.stats t in
+  Alcotest.(check int) "error counted" 1 s.Fiber.errors;
+  Alcotest.(check int) "one worker served all three" 1 s.Fiber.started;
+  Fiber.shutdown t
 
 let test_pool_blocked_shutdown () =
   (* a fiber parked on a promise nobody fulfills must not hang
@@ -359,10 +538,22 @@ let () =
             test_promise_basics;
           Alcotest.test_case "submit/shutdown exactly-once" `Quick
             test_pool_submit_shutdown;
+          Alcotest.test_case "workers start on demand" `Quick
+            test_pool_on_demand_start;
+          Alcotest.test_case "submitters on many domains, exactly-once"
+            `Quick test_pool_many_submitters;
+          Alcotest.test_case "submit racing shutdown loses nothing" `Quick
+            test_pool_submit_vs_shutdown;
+          Alcotest.test_case "shutdown drains queued jobs" `Quick
+            test_pool_shutdown_drains;
+          Alcotest.test_case "off-pool fulfill resumes a parked fiber" `Quick
+            test_pool_offpool_fulfill;
           Alcotest.test_case "spawn + promise join inside a pool" `Quick
             test_pool_spawn_await;
           Alcotest.test_case "error accounting + last_error" `Quick
             test_pool_error_accounting;
+          Alcotest.test_case "a raising job keeps its worker" `Quick
+            test_pool_error_keeps_worker;
           Alcotest.test_case "shutdown with a stuck fiber" `Quick
             test_pool_blocked_shutdown;
         ] );

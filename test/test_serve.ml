@@ -1,13 +1,11 @@
-(* Nd_serve: framing, protocol codec, sharded queue, micropools, keyed
-   LRU caches, the latency histogram, the thread-safety of the shared
-   decompose memo, and an end-to-end daemon round-trip over a unix
-   socket. *)
+(* Nd_serve: framing, protocol codec, keyed LRU caches, the latency
+   histogram, the thread-safety of the shared decompose memo, an
+   end-to-end daemon round-trip over a unix socket, and shutdown under
+   load. *)
 
 module Json = Nd_util.Json
 module Histogram = Nd_util.Histogram
 module P = Nd_serve.Protocol
-module Mpmc = Nd_serve.Mpmc
-module Micropool = Nd_serve.Micropool
 module Cache = Nd_serve.Cache
 module Server = Nd_serve.Server
 module Client = Nd_serve.Client
@@ -272,204 +270,6 @@ let test_frame_random_bytes_no_crash =
       in
       drain 0)
 
-(* ------------------------------ mpmc -------------------------------- *)
-
-let test_mpmc_exactly_once () =
-  let q = Mpmc.create ~shards:4 () in
-  let n_producers = 4 and per = 500 in
-  let popped = Array.make (n_producers * per) 0 in
-  let producers =
-    List.init n_producers (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Mpmc.push q ((p * per) + i)
-            done))
-  in
-  let consumers =
-    List.init 3 (fun _ ->
-        Domain.spawn (fun () ->
-            let rec go acc =
-              match Mpmc.pop q with
-              | Some v -> go (v :: acc)
-              | None -> acc
-            in
-            go []))
-  in
-  List.iter Domain.join producers;
-  Mpmc.close q;
-  let taken = List.concat_map Domain.join consumers in
-  List.iter (fun v -> popped.(v) <- popped.(v) + 1) taken;
-  Alcotest.(check int) "all items popped" (n_producers * per)
-    (List.length taken);
-  Array.iteri
-    (fun v c ->
-      if c <> 1 then
-        Alcotest.failf "item %d delivered %d times (want exactly once)" v c)
-    popped
-
-let test_mpmc_close_semantics () =
-  let q = Mpmc.create ~shards:2 () in
-  Mpmc.push q 1;
-  Mpmc.push q 2;
-  Mpmc.close q;
-  Alcotest.(check bool) "push after close raises" true
-    (match Mpmc.push q 3 with exception Mpmc.Closed -> true | _ -> false);
-  (* closed queues drain before returning None *)
-  let a = Mpmc.pop q and b = Mpmc.pop q in
-  Alcotest.(check bool) "drained both" true
-    (List.sort compare [ a; b ] = [ Some 1; Some 2 ]);
-  Alcotest.(check bool) "then None" true (Mpmc.pop q = None);
-  Alcotest.(check bool) "try_pop None" true (Mpmc.try_pop q = None)
-
-(* regression for the cursor overflow: fetch_and_add wraps past max_int
-   to min_int, and a negative counter mod n_shards is negative, so the
-   shard lookup raised Invalid_argument.  The cursors are now masked
-   with [land max_int]; pre-seed them at the brink and run enough
-   traffic to cross the wrap on every shard. *)
-let test_mpmc_cursor_wrap () =
-  let q = Mpmc.create ~shards:4 () in
-  Mpmc.unsafe_set_cursors q (max_int - 2);
-  let n = 64 in
-  let seen = Array.make n 0 in
-  for i = 0 to n - 1 do
-    Mpmc.push q i
-  done;
-  let rec drain () =
-    match Mpmc.try_pop q with
-    | Some v ->
-      seen.(v) <- seen.(v) + 1;
-      drain ()
-    | None -> ()
-  in
-  drain ();
-  Array.iteri
-    (fun v c ->
-      if c <> 1 then
-        Alcotest.failf "item %d delivered %d times across the wrap" v c)
-    seen;
-  (* and under contention: two producers and a consumer racing over the
-     wrap point must still deliver exactly once *)
-  let q = Mpmc.create ~shards:2 () in
-  Mpmc.unsafe_set_cursors q (max_int - 1);
-  let per = 1_000 in
-  let producers =
-    List.init 2 (fun p ->
-        Domain.spawn (fun () ->
-            for i = 0 to per - 1 do
-              Mpmc.push q ((p * per) + i)
-            done))
-  in
-  let consumer =
-    Domain.spawn (fun () ->
-        let rec go acc =
-          match Mpmc.pop q with Some v -> go (v :: acc) | None -> acc
-        in
-        go [])
-  in
-  List.iter Domain.join producers;
-  Mpmc.close q;
-  let taken = Domain.join consumer in
-  Alcotest.(check int) "all delivered across wrap" (2 * per)
-    (List.length taken);
-  Alcotest.(check int) "no duplicates" (2 * per)
-    (List.length (List.sort_uniq compare taken))
-
-(* Regression for the lost-job race: [push] used to check [closed]
-   without the lock, enqueue into its shard, and only then take [glock]
-   to publish [avail].  A [close] landing in that window let consumers
-   observe [avail = 0 && closed], drain out and get joined — stranding
-   the already-enqueued job forever.  The fix makes closed-check +
-   enqueue + publish one atomic step under [glock], so every push
-   either raises [Closed] or is eventually consumed: accepted pushes
-   and consumed items must balance exactly on every round. *)
-let test_mpmc_push_vs_close_race () =
-  let rounds = 60 in
-  for round = 1 to rounds do
-    let q = Mpmc.create ~shards:2 () in
-    let accepted = Atomic.make 0 in
-    let producers =
-      List.init 2 (fun _ ->
-          Domain.spawn (fun () ->
-              try
-                while true do
-                  Mpmc.push q ();
-                  Atomic.incr accepted
-                done
-              with Mpmc.Closed -> ()))
-    in
-    let consumers =
-      List.init 2 (fun _ ->
-          Domain.spawn (fun () ->
-              let rec go n =
-                match Mpmc.pop q with Some () -> go (n + 1) | None -> n
-              in
-              go 0))
-    in
-    (* let the producers get going, then slam the door mid-stream *)
-    for _ = 1 to 100 * round do
-      Domain.cpu_relax ()
-    done;
-    Mpmc.close q;
-    List.iter Domain.join producers;
-    let consumed = List.fold_left (fun a d -> a + Domain.join d) 0 consumers in
-    let accepted = Atomic.get accepted in
-    if accepted <> consumed then
-      Alcotest.failf "round %d lost %d job(s): %d accepted, %d consumed" round
-        (accepted - consumed) accepted consumed
-  done
-
-(* ---------------------------- micropool ----------------------------- *)
-
-let test_micropool_lazy_and_exact () =
-  let pool = Micropool.create ~name:"t" ~size:2 () in
-  Alcotest.(check bool) "not started before submit" false
-    (Micropool.started pool);
-  let hits = Atomic.make 0 in
-  for _ = 1 to 200 do
-    Micropool.submit pool (fun ~wid ->
-        assert (wid >= 0 && wid < 2);
-        Atomic.incr hits)
-  done;
-  Alcotest.(check bool) "started after submit" true (Micropool.started pool);
-  Micropool.shutdown pool;
-  Alcotest.(check int) "all jobs ran" 200 (Atomic.get hits);
-  Alcotest.(check int) "executed counter" 200 (Micropool.executed pool);
-  Alcotest.(check int) "no errors" 0 (Micropool.errors pool)
-
-let test_micropool_survives_errors () =
-  let pool = Micropool.create ~name:"t" ~size:1 () in
-  let ok = Atomic.make 0 in
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom");
-  Micropool.submit pool (fun ~wid:_ -> Atomic.incr ok);
-  Micropool.shutdown pool;
-  Alcotest.(check int) "job after error still ran" 1 (Atomic.get ok);
-  Alcotest.(check int) "error counted" 1 (Micropool.errors pool)
-
-let test_micropool_error_accounting () =
-  let pool = Micropool.create ~name:"t" ~size:1 () in
-  Alcotest.(check (option string)) "no error yet" None
-    (Micropool.last_error pool);
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom-kaboom");
-  Micropool.submit pool (fun ~wid:_ -> ());
-  Micropool.submit pool (fun ~wid:_ -> failwith "boom-kaboom");
-  Micropool.submit pool (fun ~wid:_ -> ());
-  Micropool.shutdown pool;
-  Alcotest.(check int) "executed counts successes only" 2
-    (Micropool.executed pool);
-  Alcotest.(check int) "errors counted" 2 (Micropool.errors pool);
-  match Micropool.last_error pool with
-  | Some msg ->
-    let contains ~sub s =
-      let ls = String.length sub and lm = String.length s in
-      let rec scan i =
-        i + ls <= lm && (String.sub s i ls = sub || scan (i + 1))
-      in
-      scan 0
-    in
-    if not (contains ~sub:"boom-kaboom" msg) then
-      Alcotest.failf "last_error lacks the message: %s" msg
-  | None -> Alcotest.fail "last_error not retained"
-
 (* ------------------------------ cache ------------------------------- *)
 
 let test_cache_lru () =
@@ -627,8 +427,7 @@ let test_server_end_to_end () =
   let cfg =
     {
       (Server.default_config (P.Unix_path sock_path)) with
-      Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
-      quiet = true;
+      Server.quiet = true;
     }
   in
   let server = Thread.create (fun () -> Server.run cfg) () in
@@ -673,6 +472,29 @@ let test_server_end_to_end () =
     Alcotest.(check bool) "unknown algo mentions name" true
       (String.length msg > 0)
   | Ok _ -> Alcotest.fail "lint of unknown algorithm succeeded");
+  (* the pool is intact for the next request *)
+  Alcotest.(check bool) "pool alive after error" true
+    (member_exn "race_free" (Client.call_exn conn (P.Race wk))
+    = Json.Bool true);
+  (* a pipelined burst through the pool, led by a fuzz request: the
+     oracle runs its backends and schedule explorer inside a pool fiber
+     (a fiber program run, a worker crew nested on a pool worker
+     domain) while the other workers serve the lints; every id is
+     answered *)
+  let fuzz_id =
+    Client.send conn (P.Fuzz { count = 3; seed = 17; max_depth = 3 })
+  in
+  let ids = List.init 50 (fun _ -> Client.send conn (P.Lint wk)) in
+  let replies = List.init 51 (fun _ -> Client.recv conn) in
+  Alcotest.(check (list int)) "burst ids all answered"
+    (List.sort compare (fuzz_id :: ids))
+    (List.sort compare (List.map (fun (r : P.response) -> r.P.id) replies));
+  let fuzz = List.find (fun (r : P.response) -> r.P.id = fuzz_id) replies in
+  (match fuzz.P.result with
+  | Ok fuzz ->
+    Alcotest.(check bool) "fuzz cases pass" true
+      (member_exn "failures" fuzz = Json.Int 0)
+  | Error e -> Alcotest.failf "fuzz failed: %s" e);
   (* stats: lint cache must show at least one hit, histograms nonzero *)
   let stats = Client.call_exn conn P.Stats in
   let lint_cache =
@@ -690,11 +512,26 @@ let test_server_end_to_end () =
   (match member_exn "hits" cost_cache with
   | Json.Int h when h >= 1 -> ()
   | j -> Alcotest.failf "analyze cache hits: %s" (Json.to_string j));
-  (match member_exn "lint" (member_exn "latency_ns" stats) with
-  | j -> (
-    match member_exn "count" j with
-    | Json.Int c when c >= 2 -> ()
-    | k -> Alcotest.failf "lint latency count: %s" (Json.to_string k)));
+  (* one histogram per kind, whichever thread or worker answered: 53
+     lints, the last of which may record just after its reply *)
+  (match member_exn "count" (member_exn "lint" (member_exn "latency_ns" stats))
+   with
+  | Json.Int c when c >= 52 -> ()
+  | j -> Alcotest.failf "lint latency count: %s" (Json.to_string j));
+  let fp = member_exn "fiber_pool" stats in
+  (match (member_exn "started" fp, member_exn "workers" fp) with
+  | Json.Int s, Json.Int w when s >= 1 && s <= w -> ()
+  | s, w ->
+    Alcotest.failf "fiber pool started %s of %s workers" (Json.to_string s)
+      (Json.to_string w));
+  (* 59 pooled requests: 6 before the failing lint, it, 1 after, 50 in
+     the burst and the fuzz *)
+  (match member_exn "fibers" fp with
+  | Json.Int n when n >= 59 -> ()
+  | j -> Alcotest.failf "fiber count too low: %s" (Json.to_string j));
+  (* handler errors are protocol-level responses, not fiber errors *)
+  Alcotest.(check bool) "no fiber-level errors" true
+    (member_exn "errors" fp = Json.Int 0);
   (* pipelined burst: ids must all come back *)
   let ids = List.init 20 (fun _ -> Client.send conn P.Ping) in
   let got = List.init 20 (fun _ -> (Client.recv conn).P.id) in
@@ -708,66 +545,131 @@ let test_server_end_to_end () =
   Thread.join server;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
 
-(* the fiber-pool dispatch path: handlers run as effect-handler fibers
-   on one shared pool instead of the named micropools.  Same protocol
-   behavior as the micropool path, plus the fiber pool's own stats
-   section — and the micropools must never have started. *)
-let test_server_fiber_pool () =
-  let sock_path = fresh_sock_path "fiber" in
+(* The server's one pool: [NDSIM_WORKERS] sizes it, as it sizes every
+   other runtime entry point, and no worker starts before a request
+   needs the pool; pings and stats are answered inline. *)
+let test_server_pool_on_demand () =
+  let sock_path = fresh_sock_path "ondemand" in
   let cfg =
-    {
-      (Server.default_config (P.Unix_path sock_path)) with
-      Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
-      quiet = true;
-      fiber_pool = Some 2;
-    }
+    { (Server.default_config (P.Unix_path sock_path)) with Server.quiet = true }
   in
-  let server = Thread.create (fun () -> Server.run cfg) () in
-  wait_for_socket sock_path;
+  let saved = Sys.getenv_opt "NDSIM_WORKERS" in
+  Unix.putenv "NDSIM_WORKERS" "3";
+  let server =
+    Fun.protect
+      ~finally:(fun () ->
+        (* an empty value reads as unset *)
+        Unix.putenv "NDSIM_WORKERS" (Option.value saved ~default:""))
+      (fun () ->
+        let server = Thread.create (fun () -> Server.run cfg) () in
+        wait_for_socket sock_path;
+        server)
+  in
   let conn = Client.connect (P.Unix_path sock_path) in
-  let lint = Client.call_exn conn (P.Lint wk) in
+  let pool () = member_exn "fiber_pool" (Client.call_exn conn P.Stats) in
+  ignore (Client.call_exn conn P.Ping);
+  let fp = pool () in
+  Alcotest.(check bool) "NDSIM_WORKERS sizes the pool" true
+    (member_exn "workers" fp = Json.Int 3);
+  Alcotest.(check bool) "no worker before a pooled request" true
+    (member_exn "started" fp = Json.Int 0);
   Alcotest.(check bool) "lint clean" true
-    (member_exn "errors" lint = Json.Int 0);
-  let race = Client.call_exn conn (P.Race wk) in
-  Alcotest.(check bool) "race-free" true
-    (member_exn "race_free" race = Json.Bool true);
-  (* a pipelined burst through the shared pool: every id answered *)
-  let ids = List.init 50 (fun _ -> Client.send conn (P.Lint wk)) in
-  let got = List.init 50 (fun _ -> (Client.recv conn).P.id) in
-  Alcotest.(check bool) "burst ids all answered" true
-    (List.sort compare ids = List.sort compare got);
-  (* a failing request comes back as an error response, with the pool
-     intact for the next request *)
-  (match (Client.call conn (P.Lint { wk with algo = "nope" })).P.result with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "lint of unknown algorithm succeeded");
-  Alcotest.(check bool) "pool alive after error" true
-    (member_exn "race_free" (Client.call_exn conn (P.Race wk)) = Json.Bool true);
-  let stats = Client.call_exn conn P.Stats in
-  let fp = member_exn "fiber_pool" stats in
-  Alcotest.(check bool) "fiber pool started" true
-    (member_exn "started" fp = Json.Bool true);
-  (match member_exn "fibers" fp with
-  | Json.Int n when n >= 54 -> ()
-  | j -> Alcotest.failf "fiber count too low: %s" (Json.to_string j));
-  (* handler errors are protocol-level responses, not fiber errors *)
-  Alcotest.(check bool) "no fiber-level errors" true
-    (member_exn "errors" fp = Json.Int 0);
-  (* latency histograms keyed by kind despite worker migration *)
-  (match member_exn "count" (member_exn "lint" (member_exn "latency_ns" stats))
-   with
-  | Json.Int c when c >= 51 -> ()
-  | j -> Alcotest.failf "lint latency count: %s" (Json.to_string j));
-  (* the micropools exist but never started *)
-  Json.to_list (member_exn "pools" stats)
-  |> List.iter (fun pj ->
-         Alcotest.(check bool) "micropool idle" true
-           (member_exn "started" pj = Json.Bool false));
-  let bye = Client.call_exn conn P.Shutdown in
-  Alcotest.(check bool) "stopping" true
-    (member_exn "stopping" bye = Json.Bool true);
+    (member_exn "errors" (Client.call_exn conn (P.Lint wk)) = Json.Int 0);
+  let fp = pool () in
+  Alcotest.(check bool) "one request, one worker" true
+    (member_exn "started" fp = Json.Int 1);
+  Alcotest.(check bool) "one fiber" true (member_exn "fibers" fp = Json.Int 1);
+  ignore (Client.call_exn conn P.Shutdown);
   Client.close conn;
   Thread.join server;
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
+
+(* Shutdown under load: 40 lint requests pipelined over two connections,
+   a shutdown on one, then 10 more lints on the other.  Every request
+   is answered exactly once: a lint either runs, or arrives after the
+   pool has closed and is refused.  The server still returns. *)
+let test_shutdown_under_load () =
+  let sock_path = fresh_sock_path "drain" in
+  let cfg =
+    { (Server.default_config (P.Unix_path sock_path)) with Server.quiet = true }
+  in
+  let returned = Atomic.make false in
+  let server =
+    Thread.create
+      (fun () ->
+        Server.run cfg;
+        Atomic.set returned true)
+      ()
+  in
+  wait_for_socket sock_path;
+  let conns = Array.init 2 (fun _ -> Client.connect (P.Unix_path sock_path)) in
+  let sent = Array.make 2 [] in
+  let send c req = sent.(c) <- (Client.send conns.(c) req, req) :: sent.(c) in
+  (* eight keys, so the pool still has compiles to run *)
+  let lint i = P.Lint { wk with seed = i mod 8 } in
+  for i = 0 to 39 do
+    send (i mod 2) (lint i)
+  done;
+  send 0 P.Shutdown;
+  for i = 40 to 49 do
+    send 1 (lint i)
+  done;
+  let within_30s cond =
+    let deadline = Unix.gettimeofday () +. 30. in
+    while (not (cond ())) && Unix.gettimeofday () < deadline do
+      Unix.sleepf 0.01
+    done;
+    cond ()
+  in
+  (* a lost reply must fail the test, not hang it: read on threads *)
+  let replies = Array.make 2 [] and lock = Mutex.create () in
+  let readers =
+    Array.mapi
+      (fun c conn ->
+        Thread.create
+          (fun () ->
+            for _ = 1 to List.length sent.(c) do
+              let r = Client.recv conn in
+              Mutex.protect lock (fun () -> replies.(c) <- r :: replies.(c))
+            done)
+          ())
+      conns
+  in
+  Alcotest.(check bool) "Server.run returned within 30 s" true
+    (within_30s (fun () -> Atomic.get returned));
+  Thread.join server;
+  let all_in () =
+    Mutex.protect lock (fun () ->
+        Array.for_all2
+          (fun r s -> List.length r = List.length s)
+          replies sent)
+  in
+  if not (within_30s all_in) then
+    Alcotest.failf "replies missing: %d of %d and %d of %d"
+      (List.length replies.(0)) (List.length sent.(0))
+      (List.length replies.(1)) (List.length sent.(1));
+  Array.iter Thread.join readers;
+  Array.iteri
+    (fun c conn ->
+      let ids = List.map (fun (r : P.response) -> r.P.id) replies.(c) in
+      Alcotest.(check (list int))
+        (Printf.sprintf "connection %d: each id answered once" c)
+        (List.sort compare (List.map fst sent.(c)))
+        (List.sort compare ids);
+      List.iter
+        (fun (r : P.response) ->
+          match (List.assoc r.P.id sent.(c), r.P.result) with
+          | P.Lint _, (Ok _ | Error "server shutting down") | P.Shutdown, Ok _
+            ->
+            ()
+          | _, Ok j -> Alcotest.failf "unexpected reply %s" (Json.to_string j)
+          | _, Error e -> Alcotest.failf "unexpected error %s" e)
+        replies.(c);
+      (* nothing trails: the next reply on the connection is a ping's *)
+      let id = Client.send conn P.Ping in
+      Alcotest.(check int) "no reply after the last" id (Client.recv conn).P.id;
+      Client.close conn)
+    conns;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
 
 (* regression for the shared-socket-path isolation bug: two servers in
@@ -780,8 +682,7 @@ let test_two_servers_coexist () =
     let cfg =
       {
         (Server.default_config (P.Unix_path path)) with
-        Server.pool_sizes = [ ("analyze", 1); ("simulate", 1); ("fuzz", 1) ];
-        quiet = true;
+        Server.quiet = true;
       }
     in
     let thread = Thread.create (fun () -> Server.run cfg) () in
@@ -837,25 +738,6 @@ let () =
             test_frame_malformed_payload;
           QCheck_alcotest.to_alcotest test_frame_random_bytes_no_crash;
         ] );
-      ( "mpmc",
-        [
-          Alcotest.test_case "exactly-once across domains" `Quick
-            test_mpmc_exactly_once;
-          Alcotest.test_case "close semantics" `Quick test_mpmc_close_semantics;
-          Alcotest.test_case "cursor wrap at max_int" `Quick
-            test_mpmc_cursor_wrap;
-          Alcotest.test_case "push vs close race" `Quick
-            test_mpmc_push_vs_close_race;
-        ] );
-      ( "micropool",
-        [
-          Alcotest.test_case "lazy start, exact execution" `Quick
-            test_micropool_lazy_and_exact;
-          Alcotest.test_case "survives job errors" `Quick
-            test_micropool_survives_errors;
-          Alcotest.test_case "error accounting and last_error" `Quick
-            test_micropool_error_accounting;
-        ] );
       ( "cache",
         [
           Alcotest.test_case "keyed lru" `Quick test_cache_lru;
@@ -873,8 +755,10 @@ let () =
       ( "server",
         [
           Alcotest.test_case "end-to-end" `Quick test_server_end_to_end;
-          Alcotest.test_case "fiber-pool dispatch" `Quick
-            test_server_fiber_pool;
+          Alcotest.test_case "pool sized by NDSIM_WORKERS, started on demand"
+            `Quick test_server_pool_on_demand;
+          Alcotest.test_case "shutdown under load" `Quick
+            test_shutdown_under_load;
           Alcotest.test_case "two servers coexist" `Quick
             test_two_servers_coexist;
         ] );
