@@ -118,13 +118,13 @@ let run_bechamel () =
 (* Where a compiled program's words go: the spine's exec set-up (the
    four programs at seed 1, compiled) with each program's vertices V,
    edges E and fire edges P, and the words [Obj.reachable_words] reaches
-   from its DAG adjacency, its fire edges, its node footprints and the
-   whole program (strand actions and operands included), in 10^6-byte
-   MB.  Run first, so the top heap is the set-up's alone. *)
+   from its DAG adjacency, its fire edges and the whole program (strand
+   actions and operands included), in 10^6-byte MB.  Run first, so the
+   top heap is the set-up's alone. *)
 let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
-      [ "program"; "V"; "E"; "P"; "adjacency"; "fire pairs"; "footprints"; "program" ]
+      [ "program"; "V"; "E"; "P"; "adjacency"; "fire pairs"; "program" ]
   in
   let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
   let programs =
@@ -152,7 +152,6 @@ let run_memory () =
           Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
           mb w.Nd.Program.adjacency;
           mb w.Nd.Program.fire_pairs;
-          mb w.Nd.Program.footprints;
           mb w.Nd.Program.program;
         ])
     programs;

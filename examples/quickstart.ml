@@ -44,10 +44,12 @@ let () =
   let w = Nd_algos.Trs.workload ~n:32 ~base:4 ~seed:7 () in
   let p = Nd_algos.Workload.compile w in
   Format.printf "@.TRS n=32: %a@." Analysis.pp_report (Analysis.analyze p);
-  (match Nd_dag.Race.find_races ~limit:1 (Program.dag p) with
-  | [] -> print_endline "TRS DAG is determinacy-race free"
-  | _ -> print_endline "TRS DAG has races (bug!)");
+  let racy = Nd_dag.Race.find_races ~limit:1 (Program.dag p) <> [] in
+  print_endline
+    (if racy then "TRS DAG has races (bug!)"
+     else "TRS DAG is determinacy-race free");
   w.Nd_algos.Workload.reset ();
   Nd_runtime.Executor.run_dataflow p;
-  Format.printf "dataflow execution error vs serial reference: %g@."
-    (w.Nd_algos.Workload.check ())
+  let err = w.Nd_algos.Workload.check () in
+  Format.printf "dataflow execution error vs serial reference: %g@." err;
+  if racy || err <> 0. then exit 1

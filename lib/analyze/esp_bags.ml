@@ -60,11 +60,12 @@ let leaf_strands program =
       | Program.Leaf s -> s
       | Program.Seq | Program.Par | Program.Fire _ -> assert false)
 
-let max_address program =
-  Is.fold
-    (fun _ hi acc -> max acc hi)
-    (Program.footprint program (Program.root program))
-    0
+(* one past the highest address any strand reads or writes *)
+let max_address strands =
+  let hi set acc = Is.fold (fun _ hi acc -> max acc hi) set acc in
+  Array.fold_left
+    (fun acc s -> hi s.Strand.reads (hi s.Strand.writes acc))
+    0 strands
 
 exception Done
 
@@ -117,7 +118,7 @@ let analyze ?(limit = 16) program =
     bag.(node) <- r
   in
   (* shadow memory *)
-  let size = max (max_address program) 1 in
+  let size = max (max_address strands) 1 in
   let writer = Array.make size (-1) in
   let readers = Array.make size [] in
   let n_accesses = ref 0 and n_queries = ref 0 and sp_hits = ref 0 in

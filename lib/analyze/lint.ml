@@ -339,12 +339,17 @@ let lint_program program =
 
 (* ------------------------------ driver ----------------------------- *)
 
-let lint_all ~registry tree =
+(* [program ()] runs only when the static pass found no errors:
+   compilation raises on exactly the defects the static pass reports *)
+let lint_with ~registry tree program =
   let static = lint_registry registry @ lint_tree registry tree in
-  (* only compile when the static pass found no errors: compilation
-     raises on exactly the defects the static pass reports *)
-  if has_errors static then static
-  else static @ lint_program (Program.compile ~registry tree)
+  if has_errors static then static else static @ lint_program (program ())
+
+let lint_all ~registry tree =
+  lint_with ~registry tree (fun () -> Program.compile ~registry tree)
+
+let lint_compiled p =
+  lint_with ~registry:(Program.registry p) (Program.tree p) (fun () -> p)
 
 (* ----------------- structural (Cost-based) checks ------------------ *)
 

@@ -88,6 +88,11 @@ val lint_program : Nd.Program.t -> finding list
 val lint_all :
   registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
+(** [lint_compiled p] — the same battery on an already compiled
+    program: the static passes over [p]'s own registry and tree, then
+    [lint_program p] when they produced no errors. *)
+val lint_compiled : Nd.Program.t -> finding list
+
 (** [lint_cost ?machine ?procs ~has_fires cost] — the structural checks
     over a completed {!Cost} pass: ND011 (peak footprint vs the
     outermost cache of [machine]), ND012 (parallelism below [procs]),

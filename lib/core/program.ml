@@ -14,9 +14,6 @@ type node = {
   leaf_hi : int;
   begin_v : int;
   end_v : int;
-  mutable footprint : Is.t;
-  mutable size : int;
-  mutable work : int;
 }
 
 type decomposition = {
@@ -35,6 +32,8 @@ type t = {
   root : node_id;
   leaf_nodes : int array;
   leaf_vertices : int array;
+  sizes : int array;  (* s(n), by node *)
+  works : int array;  (* the subtree's strand work, by node *)
   vertex_owner : int array;
   fire_pairs : int array;  (* [a·n_nodes + b], sorted *)
   decomp_cache : (int, decomposition) Hashtbl.t;
@@ -55,9 +54,6 @@ let dummy_node =
     leaf_hi = 0;
     begin_v = 0;
     end_v = 0;
-    footprint = Is.empty;
-    size = 0;
-    work = 0;
   }
 
 (* Stable sort of [src] by [key], whose values lie in [0, buckets). *)
@@ -123,9 +119,6 @@ let compile ~registry tree =
             leaf_hi = leaf_idx + 1;
             begin_v = v;
             end_v = v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
           }
       in
       leaf_nodes := id :: !leaf_nodes;
@@ -149,9 +142,6 @@ let compile ~registry tree =
           leaf_hi = hi;
           begin_v;
           end_v;
-          footprint = Is.empty;
-          size = 0;
-          work = 0;
         }
     | Spawn_tree.Par cs ->
       let lo = !n_leaves in
@@ -170,9 +160,6 @@ let compile ~registry tree =
             leaf_hi = hi;
             begin_v;
             end_v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
           }
       in
       owners := (begin_v, id) :: (end_v, id) :: !owners;
@@ -198,9 +185,6 @@ let compile ~registry tree =
             leaf_hi = hi;
             begin_v;
             end_v;
-            footprint = Is.empty;
-            size = 0;
-            work = 0;
           }
       in
       owners := (begin_v, id) :: (end_v, id) :: !owners;
@@ -212,27 +196,32 @@ let compile ~registry tree =
   Array.iteri
     (fun id n -> Array.iter (fun c -> nodes.(c).parent <- id) n.children)
     nodes;
-  (* footprints, sizes, works: ids are post-order, children first *)
-  Array.iter
-    (fun n ->
-      match n.kind with
-      | Leaf s ->
-        n.footprint <- Strand.footprint s;
-        n.size <- Is.cardinal n.footprint;
-        n.work <- s.Strand.work
-      | Seq | Par | Fire _ ->
-        let fp =
+  let n = Array.length nodes in
+  (* sizes and works: ids are post-order, children first.  A node's
+     footprint set lives in [fps] only until its parent has absorbed
+     it; the program keeps the counts, not the sets. *)
+  let sizes = Array.make n 0 and works = Array.make n 0 in
+  let fps = Array.make n Is.empty in
+  Array.iteri
+    (fun id nd ->
+      let fp =
+        match nd.kind with
+        | Leaf s ->
+          works.(id) <- s.Strand.work;
+          Strand.footprint s
+        | Seq | Par | Fire _ ->
           Array.fold_left
-            (fun acc c -> Is.union acc nodes.(c).footprint)
-            Is.empty n.children
-        in
-        n.footprint <- fp;
-        n.size <- Is.cardinal fp;
-        n.work <-
-          Array.fold_left (fun acc c -> acc + nodes.(c).work) 0 n.children)
+            (fun acc c ->
+              works.(id) <- works.(id) + works.(c);
+              let fc = fps.(c) in
+              fps.(c) <- Is.empty;
+              Is.union acc fc)
+            Is.empty nd.children
+      in
+      sizes.(id) <- Is.cardinal fp;
+      fps.(id) <- fp)
     nodes;
   (* ---------------- fire-arrow rewriting ---------------- *)
-  let n = Array.length nodes in
   let fires =
     List.filter_map
       (fun id ->
@@ -323,6 +312,8 @@ let compile ~registry tree =
     root;
     leaf_nodes = Array.of_list (List.rev !leaf_nodes);
     leaf_vertices = Array.of_list (List.rev !leaf_vertices);
+    sizes;
+    works;
     vertex_owner;
     fire_pairs;
     decomp_cache = Hashtbl.create 16;
@@ -377,19 +368,13 @@ let fire_src t i = t.fire_pairs.(i) / Array.length t.nodes
 
 let fire_snk t i = t.fire_pairs.(i) mod Array.length t.nodes
 
-type heap_words = {
-  adjacency : int;
-  fire_pairs : int;
-  footprints : int;
-  program : int;
-}
+type heap_words = { adjacency : int; fire_pairs : int; program : int }
 
 let heap_words t =
   let words x = Obj.reachable_words (Obj.repr x) in
   {
     adjacency = words (Dag.csr t.dag);
     fire_pairs = words t.fire_pairs;
-    footprints = words (Array.map (fun nd -> nd.footprint) t.nodes);
     program = words t;
   }
 
@@ -401,17 +386,13 @@ let end_vertex t n =
   check t n;
   t.nodes.(n).end_v
 
-let footprint t n =
-  check t n;
-  t.nodes.(n).footprint
-
 let size t n =
   check t n;
-  t.nodes.(n).size
+  t.sizes.(n)
 
 let work_of_node t n =
   check t n;
-  t.nodes.(n).work
+  t.works.(n)
 
 (* ------------------------------------------------------------------ *)
 (* M-maximal decomposition                                             *)
@@ -423,7 +404,7 @@ let decompose_uncached t ~m =
   let n_glue = ref 0 in
   let rec go n =
     let node = t.nodes.(n) in
-    if node.size <= m || node.children = [||] then begin
+    if t.sizes.(n) <= m || node.children = [||] then begin
       let idx = !n_tasks in
       incr n_tasks;
       tasks := n :: !tasks;

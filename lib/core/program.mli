@@ -91,13 +91,13 @@ val begin_vertex : t -> node_id -> Nd_dag.Dag.vertex_id
 
 val end_vertex : t -> node_id -> Nd_dag.Dag.vertex_id
 
-(** {2 Sizes and footprints} *)
-
-(** [footprint t n]: union of the strand footprints in [n]'s subtree. *)
-val footprint : t -> node_id -> Nd_util.Interval_set.t
+(** {2 Sizes} *)
 
 (** [size t n] = s(n): distinct memory locations accessed by the subtree
-    (the paper's statically-allocated task size). *)
+    (the paper's statically-allocated task size), the cardinality of
+    the union of its strands' footprints.  [compile] builds each
+    node's union from its children's and drops the children's sets as
+    it goes: a compiled program keeps the sizes, not the sets. *)
 val size : t -> node_id -> int
 
 (** [work_of_node t n]: total strand work in the subtree. *)
@@ -110,7 +110,6 @@ val work_of_node : t -> node_id -> int
 type heap_words = {
   adjacency : int;  (** the DAG's CSR, both directions *)
   fire_pairs : int;  (** the sorted fire edges *)
-  footprints : int;  (** every node's footprint set *)
   program : int;  (** all of it, strand actions and their operands included *)
 }
 

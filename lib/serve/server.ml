@@ -128,9 +128,9 @@ let wk_fields (w : Workload.t) =
 
 let handle_lint st wk =
   Cache.find_or_compute st.lint_results (prog_key_of_wk wk) (fun () ->
-      let w, _p = compiled st wk in
+      let w, p = compiled st wk in
       let module Lint = Nd_analyze.Lint in
-      let fs = Lint.lint_all ~registry:w.Workload.registry w.Workload.tree in
+      let fs = Lint.lint_compiled p in
       let count s = List.length (List.filter (fun f -> f.Lint.severity = s) fs) in
       Json.Obj
         (wk_fields w

@@ -556,7 +556,72 @@ let test_packed_shape () =
   in
   let rest = Obj.reachable_words (Obj.repr dag) - w.Program.adjacency - payload in
   if rest > (4 * v) + 16 then
-    Alcotest.failf "DAG: %d words past its CSR and vertex payload (%d edges, %d vertices)" rest e v
+    Alcotest.failf "DAG: %d words past its CSR and vertex payload (%d edges, %d vertices)" rest e v;
+  (* past its spawn tree, its DAG and its fire pairs, a program holds
+     O(1) words a spawn-tree node: its node records and tables, no
+     interval set a node *)
+  let nodes = Program.n_nodes p in
+  let own =
+    w.Program.program - w.Program.fire_pairs
+    - Obj.reachable_words (Obj.repr (Program.tree p, dag))
+  in
+  if own > 24 * nodes then
+    Alcotest.failf "program: %d words past its tree, DAG and fire pairs for %d nodes" own nodes
+
+(* Every node's size is the number of distinct addresses its leaves'
+   strands touch, and its work their summed work, both recounted here
+   leaf by leaf from the node's leaf range. *)
+let check_node_sizes what p =
+  let strand i =
+    match Program.kind_of p (Program.leaf_node p i) with
+    | Program.Leaf s -> s
+    | Program.Seq | Program.Par | Program.Fire _ -> Alcotest.failf "%s: leaf %d is no leaf" what i
+  in
+  let seen = Hashtbl.create 1024 in
+  for n = 0 to Program.n_nodes p - 1 do
+    let lo, hi = Program.leaf_range p n in
+    Hashtbl.reset seen;
+    let work = ref 0 in
+    for i = lo to hi - 1 do
+      let s = strand i in
+      work := !work + s.Strand.work;
+      Is.iter
+        (fun a b ->
+          for x = a to b - 1 do
+            Hashtbl.replace seen x ()
+          done)
+        (Strand.footprint s)
+    done;
+    if Program.size p n <> Hashtbl.length seen || Program.work_of_node p n <> !work then
+      Alcotest.failf "%s node %d: size %d and work %d, its leaves %d..%d touch %d addresses and work %d"
+        what n (Program.size p n) (Program.work_of_node p n) lo hi (Hashtbl.length seen) !work
+  done
+
+let test_node_sizes_families () =
+  let module W = Nd_algos.Workload in
+  List.iter
+    (fun (f : Nd_experiments.Workloads.family) ->
+      List.iter
+        (fun n ->
+          let w = f.build ~n ~base:f.base ~seed:1 in
+          List.iter
+            (fun mode ->
+              check_node_sizes
+                (Printf.sprintf "%s n=%d %s" f.name n (W.mode_name mode))
+                (W.compile ~mode w))
+            [ W.ND; W.NP ])
+        (List.filteri (fun i _ -> i < 2) f.sizes))
+    Nd_experiments.Workloads.all
+
+let prop_node_sizes_generated =
+  QCheck2.Test.make ~name:"node sizes and works of generated programs" ~count:250
+    ~print:Nd_check.Gen.to_string (Nd_check.Gen.gen ())
+    (fun spec ->
+      let inst = Nd_check.Gen.build spec in
+      let registry = inst.Nd_check.Gen.registry and tree = inst.Nd_check.Gen.tree in
+      check_node_sizes "ND" (Program.compile ~registry tree);
+      check_node_sizes "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
+      true)
 
 (* --------------- resolver vs the old Hashtbl walk ----------------- *)
 
@@ -714,6 +779,9 @@ let () =
         [
           Alcotest.test_case "structure" `Quick test_program_structure;
           Alcotest.test_case "footprint/size" `Quick test_footprint_size;
+          Alcotest.test_case "node sizes: every family" `Quick
+            test_node_sizes_families;
+          QCheck_alcotest.to_alcotest prop_node_sizes_generated;
           Alcotest.test_case "decompose" `Quick test_decompose;
           Alcotest.test_case "decompose invalid" `Quick test_decompose_invalid;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;

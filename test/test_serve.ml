@@ -584,6 +584,40 @@ let test_server_pool_on_demand () =
   Thread.join server;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
 
+(* A lint request lints the program the server caches for its key: the
+   ND tree, or with [np] its fire-serialized projection.  That
+   projection has no fire left to recover span, so mm n=8 keeps the
+   golden ND007 warning in ND mode only. *)
+let test_server_lint_np () =
+  let sock_path = fresh_sock_path "lintnp" in
+  let cfg =
+    { (Server.default_config (P.Unix_path sock_path)) with Server.quiet = true }
+  in
+  let server = Thread.create (fun () -> Server.run cfg) () in
+  wait_for_socket sock_path;
+  let conn = Client.connect (P.Unix_path sock_path) in
+  let lint np =
+    let r =
+      Client.call_exn conn (P.Lint { wk with n = Some 8; base = Some 2; np })
+    in
+    let ids =
+      match member_exn "findings" r with
+      | Json.List fs -> List.map (fun f -> member_exn "id" f) fs
+      | j -> Alcotest.failf "findings: %s" (Json.to_string j)
+    in
+    (member_exn "warnings" r, ids)
+  in
+  let warnings, ids = lint false in
+  Alcotest.(check bool) "ND: one warning" true (warnings = Json.Int 1);
+  Alcotest.(check bool) "ND: it is ND007" true (ids = [ Json.String "ND007" ]);
+  let warnings, ids = lint true in
+  Alcotest.(check bool) "NP: no warning" true (warnings = Json.Int 0);
+  Alcotest.(check bool) "NP: no finding" true (ids = []);
+  ignore (Client.call_exn conn P.Shutdown);
+  Client.close conn;
+  Thread.join server;
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
+
 (* Shutdown under load: 40 lint requests pipelined over two connections,
    a shutdown on one, then 10 more lints on the other.  Every request
    is answered exactly once: a lint either runs, or arrives after the
@@ -757,6 +791,7 @@ let () =
           Alcotest.test_case "end-to-end" `Quick test_server_end_to_end;
           Alcotest.test_case "pool sized by NDSIM_WORKERS, started on demand"
             `Quick test_server_pool_on_demand;
+          Alcotest.test_case "lint honours np" `Quick test_server_lint_np;
           Alcotest.test_case "shutdown under load" `Quick
             test_shutdown_under_load;
           Alcotest.test_case "two servers coexist" `Quick
