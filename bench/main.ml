@@ -117,14 +117,14 @@ let run_bechamel () =
 
 (* Where a compiled program's words go: the spine's exec set-up (the
    four programs at seed 1, compiled) with each program's vertices V,
-   edges E and fire edges P, and the words [Obj.reachable_words] reaches
-   from its DAG adjacency, its fire edges and the whole program (strand
-   actions and operands included), in 10^6-byte MB.  Run first, so the
-   top heap is the set-up's alone. *)
+   edges E and fire edges P, the bytes its compile allocated, and the
+   words [Obj.reachable_words] reaches from its DAG adjacency, its fire
+   edges and the whole program (strand actions and operands included),
+   in 10^6-byte MB.  Run first, so the top heap is the set-up's alone. *)
 let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
-      [ "program"; "V"; "E"; "P"; "adjacency"; "fire pairs"; "program" ]
+      [ "program"; "V"; "E"; "P"; "compile alloc"; "adjacency"; "fire pairs"; "program" ]
   in
   let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
   let programs =
@@ -135,13 +135,15 @@ let run_memory () =
             (Nd_experiments.Workloads.find name)
             ~seed:(1000 + i)
         in
-        (Printf.sprintf "%s n=%d b=%d" name n base, Workload.compile w))
+        let before = Gc.allocated_bytes () in
+        let p = Workload.compile w in
+        (Printf.sprintf "%s n=%d b=%d" name n base, Gc.allocated_bytes () -. before, p))
       [ ("mm", 128, 8); ("trs", 128, 8); ("cholesky", 128, 8); ("lcs", 1024, 16) ]
   in
   Gc.full_major ();
   let gc = Gc.stat () in
   List.iter
-    (fun (label, p) ->
+    (fun (label, alloc, p) ->
       let dag = Nd.Program.dag p in
       let w = Nd.Program.heap_words p in
       Nd_util.Table.add_row table
@@ -150,6 +152,7 @@ let run_memory () =
           Nd_util.Table.cell_int (Nd_dag.Dag.n_vertices dag);
           Nd_util.Table.cell_int (Nd_dag.Dag.n_edges dag);
           Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
+          Nd_util.Table.cell_float ~prec:1 (alloc /. 1e6);
           mb w.Nd.Program.adjacency;
           mb w.Nd.Program.fire_pairs;
           mb w.Nd.Program.program;

@@ -1,5 +1,6 @@
 module Is = Nd_util.Interval_set
 module Json = Nd_util.Json
+module Int_set = Nd_util.Int_set
 module Fire_rule = Nd.Fire_rule
 module Drs = Nd.Drs
 module Program = Nd.Program
@@ -184,19 +185,22 @@ let analyze ~registry tree =
   let nodes = Array.sub !store 0 !n_nodes in
   ignore root;
   (* ---------------- fire-arrow rewriting (the shared Drs walk) ------ *)
-  let n_fire_edges = ref 0 in
+  (* the walk may emit a pair more than once; a pair, packed as
+     [a·N + b] for N nodes, counts and links at its first emission *)
+  let pairs = Int_set.create (Array.length nodes) in
   ignore
     (Drs.rewrite ~who:"Cost.analyze" ~registry
        ~children:(Array.map (fun n -> n.children) nodes)
        ~edge:(fun a b ->
-         incr n_fire_edges;
-         add_edge nodes.(a).end_ev nodes.(b).begin_ev)
+         if Int_set.add pairs ((a * Array.length nodes) + b) then
+           add_edge nodes.(a).end_ev nodes.(b).begin_ev)
        (List.filter_map
           (fun id ->
             match nodes.(id).kind with
             | Fire r -> Some (id, r)
             | Leaf _ | Seq | Par -> None)
           (List.init (Array.length nodes) Fun.id)));
+  let n_fire_edges = Int_set.cardinal pairs in
   (* ---------------- span: forward longest-path DP over events ------- *)
   let n_ev = !n_ev in
   let works = !works in
@@ -321,7 +325,7 @@ let analyze ~registry tree =
     root_size = root.s_size;
     n_leaves = !n_leaves;
     n_nodes = Array.length nodes;
-    n_fire_edges = !n_fire_edges;
+    n_fire_edges;
   }
 
 let of_program p = analyze ~registry:(Program.registry p) (Program.tree p)

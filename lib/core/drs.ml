@@ -93,40 +93,40 @@ let walk ~who ~registry ~children ?edge fires =
         id
       end
   in
-  (* Sized from the node count; both grow by doubling as the walk
-     needs.  They die with this call. *)
+  (* Only arrows with an internal end are recorded: an arrow between two
+     leaves emits its edge and rewrites nothing further, so meeting it
+     again costs one emission, which the expansion that reached it paid
+     for.  Sized from the node count and grown by doubling as the walk
+     needs; it dies with this call. *)
   let visited = Int_set.create n in
   let emit =
     match edge with
     | None -> fun _ _ -> ()
-    | Some f ->
-      let pairs = Int_set.create n in
-      fun a b -> if a <> b && Int_set.add pairs ((a * n) + b) then f a b
+    | Some f -> fun a b -> if a <> b then f a b
   in
   let is_leaf id = Array.length children.(id) = 0 in
   let rec process a b r =
-    if Int_set.add visited ((((a * n) + b) * n_sets) + r) then begin
+    if is_leaf a && is_leaf b then begin
+      if Array.length (set_of r).via > 0 then emit a b
+    end
+    else if Int_set.add visited ((((a * n) + b) * n_sets) + r) then begin
       let s = set_of r in
-      let k = Array.length s.via in
-      if k > 0 then
-        if is_leaf a && is_leaf b then emit a b
-        else
-          for i = 0 to k - 1 do
-            let a' = resolve a s.srcs.(i) in
-            let sa = !stop in
-            let b' = resolve b s.dsts.(i) in
-            let sb = !stop in
-            s.applies.(i) <- s.applies.(i) + 1;
-            if sa = 0 && sb = 0 then s.cleans.(i) <- s.cleans.(i) + 1
-            else if sa < 2 && sb < 2 then s.bottoms.(i) <- s.bottoms.(i) + 1;
-            let r' = s.via.(i) in
-            if r' = full then emit a' b'
-            else if a' = a && b' = b && r' = r then
-              (* no structural progress: conservative full edge *)
-              emit a b
-            else if r' = undefined then fail s.via_name.(i)
-            else process a' b' r'
-          done
+      for i = 0 to Array.length s.via - 1 do
+        let a' = resolve a s.srcs.(i) in
+        let sa = !stop in
+        let b' = resolve b s.dsts.(i) in
+        let sb = !stop in
+        s.applies.(i) <- s.applies.(i) + 1;
+        if sa = 0 && sb = 0 then s.cleans.(i) <- s.cleans.(i) + 1
+        else if sa < 2 && sb < 2 then s.bottoms.(i) <- s.bottoms.(i) + 1;
+        let r' = s.via.(i) in
+        if r' = full then emit a' b'
+        else if a' = a && b' = b && r' = r then
+          (* no structural progress: conservative full edge *)
+          emit a b
+        else if r' = undefined then fail s.via_name.(i)
+        else process a' b' r'
+      done
     end
   in
   List.iter

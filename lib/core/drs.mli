@@ -10,13 +10,19 @@
     existing node — and recurses on [R], or emits a full edge for [;].
     An arrow between two leaves, and a rule that makes no structural
     progress ([p], [q] resolve in place and [R] is the same set), emit
-    the conservative full edge instead.  Each [(a, b, rule)] arrow is
-    expanded once.
+    the conservative full edge instead.
+
+    Only arrows with an internal end are recorded as visited, and each
+    such [(a, b, rule)] arrow is expanded once.  An arrow between two
+    leaves is emitted each time the walk reaches it and is not
+    recorded: it rewrites nothing further, and every arrival is paid
+    for by the expansion (or the fire node) that reached it.  So the
+    emissions are bounded by the walk's own work — at most one per
+    fire node plus one per rule application.
 
     All state is flat int tables scoped to one call (see DESIGN.md §5):
-    visited arrows and emitted pairs are packed into ints in
-    {!Nd_util.Int_set}s, rule names are interned to ints, and nothing
-    outlives the call. *)
+    the visited arrows are packed into ints in one {!Nd_util.Int_set},
+    rule names are interned to ints, and nothing outlives the call. *)
 
 (** How often one rule of one set was applied, and how its pedigrees
     resolved: [cleans] counts applications where both pedigrees
@@ -37,9 +43,15 @@ type use = {
     are [n]'s children, [[||]] for a leaf; a fire node's are [[|src;
     snk|]]).
 
-    [edge a b] is called once per distinct full edge [a -> b] with
-    [a <> b], in first-emission order.  The result lists every rule
-    applied at least once, ordered by set name and then index.
+    [edge a b] is called once per emission of a full edge [a -> b]
+    with [a <> b], and a pair may repeat.  Keeping each pair's first
+    call gives the distinct full edges in first-emission order: the
+    pairs, and their order, that test_core checks against the reference
+    walk of [test/drs_ref.ml].  A caller that needs each pair once
+    drops the repeats itself ({!Program.compile} after sorting the
+    pairs, [Cost.analyze] with an {!Nd_util.Int_set}).  The result
+    lists every rule applied at least once, ordered by set name and
+    then index.
 
     @raise Invalid_argument ["<who>: undefined fire type \"R\""] when
     the walk reaches a set [R] the registry does not define, and only

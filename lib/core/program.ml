@@ -56,21 +56,23 @@ let dummy_node =
     end_v = 0;
   }
 
-(* Stable sort of [src] by [key], whose values lie in [0, buckets). *)
-let counting_sort ~buckets key src =
+(* Stable sort of [src.(0 .. len-1)] by [key], whose values lie in
+   [0, buckets), into [dst.(0 .. len-1)]. *)
+let counting_sort ~buckets key ~len src dst =
   let start = Array.make (buckets + 1) 0 in
-  Array.iter (fun k -> start.(key k + 1) <- start.(key k + 1) + 1) src;
+  for i = 0 to len - 1 do
+    let d = key src.(i) + 1 in
+    start.(d) <- start.(d) + 1
+  done;
   for d = 1 to buckets do
     start.(d) <- start.(d) + start.(d - 1)
   done;
-  let dst = Array.make (Array.length src) 0 in
-  Array.iter
-    (fun k ->
-      let d = key k in
-      dst.(start.(d)) <- k;
-      start.(d) <- start.(d) + 1)
-    src;
-  dst
+  for i = 0 to len - 1 do
+    let k = src.(i) in
+    let d = key k in
+    dst.(start.(d)) <- k;
+    start.(d) <- start.(d) + 1
+  done
 
 let compile ~registry tree =
   let dag = Dag.create () in
@@ -230,7 +232,7 @@ let compile ~registry tree =
         | Leaf _ | Seq | Par -> None)
       (List.init n Fun.id)
   in
-  (* the rewritten pairs [a·n + b], in emission order *)
+  (* every emission [a·n + b], in emission order; a pair may repeat *)
   let pairs = ref [||] and n_pairs = ref 0 in
   if fires <> [] then begin
     pairs := Array.make n 0;
@@ -249,11 +251,10 @@ let compile ~registry tree =
          ~edge:push fires)
   end;
   (* ---------------- DAG edges ---------------- *)
-  (* Linked after the walk, so its tables are garbage first, into
+  (* Linked after the walk, so its table is garbage first, into
      buffers sized once.  The link order fixes the order of every CSR
      slice: each node's structural edges, node by node in id order
-     (children before parents), then the rewritten pairs in emission
-     order. *)
+     (children before parents), then every emission in order. *)
   let structural nd =
     match nd.kind with
     | Leaf _ -> 0
@@ -285,9 +286,11 @@ let compile ~registry tree =
         Dag.add_edge dag (child 0).end_v nd.end_v;
         Dag.add_edge dag (child 1).end_v nd.end_v)
     nodes;
-  (* Two pairs can name one DAG edge (a Seq shares its first child's
-     begin vertex and its last child's end vertex); the DAG keeps it
-     once, at its first link. *)
+  (* The walk may emit a pair more than once, and two pairs can name
+     one DAG edge (a Seq shares its first child's begin vertex and its
+     last child's end vertex); the DAG keeps each edge once, at its
+     first link, so linking every emission builds the CSR that linking
+     only first emissions would. *)
   for i = 0 to !n_pairs - 1 do
     let k = !pairs.(i) in
     Dag.add_edge dag nodes.(k / n).end_v nodes.(k mod n).begin_v
@@ -295,12 +298,25 @@ let compile ~registry tree =
   (* builds the CSR and frees the link buffer: a compiled program's
      DAG is frozen *)
   ignore (Dag.csr dag);
-  (* LSD radix sort of the packed pairs: by [b], then stably by [a] *)
+  (* LSD radix sort of the emissions: by [b] into a scratch array, then
+     stably by [a] back into the buffer, whose repeats are then
+     adjacent and dropped *)
   let fire_pairs =
     if !n_pairs = 0 then [||]
-    else
-      counting_sort ~buckets:n (fun k -> k / n)
-        (counting_sort ~buckets:n (fun k -> k mod n) (Array.sub !pairs 0 !n_pairs))
+    else begin
+      let buf = !pairs and len = !n_pairs in
+      let scratch = Array.make len 0 in
+      counting_sort ~buckets:n (fun k -> k mod n) ~len buf scratch;
+      counting_sort ~buckets:n (fun k -> k / n) ~len scratch buf;
+      let d = ref 1 in
+      for i = 1 to len - 1 do
+        if buf.(i) <> buf.(!d - 1) then begin
+          buf.(!d) <- buf.(i);
+          incr d
+        end
+      done;
+      Array.sub buf 0 !d
+    end
   in
   let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
   List.iter (fun (v, id) -> vertex_owner.(v) <- id) !owners;

@@ -4,7 +4,8 @@
     an insert allocates nothing (until the table doubles) and a probe is
     a multiply, a shift and a few adjacent array reads.  This is the
     dedup table for hot loops over packed integer keys — e.g. the DRS
-    compiler's [(a·nodes + b)·rules + r] visited triples — where a
+    walk's [(a·nodes + b)·rules + r] visited arrows, those with an
+    internal end — where a
     polymorphic [Hashtbl] would box every key and allocate a bucket per
     entry.  Keys must be [>= 0]: [-1] marks an empty slot. *)
 

@@ -568,6 +568,26 @@ let test_packed_shape () =
   if own > 24 * nodes then
     Alcotest.failf "program: %d words past its tree, DAG and fire pairs for %d nodes" own nodes
 
+(* What one compile allocates, in words a fire pair, on mm n=32 b=2
+   (8,191 nodes, 249,795 fire pairs).  The walk records only arrows
+   with an internal end and keeps no pair set, and compile sorts its
+   emission buffer through one scratch array: about 16 words a pair.
+   A walk that also records its 249,795 leaf-to-leaf arrows and keeps
+   a pair set, with a fresh array per sort pass, allocates about 37.
+   The count moves by a few percent with GC timing. *)
+let test_compile_alloc () =
+  let f = Nd_experiments.Workloads.find "mm" in
+  let w = f.Nd_experiments.Workloads.build ~n:32 ~base:2 ~seed:1 in
+  let before = Gc.allocated_bytes () in
+  let p = Program.compile ~registry:w.Nd_algos.Workload.registry w.Nd_algos.Workload.tree in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  let pairs = Program.n_fire_edges p in
+  if pairs = 0 then Alcotest.fail "mm has fire edges";
+  let per_pair = words /. float_of_int pairs in
+  if per_pair > 24. then
+    Alcotest.failf "compile allocated %.0f words, %.1f a fire pair (%d pairs); the bound is 24"
+      words per_pair pairs
+
 (* Every node's size is the number of distinct addresses its leaves'
    strands touch, and its work their summed work, both recounted here
    leaf by leaf from the node's leaf range. *)
@@ -679,6 +699,16 @@ let gen_rewrite_case =
           (fun (name, rs) -> map (fun more -> (name, rs @ more)) extra)
           spec.Nd_check.Gen.rules))
 
+(* the first occurrence of each pair of an emission log, in order *)
+let first_occurrences log =
+  let seen = Hashtbl.create 64 in
+  List.filter
+    (fun e ->
+      let fresh = not (Hashtbl.mem seen e) in
+      if fresh then Hashtbl.add seen e ();
+      fresh)
+    log
+
 let outcome run =
   let log = ref [] in
   let result =
@@ -709,22 +739,30 @@ let prop_drs_matches_reference =
       let ref_edges, ref_result =
         outcome (fun ~edge -> Drs_ref.rewrite ~who ~registry ~children ~edge fires)
       in
-      (* same edges in the same order, and the same tallies or the same
-         error after the same edges *)
-      edges = ref_edges
+      (* The walk may emit a pair more than once; the reference emits
+         each once.  The raw log's first occurrences are the same edges
+         in the same order, with the same tallies or the same error
+         after them. *)
+      first_occurrences edges = ref_edges
       && result = ref_result
+      (* each emission is paid for by a fire node or a rule application *)
+      && (match result with
+         | Ok t ->
+           List.length edges
+           <= List.length fires + List.fold_left (fun acc (_, (applies, _, _)) -> acc + applies) 0 t
+         | Error _ -> true)
       (* without [edge], the same walk: same tallies, same error *)
       && (match tallies (Drs.rewrite ~who ~registry ~children fires) with
          | t -> result = Ok t
          | exception Invalid_argument m -> result = Error m)
-      (* and the compiler agrees: the sorted pairs and a DAG without
-         duplicate edges, or the same error *)
+      (* and the compiler agrees: the sorted set of the pairs and a DAG
+         without duplicate edges, or the same error *)
       &&
       match Program.compile ~registry inst.Nd_check.Gen.tree with
       | p ->
         let c = Dag.csr (Program.dag p) in
         Result.is_ok result
-        && fire_edges p = List.sort compare edges
+        && fire_edges p = List.sort_uniq compare edges
         && List.for_all
              (fun v ->
                let lo = c.Dag.succ_off.(v) and hi = c.Dag.succ_off.(v + 1) in
@@ -785,5 +823,6 @@ let () =
           Alcotest.test_case "decompose" `Quick test_decompose;
           Alcotest.test_case "decompose invalid" `Quick test_decompose_invalid;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;
+          Alcotest.test_case "compile allocation" `Quick test_compile_alloc;
         ] );
     ]
