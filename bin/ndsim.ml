@@ -648,24 +648,6 @@ let trace_cmd =
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ np_arg
           $ sched_arg $ top_arg $ fine_arg $ workers_arg $ grain_arg $ out_arg)
 
-(* --------------------------- experiments ---------------------------- *)
-
-let experiments_cmd =
-  let which =
-    Arg.(value & pos 0 (some string) None
-         & info [] ~docv:"EXP" ~doc:"Experiment (overview, e1..e12); all when omitted.")
-  in
-  let run which =
-    match which with
-    | None -> Nd_experiments.Suite.run_all ()
-    | Some name -> (
-      try Nd_experiments.Suite.run name
-      with Not_found -> die_usage "unknown experiment %s" name)
-  in
-  Cmd.v
-    (Cmd.info "experiments" ~doc:"Run the paper-reproduction experiment suite.")
-    Term.(const run $ which)
-
 (* ------------------------------ suite ------------------------------- *)
 
 let suite_cmd =
@@ -1062,7 +1044,7 @@ let () =
     Cmd.eval
       (Cmd.group info
          [ span_cmd; race_cmd; lint_cmd; analyze_cmd; sb_cmd; sched_cmd;
-           check_cmd; drs_cmd; trace_cmd; experiments_cmd; suite_cmd;
+           check_cmd; drs_cmd; trace_cmd; suite_cmd;
            fuzz_cmd; run_cmd; serve_cmd; loadgen_cmd ])
   in
   (* cmdliner reports CLI misuse — unknown subcommand, bad flag — as

@@ -11,11 +11,17 @@
 
     - {!Word}: the reference simulator — an intrusive LRU list with one
       cell per resident word, O(1) per word touched.
-    - {!Interval}: residency tracked as footprint segments in an ordered
-      map, with whole hit/miss runs processed per map operation.  An
-      access costs O(r log s) for r hit/miss runs over s resident
-      segments, independent of footprint width — the hot path for
-      sigma-sweeps over block-structured workloads.
+    - {!Interval}: residency tracked as footprint segments, each a run
+      of addresses whose recency stamps rise with the address, with
+      whole hit/miss runs processed per index operation.  Segments sit
+      in slots of growable int arrays; a splay tree over the slots
+      orders them by address, and a doubly-linked list through the same
+      slots orders them by recency, oldest first, so its head is the
+      next victim.  An access costs amortized O(r log s) for r hit/miss
+      runs over s resident segments, independent of footprint width —
+      the hot path for sigma-sweeps over block-structured workloads.
+      It allocates O(1) words: the arrays grow by doubling, to about
+      [2m] slots at most, and vacated slots are reused.
 
     Equivalence is enforced by randomized tests in [test_mem]. *)
 
@@ -46,6 +52,15 @@ val access_set : t -> Nd_util.Interval_set.t -> int
 val misses : t -> int
 
 val accesses : t -> int
+
+(** [validate t] checks {!Interval}'s internal invariants: resident
+    segments are non-empty, disjoint and in address order; occupancy
+    equals their total length and is at most [m]; and the recency list
+    holds exactly those segments, in increasing, disjoint stamp ranges;
+    and every slot handed out is either live or free.  A test aid,
+    O(slots); does nothing for {!Word}.
+    @raise Failure naming the first broken invariant. *)
+val validate : t -> unit
 
 (** [q1 program ~m] — misses of the depth-first (serial-elision)
     traversal of the program: every strand touches its footprint once. *)

@@ -204,6 +204,78 @@ let test_interval_equiv_workloads () =
         [ 16; 64; 256 ])
     (Nd_experiments.Workloads.names ())
 
+(* long traces against the word-exact reference, at sizes from a single
+   word to paper-scale caches, checking after every step both the
+   step's misses and the interval simulator's own invariants
+   ([Cs.validate]).  Fragments are mostly 1-4 words, so the m = 4096
+   trace holds over 1,500 segments at once (its slot arrays grow to
+   2,048, and vacated slots are reused) and its splay index reaches
+   depth 70; one in 256 is up to max(16, m/4) words, which evicts many
+   segments at once and, at m = 1 and 7, is wider than the cache
+   (self-eviction). *)
+let test_interval_long_traces () =
+  let steps = 2_000 and n_traces = max 1 (stress_iters / 100) in
+  List.iter
+    (fun m ->
+      for tr = 1 to n_traces do
+        let rng = Prng.create ((1_000 * m) + tr) in
+        let cw = Cs.create ~impl:Cs.Word ~m () in
+        let ci = Cs.create ~impl:Cs.Interval ~m () in
+        let span = 4 * m in
+        let frag () =
+          let lo = Prng.int rng span in
+          let len =
+            if Prng.int rng 256 = 0 then 1 + Prng.int rng (max 16 (m / 4))
+            else 1 + Prng.int rng 4
+          in
+          (lo, min span (lo + len))
+        in
+        for s = 1 to steps do
+          let fp = Is.of_intervals (List.init (1 + Prng.int rng 8) (fun _ -> frag ())) in
+          let mw = Cs.access_set cw fp in
+          let mi = Cs.access_set ci fp in
+          if mw <> mi then
+            Alcotest.failf "m=%d trace %d step %d: word %d / interval %d misses" m tr s
+              mw mi;
+          try Cs.validate ci
+          with Failure msg -> Alcotest.failf "m=%d trace %d step %d: %s" m tr s msg
+        done;
+        Alcotest.(check (pair int int))
+          (Printf.sprintf "m=%d trace %d totals" m tr)
+          (Cs.misses cw, Cs.accesses cw)
+          (Cs.misses ci, Cs.accesses ci)
+      done)
+    [ 1; 7; 64; 512; 4096 ]
+
+(* an access allocates O(1) words: after a warm-up that grows the slot
+   arrays, access_set over fixed random footprints (1-8 fragments of
+   1-16 words in [0, 4m)) stays within a constant number of words per
+   call.  A persistent-map index allocates hundreds of words per call
+   at these sizes. *)
+let test_interval_alloc () =
+  let rng = Prng.create 20261017 in
+  List.iter
+    (fun m ->
+      let footprint _ =
+        Is.of_intervals
+          (List.init
+             (1 + Prng.int rng 8)
+             (fun _ ->
+               let lo = Prng.int rng (4 * m) in
+               (lo, lo + 1 + Prng.int rng 16)))
+      in
+      let warm = Array.init 4_096 footprint and fps = Array.init 20_000 footprint in
+      let c = Cs.create ~impl:Cs.Interval ~m () in
+      Array.iter (fun fp -> ignore (Cs.access_set c fp)) warm;
+      let before = Gc.allocated_bytes () in
+      Array.iter (fun fp -> ignore (Cs.access_set c fp)) fps;
+      let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+      let per_call = words /. float_of_int (Array.length fps) in
+      if per_call > 64. then
+        Alcotest.failf "m=%d: %.1f words allocated per access_set; the bound is 64" m
+          per_call)
+    [ 64; 512; 4096 ]
+
 (* ------------------- sharded replay differential ------------------- *)
 
 module Mt = Nd_mem.Miss_table
@@ -405,6 +477,9 @@ let () =
             test_interval_equiv_random;
           Alcotest.test_case "workload q1 equivalence" `Quick
             test_interval_equiv_workloads;
+          Alcotest.test_case "long traces: word-exact, invariants hold" `Quick
+            test_interval_long_traces;
+          Alcotest.test_case "allocation per access" `Quick test_interval_alloc;
         ] );
       ( "shard_sim",
         [
