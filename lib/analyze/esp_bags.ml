@@ -257,7 +257,12 @@ let race_free program = find_races ~limit:1 program = []
 
 (* Same LCA + pedigree lift as Rule_check.diagnose, minus the exact
    checker's reachability closure (and hence its size cap). *)
-let diagnose ?limit program =
+let diagnose ?limit ?verdict program =
+  let races =
+    match verdict with
+    | Some v -> v.races
+    | None -> find_races ?limit program
+  in
   List.map
     (fun (r : Race.race) ->
       let nu = Program.vertex_owner program r.Race.u in
@@ -271,4 +276,4 @@ let diagnose ?limit program =
         src_pedigree = Rule_check.pedigree_from program ~ancestor:anc lo;
         dst_pedigree = Rule_check.pedigree_from program ~ancestor:anc hi;
       })
-    (find_races ?limit program)
+    races

@@ -44,7 +44,10 @@ val find_races : ?limit:int -> Nd.Program.t -> Nd_dag.Race.race list
 
 val race_free : Nd.Program.t -> bool
 
-(** [diagnose ?limit program] — the races lifted to spawn-tree LCA +
-    pedigree findings, exactly as {!Nd.Rule_check.diagnose} reports them
-    but without the reachability size cap. *)
-val diagnose : ?limit:int -> Nd.Program.t -> Nd.Rule_check.finding list
+(** [diagnose ?limit ?verdict program] — the races lifted to spawn-tree
+    LCA + pedigree findings, exactly as {!Nd.Rule_check.diagnose}
+    reports them but without the reachability size cap.  [verdict], an
+    {!analyze} of [program] already run, is lifted in place of a fresh
+    pass ([limit] is then unused). *)
+val diagnose :
+  ?limit:int -> ?verdict:verdict -> Nd.Program.t -> Nd.Rule_check.finding list

@@ -320,7 +320,7 @@ let no_span_recovered program =
     else []
   end
 
-let races program =
+let races ?verdict program =
   List.map
     (fun (f : Rule_check.finding) ->
       finding "ND009" Error
@@ -331,25 +331,27 @@ let races program =
         | Program.Leaf _ -> "leaf")
         "%s"
         (Format.asprintf "@[<v>%a@]" (Rule_check.pp_finding program) f))
-    (Esp_bags.diagnose program)
+    (Esp_bags.diagnose ?verdict program)
 
-let lint_program program =
+let lint_program ?verdict program =
   dead_rules program @ fire_eq_seq program @ no_span_recovered program
-  @ races program
+  @ races ?verdict program
 
 (* ------------------------------ driver ----------------------------- *)
 
 (* [program ()] runs only when the static pass found no errors:
    compilation raises on exactly the defects the static pass reports *)
-let lint_with ~registry tree program =
+let lint_with ?verdict ~registry tree program =
   let static = lint_registry registry @ lint_tree registry tree in
-  if has_errors static then static else static @ lint_program (program ())
+  if has_errors static then static
+  else static @ lint_program ?verdict (program ())
 
 let lint_all ~registry tree =
   lint_with ~registry tree (fun () -> Program.compile ~registry tree)
 
-let lint_compiled p =
-  lint_with ~registry:(Program.registry p) (Program.tree p) (fun () -> p)
+let lint_compiled ?verdict p =
+  lint_with ?verdict ~registry:(Program.registry p) (Program.tree p)
+    (fun () -> p)
 
 (* ----------------- structural (Cost-based) checks ------------------ *)
 

@@ -77,9 +77,10 @@ val lint_registry : Nd.Fire_rule.registry -> finding list
     static; never compiles. *)
 val lint_tree : Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
-(** [lint_program p] — ND002, ND006, ND007, ND009 on a compiled
-    program. *)
-val lint_program : Nd.Program.t -> finding list
+(** [lint_program ?verdict p] — ND002, ND006, ND007, ND009 on a
+    compiled program; ND009 lifts [verdict] as {!Esp_bags.diagnose}
+    does. *)
+val lint_program : ?verdict:Esp_bags.verdict -> Nd.Program.t -> finding list
 
 (** [lint_all ~registry tree] — the full battery.  Runs the static
     registry and tree passes first and only compiles (for
@@ -88,10 +89,12 @@ val lint_program : Nd.Program.t -> finding list
 val lint_all :
   registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
-(** [lint_compiled p] — the same battery on an already compiled
-    program: the static passes over [p]'s own registry and tree, then
-    [lint_program p] when they produced no errors. *)
-val lint_compiled : Nd.Program.t -> finding list
+(** [lint_compiled ?verdict p] — the same battery on an already
+    compiled program: the static passes over [p]'s own registry and
+    tree, then [lint_program ?verdict p] when they produced no errors.
+    [verdict], an {!Esp_bags.analyze} of [p] already run at the default
+    limit, saves ND009 a second ESP pass. *)
+val lint_compiled : ?verdict:Esp_bags.verdict -> Nd.Program.t -> finding list
 
 (** [lint_cost ?machine ?procs ~has_fires cost] — the structural checks
     over a completed {!Cost} pass: ND011 (peak footprint vs the

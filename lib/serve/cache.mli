@@ -9,24 +9,46 @@
     same cache.  A compute that raises wakes its waiters empty-handed;
     the first of them retries the compute itself.
 
+    An {e admission rule} decides whether a finished compute enters the
+    table.  Under [Second_use] a key is kept from its second use on: a
+    value nobody else asked for goes to its caller alone, and only its
+    key is remembered, so a stream of one-shot keys pins nothing.
+
     Keys use structural equality/hashing; values are never mutated by
     the cache.  Capacity eviction is strict LRU (stamped on every
     hit); in-flight keys don't count against capacity and are never
-    evicted. *)
+    evicted.  Every counter is read under the cache lock. *)
 
 type ('k, 'v) t
 
-(** [create ~name ~cap ()] — [cap >= 1] entries (clamped). *)
-val create : name:string -> cap:int -> unit -> ('k, 'v) t
+(** When a finished compute enters the table:
+    - [Always]: every one;
+    - [Second_use]: when another caller waited on it (single-flight),
+      or when its key is among the last [cap] keys computed and not
+      kept (the {e ghost} list); otherwise the value goes to its caller
+      only, the key joins the ghost list and [bypassed] counts it. *)
+type admission = Always | Second_use
+
+(** [create ~name ~cap ?admission ()] — [cap >= 1] entries (clamped);
+    [admission] defaults to [Always]. *)
+val create :
+  name:string -> cap:int -> ?admission:admission -> unit -> ('k, 'v) t
 
 val name : _ t -> string
 
-(** [find_or_compute t k f] — the cached value, or [f ()] inserted
-    under [k] (evicting the least recently used entry if full).  [f]
-    runs outside the cache lock; concurrent callers with the same key
-    run [f] once and share the result.  Exceptions from [f] propagate
-    to the computing caller and cache nothing. *)
+(** [find_or_compute t k f] — the cached value, or [f ()], inserted
+    under [k] (evicting the least recently used entry if full) when
+    the admission rule keeps it.  [f] runs outside the cache lock;
+    concurrent callers with the same key run [f] once and share the
+    result.  Exceptions from [f] propagate to the computing caller and
+    cache nothing. *)
 val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
+
+(** [offer t k v] — insert [v] under [k] (evicting as an insert does)
+    unless [k] already has a value or a compute in flight.  For a value
+    computed on the way to another answer: it counts as neither hit nor
+    miss, [offered] counts it, and the admission rule does not apply. *)
+val offer : ('k, 'v) t -> 'k -> 'v -> unit
 
 (** Peek without computing or touching LRU order. *)
 val find_opt : ('k, 'v) t -> 'k -> 'v option
@@ -39,5 +61,11 @@ val misses : _ t -> int
 
 val evictions : _ t -> int
 
-(** [{"name";"size";"cap";"hits";"misses";"evictions"}]. *)
+(** Finished computes the admission rule did not keep. *)
+val bypassed : _ t -> int
+
+(** [{"name";"size";"cap";"hits";"misses";"evictions";"bypassed";
+    "offered"}], all read in one lock acquisition, so every snapshot
+    has [size <= cap] and
+    [size + evictions + bypassed <= misses + offered]. *)
 val stats_json : _ t -> Nd_util.Json.t

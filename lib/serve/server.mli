@@ -15,6 +15,12 @@
     lock, so responses may interleave across requests — clients match
     on [id].
 
+    Result caches keep every answer.  Compiled programs are kept from
+    the second use of their key only, so one-shot keys pin no program;
+    a lint request runs the ESP pass its ND009 check needs once and
+    files the race reply it yields, so a race request after a lint on
+    the same key is a cache hit.
+
     Per-request latency (decode to response written, queue wait
     included) is recorded in one {!Nd_util.Histogram.Sync} per request
     kind, written by reader threads and pool fibers alike, and read by
@@ -23,7 +29,9 @@
 type config = {
   addr : Protocol.addr;
   max_frame : int;  (** reject frames above this many payload bytes *)
-  program_cache_cap : int;  (** compiled-workload entries *)
+  program_cache_cap : int;
+      (** compiled-workload entries; a program is kept from the second
+          use of its key (see {!Cache.Second_use}) *)
   result_cache_cap : int;  (** entries per result cache *)
   quiet : bool;
 }

@@ -129,6 +129,10 @@ let test_lint_rejects_literal_mm () =
   (* the ESP diagnosis must carry the same LCA + pedigrees the exact
      Rule_check diagnosis reports *)
   let p = Nd_algos.Workload.compile w in
+  (* an ESP verdict already run lifts to the same findings *)
+  Alcotest.(check string) "lint with the verdict of a race request"
+    (Json.to_string (Lint.to_json findings))
+    (Json.to_string (Lint.to_json (Lint.lint_compiled ~verdict:(Esp.analyze p) p)));
   let key (f : Rule_check.finding) =
     ( f.Rule_check.lca,
       Pedigree.to_string f.Rule_check.src_pedigree,

@@ -294,16 +294,17 @@ let test_cache_lru () =
 
 (* single-flight: two domains racing find_or_compute on the same key
    must run the compute exactly once — the loser blocks on the in-flight
-   marker and reads the winner's value. *)
-let test_cache_single_flight_same_key () =
-  let c = Cache.create ~name:"t" ~cap:4 () in
+   marker and reads the winner's value.  The wait is a second use, so
+   the value is kept under either admission rule. *)
+let test_cache_single_flight_same_key admission () =
+  let c = Cache.create ~name:"t" ~cap:4 ~admission () in
   let computes = Atomic.make 0 in
   let entered = Atomic.make 0 in
   let f () =
     Atomic.incr computes;
     (* a slow compute: give the second domain ample time to arrive and
        observe the Pending slot rather than racing past it *)
-    Unix.sleepf 0.05;
+    Unix.sleepf 0.2;
     42
   in
   let worker () =
@@ -320,7 +321,8 @@ let test_cache_single_flight_same_key () =
   Alcotest.(check int) "both read the value" 84 (va + vb);
   Alcotest.(check int) "compute ran once" 1 (Atomic.get computes);
   Alcotest.(check int) "one hit" 1 (Cache.hits c);
-  Alcotest.(check int) "one miss" 1 (Cache.misses c)
+  Alcotest.(check int) "one miss" 1 (Cache.misses c);
+  Alcotest.(check bool) "value kept" true (Cache.find_opt c 7 = Some 42)
 
 (* distinct keys must not serialize behind each other's computes: the
    whole-cache lock is released while f runs, so two computes on
@@ -364,6 +366,103 @@ let test_cache_failed_compute_retries () =
     (Cache.find_or_compute c 1 (fun () -> 11));
   Alcotest.(check bool) "cached after retry" true
     (Cache.find_opt c 1 = Some 11)
+
+(* second use: a key computed once goes to its caller and is only
+   remembered; computed again, it is kept, and a third call hits *)
+let test_cache_second_use () =
+  let c = Cache.create ~name:"t" ~cap:2 ~admission:Cache.Second_use () in
+  let computes = ref 0 in
+  let get k =
+    Cache.find_or_compute c k (fun () ->
+        incr computes;
+        k * 10)
+  in
+  Alcotest.(check int) "first use answered" 10 (get 1);
+  Alcotest.(check bool) "first use not kept" true (Cache.find_opt c 1 = None);
+  Alcotest.(check int) "nothing kept" 0 (Cache.length c);
+  Alcotest.(check int) "one bypassed" 1 (Cache.bypassed c);
+  Alcotest.(check int) "second use answered" 10 (get 1);
+  Alcotest.(check bool) "second use kept" true (Cache.find_opt c 1 = Some 10);
+  Alcotest.(check int) "third use answered" 10 (get 1);
+  Alcotest.(check int) "third use hit" 1 (Cache.hits c);
+  Alcotest.(check int) "two computes" 2 !computes;
+  Alcotest.(check int) "still one bypassed" 1 (Cache.bypassed c)
+
+(* the ghost list holds the last [cap] keys not kept: after [cap] other
+   one-shot keys, the first key's second compute is a first use again *)
+let test_cache_ghost_bounded () =
+  let c = Cache.create ~name:"t" ~cap:2 ~admission:Cache.Second_use () in
+  List.iter (fun k -> ignore (Cache.find_or_compute c k (fun () -> k))) [ 1; 2; 3; 1 ];
+  Alcotest.(check bool) "1 bypassed again" true (Cache.find_opt c 1 = None);
+  Alcotest.(check int) "nothing kept" 0 (Cache.length c);
+  Alcotest.(check int) "four bypassed" 4 (Cache.bypassed c);
+  ignore (Cache.find_or_compute c 3 (fun () -> 3));
+  Alcotest.(check bool) "3 is still remembered" true (Cache.find_opt c 3 = Some 3)
+
+let int_member name j =
+  match Json.member name j with
+  | Some (Json.Int i) -> i
+  | _ -> Alcotest.failf "no int %S in %s" name (Json.to_string j)
+
+(* an offered value is kept if its key is free, counted by [offered]
+   alone, and never replaces a value already there *)
+let test_cache_offer () =
+  let c = Cache.create ~name:"t" ~cap:2 () in
+  Cache.offer c 1 10;
+  Alcotest.(check int) "offered value answers" 10
+    (Cache.find_or_compute c 1 (fun () -> Alcotest.fail "recomputed"));
+  Cache.offer c 1 11;
+  Alcotest.(check bool) "kept value not replaced" true (Cache.find_opt c 1 = Some 10);
+  let j = Cache.stats_json c in
+  Alcotest.(check (list int)) "hits, misses, offered" [ 1; 0; 1 ]
+    (List.map (fun f -> int_member f j) [ "hits"; "misses"; "offered" ])
+
+(* torn snapshots: two domains compute while a third snapshots
+   [stats_json]; every snapshot must satisfy the accounting identities
+   (an insert is never visible without the miss that led to it).  The
+   computing domains are restarted every round: a snapshot read
+   without the lock tears mostly while domains start and stop. *)
+let test_cache_snapshot_consistent () =
+  let c = Cache.create ~name:"t" ~cap:4 ~admission:Cache.Second_use () in
+  let rounds = 10 and per = 2_000 in
+  let running = Atomic.make true in
+  let snapshotter =
+    Domain.spawn (fun () ->
+        let taken = ref 0 and torn = ref None in
+        while Atomic.get running && !torn = None do
+          let j = Cache.stats_json c in
+          let f name = int_member name j in
+          if
+            f "size" > f "cap"
+            || f "size" + f "evictions" + f "bypassed" > f "misses"
+          then torn := Some (Json.to_string j);
+          incr taken
+        done;
+        (!taken, !torn))
+  in
+  for r = 1 to rounds do
+    let computer seed =
+      Domain.spawn (fun () ->
+          let prng = Nd_util.Prng.create seed in
+          for _ = 1 to per do
+            let k = Nd_util.Prng.int prng 12 in
+            ignore (Cache.find_or_compute c k (fun () -> k))
+          done)
+    in
+    let a = computer (2 * r) and b = computer ((2 * r) + 1) in
+    Domain.join a;
+    Domain.join b
+  done;
+  Atomic.set running false;
+  let taken, torn = Domain.join snapshotter in
+  Option.iter (Alcotest.failf "torn snapshot %s") torn;
+  if taken < 10 then Alcotest.failf "only %d snapshots taken" taken;
+  let j = Cache.stats_json c in
+  let f name = int_member name j in
+  Alcotest.(check int) "every call a hit or a miss" (2 * rounds * per)
+    (f "hits" + f "misses");
+  Alcotest.(check int) "every miss kept or bypassed" (f "misses")
+    (f "size" + f "evictions" + f "bypassed")
 
 (* ---------------------- decompose thread-safety --------------------- *)
 
@@ -584,39 +683,99 @@ let test_server_pool_on_demand () =
   Thread.join server;
   Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
 
-(* A lint request lints the program the server caches for its key: the
-   ND tree, or with [np] its fire-serialized projection.  That
-   projection has no fire left to recover span, so mm n=8 keeps the
-   golden ND007 warning in ND mode only. *)
-let test_server_lint_np () =
-  let sock_path = fresh_sock_path "lintnp" in
+(* [f conn] against a fresh quiet server on its own socket, then a
+   clean shutdown *)
+let with_server tag f =
+  let sock_path = fresh_sock_path tag in
   let cfg =
     { (Server.default_config (P.Unix_path sock_path)) with Server.quiet = true }
   in
   let server = Thread.create (fun () -> Server.run cfg) () in
   wait_for_socket sock_path;
   let conn = Client.connect (P.Unix_path sock_path) in
-  let lint np =
-    let r =
-      Client.call_exn conn (P.Lint { wk with n = Some 8; base = Some 2; np })
-    in
-    let ids =
-      match member_exn "findings" r with
-      | Json.List fs -> List.map (fun f -> member_exn "id" f) fs
-      | j -> Alcotest.failf "findings: %s" (Json.to_string j)
-    in
-    (member_exn "warnings" r, ids)
-  in
-  let warnings, ids = lint false in
-  Alcotest.(check bool) "ND: one warning" true (warnings = Json.Int 1);
-  Alcotest.(check bool) "ND: it is ND007" true (ids = [ Json.String "ND007" ]);
-  let warnings, ids = lint true in
-  Alcotest.(check bool) "NP: no warning" true (warnings = Json.Int 0);
-  Alcotest.(check bool) "NP: no finding" true (ids = []);
+  let result = f conn in
   ignore (Client.call_exn conn P.Shutdown);
   Client.close conn;
   Thread.join server;
-  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path)
+  Alcotest.(check bool) "socket unlinked" false (Sys.file_exists sock_path);
+  result
+
+(* the named cache's [fields] in a fresh [stats] reply *)
+let counters conn name fields =
+  let c =
+    Json.to_list (member_exn "caches" (Client.call_exn conn P.Stats))
+    |> List.find (fun c -> member_exn "name" c = Json.String name)
+  in
+  List.map (fun f -> int_member f c) fields
+
+(* A lint request lints the program the server caches for its key: the
+   ND tree, or with [np] its fire-serialized projection.  That
+   projection has no fire left to recover span, so mm n=8 keeps the
+   golden ND007 warning in ND mode only. *)
+let test_server_lint_np () =
+  with_server "lintnp" (fun conn ->
+      let lint np =
+        let r =
+          Client.call_exn conn (P.Lint { wk with n = Some 8; base = Some 2; np })
+        in
+        let ids =
+          match member_exn "findings" r with
+          | Json.List fs -> List.map (fun f -> member_exn "id" f) fs
+          | j -> Alcotest.failf "findings: %s" (Json.to_string j)
+        in
+        (member_exn "warnings" r, ids)
+      in
+      let warnings, ids = lint false in
+      Alcotest.(check bool) "ND: one warning" true (warnings = Json.Int 1);
+      Alcotest.(check bool) "ND: it is ND007" true (ids = [ Json.String "ND007" ]);
+      let warnings, ids = lint true in
+      Alcotest.(check bool) "NP: no warning" true (warnings = Json.Int 0);
+      Alcotest.(check bool) "NP: no finding" true (ids = []))
+
+let small_wk seed = { wk with n = Some 8; base = Some 2; seed }
+
+(* one-shot keys pin no program: 20 requests on distinct seeds, each
+   key asked once, leave the programs cache empty without evicting *)
+let test_server_one_shot_keys () =
+  with_server "oneshot" (fun conn ->
+      for i = 0 to 19 do
+        let w = small_wk (100 + i) in
+        ignore
+          (Client.call_exn conn
+             (match i mod 3 with
+             | 0 -> P.Lint w
+             | 1 -> P.Analyze { wk = w; top = 1 }
+             | _ -> P.Simulate { wk = w; top = 1; fine = false }))
+      done;
+      Alcotest.(check (list int)) "programs size, evictions, bypassed"
+        [ 0; 0; 20 ]
+        (counters conn "programs" [ "size"; "evictions"; "bypassed" ]))
+
+(* A lint files the race reply of the ESP pass it ran, so a race
+   request after it compiles nothing and hits — with the very reply a
+   race request computes on a fresh server.  analyze then compiles the
+   key a second time, which keeps the program for simulate. *)
+let test_server_lint_files_race () =
+  let w = small_wk 5 in
+  let race_first =
+    with_server "racefirst" (fun conn -> Client.call_exn conn (P.Race w))
+  in
+  with_server "lintrace" (fun conn ->
+      Alcotest.(check bool) "lint clean" true
+        (member_exn "errors" (Client.call_exn conn (P.Lint w)) = Json.Int 0);
+      let misses () = counters conn "programs" [ "misses" ] in
+      let compiled = misses () in
+      let race = Client.call_exn conn (P.Race w) in
+      Alcotest.(check (list int)) "race compiled nothing" compiled (misses ());
+      Alcotest.(check (list int)) "race hits, misses, offered" [ 1; 0; 1 ]
+        (counters conn "race" [ "hits"; "misses"; "offered" ]);
+      Alcotest.(check string) "race reply as a race request computes it"
+        (Json.to_string race_first) (Json.to_string race);
+      ignore (Client.call_exn conn (P.Analyze { wk = w; top = 1 }));
+      ignore (Client.call_exn conn (P.Simulate { wk = w; top = 1; fine = false }));
+      Alcotest.(check (list int)) "programs size, misses, hits, bypassed"
+        [ 1; 2; 1; 1 ]
+        (counters conn "programs" [ "size"; "misses"; "hits"; "bypassed" ]))
 
 (* Shutdown under load: 40 lint requests pipelined over two connections,
    a shutdown on one, then 10 more lints on the other.  Every request
@@ -776,11 +935,19 @@ let () =
         [
           Alcotest.test_case "keyed lru" `Quick test_cache_lru;
           Alcotest.test_case "single-flight same key" `Quick
-            test_cache_single_flight_same_key;
+            (test_cache_single_flight_same_key Cache.Always);
           Alcotest.test_case "distinct keys overlap" `Quick
             test_cache_distinct_keys_overlap;
           Alcotest.test_case "failed compute retries" `Quick
             test_cache_failed_compute_retries;
+          Alcotest.test_case "second use admits" `Quick test_cache_second_use;
+          Alcotest.test_case "second use: racing callers keep the value" `Quick
+            (test_cache_single_flight_same_key Cache.Second_use);
+          Alcotest.test_case "second use: ghost list bounded" `Quick
+            test_cache_ghost_bounded;
+          Alcotest.test_case "offer" `Quick test_cache_offer;
+          Alcotest.test_case "snapshots consistent under load" `Quick
+            test_cache_snapshot_consistent;
         ] );
       ( "decompose",
         [
@@ -792,6 +959,10 @@ let () =
           Alcotest.test_case "pool sized by NDSIM_WORKERS, started on demand"
             `Quick test_server_pool_on_demand;
           Alcotest.test_case "lint honours np" `Quick test_server_lint_np;
+          Alcotest.test_case "one-shot keys pin no program" `Quick
+            test_server_one_shot_keys;
+          Alcotest.test_case "lint files the race reply" `Quick
+            test_server_lint_files_race;
           Alcotest.test_case "shutdown under load" `Quick
             test_shutdown_under_load;
           Alcotest.test_case "two servers coexist" `Quick
