@@ -118,13 +118,18 @@ let run_bechamel () =
 (* Where a compiled program's words go: the spine's exec set-up (the
    four programs at seed 1, compiled) with each program's vertices V,
    edges E and fire edges P, the bytes its compile allocated, and the
-   words [Obj.reachable_words] reaches from its DAG adjacency, its fire
-   edges and the whole program (strand actions and operands included),
-   in 10^6-byte MB.  Run first, so the top heap is the set-up's alone. *)
+   words [Obj.reachable_words] reaches from its DAG adjacency (the
+   successor CSR), its fire edges, the whole program (strand actions
+   and operands included) and the workload record (spawn tree,
+   operands and any reference answer it keeps), in 10^6-byte MB.  Run
+   first, so the top heap is the set-up's alone. *)
 let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
-      [ "program"; "V"; "E"; "P"; "compile alloc"; "adjacency"; "fire pairs"; "program" ]
+      [
+        "program"; "V"; "E"; "P"; "compile alloc"; "adjacency"; "fire pairs"; "program";
+        "workload";
+      ]
   in
   let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
   let programs =
@@ -137,13 +142,13 @@ let run_memory () =
         in
         let before = Gc.allocated_bytes () in
         let p = Workload.compile w in
-        (Printf.sprintf "%s n=%d b=%d" name n base, Gc.allocated_bytes () -. before, p))
+        (Printf.sprintf "%s n=%d b=%d" name n base, Gc.allocated_bytes () -. before, w, p))
       [ ("mm", 128, 8); ("trs", 128, 8); ("cholesky", 128, 8); ("lcs", 1024, 16) ]
   in
   Gc.full_major ();
   let gc = Gc.stat () in
   List.iter
-    (fun (label, alloc, p) ->
+    (fun (label, alloc, wl, p) ->
       let dag = Nd.Program.dag p in
       let w = Nd.Program.heap_words p in
       Nd_util.Table.add_row table
@@ -156,6 +161,7 @@ let run_memory () =
           mb w.Nd.Program.adjacency;
           mb w.Nd.Program.fire_pairs;
           mb w.Nd.Program.program;
+          mb (Obj.reachable_words (Obj.repr wl));
         ])
     programs;
   Nd_util.Table.print table;

@@ -46,6 +46,10 @@ let build_workload algo n base seed =
 
 let mode_of np = if np then Workload.NP else Workload.ND
 
+(* a checked answer off by more than this, or NaN, fails the command
+   with exit 1 *)
+let wrong err = not (err <= 1e-6)
+
 let sim_machine top =
   Pmh.create ~root_fanout:top
     [
@@ -442,8 +446,8 @@ let sched_cmd =
     Arg.(value & opt int 0
          & info [ "comm-delay" ] ~docv:"D"
              ~doc:"Extra time units charged when a vertex is dispatched on a \
-                   processor that executed none of its predecessors (honoured \
-                   by the pdf and tree dispatch loops).")
+                   processor while one of its predecessors ran on another \
+                   (honoured by the pdf and tree dispatch loops).")
   in
   let run algo n base seed np scheduler top comm_delay =
     match Nd_sched.Zoo.find scheduler with
@@ -482,11 +486,12 @@ let check_cmd =
     Format.printf "%s n=%d: randomized-order execution error = %g@."
       w.Workload.name w.Workload.n err;
     Option.iter (finish_trace tracer) trace_out;
-    if err > 1e-6 then exit 1
+    if wrong err then exit 1
   in
   Cmd.v
     (Cmd.info "check"
-       ~doc:"Execute in a randomized dependency order and compare with the serial reference.")
+       ~doc:"Execute in a randomized dependency order and compare with the serial \
+             reference; exit 1 when the answer is off by more than 1e-6 or NaN.")
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ np_arg $ trace_out_arg)
 
 (* ------------------------------- drs ------------------------------- *)
@@ -566,25 +571,26 @@ let trace_cmd =
     let sb_mode =
       if fine then Nd_sched.Sb_sched.Fine else Nd_sched.Sb_sched.Coarse
     in
-    let tracer, vertex_granular =
+    (* [err] is 0 for the simulated schedulers, which compute nothing *)
+    let tracer, vertex_granular, err =
       match sched with
       | "serial" ->
         let t = Nd_trace.Collector.create ~workers:1 () in
         w.Workload.reset ();
         Nd.Serial_exec.run ~tracer:t p;
-        (t, true)
+        (t, true, 0.)
       | "sb" ->
         let t = Nd_trace.Collector.create ~workers:(Pmh.n_procs machine) () in
         Format.printf "machine: %s@." (Pmh.describe machine);
         let s = Nd_sched.Sb_sched.run ~mode:sb_mode ~tracer:t p machine in
         Format.printf "SB: %a@." Nd_sched.Sb_sched.pp_stats s;
-        (t, false)
+        (t, false, 0.)
       | "ws" ->
         let t = Nd_trace.Collector.create ~workers:(Pmh.n_procs machine) () in
         Format.printf "machine: %s@." (Pmh.describe machine);
         let s, steals = Nd_sched.Work_steal.run ~seed ~tracer:t p machine in
         Format.printf "WS: %a steals=%d@." Nd_sched.Scheduler.pp_stats s steals;
-        (t, true)
+        (t, true, 0.)
       | "dataflow" ->
         let nw =
           match workers with
@@ -594,8 +600,9 @@ let trace_cmd =
         let t = Nd_trace.Collector.wallclock ~workers:nw () in
         w.Workload.reset ();
         Nd_runtime.Executor.run_dataflow ~workers:nw ?grain ~tracer:t p;
-        Format.printf "dataflow: workers=%d max err=%g@." nw (w.Workload.check ());
-        (t, true)
+        let err = w.Workload.check () in
+        Format.printf "dataflow: workers=%d max err=%g@." nw err;
+        (t, true, err)
       | "forkjoin" ->
         let nw =
           match workers with
@@ -605,8 +612,9 @@ let trace_cmd =
         let t = Nd_trace.Collector.wallclock ~workers:nw () in
         w.Workload.reset ();
         Nd_runtime.Executor.run_fork_join ~workers:nw ?grain ~tracer:t p;
-        Format.printf "forkjoin: workers=%d max err=%g@." nw (w.Workload.check ());
-        (t, true)
+        let err = w.Workload.check () in
+        Format.printf "forkjoin: workers=%d max err=%g@." nw err;
+        (t, true, err)
       | "fiber" ->
         let nw =
           match workers with
@@ -616,13 +624,14 @@ let trace_cmd =
         let t = Nd_trace.Collector.wallclock ~workers:nw () in
         w.Workload.reset ();
         let s = Nd_runtime.Fiber_exec.run_program ~workers:nw ?grain ~tracer:t p in
+        let err = w.Workload.check () in
         Format.printf
           "fiber: workers=%d fibers=%d suspensions=%d steals=%d \
            peak_blocked=%d max err=%g@."
           nw s.Nd_runtime.Fiber_exec.fibers s.Nd_runtime.Fiber_exec.suspensions
           s.Nd_runtime.Fiber_exec.steals s.Nd_runtime.Fiber_exec.peak_blocked
-          (w.Workload.check ());
-        (t, true)
+          err;
+        (t, true, err)
       | other ->
         die_usage
           "unknown scheduler %s (want sb|ws|serial|dataflow|forkjoin|fiber)"
@@ -639,12 +648,15 @@ let trace_cmd =
         cp span
         (if cp = span then "match" else "MISMATCH")
         traced total
-    end
+    end;
+    if wrong err then exit 1
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:"Record a structured trace of a scheduler run and export it as \
-             Chrome trace_event JSON plus a per-worker summary.")
+             Chrome trace_event JSON plus a per-worker summary; a real \
+             executor (dataflow, forkjoin, fiber) exits 1 when its answer \
+             is off by more than 1e-6 or NaN.")
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ np_arg
           $ sched_arg $ top_arg $ fine_arg $ workers_arg $ grain_arg $ out_arg)
 
@@ -857,10 +869,10 @@ let run_cmd =
         end
       in
       let dt = Unix.gettimeofday () -. t0 in
+      let err = w.Workload.check () in
       Format.printf "%s %s n=%d base=%d: workers=%d grain=%d %.4fs max err=%g@."
-        B.name w.Workload.name w.Workload.n w.Workload.base nw grain dt
-        (w.Workload.check ());
-      match fiber_stats with
+        B.name w.Workload.name w.Workload.n w.Workload.base nw grain dt err;
+      (match fiber_stats with
       | None -> ()
       | Some s ->
         Format.printf
@@ -868,13 +880,15 @@ let run_cmd =
            blocked %d@."
           s.Nd_runtime.Fiber_exec.fibers s.Nd_runtime.Fiber_exec.completed
           s.Nd_runtime.Fiber_exec.suspensions s.Nd_runtime.Fiber_exec.steals
-          s.Nd_runtime.Fiber_exec.peak_blocked
+          s.Nd_runtime.Fiber_exec.peak_blocked);
+      if wrong err then exit 1
   in
   Cmd.v
     (Cmd.info "run"
        ~doc:"Execute an algorithm on a real multicore backend (forkjoin, \
              dataflow, or the effects-based fiber scheduler) and report \
-             wall-clock time plus the numerical check.")
+             wall-clock time plus the numerical check; exit 1 when the \
+             answer is off by more than 1e-6 or NaN.")
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ np_arg
           $ backend_arg $ workers_arg $ grain_arg)
 

@@ -11,9 +11,13 @@
 
 (** [workload ?variant ~n ~base ~seed ()] — LCS of two random sequences
     of length [n] over a 4-letter alphabet; [check] compares the full DP
-    table with the serial reference (exact: integer-valued).  [`Literal]
-    uses the paper's printed "VH" pedigrees, which the race detector
-    rejects (see DESIGN.md). *)
+    table, row 0 and column 0 included, with the serial reference
+    (exact: integer-valued).  It stores no reference: it draws the
+    sequences again from [seed], compares them with the operand cells,
+    and recomputes the reference DP one row at a time, comparing each
+    row as it goes, so the workload holds O(n) words of reference.
+    [`Literal] uses the paper's printed "VH" pedigrees, which the race
+    detector rejects (see DESIGN.md). *)
 val workload :
   ?variant:[ `Corrected | `Literal ] -> n:int -> base:int -> seed:int ->
   unit -> Workload.t

@@ -87,13 +87,17 @@ let copy_contents ~src ~dst =
     done
   done
 
+(* a NaN compares false with everything, so it must become a number
+   before the max sees it *)
+let deviation x y = if Float.is_nan x || Float.is_nan y then infinity else Float.abs (x -. y)
+
 let max_abs_diff a b =
   if a.rows <> b.rows || a.cols <> b.cols then
     invalid_arg "Mat.max_abs_diff: shape mismatch";
   let worst = ref 0. in
   for i = 0 to a.rows - 1 do
     for j = 0 to a.cols - 1 do
-      let d = Float.abs (get a i j -. get b i j) in
+      let d = deviation (get a i j) (get b i j) in
       if d > !worst then worst := d
     done
   done;
@@ -122,7 +126,7 @@ let max_abs_diff_lower a b =
   let worst = ref 0. in
   for i = 0 to a.rows - 1 do
     for j = 0 to min i (a.cols - 1) do
-      let d = Float.abs (get a i j -. get b i j) in
+      let d = deviation (get a i j) (get b i j) in
       if d > !worst then worst := d
     done
   done;

@@ -50,7 +50,12 @@ val fill : t -> (int -> int -> float) -> unit
 (** [copy_contents ~src ~dst] copies cell-wise; shapes must match. *)
 val copy_contents : src:t -> dst:t -> unit
 
-(** [max_abs_diff a b] is the max |a(i,j) - b(i,j)|; shapes must match. *)
+(** [deviation x y] is [|x - y|], or [infinity] when [x] or [y] is NaN:
+    a NaN cell is as wrong as a cell can be. *)
+val deviation : float -> float -> float
+
+(** [max_abs_diff a b] is the max of {!deviation} over the cells, so a
+    NaN on either side makes it [infinity]; shapes must match. *)
 val max_abs_diff : t -> t -> float
 
 (** [snapshot m] materializes the view into a fresh space (detached copy),

@@ -2,9 +2,12 @@
 
     Workloads are what the tests, examples, benchmarks and schedulers all
     consume.  [reset] (re)fills the operands deterministically from the
-    instance's seed and recomputes the reference answer with the serial
-    kernels; [check] returns the max-abs deviation of the operands from
-    that reference, so a full round-trip is:
+    instance's seed, and most families compute the reference answer
+    there with the serial kernels and store it; [check] returns the
+    max-abs deviation of the operands from that reference ([infinity]
+    for a NaN, see {!Mat.deviation}).  A family may instead recompute
+    the reference inside [check], from the seed, without storing it
+    (lcs does, a row at a time).  Either way a full round-trip is:
 
     [reset w; Serial_exec.run (compile w); assert (check w < tol)] *)
 

@@ -108,7 +108,7 @@ val work_of_node : t -> node_id -> int
 (** Heap words reachable from parts of a compiled program, by
     [Obj.reachable_words]: a block shared within a part counts once. *)
 type heap_words = {
-  adjacency : int;  (** the DAG's CSR, both directions *)
+  adjacency : int;  (** the DAG's successor CSR and in-degrees *)
   fire_pairs : int;  (** the sorted fire edges *)
   program : int;  (** all of it, strand actions and their operands included *)
 }

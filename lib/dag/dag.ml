@@ -4,13 +4,7 @@ type vertex_id = int
 
 type vertex = { label : string; work : int; reads : Is.t; writes : Is.t }
 
-type csr = {
-  succ_off : int array;
-  succ_tgt : int array;
-  pred_off : int array;
-  pred_tgt : int array;
-  indeg : int array;
-}
+type csr = { succ_off : int array; succ_tgt : int array; indeg : int array }
 
 (* Edges live in [links], one packed int each, in link order and
    duplicates included, until the first read of the adjacency builds
@@ -127,45 +121,37 @@ let coalesce n off tgt =
   off.(n) <- !e;
   !e
 
-(* One counting sort per direction.  Walking the links newest first
-   lists each slice newest link first, the order test_core's recorded
-   compile digests pin. *)
+(* One counting sort.  Walking the links newest first lists each slice
+   newest link first, the order test_core's recorded compile digests
+   pin.  The in-degrees are counted from the coalesced slices, so a
+   duplicate link counts once. *)
 let build_csr t =
   let n = t.n and e = t.n_links in
-  let succ_off = Array.make (n + 1) 0 and pred_off = Array.make (n + 1) 0 in
+  let succ_off = Array.make (n + 1) 0 in
   for i = 0 to e - 1 do
-    let u = src t.links.(i) and v = dst t.links.(i) in
-    succ_off.(u + 1) <- succ_off.(u + 1) + 1;
-    pred_off.(v + 1) <- pred_off.(v + 1) + 1
+    let u = src t.links.(i) in
+    succ_off.(u + 1) <- succ_off.(u + 1) + 1
   done;
   for v = 1 to n do
-    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1);
-    pred_off.(v) <- pred_off.(v) + pred_off.(v - 1)
+    succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
   done;
   (* each slice's start is its fill cursor; afterwards the cursors
      stand one slice on, and are shifted back *)
-  let succ_tgt = Array.make e 0 and pred_tgt = Array.make e 0 in
+  let succ_tgt = Array.make e 0 in
   for i = e - 1 downto 0 do
-    let u = src t.links.(i) and v = dst t.links.(i) in
-    succ_tgt.(succ_off.(u)) <- v;
-    succ_off.(u) <- succ_off.(u) + 1;
-    pred_tgt.(pred_off.(v)) <- u;
-    pred_off.(v) <- pred_off.(v) + 1
+    let u = src t.links.(i) in
+    succ_tgt.(succ_off.(u)) <- dst t.links.(i);
+    succ_off.(u) <- succ_off.(u) + 1
   done;
   for v = n downto 1 do
-    succ_off.(v) <- succ_off.(v - 1);
-    pred_off.(v) <- pred_off.(v - 1)
+    succ_off.(v) <- succ_off.(v - 1)
   done;
   succ_off.(0) <- 0;
-  pred_off.(0) <- 0;
   let distinct = coalesce n succ_off succ_tgt in
-  ignore (coalesce n pred_off pred_tgt);
-  let succ_tgt, pred_tgt =
-    if distinct = e then (succ_tgt, pred_tgt)
-    else (Array.sub succ_tgt 0 distinct, Array.sub pred_tgt 0 distinct)
-  in
-  let indeg = Array.init n (fun v -> pred_off.(v + 1) - pred_off.(v)) in
-  { succ_off; succ_tgt; pred_off; pred_tgt; indeg }
+  let succ_tgt = if distinct = e then succ_tgt else Array.sub succ_tgt 0 distinct in
+  let indeg = Array.make n 0 in
+  Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1) succ_tgt;
+  { succ_off; succ_tgt; indeg }
 
 let csr t =
   match t.csr with
@@ -180,27 +166,32 @@ let n_edges t = (csr t).succ_off.(t.n)
 
 exception Cycle of vertex_id
 
-(* Every vertex a stalled topological pass left blocked has a
-   predecessor that never ran, so walking back through blocked
-   predecessors must repeat a vertex, and the first repeat is on a
-   cycle. *)
+(* A successor of a vertex a stalled topological pass left blocked is
+   blocked too, and every blocked vertex has a blocked predecessor.  So
+   noting one blocked predecessor for each blocked vertex, and walking
+   back through them, must repeat a vertex, and the first repeat is on
+   a cycle.  Only the stall path pays for the V-word array. *)
 let cycle_witness t remaining =
   let c = csr t in
+  let back = Array.make t.n (-1) in
+  let start = ref (-1) in
+  for u = 0 to t.n - 1 do
+    if remaining.(u) > 0 then begin
+      start := u;
+      for k = c.succ_off.(u) to c.succ_off.(u + 1) - 1 do
+        back.(c.succ_tgt.(k)) <- u
+      done
+    end
+  done;
   let seen = Array.make t.n false in
-  let rec back v =
+  let rec walk v =
     if seen.(v) then v
     else begin
       seen.(v) <- true;
-      let k = ref c.pred_off.(v) in
-      while remaining.(c.pred_tgt.(!k)) = 0 do
-        incr k
-      done;
-      back c.pred_tgt.(!k)
+      walk back.(v)
     end
   in
-  let start = ref (-1) in
-  Array.iteri (fun v r -> if r > 0 then start := v) remaining;
-  back !start
+  walk !start
 
 (* Kahn's algorithm; [order] doubles as the FIFO queue *)
 let topo_order t =

@@ -61,12 +61,12 @@ val footprint_of : t -> vertex_id -> Nd_util.Interval_set.t
 (** Total work [T_1]: sum of vertex works. *)
 val work : t -> int
 
-(** The adjacency, in both directions, as compressed sparse rows.
-    [succ_off] and [pred_off] have length [n_vertices + 1]; the
-    successors of [v] are [succ_tgt.(succ_off.(v)) ..
-    succ_tgt.(succ_off.(v+1) - 1)] and its predecessors the same slice
-    of [pred_tgt].  Each slice lists its edges newest link first.
-    [indeg.(v)] is the in-degree of [v].
+(** The adjacency, as compressed sparse rows of successors.  [succ_off]
+    has length [n_vertices + 1]; the successors of [v] are
+    [succ_tgt.(succ_off.(v)) .. succ_tgt.(succ_off.(v+1) - 1)], newest
+    link first.  [indeg.(v)] is the in-degree of [v].  There is no
+    predecessor half: an ND program runs by dependency counters, so
+    executors and simulators read successor slices and in-degrees only.
 
     The first call builds the arrays from the links and drops the link
     buffer, so the CSR is the DAG's only edge storage; it is built
@@ -75,13 +75,7 @@ val work : t -> int
     treat them as read-only.  That first call mutates the DAG, so a DAG
     shared across domains must be read once before it is shared;
     {!Nd.Program.compile} returns every compiled program's DAG frozen. *)
-type csr = {
-  succ_off : int array;
-  succ_tgt : int array;
-  pred_off : int array;
-  pred_tgt : int array;
-  indeg : int array;
-}
+type csr = { succ_off : int array; succ_tgt : int array; indeg : int array }
 
 val csr : t -> csr
 
@@ -90,9 +84,11 @@ exception Cycle of vertex_id
 (** [cycle_witness t remaining] is a vertex on a cycle of [t], given
     the in-degrees [remaining] a topological pass that ran until no
     vertex was ready left behind: [remaining.(v) > 0] exactly for the
-    vertices it never reached.  It walks back through predecessors
-    still blocked until one repeats.  {!topo_order} and
-    [Nd.Serial_exec.run] raise {!Cycle} with it. *)
+    vertices it never reached.  It notes one still-blocked predecessor
+    of each blocked vertex, from the blocked vertices' successor
+    slices, and walks back through them until one repeats; that costs
+    O(V + E) time and a V-word array, on the stall path only.
+    {!topo_order} and [Nd.Serial_exec.run] raise {!Cycle} with it. *)
 val cycle_witness : t -> int array -> vertex_id
 
 (** [topo_order t] returns the vertices in a topological order.

@@ -11,8 +11,8 @@
 
     The simulation charges misses on the same inclusive per-cache LRU
     hierarchy as {!Work_steal}; [comm_delay] (Papp et al.) adds a fixed
-    latency when a vertex is dispatched on a processor that executed
-    none of its predecessors.  Deterministic: [seed] is a no-op.  The
+    latency when a vertex is dispatched on a processor while one of
+    its predecessors ran on another.  Deterministic: [seed] is a no-op.  The
     serial-rank heap is the policy; {!Vertex_sim} runs the events. *)
 
 (** [run ?seed ?comm_delay program machine]. *)

@@ -40,8 +40,9 @@ type stats = {
     knobs.  [seed] feeds any internal randomness (work stealing's victim
     choice); deterministic schedulers ignore it.  [comm_delay] is the
     Papp-et-al. communication-delay knob: dispatching a vertex onto a
-    processor that executed none of its predecessors costs this many
-    extra time units (default 0 — the classic model).  Schedulers whose
+    processor costs this many extra time units when one of its
+    predecessors ran on another processor (default 0 — the classic
+    model).  Schedulers whose
     dispatch loop has no such notion ignore it. *)
 module type S = sig
   val name : string

@@ -19,14 +19,14 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
   let bank = Lru.create machine in
   let traced = Collector.enabled tracer in
   let indeg = Array.copy csr.Dag.indeg in
-  (* owner.(v) = processor that ran v, for the comm-delay surcharge *)
-  let owner = Array.make nv (-1) in
+  (* For the comm-delay surcharge, [ran.(v)] sums up where [v]'s
+     finished predecessors ran: -1 none has finished, q >= 0 all ran on
+     q, -2 on two processors or more.  All of them have finished when
+     [v] is dispatched, so [remote p v] tells whether one ran off [p]. *)
+  let ran = if comm_delay > 0 then Array.make nv (-1) else [||] in
   let remote p v =
-    let rec go k =
-      k < csr.Dag.pred_off.(v + 1)
-      && (owner.(csr.Dag.pred_tgt.(k)) <> p || go (k + 1))
-    in
-    go csr.Dag.pred_off.(v)
+    let q = ran.(v) in
+    q = -2 || (q >= 0 && q <> p)
   in
   (* payload: the processor whose strand ends (or who wakes) then *)
   let events : int Heap.t = Heap.create () in
@@ -60,6 +60,10 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
     let enabled = ref false in
     for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
       let w = csr.Dag.succ_tgt.(k) in
+      if comm_delay > 0 then begin
+        let q = ran.(w) in
+        if q = -1 then ran.(w) <- p else if q <> p then ran.(w) <- -2
+      end;
       indeg.(w) <- indeg.(w) - 1;
       if indeg.(w) = 0 then begin
         push p w;
@@ -93,7 +97,6 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
                { level = j; count = dm; cost = dm * Pmh.miss_cost machine ~level:j })
       done
     end;
-    owner.(v) <- p;
     running.(p) <- v;
     incr n_running;
     resident := !resident + fp_words v;

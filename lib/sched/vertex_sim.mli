@@ -30,8 +30,11 @@
       handed [p] (work stealing's steal cost).
     - [retire v], [settle ()], [unstick ()]: the completion and stall
       hooks above (defaults: no-op, [false], [false]).
-    - [comm_delay] (default 0): dispatching a vertex on a processor that
-      ran none of its predecessors costs this much more (Papp et al.).
+    - [comm_delay] (default 0): dispatching a vertex on a processor
+      costs this much more when one of its predecessors ran on another
+      processor (Papp et al.).  The engine decides it from one int per
+      vertex, updated as each predecessor completes; without comm delay
+      it keeps none.
 
     With [tracer] (one ring per processor) the engine emits strand
     begin/end, fire and per-level cache-miss events at simulated time;

@@ -27,6 +27,9 @@ type ('k, 'v) t = {
   cond : Condition.t;
   mutable n_ready : int;  (* Ready slots in [tbl]; capacity counts these *)
   mutable tick : int;
+  (* stamps for offered entries: below every tick, rising, so offered
+     entries go first and in the order they came *)
+  mutable cold : int;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -49,6 +52,7 @@ let create ~name ~cap ?(admission = Always) () =
     cond = Condition.create ();
     n_ready = 0;
     tick = 0;
+    cold = min_int;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -85,10 +89,8 @@ let evict_lru t =
   | None -> ()
 
 (* under the lock, with no slot for [k] in [tbl] *)
-let insert t k value =
+let insert t k e =
   if t.n_ready >= t.cap then evict_lru t;
-  let e = { value; stamp = 0 } in
-  touch t e;
   Hashtbl.add t.tbl k (Ready e);
   t.n_ready <- t.n_ready + 1
 
@@ -146,7 +148,11 @@ let find_or_compute t k f =
     | value ->
       Mutex.protect t.lock (fun () ->
           Hashtbl.remove t.tbl k;
-          if admit t k ~waited:p.waited then insert t k value
+          if admit t k ~waited:p.waited then begin
+            let e = { value; stamp = 0 } in
+            touch t e;
+            insert t k e
+          end
           else t.bypassed <- t.bypassed + 1;
           Condition.broadcast t.cond);
       value
@@ -159,7 +165,8 @@ let find_or_compute t k f =
 let offer t k value =
   Mutex.protect t.lock (fun () ->
       if not (Hashtbl.mem t.tbl k) then begin
-        insert t k value;
+        insert t k { value; stamp = t.cold };
+        t.cold <- t.cold + 1;
         t.offered <- t.offered + 1
       end)
 

@@ -16,8 +16,9 @@
 
     Keys use structural equality/hashing; values are never mutated by
     the cache.  Capacity eviction is strict LRU (stamped on every
-    hit); in-flight keys don't count against capacity and are never
-    evicted.  Every counter is read under the cache lock. *)
+    hit), with offered entries colder than any used one; in-flight
+    keys don't count against capacity and are never evicted.  Every
+    counter is read under the cache lock. *)
 
 type ('k, 'v) t
 
@@ -47,7 +48,11 @@ val find_or_compute : ('k, 'v) t -> 'k -> (unit -> 'v) -> 'v
 (** [offer t k v] — insert [v] under [k] (evicting as an insert does)
     unless [k] already has a value or a compute in flight.  For a value
     computed on the way to another answer: it counts as neither hit nor
-    miss, [offered] counts it, and the admission rule does not apply. *)
+    miss, [offered] counts it, and the admission rule does not apply.
+    The entry enters at the cold end, behind every entry a caller has
+    used, so an offer never pushes a used entry out before an older
+    offered one; offered entries leave in the order they came, and a
+    hit promotes one as usual. *)
 val offer : ('k, 'v) t -> 'k -> 'v -> unit
 
 (** Peek without computing or touching LRU order. *)

@@ -133,6 +133,91 @@ let prop_random_instances =
       Nd.Serial_exec.run ~rng:(Prng.create seed) p;
       w.Workload.check () <= tol)
 
+(* A NaN compares false with everything, so a max that skips it would
+   pass a backend that writes NaN. *)
+let test_nan_deviation () =
+  let pair () =
+    let a = Mat.alloc (Mat.create_space ()) ~rows:2 ~cols:2 in
+    let b = Mat.alloc (Mat.create_space ()) ~rows:2 ~cols:2 in
+    Mat.fill a (fun i j -> float_of_int ((2 * i) + j));
+    Mat.fill b (fun i j -> float_of_int ((2 * i) + j));
+    (a, b)
+  in
+  let a, b = pair () in
+  Mat.set a 1 0 Float.nan;
+  Alcotest.(check (float 0.)) "one NaN cell" infinity (Mat.max_abs_diff a b);
+  Alcotest.(check (float 0.)) "lower, one NaN cell" infinity (Mat.max_abs_diff_lower a b);
+  Alcotest.(check (float 0.)) "NaN on the other side" infinity (Mat.max_abs_diff b a);
+  Mat.set b 0 1 0.5;
+  Alcotest.(check (float 0.)) "and a cell off by 0.5" infinity (Mat.max_abs_diff a b);
+  let a, b = pair () in
+  Mat.set b 0 1 (Mat.get b 0 1 +. 0.5);
+  Alcotest.(check (float 0.)) "no NaN" 0.5 (Mat.max_abs_diff a b);
+  Alcotest.(check (float 0.)) "lower skips the upper cell" 0. (Mat.max_abs_diff_lower a b);
+  Alcotest.(check (float 0.)) "deviation" infinity (Mat.deviation 1. Float.nan)
+
+(* With no run, the operands hold the inputs, not the answer: a check
+   that always returns 0 fails this. *)
+let test_unrun_fails name mk tol () =
+  let w = mk () in
+  w.Workload.reset ();
+  let err = w.Workload.check () in
+  if not (err > tol) then Alcotest.failf "%s: check %g after reset alone, tolerance %g" name err tol
+
+(* the sequences [Lcs.workload] draws from [seed] *)
+let lcs_sequences ~n ~seed =
+  let rng = Prng.create seed in
+  let draw () = Array.init n (fun _ -> Prng.int rng 4) in
+  let s = draw () in
+  (s, draw ())
+
+(* the textbook LCS length, over the full table *)
+let lcs_length a b =
+  let n = Array.length a and m = Array.length b in
+  let d = Array.make_matrix (n + 1) (m + 1) 0 in
+  for i = 1 to n do
+    for j = 1 to m do
+      d.(i).(j) <-
+        (if a.(i - 1) = b.(j - 1) then d.(i - 1).(j - 1) + 1
+         else max d.(i - 1).(j) d.(i).(j - 1))
+    done
+  done;
+  d.(n).(m)
+
+(* the leaves' actions in tree order, which is a topological order *)
+let leaf_actions tree =
+  let rec go acc = function
+    | Nd.Spawn_tree.Leaf s -> Option.fold ~none:acc ~some:(fun f -> f :: acc) s.Nd.Strand.action
+    | Nd.Spawn_tree.Seq l | Nd.Spawn_tree.Par l -> List.fold_left go acc l
+    | Nd.Spawn_tree.Fire { src; snk; _ } -> go (go acc src) snk
+  in
+  List.rev (go [] tree)
+
+(* lcs's check recomputes the reference a row at a time.  The table is
+   monotone, so its largest cell is the LCS length at (n, n): that is
+   the deviation of an unrun table, and of a run that skips the last
+   leaf, the bottom-right block, and leaves that cell 0. *)
+let test_lcs_row_check () =
+  List.iter
+    (fun n ->
+      List.iter
+        (fun seed ->
+          let w = Lcs.workload ~n ~base:(min n 4) ~seed () in
+          let a, b = lcs_sequences ~n ~seed in
+          let len = float_of_int (lcs_length a b) in
+          let label what = Printf.sprintf "n=%d seed=%d %s" n seed what in
+          w.Workload.reset ();
+          Alcotest.(check (float 0.)) (label "reset alone") len (w.Workload.check ());
+          let leaves = leaf_actions w.Workload.tree in
+          w.Workload.reset ();
+          List.iteri (fun i f -> if i < List.length leaves - 1 then f ()) leaves;
+          Alcotest.(check (float 0.)) (label "last leaf skipped") len (w.Workload.check ());
+          w.Workload.reset ();
+          List.iter (fun f -> f ()) leaves;
+          Alcotest.(check (float 0.)) (label "full run") 0. (w.Workload.check ()))
+        [ 1; 7; 42 ])
+    [ 1; 2; 16; 64 ]
+
 let correctness_cases =
   [
     ("mm n=16 b=2", (fun () -> Matmul.workload ~n:16 ~base:2 ~seed:11 ()), 1e-9);
@@ -169,10 +254,22 @@ let () =
         Alcotest.test_case name `Quick (test_nd_span_le_np mk))
       correctness_cases
   in
+  let unrun_cases =
+    List.map
+      (fun (name, mk, tol) ->
+        Alcotest.test_case name `Quick (test_unrun_fails name mk tol))
+      correctness_cases
+  in
   Alcotest.run "nd_algos"
     [
       ("correctness (race-free + randomized orders)", correctness);
       ("span: ND <= NP", span_cases);
+      ("checks catch wrong answers: reset alone", unrun_cases);
+      ( "checks",
+        [
+          Alcotest.test_case "NaN deviates infinitely" `Quick test_nan_deviation;
+          Alcotest.test_case "lcs row check" `Quick test_lcs_row_check;
+        ] );
       ( "span separations",
         [
           Alcotest.test_case "strict ND < NP" `Quick test_strict_separation;

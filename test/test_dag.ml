@@ -22,10 +22,6 @@ let succs dag v =
   let c = Dag.csr dag in
   slice c.Dag.succ_off c.Dag.succ_tgt v
 
-let preds dag v =
-  let c = Dag.csr dag in
-  slice c.Dag.pred_off c.Dag.pred_tgt v
-
 let test_basic () =
   let dag, a, b, c, d = diamond () in
   Alcotest.(check int) "vertices" 4 (Dag.n_vertices dag);
@@ -33,7 +29,6 @@ let test_basic () =
   Alcotest.(check int) "work" 8 (Dag.work dag);
   (* newest link first *)
   Alcotest.(check (list int)) "succs a" [ c; b ] (succs dag a);
-  Alcotest.(check (list int)) "preds d" [ c; b ] (preds dag d);
   Alcotest.(check int) "indeg d" 2 (Dag.csr dag).Dag.indeg.(d);
   Alcotest.(check string) "label" "b" (Dag.label dag b)
 
@@ -211,7 +206,6 @@ let prop_matches_reference =
         fail "n_edges %d, reference %d" (Dag.n_edges dag) (Ref.n_edges r);
       for v = 0 to n - 1 do
         if succs dag v <> Ref.succs r v then fail "succ slice of %d" v;
-        if preds dag v <> Ref.preds r v then fail "pred slice of %d" v;
         if (Dag.csr dag).Dag.indeg.(v) <> List.length (Ref.preds r v) then
           fail "indeg of %d" v
       done;

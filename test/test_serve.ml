@@ -417,6 +417,30 @@ let test_cache_offer () =
   Alcotest.(check (list int)) "hits, misses, offered" [ 1; 0; 1 ]
     (List.map (fun f -> int_member f j) [ "hits"; "misses"; "offered" ])
 
+(* an offered entry enters at the cold end: it goes before any entry a
+   caller used, offered entries go in the order they came, and a hit
+   promotes one like any other *)
+let test_cache_offer_cold () =
+  let c = Cache.create ~name:"t" ~cap:2 () in
+  let compute k = ignore (Cache.find_or_compute c k (fun () -> k * 10)) in
+  compute 1;
+  Cache.offer c 2 20;
+  compute 3;
+  Alcotest.(check bool) "offered 2 evicted" true (Cache.find_opt c 2 = None);
+  Alcotest.(check bool) "used 1 kept" true (Cache.find_opt c 1 = Some 10);
+  let c = Cache.create ~name:"t" ~cap:3 () in
+  let compute k = ignore (Cache.find_or_compute c k (fun () -> k * 10)) in
+  compute 1;
+  Cache.offer c 2 20;
+  Cache.offer c 3 30;
+  compute 4;
+  Alcotest.(check (list bool)) "first offered goes first" [ true; false; true; true ]
+    (List.map (fun k -> Cache.find_opt c k <> None) [ 1; 2; 3; 4 ]);
+  compute 3;
+  compute 5;
+  Alcotest.(check (list bool)) "a hit promotes an offered entry" [ false; true; true; true ]
+    (List.map (fun k -> Cache.find_opt c k <> None) [ 1; 3; 4; 5 ])
+
 (* torn snapshots: two domains compute while a third snapshots
    [stats_json]; every snapshot must satisfy the accounting identities
    (an insert is never visible without the miss that led to it).  The
@@ -946,6 +970,7 @@ let () =
           Alcotest.test_case "second use: ghost list bounded" `Quick
             test_cache_ghost_bounded;
           Alcotest.test_case "offer" `Quick test_cache_offer;
+          Alcotest.test_case "offer enters cold" `Quick test_cache_offer_cold;
           Alcotest.test_case "snapshots consistent under load" `Quick
             test_cache_snapshot_consistent;
         ] );
