@@ -117,8 +117,10 @@ let run_bechamel () =
 
 (* Where a compiled program's words go: the spine's exec set-up (the
    four programs at seed 1, compiled) with each program's vertices V,
-   edges E and fire edges P, the bytes its compile allocated, and the
-   words [Obj.reachable_words] reaches from its DAG adjacency (the
+   edges E and fire edges P, the bytes its compile allocated, those of
+   them it allocated outside the minor heap (arrays of more than 256
+   words, resident until a major cycle sweeps them; exact on one
+   domain), and the words [Obj.reachable_words] reaches from its DAG adjacency (the
    successor CSR), its fire edges, the whole program (strand actions
    and operands included) and the workload record (spawn tree,
    operands and any reference answer it keeps), in 10^6-byte MB.  Run
@@ -127,8 +129,8 @@ let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
       [
-        "program"; "V"; "E"; "P"; "compile alloc"; "adjacency"; "fire pairs"; "program";
-        "workload";
+        "program"; "V"; "E"; "P"; "compile alloc"; "compile major"; "adjacency"; "fire pairs";
+        "program"; "workload";
       ]
   in
   let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
@@ -141,14 +143,18 @@ let run_memory () =
             ~seed:(1000 + i)
         in
         let before = Gc.allocated_bytes () in
+        let _, promoted0, major0 = Gc.counters () in
         let p = Workload.compile w in
-        (Printf.sprintf "%s n=%d b=%d" name n base, Gc.allocated_bytes () -. before, w, p))
+        let _, promoted1, major1 = Gc.counters () in
+        let alloc = Gc.allocated_bytes () -. before in
+        let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+        (Printf.sprintf "%s n=%d b=%d" name n base, alloc, direct, w, p))
       [ ("mm", 128, 8); ("trs", 128, 8); ("cholesky", 128, 8); ("lcs", 1024, 16) ]
   in
   Gc.full_major ();
   let gc = Gc.stat () in
   List.iter
-    (fun (label, alloc, wl, p) ->
+    (fun (label, alloc, direct, wl, p) ->
       let dag = Nd.Program.dag p in
       let w = Nd.Program.heap_words p in
       Nd_util.Table.add_row table
@@ -158,6 +164,7 @@ let run_memory () =
           Nd_util.Table.cell_int (Nd_dag.Dag.n_edges dag);
           Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
           Nd_util.Table.cell_float ~prec:1 (alloc /. 1e6);
+          Nd_util.Table.cell_float ~prec:1 (direct *. 8. /. 1e6);
           mb w.Nd.Program.adjacency;
           mb w.Nd.Program.fire_pairs;
           mb w.Nd.Program.program;

@@ -71,7 +71,7 @@ let lcs_tree ?(vh_rule = "VH") ~base x s t =
 let workload ?(variant = `Corrected) ~n ~base ~seed () =
   let vh_rule = match variant with `Corrected -> "VH" | `Literal -> "VH_literal" in
   Workload.validate_shape ~n ~base;
-  let space = Mat.create_space () in
+  let space = Mat.create_space ~words:(((n + 1) * (n + 1)) + (2 * n)) () in
   let x = Mat.alloc space ~rows:(n + 1) ~cols:(n + 1) in
   let s = Mat.alloc space ~rows:1 ~cols:n in
   let t = Mat.alloc space ~rows:1 ~cols:n in

@@ -16,6 +16,7 @@
     sequences again from [seed], compares them with the operand cells,
     and recomputes the reference DP one row at a time, comparing each
     row as it goes, so the workload holds O(n) words of reference.
+    Its matrix space is sized exactly, (n+1)² + 2n words.
     [`Literal] uses the paper's printed "VH" pedigrees, which the race
     detector rejects (see DESIGN.md). *)
 val workload :

@@ -2,7 +2,7 @@ module Is = Nd_util.Interval_set
 
 type space = { mutable next : int; mutable data : float array }
 
-let create_space () = { next = 0; data = Array.make 64 0. }
+let create_space ?(words = 64) () = { next = 0; data = Array.create_float words }
 
 let words s = s.next
 

@@ -9,7 +9,12 @@
 
 type space
 
-val create_space : unit -> space
+(** [create_space ?words ()] is an empty space with room for [words]
+    addresses (default 64) before it first grows.  The room is not
+    written: {!alloc} zeroes each region it hands out, and a space
+    sized to what its matrices take never grows, so no word of it goes
+    unused. *)
+val create_space : ?words:int -> unit -> space
 
 (** [words space] is the number of allocated addresses. *)
 val words : space -> int

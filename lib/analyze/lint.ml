@@ -243,10 +243,9 @@ let fires program =
       | Program.Leaf _ | Program.Seq | Program.Par -> None)
     (List.init (Program.n_nodes program) Fun.id)
 
-(* ND002 from the rewriting's own per-rule tallies: a rule is dead when
-   every application asked some node for a child it does not have —
-   never a clean resolution, never the benign stop at a leaf.  The
-   program compiled, so the walk reaches no undefined set. *)
+(* ND002 from the per-rule tallies of compile's own walk: a rule is
+   dead when every application asked some node for a child it does not
+   have — never a clean resolution, never the benign stop at a leaf. *)
 let dead_rules program =
   let reg = Program.registry program in
   List.filter_map
@@ -260,9 +259,7 @@ let dead_rules program =
              (rule_str (List.nth (Fire_rule.find reg u.set) u.index))
              u.applies)
       else None)
-    (Drs.rewrite ~who:"Lint.dead_rules" ~registry:reg
-       ~children:(Array.init (Program.n_nodes program) (Program.children program))
-       (fires program))
+    (Program.rule_uses program)
 
 (* ND006: a fire node whose two children are themselves a fire edge.
    One merge pass of the (src, snk)-sorted fire nodes against the
@@ -302,13 +299,7 @@ let no_span_recovered program =
   if Spawn_tree.fire_types tree = [] then []
   else begin
     let nd_span = Dag.span (Program.dag program) in
-    let np =
-      Program.compile
-        ~registry:(Program.registry program)
-        (Spawn_tree.serialize_fires tree)
-    in
-    let np_span = Dag.span (Program.dag np) in
-    if nd_span = np_span then
+    if nd_span = Spawn_tree.np_span tree then
       [
         finding "ND007" Warning "program"
           "the fire rules recover no span: ND span %d equals the \
@@ -389,9 +380,10 @@ let lint_cost ?machine ?procs ~has_fires cost =
   List.rev !fs
 
 (* ND010: the asymptotic version of ND007.  Runs the structural pass on
-   a sweep of sizes for both the ND tree and its fully-serialized NP
-   projection and judges whether the fires buy span {e asymptotically}:
-   a flat NP/ND span ratio means at best a constant factor. *)
+   a sweep of sizes for the ND tree, folds the span of its
+   fully-serialized NP projection, and judges whether the fires buy
+   span {e asymptotically}: a flat NP/ND span ratio means at best a
+   constant factor. *)
 let lint_span_sweep ~subject ~build sizes =
   let pts =
     List.filter_map
@@ -400,11 +392,7 @@ let lint_span_sweep ~subject ~build sizes =
         if Spawn_tree.fire_types tree = [] then None
         else
           let nd = Cost.span (Cost.analyze ~registry tree) in
-          let np =
-            Cost.span
-              (Cost.analyze ~registry (Spawn_tree.serialize_fires tree))
-          in
-          Some (n, nd, np))
+          Some (n, nd, Spawn_tree.np_span tree))
       (List.sort_uniq compare sizes)
   in
   let ratio nd np = float_of_int np /. float_of_int (max 1 nd) in

@@ -9,7 +9,9 @@
     - [ND002] {e warning} — dead rule: the rule's pedigrees address
       nonexistent children at every use site reached by the rewriting
       (never resolves cleanly, never bottoms out at a leaf), so it only
-      ever degrades to conservative attachment.
+      ever degrades to conservative attachment.  It reads the tallies of
+      the walk compile already ran ({!Nd.Program.rule_uses}); it does
+      not walk again.
     - [ND003] {e warning} — duplicate rule within a set.
     - [ND004] {e warning} — rule shadowed by a full-dependency rule with
       the same endpoints.
@@ -20,7 +22,8 @@
       root-to-root full edge, serializing the whole construct.
     - [ND007] {e warning} — fires recover no span: the compiled DAG's
       span equals the fully-serialized ({!Nd.Spawn_tree.serialize_fires})
-      projection's.
+      projection's, which {!Nd.Spawn_tree.np_span} folds over the tree
+      without compiling the projection.
     - [ND008] {e error} — definite footprint race between [Par] siblings
       or across an empty-rule-set fire ({!Footprint}).
     - [ND009] {e error} — determinacy race found by the ESP-bags pass
@@ -29,7 +32,8 @@
     - [ND010] {e warning} — span not recovered {e asymptotically}: over
       a size sweep of the structural {!Cost} pass, the NP/ND span ratio
       does not grow (the static, asymptotic version of ND007; needs no
-      DAG, so it runs at sizes ND007 cannot).
+      DAG, so it runs at sizes ND007 cannot).  The NP side is the
+      {!Nd.Spawn_tree.np_span} fold, not a second structural pass.
     - [ND011] {e warning} — peak footprint exceeds the outermost cache
       level of a given PMH: no [tree_sched] budget below the working set
       avoids top-level misses.
@@ -110,9 +114,10 @@ val lint_cost :
 
 (** [lint_span_sweep ~subject ~build sizes] — ND010.  [build n] yields
     the registry and spawn tree at problem size [n]; the sweep runs the
-    structural pass on each size for both the ND tree and its
-    [serialize_fires] projection and warns when the NP/ND span ratio
-    does not grow (no asymptotic span recovery).  Trees without fires
+    structural pass on the ND tree at each size, folds the span of its
+    [serialize_fires] projection ({!Nd.Spawn_tree.np_span}), and warns
+    when the NP/ND span ratio does not grow (no asymptotic span
+    recovery).  Trees without fires
     contribute nothing; an empty or fire-free sweep yields []. *)
 val lint_span_sweep :
   subject:string ->

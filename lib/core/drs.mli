@@ -1,10 +1,10 @@
 (** The fire-arrow resolver of the DAG Rewriting System: the one place
     a [⇝] arrow is rewritten through the registered rule sets.
 
-    {!Program.compile} (DAG edges and fire edges), the structural cost
-    pass ([Nd_analyze.Cost]) and the dead-rule lint (ND002) all call
-    {!rewrite}, each over its own copy of the same post-order node
-    layout.  The walk is the paper's: a fire node seeds the arrow
+    {!Program.compile} (DAG edges, fire edges and the rule tallies the
+    dead-rule lint, ND002, reads) and the structural cost pass
+    ([Nd_analyze.Cost]) call {!rewrite}, each over its own copy of the
+    same post-order node layout.  The walk is the paper's: a fire node seeds the arrow
     [(src, snk, rule)]; each rule [+p ⇝R -q] of the set resolves [p]
     below the source and [q] below the sink — stopping at the deepest
     existing node — and recurses on [R], or emits a full edge for [;].

@@ -36,6 +36,7 @@ type t = {
   works : int array;  (* the subtree's strand work, by node *)
   vertex_owner : int array;
   fire_pairs : int array;  (* [a·n_nodes + b], sorted *)
+  rule_uses : Drs.use list;
   decomp_cache : (int, decomposition) Hashtbl.t;
   decomp_lock : Mutex.t;
 }
@@ -56,33 +57,63 @@ let dummy_node =
     end_v = 0;
   }
 
-(* Stable sort of [src.(0 .. len-1)] by [key], whose values lie in
-   [0, buckets), into [dst.(0 .. len-1)]. *)
-let counting_sort ~buckets key ~len src dst =
-  let start = Array.make (buckets + 1) 0 in
-  for i = 0 to len - 1 do
-    let d = key src.(i) + 1 in
-    start.(d) <- start.(d) + 1
-  done;
-  for d = 1 to buckets do
+(* A growable int buffer in fixed-size chunks: growing adds a chunk
+   and copies nothing. *)
+module Chunks = struct
+  type t = { bits : int; mutable blocks : int array array; mutable len : int }
+
+  (* chunks of the smallest power of two at least [n] words, clamped to
+     [2^8, 2^14]: a small program's chunks stay in the minor heap *)
+  let create n =
+    let bits = ref 8 in
+    while !bits < 14 && 1 lsl !bits < n do
+      incr bits
+    done;
+    { bits = !bits; blocks = [||]; len = 0 }
+
+  let push c x =
+    let i = c.len land ((1 lsl c.bits) - 1) and b = c.len lsr c.bits in
+    if i = 0 then begin
+      if b = Array.length c.blocks then begin
+        let spine = Array.make (max 4 (2 * b)) [||] in
+        Array.blit c.blocks 0 spine 0 b;
+        c.blocks <- spine
+      end;
+      c.blocks.(b) <- Array.make (1 lsl c.bits) 0
+    end;
+    c.blocks.(b).(i) <- x;
+    c.len <- c.len + 1
+
+  let set c i x = c.blocks.(i lsr c.bits).(i land ((1 lsl c.bits) - 1)) <- x
+
+  let iter f c =
+    for i = 0 to c.len - 1 do
+      f c.blocks.(i lsr c.bits).(i land ((1 lsl c.bits) - 1))
+    done
+end
+
+(* One stable counting-sort pass over the values [each f] passes to
+   [f], in order (it is called twice): value [k] goes to [put j k], [j]
+   its position in the order of [key k], whose values lie in
+   [0, Array.length start - 1).  [start] is the pass's scratch. *)
+let counting_sort ~start key each put =
+  Array.fill start 0 (Array.length start) 0;
+  each (fun k ->
+      let d = key k + 1 in
+      start.(d) <- start.(d) + 1);
+  for d = 1 to Array.length start - 1 do
     start.(d) <- start.(d) + start.(d - 1)
   done;
-  for i = 0 to len - 1 do
-    let k = src.(i) in
-    let d = key k in
-    dst.(start.(d)) <- k;
-    start.(d) <- start.(d) + 1
-  done
+  each (fun k ->
+      let d = key k in
+      put start.(d) k;
+      start.(d) <- start.(d) + 1)
 
 let compile ~registry tree =
   let dag = Dag.create () in
   let store = ref (Array.make 64 dummy_node) in
   let n_nodes = ref 0 in
-  let leaf_nodes = ref [] and leaf_vertices = ref [] in
   let n_leaves = ref 0 in
-  let owners = ref [] in
-  (* owners collected as (vertex, node) pairs; vertices are dense so we
-     rebuild the array at the end *)
   let add_node node =
     let id = !n_nodes in
     if id >= Array.length !store then begin
@@ -110,23 +141,17 @@ let compile ~registry tree =
       in
       let leaf_idx = !n_leaves in
       incr n_leaves;
-      let id =
-        add_node
-          {
-            kind = Leaf s;
-            children = [||];
-            parent = -1;
-            first_node = first;
-            leaf_lo = leaf_idx;
-            leaf_hi = leaf_idx + 1;
-            begin_v = v;
-            end_v = v;
-          }
-      in
-      leaf_nodes := id :: !leaf_nodes;
-      leaf_vertices := v :: !leaf_vertices;
-      owners := (v, id) :: !owners;
-      id
+      add_node
+        {
+          kind = Leaf s;
+          children = [||];
+          parent = -1;
+          first_node = first;
+          leaf_lo = leaf_idx;
+          leaf_hi = leaf_idx + 1;
+          begin_v = v;
+          end_v = v;
+        }
     | Spawn_tree.Seq cs ->
       let lo = !n_leaves in
       let ids = List.map build cs in
@@ -151,21 +176,17 @@ let compile ~registry tree =
       let hi = !n_leaves in
       let arr = Array.of_list ids in
       let begin_v = sync "par.begin" and end_v = sync "par.end" in
-      let id =
-        add_node
-          {
-            kind = Par;
-            children = arr;
-            parent = -1;
-            first_node = first;
-            leaf_lo = lo;
-            leaf_hi = hi;
-            begin_v;
-            end_v;
-          }
-      in
-      owners := (begin_v, id) :: (end_v, id) :: !owners;
-      id
+      add_node
+        {
+          kind = Par;
+          children = arr;
+          parent = -1;
+          first_node = first;
+          leaf_lo = lo;
+          leaf_hi = hi;
+          begin_v;
+          end_v;
+        }
     | Spawn_tree.Fire { rule; src; snk } ->
       if not (Fire_rule.mem registry rule) then
         invalid_arg
@@ -176,21 +197,17 @@ let compile ~registry tree =
       let hi = !n_leaves in
       let begin_v = sync ("fire." ^ rule ^ ".begin")
       and end_v = sync ("fire." ^ rule ^ ".end") in
-      let id =
-        add_node
-          {
-            kind = Fire rule;
-            children = [| a; b |];
-            parent = -1;
-            first_node = first;
-            leaf_lo = lo;
-            leaf_hi = hi;
-            begin_v;
-            end_v;
-          }
-      in
-      owners := (begin_v, id) :: (end_v, id) :: !owners;
-      id
+      add_node
+        {
+          kind = Fire rule;
+          children = [| a; b |];
+          parent = -1;
+          first_node = first;
+          leaf_lo = lo;
+          leaf_hi = hi;
+          begin_v;
+          end_v;
+        }
   in
   let root = build tree in
   let nodes = Array.sub !store 0 !n_nodes in
@@ -224,114 +241,105 @@ let compile ~registry tree =
       fps.(id) <- fp)
     nodes;
   (* ---------------- fire-arrow rewriting ---------------- *)
-  let fires =
-    List.filter_map
-      (fun id ->
-        match nodes.(id).kind with
-        | Fire r -> Some (id, r)
-        | Leaf _ | Seq | Par -> None)
-      (List.init n Fun.id)
-  in
-  (* every emission [a·n + b], in emission order; a pair may repeat *)
-  let pairs = ref [||] and n_pairs = ref 0 in
-  if fires <> [] then begin
-    pairs := Array.make n 0;
-    let push a b =
-      if !n_pairs = Array.length !pairs then begin
-        let bigger = Array.make (2 * !n_pairs) 0 in
-        Array.blit !pairs 0 bigger 0 !n_pairs;
-        pairs := bigger
-      end;
-      !pairs.(!n_pairs) <- (a * n) + b;
-      incr n_pairs
-    in
-    ignore
-      (Drs.rewrite ~who:"Program.compile" ~registry
-         ~children:(Array.map (fun nd -> nd.children) nodes)
-         ~edge:push fires)
-  end;
-  (* ---------------- DAG edges ---------------- *)
-  (* Linked after the walk, so its table is garbage first, into
-     buffers sized once.  The link order fixes the order of every CSR
-     slice: each node's structural edges, node by node in id order
-     (children before parents), then every emission in order. *)
-  let structural nd =
-    match nd.kind with
-    | Leaf _ -> 0
-    | Seq -> Array.length nd.children - 1
-    | Par -> 2 * Array.length nd.children
-    | Fire _ -> 4
-  in
-  Dag.reserve_edges dag
-    (Array.fold_left (fun acc nd -> acc + structural nd) !n_pairs nodes);
-  Array.iter
-    (fun nd ->
-      let child i = nodes.(nd.children.(i)) in
-      match nd.kind with
-      | Leaf _ -> ()
-      | Seq ->
-        (* chain: end(c_i) -> begin(c_{i+1}) *)
-        for i = 1 to Array.length nd.children - 1 do
-          Dag.add_edge dag (child (i - 1)).end_v (child i).begin_v
-        done
-      | Par ->
-        Array.iter
-          (fun c ->
-            Dag.add_edge dag nd.begin_v nodes.(c).begin_v;
-            Dag.add_edge dag nodes.(c).end_v nd.end_v)
-          nd.children
-      | Fire _ ->
-        Dag.add_edge dag nd.begin_v (child 0).begin_v;
-        Dag.add_edge dag nd.begin_v (child 1).begin_v;
-        Dag.add_edge dag (child 0).end_v nd.end_v;
-        Dag.add_edge dag (child 1).end_v nd.end_v)
-    nodes;
-  (* The walk may emit a pair more than once, and two pairs can name
-     one DAG edge (a Seq shares its first child's begin vertex and its
-     last child's end vertex); the DAG keeps each edge once, at its
-     first link, so linking every emission builds the CSR that linking
-     only first emissions would. *)
-  for i = 0 to !n_pairs - 1 do
-    let k = !pairs.(i) in
-    Dag.add_edge dag nodes.(k / n).end_v nodes.(k mod n).begin_v
+  let fires = ref [] in
+  for id = n - 1 downto 0 do
+    match nodes.(id).kind with
+    | Fire r -> fires := (id, r) :: !fires
+    | Leaf _ | Seq | Par -> ()
   done;
-  (* builds the CSR and frees the link buffer: a compiled program's
-     DAG is frozen *)
-  ignore (Dag.csr dag);
-  (* LSD radix sort of the emissions: by [b] into a scratch array, then
-     stably by [a] back into the buffer, whose repeats are then
-     adjacent and dropped *)
+  (* every emission [a·n + b], in emission order; a pair may repeat *)
+  let emitted = Chunks.create n in
+  let rule_uses =
+    if !fires = [] then []
+    else
+      Drs.rewrite ~who:"Program.compile" ~registry
+        ~children:(Array.map (fun nd -> nd.children) nodes)
+        ~edge:(fun a b -> Chunks.push emitted ((a * n) + b))
+        !fires
+  in
+  (* ---------------- DAG edges ---------------- *)
+  (* Streamed into the CSR after the walk, so its table is garbage
+     first.  The link order fixes the order of every CSR slice: each
+     node's structural edges, node by node in id order (children before
+     parents), then every emission in order.  The walk may emit a pair
+     more than once, and two pairs can name one DAG edge (a Seq shares
+     its first child's begin vertex and its last child's end vertex);
+     the DAG keeps each edge once, at its first link, so linking every
+     emission builds the CSR that linking only first emissions would.
+     A compiled program's DAG is frozen. *)
+  Dag.freeze dag (fun link ->
+      Array.iter
+        (fun nd ->
+          let child i = nodes.(nd.children.(i)) in
+          match nd.kind with
+          | Leaf _ -> ()
+          | Seq ->
+            (* chain: end(c_i) -> begin(c_{i+1}) *)
+            for i = 1 to Array.length nd.children - 1 do
+              link (child (i - 1)).end_v (child i).begin_v
+            done
+          | Par ->
+            Array.iter
+              (fun c ->
+                link nd.begin_v nodes.(c).begin_v;
+                link nodes.(c).end_v nd.end_v)
+              nd.children
+          | Fire _ ->
+            link nd.begin_v (child 0).begin_v;
+            link nd.begin_v (child 1).begin_v;
+            link (child 0).end_v nd.end_v;
+            link (child 1).end_v nd.end_v)
+        nodes;
+      Chunks.iter (fun k -> link nodes.(k / n).end_v nodes.(k mod n).begin_v) emitted);
+  (* LSD radix sort of the emissions: by [b] out of the chunks into the
+     final array, then stably by [a] back into the chunks, whose
+     repeats are then adjacent and dropped as they are copied out *)
   let fire_pairs =
-    if !n_pairs = 0 then [||]
+    let len = emitted.Chunks.len in
+    if len = 0 then [||]
     else begin
-      let buf = !pairs and len = !n_pairs in
-      let scratch = Array.make len 0 in
-      counting_sort ~buckets:n (fun k -> k mod n) ~len buf scratch;
-      counting_sort ~buckets:n (fun k -> k / n) ~len scratch buf;
-      let d = ref 1 in
-      for i = 1 to len - 1 do
-        if buf.(i) <> buf.(!d - 1) then begin
-          buf.(!d) <- buf.(i);
-          incr d
-        end
-      done;
-      Array.sub buf 0 !d
+      let pairs = Array.make len 0 and start = Array.make (n + 1) 0 in
+      counting_sort ~start (fun k -> k mod n) (fun f -> Chunks.iter f emitted) (Array.set pairs);
+      counting_sort ~start (fun k -> k / n) (fun f -> Array.iter f pairs) (Chunks.set emitted);
+      let d = ref 0 in
+      Chunks.iter
+        (fun k ->
+          if !d = 0 || k <> pairs.(!d - 1) then begin
+            pairs.(!d) <- k;
+            incr d
+          end)
+        emitted;
+      if !d = len then pairs else Array.sub pairs 0 !d
     end
   in
+  (* post-order visits the leaves left to right *)
+  let leaf_nodes = Array.make !n_leaves 0 and leaf_vertices = Array.make !n_leaves 0 in
   let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
-  List.iter (fun (v, id) -> vertex_owner.(v) <- id) !owners;
+  Array.iteri
+    (fun id nd ->
+      match nd.kind with
+      | Leaf _ ->
+        leaf_nodes.(nd.leaf_lo) <- id;
+        leaf_vertices.(nd.leaf_lo) <- nd.begin_v;
+        vertex_owner.(nd.begin_v) <- id
+      | Par | Fire _ ->
+        vertex_owner.(nd.begin_v) <- id;
+        vertex_owner.(nd.end_v) <- id
+      | Seq -> ())
+    nodes;
   {
     tree;
     registry;
     dag;
     nodes;
     root;
-    leaf_nodes = Array.of_list (List.rev !leaf_nodes);
-    leaf_vertices = Array.of_list (List.rev !leaf_vertices);
+    leaf_nodes;
+    leaf_vertices;
     sizes;
     works;
     vertex_owner;
     fire_pairs;
+    rule_uses;
     decomp_cache = Hashtbl.create 16;
     decomp_lock = Mutex.create ();
   }
@@ -379,6 +387,8 @@ let leaf_vertex t i = t.leaf_vertices.(i)
 let vertex_owner t v = t.vertex_owner.(v)
 
 let n_fire_edges t = Array.length t.fire_pairs
+
+let rule_uses t = t.rule_uses
 
 let fire_src t i = t.fire_pairs.(i) / Array.length t.nodes
 

@@ -85,6 +85,11 @@ val fire_src : t -> int -> node_id
 
 val fire_snk : t -> int -> node_id
 
+(** [rule_uses t]: the per-rule tallies of the DRS walk [compile] ran,
+    as {!Drs.rewrite} returns them ([[]] for a fire-free tree).  The
+    dead-rule lint (ND002) reads them instead of walking again. *)
+val rule_uses : t -> Drs.use list
+
 (** [begin_vertex t n] / [end_vertex t n]: the DAG vertices such that
     [begin] precedes and [end] follows every strand of [n]'s subtree. *)
 val begin_vertex : t -> node_id -> Nd_dag.Dag.vertex_id

@@ -50,6 +50,12 @@ let rec work = function
   | Seq l | Par l -> List.fold_left (fun acc c -> acc + work c) 0 l
   | Fire { src; snk; _ } -> work src + work snk
 
+let rec np_span = function
+  | Leaf s -> s.Strand.work
+  | Seq l -> List.fold_left (fun acc c -> acc + np_span c) 0 l
+  | Par l -> List.fold_left (fun acc c -> max acc (np_span c)) 0 l
+  | Fire { src; snk; _ } -> np_span src + np_span snk
+
 let rec serialize_fires = function
   | Leaf _ as t -> t
   | Seq l -> Seq (List.map serialize_fires l)

@@ -47,6 +47,13 @@ val work : t -> int
     variants (replacing "⇝" with ";"). *)
 val serialize_fires : t -> t
 
+(** [np_span t] is the span of the NP projection, the [Dag.span] of
+    the compiled [serialize_fires t], without compiling it: a leaf's
+    work, the sum over a [Seq]'s children or a [Fire]'s two, and the
+    max over a [Par]'s children.  It takes O(nodes) time and allocates
+    nothing. *)
+val np_span : t -> int
+
 (** [parallelize_fires t] replaces every [Fire] with [Par \[src; snk\]] —
     the (unsound in general) zero-dependency projection, useful for span
     lower-bound sanity checks in tests. *)

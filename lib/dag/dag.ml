@@ -6,19 +6,12 @@ type vertex = { label : string; work : int; reads : Is.t; writes : Is.t }
 
 type csr = { succ_off : int array; succ_tgt : int array; indeg : int array }
 
-(* Edges live in [links], one packed int each, in link order and
-   duplicates included, until the first read of the adjacency builds
-   the CSR; from then on the DAG is frozen and the CSR is the only edge
-   storage. *)
-type t = {
-  mutable vertices : vertex array;
-  mutable n : int;
-  mutable links : int array;
-  mutable n_links : int;
-  mutable csr : csr option;
-}
+(* The edges arrive once, through [freeze], which builds the CSR; until
+   then the DAG holds none, and from then on it is frozen and the CSR
+   is its only edge storage. *)
+type t = { mutable vertices : vertex array; mutable n : int; mutable csr : csr option }
 
-let create () = { vertices = [||]; n = 0; links = [||]; n_links = 0; csr = None }
+let create () = { vertices = [||]; n = 0; csr = None }
 
 let check_open t =
   match t.csr with
@@ -27,7 +20,6 @@ let check_open t =
 
 let add_vertex t ?(label = "") ~work ~reads ~writes () =
   check_open t;
-  if t.n = 1 lsl 31 then invalid_arg "Dag: too many vertices";
   if t.n = Array.length t.vertices then begin
     let dummy = { label = ""; work = 0; reads = Is.empty; writes = Is.empty } in
     let a = Array.make (max 16 (2 * t.n)) dummy in
@@ -41,34 +33,6 @@ let add_vertex t ?(label = "") ~work ~reads ~writes () =
 
 let check_id t v =
   if v < 0 || v >= t.n then invalid_arg "Dag: vertex id out of range"
-
-let check_edge t u v =
-  check_open t;
-  check_id t u;
-  check_id t v;
-  if u = v then invalid_arg "Dag.add_edge: self loop"
-
-let resize t cap =
-  let b = Array.make cap 0 in
-  Array.blit t.links 0 b 0 t.n_links;
-  t.links <- b
-
-let reserve_edges t k =
-  check_open t;
-  if t.n_links + k > Array.length t.links then resize t (t.n_links + k)
-
-(* ids stay below 2^31, so an edge packs into one non-negative int *)
-let pack u v = (u lsl 31) lor v
-
-let src e = e lsr 31
-
-let dst e = e land ((1 lsl 31) - 1)
-
-let add_edge t u v =
-  check_edge t u v;
-  if t.n_links = Array.length t.links then resize t (max 16 (2 * t.n_links));
-  t.links.(t.n_links) <- pack u v;
-  t.n_links <- t.n_links + 1
 
 let n_vertices t = t.n
 
@@ -121,46 +85,53 @@ let coalesce n off tgt =
   off.(n) <- !e;
   !e
 
-(* One counting sort.  Walking the links newest first lists each slice
-   newest link first, the order test_core's recorded compile digests
-   pin.  The in-degrees are counted from the coalesced slices, so a
-   duplicate link counts once. *)
-let build_csr t =
-  let n = t.n and e = t.n_links in
+(* Two passes over [edges].  The first counts each source's links and
+   sums the counts, so [succ_off.(u)] ends [u]'s slice; the second
+   moves that cursor down one slot a link, so each slice lists its
+   links newest first, the order test_core's recorded compile digests
+   pin, and the cursors stop on the slices' starts.  The in-degrees
+   are counted from the coalesced slices, so a duplicate link counts
+   once. *)
+let freeze t edges =
+  check_open t;
+  let n = t.n in
+  let check u v =
+    check_id t u;
+    check_id t v;
+    if u = v then invalid_arg "Dag.freeze: self loop"
+  in
   let succ_off = Array.make (n + 1) 0 in
-  for i = 0 to e - 1 do
-    let u = src t.links.(i) in
-    succ_off.(u + 1) <- succ_off.(u + 1) + 1
-  done;
-  for v = 1 to n do
+  edges (fun u v ->
+      check u v;
+      succ_off.(u) <- succ_off.(u) + 1;
+      succ_off.(n) <- succ_off.(n) + 1);
+  let e = succ_off.(n) in
+  for v = 1 to n - 1 do
     succ_off.(v) <- succ_off.(v) + succ_off.(v - 1)
   done;
-  (* each slice's start is its fill cursor; afterwards the cursors
-     stand one slice on, and are shifted back *)
   let succ_tgt = Array.make e 0 in
-  for i = e - 1 downto 0 do
-    let u = src t.links.(i) in
-    succ_tgt.(succ_off.(u)) <- dst t.links.(i);
-    succ_off.(u) <- succ_off.(u) + 1
-  done;
-  for v = n downto 1 do
-    succ_off.(v) <- succ_off.(v - 1)
-  done;
-  succ_off.(0) <- 0;
+  let changed () = invalid_arg "Dag.freeze: the second pass gave another edge count" in
+  let left = ref e in
+  edges (fun u v ->
+      check u v;
+      if !left = 0 then changed ();
+      decr left;
+      let k = succ_off.(u) - 1 in
+      succ_tgt.(k) <- v;
+      succ_off.(u) <- k);
+  if !left > 0 then changed ();
   let distinct = coalesce n succ_off succ_tgt in
   let succ_tgt = if distinct = e then succ_tgt else Array.sub succ_tgt 0 distinct in
   let indeg = Array.make n 0 in
   Array.iter (fun w -> indeg.(w) <- indeg.(w) + 1) succ_tgt;
-  { succ_off; succ_tgt; indeg }
+  t.csr <- Some { succ_off; succ_tgt; indeg }
 
 let csr t =
   match t.csr with
   | Some c -> c
   | None ->
-    let c = build_csr t in
-    t.links <- [||];
-    t.csr <- Some c;
-    c
+    freeze t (fun _ -> ());
+    Option.get t.csr
 
 let n_edges t = (csr t).succ_off.(t.n)
 

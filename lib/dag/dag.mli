@@ -26,20 +26,15 @@ val add_vertex :
   unit ->
   vertex_id
 
-(** [add_edge t u v] adds the dependency [u -> v], in O(1).  Duplicate
-    edges are coalesced: the DAG keeps each edge as of its first link,
-    and later links of it add nothing.  They are dropped in one pass
-    when the adjacency is built (see {!csr}).
-    @raise Invalid_argument on out-of-range ids, a self loop or a frozen
-    DAG. *)
-val add_edge : t -> vertex_id -> vertex_id -> unit
-
-(** [reserve_edges t k] makes room for [k] more links, so the next [k]
-    calls of {!add_edge} allocate nothing.  A builder that knows its edge count, as
-    {!Nd.Program.compile} does, sizes the link buffer once this way;
-    without it the buffer grows by doubling.
-    @raise Invalid_argument on a frozen DAG. *)
-val reserve_edges : t -> int -> unit
+(** [freeze t edges] gives [t] its edges and freezes it.  [edges link]
+    must call [link u v] once per dependency [u -> v], in the same
+    order each time it is called, and [freeze] calls it twice: once to
+    count each vertex's successors, once to fill the CSR (see {!csr}),
+    so no other copy of the edges is made.  Duplicate edges are
+    coalesced: the DAG keeps each edge as of its first link.
+    @raise Invalid_argument on out-of-range ids, a self loop, a second
+    pass that gives another edge count, or a frozen DAG. *)
+val freeze : t -> ((vertex_id -> vertex_id -> unit) -> unit) -> unit
 
 val n_vertices : t -> int
 
@@ -68,13 +63,14 @@ val work : t -> int
     predecessor half: an ND program runs by dependency counters, so
     executors and simulators read successor slices and in-degrees only.
 
-    The first call builds the arrays from the links and drops the link
-    buffer, so the CSR is the DAG's only edge storage; it is built
-    once and never invalidated, because from then on the DAG is frozen
-    and {!add_vertex}, {!add_edge} and {!reserve_edges} raise.  Every traversal below calls it.  The arrays are shared:
-    treat them as read-only.  That first call mutates the DAG, so a DAG
-    shared across domains must be read once before it is shared;
-    {!Nd.Program.compile} returns every compiled program's DAG frozen. *)
+    {!freeze} builds the arrays, and they are the DAG's only edge
+    storage; a DAG given no edges is frozen with none by the first
+    read.  From then on the DAG is frozen: {!add_vertex} and {!freeze}
+    raise, so the CSR is built once and never invalidated.  Every
+    traversal below calls it.  The arrays are shared: treat them as
+    read-only.  A DAG shared across domains must be frozen before it is
+    shared; {!Nd.Program.compile} returns every compiled program's DAG
+    frozen. *)
 type csr = { succ_off : int array; succ_tgt : int array; indeg : int array }
 
 val csr : t -> csr

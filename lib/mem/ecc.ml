@@ -51,13 +51,14 @@ let depth_dominated program ~m ~alpha =
     if t >= 0 then t else glue_id.(v)
   in
   let csr = Dag.csr dag in
-  for u = 0 to nv - 1 do
-    let cu = node_of u in
-    for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
-      let cv = node_of csr.Dag.succ_tgt.(k) in
-      if cu <> cv then Dag.add_edge contracted cu cv
-    done
-  done;
+  Dag.freeze contracted (fun link ->
+      for u = 0 to nv - 1 do
+        let cu = node_of u in
+        for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
+          let cv = node_of csr.Dag.succ_tgt.(k) in
+          if cu <> cv then link cu cv
+        done
+      done);
   float_of_int (Dag.span contracted)
 
 let analyze program ~m ~alpha =

@@ -567,23 +567,41 @@ let test_packed_shape () =
 
 (* What one compile allocates, in words a fire pair, on mm n=32 b=2
    (8,191 nodes, 249,795 fire pairs).  The walk records only arrows
-   with an internal end and keeps no pair set, and compile sorts its
-   emission buffer through one scratch array: about 16 words a pair.
-   A walk that also records its 249,795 leaf-to-leaf arrows and keeps
-   a pair set, with a fresh array per sort pass, allocates about 37.
-   The count moves by a few percent with GC timing. *)
+   with an internal end and keeps no pair set; compile writes the
+   emissions into chunks, streams the edges from its nodes and the
+   chunks straight into the CSR, and sorts the pairs into their final
+   array with the chunks as scratch: about 11 words a pair in all,
+   against about 37 when the walk recorded every arrow and kept a pair
+   set.  The total moves by a few percent with GC timing.
+
+   An array of more than 256 words is allocated outside the minor heap
+   and stays resident until a major cycle sweeps it.  Those words are
+   exact, the same on every run: 5.73 a pair, about 2 of them the
+   walk's visited table and 1 each the CSR, the fire pairs and the
+   chunks.  A link buffer, an emission buffer that doubles, or a
+   scratch array for the sort each add about a word a pair; with all
+   three compile allocated 8.88. *)
 let test_compile_alloc () =
   let f = Nd_experiments.Workloads.find "mm" in
   let w = f.Nd_experiments.Workloads.build ~n:32 ~base:2 ~seed:1 in
   let before = Gc.allocated_bytes () in
+  let _, promoted0, major0 = Gc.counters () in
   let p = Program.compile ~registry:w.Nd_algos.Workload.registry w.Nd_algos.Workload.tree in
+  let _, promoted1, major1 = Gc.counters () in
   let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
   let pairs = Program.n_fire_edges p in
   if pairs = 0 then Alcotest.fail "mm has fire edges";
   let per_pair = words /. float_of_int pairs in
   if per_pair > 24. then
     Alcotest.failf "compile allocated %.0f words, %.1f a fire pair (%d pairs); the bound is 24"
-      words per_pair pairs
+      words per_pair pairs;
+  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
+  let direct_per_pair = direct /. float_of_int pairs in
+  if direct_per_pair > 6.5 then
+    Alcotest.failf
+      "compile allocated %.0f words outside the minor heap, %.2f a fire pair (%d pairs); the \
+       bound is 6.5"
+      direct direct_per_pair pairs
 
 (* Every node's size is the number of distinct addresses its leaves'
    strands touch, and its work their summed work, both recounted here
@@ -614,21 +632,27 @@ let check_node_sizes what p =
         what n (Program.size p n) (Program.work_of_node p n) lo hi (Hashtbl.length seen) !work
   done
 
-let test_node_sizes_families () =
+(* [f what program tree registry] on every family at its two smallest
+   sizes, in ND and NP mode *)
+let each_family_program f =
   let module W = Nd_algos.Workload in
   List.iter
-    (fun (f : Nd_experiments.Workloads.family) ->
+    (fun (fam : Nd_experiments.Workloads.family) ->
       List.iter
         (fun n ->
-          let w = f.build ~n ~base:f.base ~seed:1 in
+          let w = fam.build ~n ~base:fam.base ~seed:1 in
           List.iter
             (fun mode ->
-              check_node_sizes
-                (Printf.sprintf "%s n=%d %s" f.name n (W.mode_name mode))
-                (W.compile ~mode w))
+              let p = W.compile ~mode w in
+              f
+                (Printf.sprintf "%s n=%d %s" fam.name n (W.mode_name mode))
+                p (Program.tree p) (Program.registry p))
             [ W.ND; W.NP ])
-        (List.filteri (fun i _ -> i < 2) f.sizes))
+        (List.filteri (fun i _ -> i < 2) fam.sizes))
     Nd_experiments.Workloads.all
+
+let test_node_sizes_families () =
+  each_family_program (fun what p _ _ -> check_node_sizes what p)
 
 let prop_node_sizes_generated =
   QCheck2.Test.make ~name:"node sizes and works of generated programs" ~count:250
@@ -637,8 +661,10 @@ let prop_node_sizes_generated =
       let inst = Nd_check.Gen.build spec in
       let registry = inst.Nd_check.Gen.registry and tree = inst.Nd_check.Gen.tree in
       check_node_sizes "ND" (Program.compile ~registry tree);
-      check_node_sizes "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
-      true)
+      let np = Program.compile ~registry (Spawn_tree.serialize_fires tree) in
+      check_node_sizes "NP" np;
+      (* and the NP span fold is the span of the compiled NP projection *)
+      Spawn_tree.np_span tree = Dag.span (Program.dag np))
 
 (* --------------- resolver vs the old Hashtbl walk ----------------- *)
 
@@ -758,7 +784,7 @@ let prop_drs_matches_reference =
       match Program.compile ~registry inst.Nd_check.Gen.tree with
       | p ->
         let c = Dag.csr (Program.dag p) in
-        Result.is_ok result
+        result = Ok (tallies (Program.rule_uses p))
         && fire_edges p = List.sort_uniq compare edges
         && List.for_all
              (fun v ->
@@ -767,6 +793,20 @@ let prop_drs_matches_reference =
                List.length (List.sort_uniq compare ss) = hi - lo)
              (List.init (Array.length c.Dag.indeg) Fun.id)
       | exception Invalid_argument m -> result = Error m)
+
+(* compile keeps the tallies of its own walk: those of a walk without
+   [edge] over the same layout *)
+let test_rule_uses_families () =
+  each_family_program (fun what p tree registry ->
+      let children, fires = layout tree in
+      if Program.rule_uses p <> Drs.rewrite ~who:"Program.compile" ~registry ~children fires
+      then Alcotest.failf "%s: compile's rule tallies differ from a second walk's" what)
+
+(* the NP span fold is the span of the compiled NP projection *)
+let test_np_span_families () =
+  each_family_program (fun what _ tree registry ->
+      let np = Program.compile ~registry (Spawn_tree.serialize_fires tree) in
+      Alcotest.(check int) (what ^ ": NP span") (Dag.span (Program.dag np)) (Spawn_tree.np_span tree))
 
 let () =
   Alcotest.run "nd_core"
@@ -778,6 +818,7 @@ let () =
           Alcotest.test_case "shape" `Quick test_tree_shape;
           Alcotest.test_case "child/resolve" `Quick test_tree_child_resolve;
           Alcotest.test_case "projections" `Quick test_projections;
+          Alcotest.test_case "NP span fold: every family" `Quick test_np_span_families;
         ] );
       ( "fire_rule",
         [
@@ -800,6 +841,8 @@ let () =
           Alcotest.test_case "compile identity: recorded digests" `Quick
             test_compile_identity;
           QCheck_alcotest.to_alcotest prop_drs_matches_reference;
+          Alcotest.test_case "compile keeps its rule tallies: every family" `Quick
+            test_rule_uses_families;
         ] );
       ( "rule_check",
         [

@@ -5,14 +5,14 @@ module Is = Nd_util.Interval_set
 let v ?(work = 1) ?(reads = Is.empty) ?(writes = Is.empty) dag label =
   Dag.add_vertex dag ~label ~work ~reads ~writes ()
 
+(* gives [dag] the edges [links], in that order *)
+let link dag links = Dag.freeze dag (fun f -> List.iter (fun (u, v) -> f u v) links)
+
 (* diamond: a -> b, a -> c, b -> d, c -> d *)
 let diamond () =
   let dag = Dag.create () in
   let a = v dag "a" and b = v dag ~work:5 "b" and c = v dag "c" and d = v dag "d" in
-  Dag.add_edge dag a b;
-  Dag.add_edge dag a c;
-  Dag.add_edge dag b d;
-  Dag.add_edge dag c d;
+  link dag [ (a, b); (a, c); (b, d); (c, d) ];
   (dag, a, b, c, d)
 
 (* a CSR slice as a list *)
@@ -32,27 +32,60 @@ let test_basic () =
   Alcotest.(check int) "indeg d" 2 (Dag.csr dag).Dag.indeg.(d);
   Alcotest.(check string) "label" "b" (Dag.label dag b)
 
+let frozen = Invalid_argument "Dag: frozen (its adjacency has been read)"
+
 let test_frozen () =
   let dag, a, _, _, d = diamond () in
-  Dag.add_edge dag a d;
-  ignore (Dag.span dag);
-  let frozen = Invalid_argument "Dag: frozen (its adjacency has been read)" in
-  Alcotest.check_raises "add_edge" frozen (fun () -> Dag.add_edge dag d a);
+  Alcotest.check_raises "freeze" frozen (fun () -> link dag [ (d, a) ]);
   Alcotest.check_raises "add_vertex" frozen (fun () -> ignore (v dag "e"));
-  Alcotest.(check int) "edges" 5 (Dag.n_edges dag)
+  Alcotest.(check int) "edges" 4 (Dag.n_edges dag);
+  (* a DAG given no edges is frozen, with none, by its first read *)
+  let bare = Dag.create () in
+  let x = v bare "x" and y = v bare "y" in
+  Alcotest.(check int) "no edges" 0 (Dag.n_edges bare);
+  Alcotest.(check (list int)) "all sources" [ x; y ] (Dag.sources bare);
+  Alcotest.check_raises "freeze after a read" frozen (fun () -> link bare [ (x, y) ])
+
+(* [freeze] reads its edges twice and keeps no copy of them: a second
+   pass that differs in count is refused, and the DAG stays open *)
+let test_freeze_passes () =
+  let dag = Dag.create () in
+  let a = v dag "a" and b = v dag "b" and c = v dag "c" in
+  let calls = ref 0 in
+  Dag.freeze dag (fun f ->
+      incr calls;
+      f a b;
+      f b c);
+  Alcotest.(check int) "two passes" 2 !calls;
+  Alcotest.(check int) "edges" 2 (Dag.n_edges dag);
+  let changed = Invalid_argument "Dag.freeze: the second pass gave another edge count" in
+  List.iter
+    (fun (what, second) ->
+      let dag = Dag.create () in
+      let a = v dag "a" and b = v dag "b" and c = v dag "c" in
+      let first = ref true in
+      Alcotest.check_raises what changed (fun () ->
+          Dag.freeze dag (fun f ->
+              f a b;
+              if !first then f b c else List.iter (fun (u, w) -> f u w) second;
+              first := false));
+      link dag [ (a, c) ];
+      Alcotest.(check int) (what ^ ": still open") 1 (Dag.n_edges dag))
+    [ ("fewer", []); ("more", [ (b, c); (a, c) ]) ]
 
 let test_duplicate_edge () =
   let dag = Dag.create () in
   let a = v dag "a" and b = v dag "b" in
-  Dag.add_edge dag a b;
-  Dag.add_edge dag a b;
+  link dag [ (a, b); (a, b) ];
   Alcotest.(check int) "deduped" 1 (Dag.n_edges dag)
 
 let test_self_loop_rejected () =
   let dag = Dag.create () in
   let a = v dag "a" in
-  Alcotest.check_raises "self loop" (Invalid_argument "Dag.add_edge: self loop")
-    (fun () -> Dag.add_edge dag a a)
+  Alcotest.check_raises "self loop" (Invalid_argument "Dag.freeze: self loop")
+    (fun () -> link dag [ (a, a) ]);
+  Alcotest.check_raises "id out of range" (Invalid_argument "Dag: vertex id out of range")
+    (fun () -> link dag [ (a, a + 1) ])
 
 let test_span () =
   let dag, _, _, _, _ = diamond () in
@@ -76,9 +109,7 @@ let test_topo () =
 let test_cycle_detection () =
   let dag = Dag.create () in
   let a = v dag "a" and b = v dag "b" and c = v dag "c" in
-  Dag.add_edge dag a b;
-  Dag.add_edge dag b c;
-  Dag.add_edge dag c a;
+  link dag [ (a, b); (b, c); (c, a) ];
   (match Dag.topo_order dag with
   | exception Dag.Cycle _ -> ()
   | _ -> Alcotest.fail "cycle not detected")
@@ -87,9 +118,7 @@ let test_cycle_detection () =
 let test_cycle_witness () =
   let dag = Dag.create () in
   let a = v dag "a" and b = v dag "b" and c = v dag "c" in
-  Dag.add_edge dag a b;
-  Dag.add_edge dag b a;
-  Dag.add_edge dag b c;
+  link dag [ (a, b); (b, a); (b, c) ];
   match Dag.topo_order dag with
   | exception Dag.Cycle w ->
     if w <> a && w <> b then Alcotest.failf "witness %s is not on the cycle" (Dag.label dag w)
@@ -120,9 +149,7 @@ let test_reachability_chain () =
   let dag = Dag.create () in
   let n = 200 in
   let vs = Array.init n (fun i -> v dag (string_of_int i)) in
-  for i = 0 to n - 2 do
-    Dag.add_edge dag vs.(i) vs.(i + 1)
-  done;
+  link dag (List.init (n - 1) (fun i -> (vs.(i), vs.(i + 1))));
   let r = Dag.reachability dag in
   Alcotest.(check bool) "0 -> last" true (Dag.reachable r vs.(0) vs.(n - 1));
   Alcotest.(check bool) "last -> 0" false (Dag.reachable r vs.(n - 1) vs.(0));
@@ -137,7 +164,7 @@ let stress_iters =
   | Some s -> (try max 1 (int_of_string (String.trim s)) with _ -> 3)
   | None -> 3
 
-(* [n] vertices with works [works], and the [add_edge] calls [links].
+(* [n] vertices with works [works], and the links [links] in order.
    With [acyclic] each link is oriented along a random vertex ranking,
    so a DAG's ids are not in topological order; without it, cycles may
    form. *)
@@ -186,11 +213,8 @@ let build c =
       ignore (Dag.add_vertex dag ~label ~work ~reads:Is.empty ~writes:Is.empty ());
       ignore (Ref.add_vertex r ~label ~work ~reads:Is.empty ~writes:Is.empty ()))
     c.works;
-  List.iter
-    (fun (u, v) ->
-      Dag.add_edge dag u v;
-      Ref.add_edge r u v)
-    (links c);
+  link dag (links c);
+  List.iter (fun (u, v) -> Ref.add_edge r u v) (links c);
   (dag, r)
 
 let fail fmt = QCheck2.Test.fail_reportf fmt
@@ -262,7 +286,7 @@ let test_race_ordered_ok () =
   let dag = Dag.create () in
   let w = Is.interval 0 4 in
   let a = v dag ~writes:w "a" and b = v dag ~writes:w "b" in
-  Dag.add_edge dag a b;
+  link dag [ (a, b) ];
   Alcotest.(check bool) "ordered: race free" true (Race.race_free dag)
 
 let test_race_read_read_ok () =
@@ -308,6 +332,7 @@ let () =
           Alcotest.test_case "cycle detection" `Quick test_cycle_detection;
           Alcotest.test_case "cycle witness" `Quick test_cycle_witness;
           Alcotest.test_case "frozen after a read" `Quick test_frozen;
+          Alcotest.test_case "freeze reads its edges twice" `Quick test_freeze_passes;
           Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
           Alcotest.test_case "weighted longest path" `Quick test_weighted;
           Alcotest.test_case "reachability" `Quick test_reachability;
