@@ -123,15 +123,26 @@ let run_bechamel () =
    domain), and the words [Obj.reachable_words] reaches from its DAG adjacency (the
    successor CSR), its fire edges, the whole program (strand actions
    and operands included) and the workload record (spawn tree,
-   operands and any reference answer it keeps), in 10^6-byte MB.  Run
+   operands and any reference answer it keeps), and from its leaves'
+   read and write sets alone (the footprints), in 10^6-byte MB.  Run
    first, so the top heap is the set-up's alone. *)
 let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
       [
         "program"; "V"; "E"; "P"; "compile alloc"; "compile major"; "adjacency"; "fire pairs";
-        "program"; "workload";
+        "program"; "workload"; "footprints";
       ]
+  in
+  (* each set counted once, the array holding them not at all *)
+  let footprint_words tree =
+    let rec go acc = function
+      | Nd.Spawn_tree.Leaf s -> s.Nd.Strand.reads :: s.Nd.Strand.writes :: acc
+      | Nd.Spawn_tree.Seq l | Nd.Spawn_tree.Par l -> List.fold_left go acc l
+      | Nd.Spawn_tree.Fire { src; snk; _ } -> go (go acc src) snk
+    in
+    let sets = Array.of_list (go [] tree) in
+    Obj.reachable_words (Obj.repr sets) - (Array.length sets + 1)
   in
   let mb words = Nd_util.Table.cell_float ~prec:1 (float_of_int (words * 8) /. 1e6) in
   let programs =
@@ -169,6 +180,7 @@ let run_memory () =
           mb w.Nd.Program.fire_pairs;
           mb w.Nd.Program.program;
           mb (Obj.reachable_words (Obj.repr wl));
+          mb (footprint_words wl.Workload.tree);
         ])
     programs;
   Nd_util.Table.print table;

@@ -6,43 +6,32 @@ open Nd
    sequences are 1 x n matrices in the same space so that strand
    footprints cover them. *)
 
-let row_region x i j0 j1 =
-  if j1 <= j0 then Is.empty
-  else Is.interval (Mat.addr x i j0) (Mat.addr x i j0 + (j1 - j0))
-
-let col_region x i0 i1 j =
-  if i1 <= i0 then Is.empty
-  else Is.of_intervals (List.init (i1 - i0) (fun k ->
-      let a = Mat.addr x (i0 + k) j in
-      (a, a + 1)))
-
+(* the footprint of rows [i0, i1) and columns [j0, j1) of [x] *)
 let block_region x i0 i1 j0 j1 =
-  Is.of_intervals
-    (List.init (i1 - i0) (fun k ->
-         let a = Mat.addr x (i0 + k) j0 in
-         (a, a + (j1 - j0))))
+  Mat.region (Mat.sub x ~r0:i0 ~c0:j0 ~rows:(i1 - i0) ~cols:(j1 - j0))
 
 let lcs_leaf x s t i0 i1 j0 j1 =
   let reads =
     List.fold_left Is.union Is.empty
       [
         block_region x i0 i1 j0 j1;
-        row_region x (i0 - 1) (j0 - 1) j1;
-        col_region x (i0 - 1) i1 (j0 - 1);
-        row_region s 0 (i0 - 1) (i1 - 1);
-        row_region t 0 (j0 - 1) (j1 - 1);
+        block_region x (i0 - 1) i0 (j0 - 1) j1;
+        block_region x (i0 - 1) i1 (j0 - 1) j0;
+        block_region s 0 1 (i0 - 1) (i1 - 1);
+        block_region t 0 1 (j0 - 1) (j1 - 1);
       ]
   in
   let writes = block_region x i0 i1 j0 j1 in
+  (* reads the float store directly, as the kernels do *)
   let action () =
+    let xd = Mat.data x and sd = Mat.data s and td = Mat.data t in
     for i = i0 to i1 - 1 do
+      let xi = Mat.addr x i 0 and up = Mat.addr x (i - 1) 0 in
+      let si = sd.(Mat.addr s 0 (i - 1)) and t0 = Mat.addr t 0 (-1) in
       for j = j0 to j1 - 1 do
-        let v =
-          if Mat.get s 0 (i - 1) = Mat.get t 0 (j - 1) then
-            Mat.get x (i - 1) (j - 1) +. 1.
-          else Float.max (Mat.get x i (j - 1)) (Mat.get x (i - 1) j)
-        in
-        Mat.set x i j v
+        xd.(xi + j) <-
+          (if si = td.(t0 + j) then xd.(up + j - 1) +. 1.
+           else Float.max xd.(xi + j - 1) xd.(up + j))
       done
     done
   in
@@ -68,7 +57,7 @@ let lcs_tree ?(vh_rule = "VH") ~base x s t =
    the sequences again from [seed] rather than reading [s] and [t],
    which a faulty run may have overwritten, and compares those cells
    too. *)
-let workload ?(variant = `Corrected) ~n ~base ~seed () =
+let workload_with_operands ?(variant = `Corrected) ~n ~base ~seed () =
   let vh_rule = match variant with `Corrected -> "VH" | `Literal -> "VH_literal" in
   Workload.validate_shape ~n ~base;
   let space = Mat.create_space ~words:(((n + 1) * (n + 1)) + (2 * n)) () in
@@ -117,12 +106,19 @@ let workload ?(variant = `Corrected) ~n ~base ~seed () =
     done;
     !worst
   in
-  {
-    Workload.name = "lcs";
-    n;
-    base;
-    tree = lcs_tree ~vh_rule ~base x s t;
-    registry = Rules.registry;
-    reset;
-    check;
-  }
+  ( {
+      Workload.name = "lcs";
+      n;
+      base;
+      tree = lcs_tree ~vh_rule ~base x s t;
+      registry = Rules.registry;
+      reset;
+      check;
+    },
+    x,
+    s,
+    t )
+
+let workload ?variant ~n ~base ~seed () =
+  let w, _, _, _ = workload_with_operands ?variant ~n ~base ~seed () in
+  w

@@ -22,3 +22,11 @@
 val workload :
   ?variant:[ `Corrected | `Literal ] -> n:int -> base:int -> seed:int ->
   unit -> Workload.t
+
+(** [workload_with_operands] is {!workload} together with its DP table
+    [x] ((n+1) × (n+1)) and its two sequences [s] and [t] (1 × n each),
+    the operands a {!Workload.t} keeps hidden, for tests that corrupt
+    them and expect [check] to notice. *)
+val workload_with_operands :
+  ?variant:[ `Corrected | `Literal ] -> n:int -> base:int -> seed:int ->
+  unit -> Workload.t * Mat.t * Mat.t * Mat.t

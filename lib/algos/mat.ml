@@ -57,15 +57,11 @@ let bot m =
   if m.rows mod 2 <> 0 then invalid_arg "Mat.bot: odd rows";
   sub m ~r0:(m.rows / 2) ~c0:0 ~rows:(m.rows / 2) ~cols:m.cols
 
-let region m =
-  if m.cols = m.stride then Is.interval m.base (m.base + (m.rows * m.cols))
-  else
-    Is.of_intervals
-      (List.init m.rows (fun i ->
-           let lo = m.base + (i * m.stride) in
-           (lo, lo + m.cols)))
+let region m = Is.strided ~lo:m.base ~width:m.cols ~stride:m.stride ~count:m.rows
 
 let addr m i j = m.base + (i * m.stride) + j
+
+let data m = m.space.data
 
 let get m i j = m.space.data.(addr m i j)
 

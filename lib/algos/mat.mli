@@ -38,9 +38,18 @@ val top : t -> t
 
 val bot : t -> t
 
-(** [region m] is the footprint of the view: one interval per row (or a
-    single interval when the view is contiguous). *)
+(** [region m] is the footprint of the view: its rows as one strided run
+    ({!Nd_util.Interval_set.strided}), a single interval when the view
+    is contiguous. *)
 val region : t -> Nd_util.Interval_set.t
+
+(** [data m] is the float store behind [m]'s space: cell (i, j) is
+    [(data m).(addr m i j)].  It stays valid until the space grows: an
+    {!alloc} on the same space may move the store, so fetch it again
+    after one.  Loops that read it directly pass no float through a
+    call, so they box none (calls into this module are not inlined under
+    [-opaque]). *)
+val data : t -> float array
 
 val get : t -> int -> int -> float
 

@@ -4,12 +4,24 @@
     difference cardinalities are the primitive operations behind task sizes
     [s(t)], the PCC metric [Q*] and the scheduler's miss accounting.
 
-    Representation: one immutable [int array] [\[| lo0; hi0; lo1; hi1; … |\]]
-    with [lo0 < hi0 < lo1 < hi1 < …] (sorted, disjoint, non-adjacent, no
-    empty piece), i.e. one heap block of [2k + 1] words for [k] intervals.
-    Costs below are for sets of [k] and [k'] intervals; the binary
-    operations allocate their result once and may return an operand
-    unchanged when the other is empty. *)
+    Representation: one immutable [int array] in one of two layouts.  The
+    plain layout is [\[| lo0; hi0; lo1; hi1; … |\]] with [lo0 < hi0 <
+    lo1 < hi1 < …] (sorted, disjoint, non-adjacent, no empty piece), one
+    heap block of [2k + 1] words for [k] intervals.  A {e run} is [c]
+    intervals of one width at one stride, [\[lo + i·s, hi + i·s)] for
+    [i < c]; the run layout is [\[| 0; lo; hi; s; c; … |\]], one 4-int
+    piece a run, so the footprint of a b×b block of a row-major matrix
+    costs 6 words instead of [2b + 1].  A set is cut from left to right
+    into maximal runs (the greedy split) and takes the run layout exactly
+    when that is shorter, [1 + 4·runs < 2k]; sets of one or two intervals
+    are always plain.  Every constructor and operation returns this
+    form, so equal sets are equal arrays ({!equal} is [=]).
+
+    Costs below are for sets of [k] and [k'] intervals.  The binary
+    operations keep no state between calls, so any number of domains and
+    threads may call them at once; they allocate nothing in the major
+    heap but their result, and may return an operand unchanged when the
+    other is empty. *)
 
 type t
 
@@ -24,6 +36,16 @@ val interval : int -> int -> t
 
 (** [singleton x] is the one-element set [{x}]. *)
 val singleton : int -> t
+
+(** [strided ~lo ~width ~stride ~count] is the run [\[lo + i·stride,
+    lo + i·stride + width)] for [i < count], e.g. the footprint of a
+    row-major block, built straight into its canonical layout: one
+    interval when [count = 1] or [stride = width], plain when
+    [count = 2], one run otherwise; empty when [width] or [count] is 0.
+    O(1).
+    @raise Invalid_argument if [width] or [count] is negative or
+    [stride < width]. *)
+val strided : lo:int -> width:int -> stride:int -> count:int -> t
 
 (** [of_intervals l] is the union of the given [(lo, hi)] half-open
     intervals, which may overlap and come in any order; pairs with
@@ -45,10 +67,12 @@ val inter : t -> t -> t
 (** [diff a b] is the set of elements of [a] not in [b]; O(k + k'). *)
 val diff : t -> t -> t
 
-(** Binary search; O(log k). *)
+(** Binary search over intervals, or over runs and then one division;
+    O(log k). *)
 val mem : int -> t -> bool
 
-(** [cardinal t] is the number of integers in the set; O(k). *)
+(** [cardinal t] is the number of integers in the set; O(k), or O(runs)
+    in the run layout. *)
 val cardinal : t -> int
 
 (** [iter f t] calls [f lo hi] on each interval in increasing order;
@@ -66,15 +90,15 @@ val intervals : t -> (int * int) list
 (** O(k). *)
 val equal : t -> t -> bool
 
-(** [overlaps a b] is [true] iff the intersection is non-empty; O(k + k')
-    and allocation-free, cheaper than computing it. *)
+(** [overlaps a b] is [true] iff the intersection is non-empty; O(k + k'),
+    cheaper than computing it, and allocation-free on two plain sets. *)
 val overlaps : t -> t -> bool
 
 (** [absorb acc t] unions [t] into the mutable accumulator and returns
     how many elements of [t] were new, i.e. [cardinal (diff t !acc)].
-    The count is one allocation-free merge walk over [t] and the prefix
-    of [!acc] it reaches, and [!acc] is only rebuilt (O(k + k')) when the
-    count is positive.  This is the "first touch within a maximal task"
+    The count is one merge walk over [t] and the prefix of [!acc] it
+    reaches, allocation-free on two plain sets, and [!acc] is only
+    rebuilt (O(k + k')) when the count is positive.  This is the "first touch within a maximal task"
     primitive used by the PMH miss accounting. *)
 val absorb : t ref -> t -> int
 

@@ -218,6 +218,33 @@ let test_lcs_row_check () =
         [ 1; 7; 42 ])
     [ 1; 2; 16; 64 ]
 
+(* No leaf writes row 0 of the table or either sequence, so only a
+   corrupted operand can show that [check] compares them. *)
+let lcs_run w = List.iter (fun f -> f ()) (leaf_actions w.Workload.tree)
+
+let test_lcs_check_sees_row0 () =
+  let w, x, _, _ = Lcs.workload_with_operands ~n:16 ~base:4 ~seed:3 () in
+  w.Workload.reset ();
+  lcs_run w;
+  Alcotest.(check (float 0.)) "clean run" 0. (w.Workload.check ());
+  Mat.set x 0 5 1.;
+  if not (w.Workload.check () > 0.) then Alcotest.fail "row 0 corrupted after the run"
+
+(* A sequence cell changed after [reset], before the run: the run then
+   computes a table consistent with the corrupted sequence, which a
+   check reading the sequences from the operands would accept. *)
+let test_lcs_check_sees_sequences () =
+  List.iter
+    (fun which ->
+      let w, _, s, t = Lcs.workload_with_operands ~n:16 ~base:4 ~seed:3 () in
+      let m = if which = "s" then s else t in
+      w.Workload.reset ();
+      Mat.set m 0 7 (Float.rem (Mat.get m 0 7 +. 1.) 4.);
+      lcs_run w;
+      if not (w.Workload.check () > 0.) then
+        Alcotest.failf "%s corrupted before the run" which)
+    [ "s"; "t" ]
+
 let correctness_cases =
   [
     ("mm n=16 b=2", (fun () -> Matmul.workload ~n:16 ~base:2 ~seed:11 ()), 1e-9);
@@ -269,6 +296,9 @@ let () =
         [
           Alcotest.test_case "NaN deviates infinitely" `Quick test_nan_deviation;
           Alcotest.test_case "lcs row check" `Quick test_lcs_row_check;
+          Alcotest.test_case "lcs check sees row 0" `Quick test_lcs_check_sees_row0;
+          Alcotest.test_case "lcs check sees the sequences" `Quick
+            test_lcs_check_sees_sequences;
         ] );
       ( "span separations",
         [

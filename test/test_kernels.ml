@@ -174,6 +174,263 @@ let test_fw_blocks () =
   Kernels.fwc_block z z;
   Alcotest.(check (float 1e-12)) "fwc full sweep = FW" 0. (Mat.max_abs_diff z y)
 
+(* The kernels read and write the float store directly; here each is
+   checked bit for bit against its [Mat.get]/[Mat.set] form, on random
+   strided sub-views of one 24x24 matrix. *)
+module type KERNELS = sig
+  val mm_acc : sign:float -> Mat.t -> Mat.t -> Mat.t -> unit
+  val mm_acc_nt : sign:float -> Mat.t -> Mat.t -> Mat.t -> unit
+  val trs_left : Mat.t -> Mat.t -> unit
+  val trs_right : Mat.t -> Mat.t -> unit
+  val trs_left_unit : Mat.t -> Mat.t -> unit
+  val trs_left_trans : Mat.t -> Mat.t -> unit
+  val cholesky : Mat.t -> unit
+  val min_plus_acc : Mat.t -> Mat.t -> Mat.t -> unit
+  val floyd_warshall : Mat.t -> unit
+  val fwb_block : Mat.t -> Mat.t -> unit
+  val fwc_block : Mat.t -> Mat.t -> unit
+  val fill_spd : Mat.t -> Prng.t -> unit
+  val lu_panel : Mat.t -> piv:Mat.t -> c0:int -> r0:int -> unit
+  val laswp : Mat.t -> piv:Mat.t -> k0:int -> k1:int -> g:int -> reverse:bool -> unit
+end
+
+module Get_set : KERNELS = struct
+  let get = Mat.get and set = Mat.set
+
+  let mm_acc ~sign c a b =
+    for i = 0 to c.Mat.rows - 1 do
+      for k = 0 to a.Mat.cols - 1 do
+        let aik = sign *. get a i k in
+        for j = 0 to c.Mat.cols - 1 do
+          set c i j (get c i j +. (aik *. get b k j))
+        done
+      done
+    done
+
+  let mm_acc_nt ~sign c a b =
+    for i = 0 to c.Mat.rows - 1 do
+      for j = 0 to c.Mat.cols - 1 do
+        let acc = ref 0. in
+        for k = 0 to a.Mat.cols - 1 do
+          acc := !acc +. (get a i k *. get b j k)
+        done;
+        set c i j (get c i j +. (sign *. !acc))
+      done
+    done
+
+  let trs ~unit ~trans t b =
+    let n = t.Mat.rows in
+    for j = 0 to b.Mat.cols - 1 do
+      for step = 0 to n - 1 do
+        let i = if trans then n - 1 - step else step in
+        let acc = ref (get b i j) in
+        if trans then
+          for k = i + 1 to n - 1 do
+            acc := !acc -. (get t k i *. get b k j)
+          done
+        else
+          for k = 0 to i - 1 do
+            acc := !acc -. (get t i k *. get b k j)
+          done;
+        set b i j (if unit then !acc else !acc /. get t i i)
+      done
+    done
+
+  let trs_left = trs ~unit:false ~trans:false
+  let trs_left_unit = trs ~unit:true ~trans:false
+  let trs_left_trans = trs ~unit:false ~trans:true
+
+  let trs_right t b =
+    for i = 0 to b.Mat.rows - 1 do
+      for j = 0 to t.Mat.rows - 1 do
+        let acc = ref (get b i j) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (get b i k *. get t j k)
+        done;
+        set b i j (!acc /. get t j j)
+      done
+    done
+
+  let cholesky a =
+    for j = 0 to a.Mat.rows - 1 do
+      let d = ref (get a j j) in
+      for k = 0 to j - 1 do
+        d := !d -. (get a j k *. get a j k)
+      done;
+      if !d <= 0. then failwith "non-positive pivot";
+      let ljj = sqrt !d in
+      set a j j ljj;
+      for i = j + 1 to a.Mat.rows - 1 do
+        let acc = ref (get a i j) in
+        for k = 0 to j - 1 do
+          acc := !acc -. (get a i k *. get a j k)
+        done;
+        set a i j (!acc /. ljj)
+      done
+    done
+
+  (* [x(i,j) <- min(x(i,j), p(i,k) + q(k,j))] for each k, i, j in order,
+     [p(i,k)] read once per (k, i) *)
+  let relax ~k_outer x p q kn =
+    let step k i =
+      let pik = get p i k in
+      for j = 0 to x.Mat.cols - 1 do
+        let v = pik +. get q k j in
+        if v < get x i j then set x i j v
+      done
+    in
+    if k_outer then
+      for k = 0 to kn - 1 do
+        for i = 0 to x.Mat.rows - 1 do step k i done
+      done
+    else
+      for i = 0 to x.Mat.rows - 1 do
+        for k = 0 to kn - 1 do step k i done
+      done
+
+  let min_plus_acc c a b = relax ~k_outer:false c a b a.Mat.cols
+  let floyd_warshall a = relax ~k_outer:true a a a a.Mat.rows
+  let fwb_block x u = relax ~k_outer:true x u x u.Mat.rows
+  let fwc_block x u = relax ~k_outer:true x x u u.Mat.rows
+
+  let fill_spd m rng =
+    let n = m.Mat.rows in
+    Mat.fill m (fun _ _ -> Prng.float rng);
+    for i = 0 to n - 1 do
+      for j = 0 to i - 1 do
+        let v = (get m i j +. get m j i) /. 2. in
+        set m i j v;
+        set m j i v
+      done
+    done;
+    for i = 0 to n - 1 do
+      set m i i (get m i i +. float_of_int n)
+    done
+
+  let swap_rows m i j =
+    if i <> j then
+      for c = 0 to m.Mat.cols - 1 do
+        let tmp = get m i c in
+        set m i c (get m j c);
+        set m j c tmp
+      done
+
+  let lu_panel a ~piv ~c0 ~r0 =
+    for j = 0 to a.Mat.cols - 1 do
+      let best = ref j and best_v = ref (Float.abs (get a j j)) in
+      for i = j + 1 to a.Mat.rows - 1 do
+        let v = Float.abs (get a i j) in
+        if v > !best_v then begin
+          best := i;
+          best_v := v
+        end
+      done;
+      set piv 0 (c0 + j) (float_of_int (r0 + !best));
+      swap_rows a j !best;
+      let d = get a j j in
+      for i = j + 1 to a.Mat.rows - 1 do
+        let lij = get a i j /. d in
+        set a i j lij;
+        for k = j + 1 to a.Mat.cols - 1 do
+          set a i k (get a i k -. (lij *. get a j k))
+        done
+      done
+    done
+
+  let laswp b ~piv ~k0 ~k1 ~g ~reverse =
+    let apply j = swap_rows b (j - g) (int_of_float (get piv 0 j) - g) in
+    if reverse then
+      for j = k1 - 1 downto k0 do apply j done
+    else
+      for j = k0 to k1 - 1 do apply j done
+end
+
+(* One case draws its view shapes and places from [rng], prepares their
+   contents with [Mat.get]/[Mat.set] and runs one kernel of [K]; the
+   same draws give the same views in both runs. *)
+let bitwise_cases : (string * ((module KERNELS) -> Prng.t -> Mat.t -> Mat.t -> unit)) list =
+  let view rng m rows cols =
+    Mat.sub m ~r0:(Prng.int rng (m.Mat.rows - rows + 1))
+      ~c0:(Prng.int rng (m.Mat.cols - cols + 1)) ~rows ~cols
+  in
+  let dim rng = 1 + Prng.int rng 8 in
+  (* a lower triangle with a dominant diagonal *)
+  let dominant t =
+    for i = 0 to t.Mat.rows - 1 do
+      Mat.set t i i (Mat.get t i i +. 2.)
+    done
+  in
+  [
+    ("mm_acc", fun (module K) rng m _ ->
+        let r = dim rng and k = dim rng and c = dim rng in
+        K.mm_acc ~sign:(-1.) (view rng m r c) (view rng m r k) (view rng m k c));
+    ("mm_acc_nt", fun (module K) rng m _ ->
+        let r = dim rng and k = dim rng and c = dim rng in
+        K.mm_acc_nt ~sign:1. (view rng m r c) (view rng m r k) (view rng m c k));
+    ("trs_left", fun (module K) rng m _ ->
+        let n = dim rng in
+        let t = view rng m n n in
+        dominant t;
+        K.trs_left t (view rng m n (dim rng)));
+    ("trs_left_unit", fun (module K) rng m _ ->
+        let n = dim rng in
+        K.trs_left_unit (view rng m n n) (view rng m n (dim rng)));
+    ("trs_left_trans", fun (module K) rng m _ ->
+        let n = dim rng in
+        let t = view rng m n n in
+        dominant t;
+        K.trs_left_trans t (view rng m n (dim rng)));
+    ("trs_right", fun (module K) rng m _ ->
+        let n = dim rng in
+        let t = view rng m n n in
+        dominant t;
+        K.trs_right t (view rng m (dim rng) n));
+    ("fill_spd + cholesky", fun (module K) rng m _ ->
+        let a = view rng m (dim rng) 8 in
+        let a = Mat.sub a ~r0:0 ~c0:0 ~rows:a.Mat.rows ~cols:a.Mat.rows in
+        K.fill_spd a rng;
+        K.cholesky a);
+    ("min_plus_acc", fun (module K) rng m _ ->
+        let r = dim rng and k = dim rng and c = dim rng in
+        K.min_plus_acc (view rng m r c) (view rng m r k) (view rng m k c));
+    ("floyd_warshall", fun (module K) rng m _ ->
+        let n = dim rng in
+        K.floyd_warshall (view rng m n n));
+    ("fwb_block", fun (module K) rng m _ ->
+        let n = dim rng in
+        K.fwb_block (view rng m n (dim rng)) (view rng m n n));
+    ("fwc_block", fun (module K) rng m _ ->
+        let n = dim rng in
+        K.fwc_block (view rng m (dim rng) n) (view rng m n n));
+    ("lu_panel + laswp", fun (module K) rng m piv ->
+        let c = dim rng in
+        let a = view rng m (c + Prng.int rng 8) c in
+        (* the panel's first column and top row share a global index *)
+        let c0 = Prng.int rng 8 in
+        K.lu_panel a ~piv ~c0 ~r0:c0;
+        let b = view rng m a.Mat.rows (dim rng) in
+        K.laswp b ~piv ~k0:c0 ~k1:(c0 + c) ~g:c0 ~reverse:(Prng.bool rng));
+  ]
+
+let test_bitwise (name, case) () =
+  let run (k : (module KERNELS)) seed =
+    let space = Mat.create_space () in
+    let m = Mat.alloc space ~rows:24 ~cols:24 in
+    let piv = Mat.alloc space ~rows:1 ~cols:24 in
+    let rng = Prng.create seed in
+    Mat.fill m (fun _ _ -> 0.5 +. Prng.float rng);
+    case k rng m piv;
+    List.concat_map
+      (fun x ->
+        List.init (x.Mat.rows * x.Mat.cols) (fun c ->
+            Int64.bits_of_float (Mat.get x (c / x.Mat.cols) (c mod x.Mat.cols))))
+      [ m; piv ]
+  in
+  for seed = 1 to 50 do
+    if run (module Kernels : KERNELS) seed <> run (module Get_set) seed then
+      Alcotest.failf "%s, seed %d: differs from its Mat.get/Mat.set form" name seed
+  done
+
 let () =
   Alcotest.run "nd_algos.kernels"
     [
@@ -195,4 +452,8 @@ let () =
           Alcotest.test_case "min_plus_acc" `Quick test_min_plus_acc_matches_fw_step;
           Alcotest.test_case "fwb/fwc blocks" `Quick test_fw_blocks;
         ] );
+      ( "bitwise",
+        List.map
+          (fun ((name, _) as case) -> Alcotest.test_case name `Quick (test_bitwise case))
+          bitwise_cases );
     ]
