@@ -297,19 +297,22 @@ let rec sweep_from mask measure a b dst i j n card inside =
 
 let sweep mask ~measure a b dst = sweep_from mask measure a b dst 0 0 0 0 false
 
-(* Operands that expand together to at most 256 words, the largest
-   array the minor heap takes, are swept plain, as copies that die
-   there (see [dispatch]).  Their result has at most as many endpoints,
-   so one pass fills a buffer of that size, copied out in the result's
-   layout.  Larger plain operands take one pass to size the result and
-   one to fill it, so it is the only allocation; then a read-only scan
-   picks its layout. *)
-let small = 256
+let mask_union = 0b1110 (* in a, in b, or both *)
 
+let mask_inter = 0b1000 (* in both *)
+
+let mask_diff = 0b0100 (* in a only *)
+
+(* [a] and [b] expand together to at most 256 words (see [dispatch]),
+   so every temporary here dies in the minor heap.  Their union has at
+   most as many endpoints as both, and usually about that many, so one
+   pass fills a buffer of that size, copied out in the result's layout.
+   [inter] and [diff] take one pass to size the result and one to fill
+   it, so an empty result costs nothing; then a read-only scan picks
+   its layout. *)
 let plain_merge mask a b =
-  let words = Array.length a + Array.length b in
-  if words <= small then begin
-    let buf = Array.make words 0 in
+  if mask = mask_union then begin
+    let buf = Array.make (Array.length a + Array.length b) 0 in
     canonical buf (sweep mask ~measure:false a b buf)
   end
   else begin
@@ -321,15 +324,6 @@ let plain_merge mask a b =
       canonical dst n
     end
   end
-
-let plain_overlaps a b =
-  let na = Array.length a and nb = Array.length b in
-  let rec go i j =
-    i < na && j < nb
-    && (Int.max a.(i) b.(j) < Int.min a.(i + 1) b.(j + 1)
-       || if a.(i + 1) < b.(j + 1) then go (i + 2) j else go i (j + 2))
-  in
-  go 0 0
 
 (* -------------------- binary operations, runs ---------------------- *)
 
@@ -417,43 +411,56 @@ let cursor_merge mask a b =
     out
   end
 
-(* Small operands are swept plain, run operands as copies; larger
-   plain operands take the plain sweep in place, and larger run
-   operands are read in place through cursors, which allocate nothing
-   in the major heap but step more slowly. *)
+(* Operands that expand together to at most 256 words, the largest
+   array the minor heap takes, are swept plain, run operands as copies
+   that die there.  Larger ones are read in place through cursors,
+   which step more slowly but allocate nothing but the result. *)
 let dispatch mask plain_op cursor_op a b =
-  if 2 * (n_intervals a + n_intervals b) <= small then
+  if 2 * (n_intervals a + n_intervals b) <= 256 then
     plain_op mask (plain a) (plain b)
-  else if not (is_runs a || is_runs b) then plain_op mask a b
   else cursor_op mask a b
 
 let merge mask a b = dispatch mask plain_merge cursor_merge a b
 
-let mask_union = 0b1110 (* in a, in b, or both *)
+(* The least element and one past the greatest of a non-empty set.
+   Sets whose spans do not overlap share nothing, so [inter], [diff],
+   [overlaps] and [absorb] answer them without a sweep. *)
+let first t = if is_runs t then t.(1) else t.(0)
 
-let mask_inter = 0b1000 (* in both *)
+let last t =
+  let n = Array.length t in
+  if is_runs t then t.(n - 3) + ((t.(n - 1) - 1) * t.(n - 2)) else t.(n - 1)
 
-let mask_diff = 0b0100 (* in a only *)
+let apart a b = is_empty a || is_empty b || last a <= first b || last b <= first a
 
 let union a b =
   if is_empty a then b else if is_empty b then a else merge mask_union a b
 
-let inter a b = if is_empty a || is_empty b then empty else merge mask_inter a b
+let inter a b = if apart a b then empty else merge mask_inter a b
 
-let diff a b = if is_empty a || is_empty b then a else merge mask_diff a b
+let diff a b = if apart a b then a else merge mask_diff a b
 
+(* Steps two cursors like [cursor_sweep] and stops as soon as both are
+   inside after a coordinate. *)
 let overlaps a b =
-  dispatch mask_inter
-    (fun _ a b -> plain_overlaps a b)
-    (fun mask a b -> cursor_sweep mask a b (splitter empty) > 0)
-    a b
+  let rec go a b =
+    more a && more b
+    &&
+    let x = Int.min a.x b.x in
+    if a.x = x then advance a;
+    if b.x = x then advance b;
+    (a.inside && b.inside) || go a b
+  in
+  (not (apart a b)) && go (cursor a) (cursor b)
 
 let absorb acc t =
   let n =
-    dispatch mask_diff
-      (fun mask t a -> sweep mask ~measure:true t a empty)
-      (fun mask t a -> cursor_sweep mask t a (splitter empty))
-      t !acc
+    if apart t !acc then cardinal t
+    else
+      dispatch mask_diff
+        (fun mask t a -> sweep mask ~measure:true t a empty)
+        (fun mask t a -> cursor_sweep mask t a (splitter empty))
+        t !acc
   in
   if n > 0 then acc := union !acc t;
   n

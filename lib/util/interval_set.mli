@@ -19,9 +19,13 @@
 
     Costs below are for sets of [k] and [k'] intervals.  The binary
     operations keep no state between calls, so any number of domains and
-    threads may call them at once; they allocate nothing in the major
-    heap but their result, and may return an operand unchanged when the
-    other is empty. *)
+    threads may call them at once, and may return an operand unchanged
+    when the other is empty.  On two sets whose spans do not overlap,
+    [inter], [diff] and [overlaps] answer in O(1) and [absorb] counts
+    without a sweep.  They allocate nothing in the major heap but their
+    result: operands that expand together to at most 256 words are
+    swept as plain copies that die in the minor heap, and larger ones
+    are read in place. *)
 
 type t
 
@@ -91,14 +95,15 @@ val intervals : t -> (int * int) list
 val equal : t -> t -> bool
 
 (** [overlaps a b] is [true] iff the intersection is non-empty; O(k + k'),
-    cheaper than computing it, and allocation-free on two plain sets. *)
+    stopping at the first overlap, and allocates two small records. *)
 val overlaps : t -> t -> bool
 
 (** [absorb acc t] unions [t] into the mutable accumulator and returns
     how many elements of [t] were new, i.e. [cardinal (diff t !acc)].
     The count is one merge walk over [t] and the prefix of [!acc] it
-    reaches, allocation-free on two plain sets, and [!acc] is only
-    rebuilt (O(k + k')) when the count is positive.  This is the "first touch within a maximal task"
+    reaches, allocation-free on two plain sets of at most 256 words
+    together, and [!acc] is only rebuilt (O(k + k')) when the count is
+    positive.  This is the "first touch within a maximal task"
     primitive used by the PMH miss accounting. *)
 val absorb : t ref -> t -> int
 
