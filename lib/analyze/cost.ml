@@ -9,8 +9,9 @@ module Strand = Nd.Strand
 module Pmh = Nd_pmh.Pmh
 module Sb = Nd_sched.Sb_sched
 
-(* Program.compile's post-order node layout and its fire-arrow rewriting
-   (the one Drs resolver, fed this pass's own node array), but events
+(* [tree_span], the compile-free span reference: Program.compile's
+   post-order node layout and its fire-arrow rewriting (the one Drs
+   resolver, fed this pass's own node array), but events
    instead of DAG vertices.  Span is a longest-path DP over
    a DFS {e event} numbering of the tree — one event per leaf, a
    pre-visit begin event and post-visit end event per Par/Fire, Seq
@@ -22,14 +23,7 @@ module Sb = Nd_sched.Sb_sched
    DFS order — so event order is a topological order of the implied DAG
    and one forward sweep computes the exact critical path. *)
 
-type kind = Leaf of Strand.t | Seq | Par | Fire of string
-
-type node = {
-  kind : kind;
-  children : int array;
-  begin_ev : int;
-  end_ev : int;
-}
+type node = { children : int array; begin_ev : int; end_ev : int }
 
 (* Hash-consed translation-normalized subtree shapes.  Two nodes share a
    shape iff their subtrees are exact translates of each other (same
@@ -100,20 +94,21 @@ type report = {
   n_shapes : int;
 }
 
-let dummy_node =
-  { kind = Seq; children = [||]; begin_ev = 0; end_ev = 0 }
+type tree_span = { span : int; n_fire_edges : int }
+
+let dummy_node = { children = [||]; begin_ev = 0; end_ev = 0 }
 
 let dummy_shape =
   { s_children = [||]; s_fp = Is.empty; s_size = 0; s_work = 0; s_peak = 0 }
 
-let analyze ~registry tree =
+let tree_span ~registry tree =
   (* ---------------- flatten: nodes, events, structural edges -------- *)
   let store = ref (Array.make 64 dummy_node) in
   let n_nodes = ref 0 in
   let works = ref (Array.make 64 0) in
   let n_ev = ref 0 in
   let edges = ref [] in
-  let n_leaves = ref 0 in
+  let fires = ref [] in
   let add_node node =
     let id = !n_nodes in
     if id >= Array.length !store then begin
@@ -142,9 +137,7 @@ let analyze ~registry tree =
     match t with
     | Spawn_tree.Leaf s ->
       let ev = new_event s.Strand.work in
-      incr n_leaves;
-      add_node
-        { kind = Leaf s; children = [||]; begin_ev = ev; end_ev = ev }
+      add_node { children = [||]; begin_ev = ev; end_ev = ev }
     | Spawn_tree.Seq cs ->
       let ids = List.map build cs in
       let arr = Array.of_list ids in
@@ -154,7 +147,7 @@ let analyze ~registry tree =
         arr;
       let begin_ev = (get arr.(0)).begin_ev in
       let end_ev = (get arr.(Array.length arr - 1)).end_ev in
-      add_node { kind = Seq; children = arr; begin_ev; end_ev }
+      add_node { children = arr; begin_ev; end_ev }
     | Spawn_tree.Par cs ->
       let begin_ev = new_event 0 in
       let ids = List.map build cs in
@@ -165,11 +158,11 @@ let analyze ~registry tree =
           add_edge begin_ev (get c).begin_ev;
           add_edge (get c).end_ev end_ev)
         arr;
-      add_node { kind = Par; children = arr; begin_ev; end_ev }
+      add_node { children = arr; begin_ev; end_ev }
     | Spawn_tree.Fire { rule; src; snk } ->
       if not (Fire_rule.mem registry rule) then
         invalid_arg
-          (Printf.sprintf "Cost.analyze: undefined fire type %S" rule);
+          (Printf.sprintf "Cost.tree_span: undefined fire type %S" rule);
       let begin_ev = new_event 0 in
       let a = build src in
       let b = build snk in
@@ -178,29 +171,23 @@ let analyze ~registry tree =
       add_edge begin_ev (get b).begin_ev;
       add_edge (get a).end_ev end_ev;
       add_edge (get b).end_ev end_ev;
-      add_node
-        { kind = Fire rule; children = [| a; b |]; begin_ev; end_ev }
+      let id = add_node { children = [| a; b |]; begin_ev; end_ev } in
+      fires := (id, rule) :: !fires;
+      id
   in
-  let root = build tree in
+  ignore (build tree);
   let nodes = Array.sub !store 0 !n_nodes in
-  ignore root;
   (* ---------------- fire-arrow rewriting (the shared Drs walk) ------ *)
   (* the walk may emit a pair more than once; a pair, packed as
      [a·N + b] for N nodes, counts and links at its first emission *)
   let pairs = Int_set.create (Array.length nodes) in
   ignore
-    (Drs.rewrite ~who:"Cost.analyze" ~registry
+    (Drs.rewrite ~who:"Cost.tree_span" ~registry
        ~children:(Array.map (fun n -> n.children) nodes)
        ~edge:(fun a b ->
          if Int_set.add pairs ((a * Array.length nodes) + b) then
            add_edge nodes.(a).end_ev nodes.(b).begin_ev)
-       (List.filter_map
-          (fun id ->
-            match nodes.(id).kind with
-            | Fire r -> Some (id, r)
-            | Leaf _ | Seq | Par -> None)
-          (List.init (Array.length nodes) Fun.id)));
-  let n_fire_edges = Int_set.cardinal pairs in
+       (List.rev !fires));
   (* ---------------- span: forward longest-path DP over events ------- *)
   let n_ev = !n_ev in
   let works = !works in
@@ -213,7 +200,14 @@ let analyze ~registry tree =
     if d > !span then span := d;
     List.iter (fun w -> if d > dist.(w) then dist.(w) <- d) succs.(v)
   done;
-  (* ---------------- shapes: hash-consed translated subtrees --------- *)
+  { span = !span; n_fire_edges = Int_set.cardinal pairs }
+
+(* One pass over the program's post-order nodes (children first) interns
+   each node's shape.  Sizes come from this pass's own footprint unions,
+   not Program.size, so [q_star] stays a derivation independent of
+   Program.decompose + Pcc.q_star; span and the fire pairs are read off
+   what compile built. *)
+let of_program p =
   let shape_ids : int Shape_tbl.t = Shape_tbl.create 256 in
   let shapes = ref (Array.make 64 dummy_shape) in
   let n_shapes = ref 0 in
@@ -236,107 +230,91 @@ let analyze ~registry tree =
       Shape_tbl.add shape_ids key id;
       id
   in
-  let node_shape = Array.make (Array.length nodes) (-1) in
-  let node_min = Array.make (Array.length nodes) 0 in
-  (* post-order ids: children are interned before their parent *)
-  Array.iteri
-    (fun id n ->
-      match n.kind with
-      | Leaf s ->
-        let fp = Strand.footprint s in
-        let mn =
-          if Is.is_empty fp then 0
-          else Is.fold (fun lo _ m -> Int.min lo m) fp max_int
-        in
-        let key =
-          KLeaf
-            ( s.Strand.work,
-              Is.shift s.Strand.reads (-mn),
-              Is.shift s.Strand.writes (-mn) )
-        in
-        node_min.(id) <- mn;
-        node_shape.(id) <-
-          intern key (fun () ->
-              let nfp = Is.shift fp (-mn) in
-              let size = Is.cardinal nfp in
-              { s_children = [||]; s_fp = nfp; s_size = size;
-                s_work = s.Strand.work; s_peak = size })
-      | Seq | Par | Fire _ ->
-        let mn =
-          Array.fold_left
-            (fun acc c ->
-              if Is.is_empty !shapes.(node_shape.(c)).s_fp then acc
-              else
-                match acc with
-                | None -> Some node_min.(c)
-                | Some m -> Some (min m node_min.(c)))
-            None n.children
-        in
-        let mn = match mn with None -> 0 | Some m -> m in
-        let deltas =
-          Array.to_list
-            (Array.map
-               (fun c ->
-                 let s = node_shape.(c) in
-                 if Is.is_empty !shapes.(s).s_fp then (s, 0)
-                 else (s, node_min.(c) - mn))
-               n.children)
-        in
-        let tag, rule =
-          match n.kind with
-          | Seq -> (0, "")
-          | Par -> (1, "")
-          | Fire r -> (2, r)
-          | Leaf _ -> assert false
-        in
-        node_min.(id) <- mn;
-        node_shape.(id) <-
-          intern (KNode (tag, rule, deltas)) (fun () ->
-              let fp =
-                List.fold_left
-                  (fun acc (s, d) -> Is.union acc (Is.shift !shapes.(s).s_fp d))
-                  Is.empty deltas
-              in
-              let sum f =
-                List.fold_left (fun acc (s, _) -> acc + f !shapes.(s)) 0 deltas
-              in
-              let peak =
-                match n.kind with
-                | Seq ->
-                  List.fold_left
-                    (fun acc (s, _) -> max acc !shapes.(s).s_peak)
-                    0 deltas
-                | Par | Fire _ -> sum (fun s -> s.s_peak)
-                | Leaf _ -> assert false
-              in
-              { s_children = Array.map (fun c -> node_shape.(c)) n.children;
-                s_fp = fp; s_size = Is.cardinal fp;
-                s_work = sum (fun s -> s.s_work); s_peak = peak }))
-    nodes;
-  let root_shape = node_shape.(Array.length nodes - 1) in
+  let n = Program.n_nodes p in
+  let node_shape = Array.make n (-1) in
+  let node_min = Array.make n 0 in
+  (* [tag]: 0 Seq, 1 Par, 2 Fire *)
+  let inner id tag rule =
+    let children = Program.children p id in
+    let mn =
+      Array.fold_left
+        (fun acc c ->
+          if Is.is_empty !shapes.(node_shape.(c)).s_fp then acc
+          else
+            match acc with
+            | None -> Some node_min.(c)
+            | Some m -> Some (min m node_min.(c)))
+        None children
+    in
+    let mn = match mn with None -> 0 | Some m -> m in
+    let deltas =
+      Array.to_list
+        (Array.map
+           (fun c ->
+             let s = node_shape.(c) in
+             if Is.is_empty !shapes.(s).s_fp then (s, 0)
+             else (s, node_min.(c) - mn))
+           children)
+    in
+    node_min.(id) <- mn;
+    node_shape.(id) <-
+      intern (KNode (tag, rule, deltas)) (fun () ->
+          let fp =
+            List.fold_left
+              (fun acc (s, d) -> Is.union acc (Is.shift !shapes.(s).s_fp d))
+              Is.empty deltas
+          in
+          let sum f =
+            List.fold_left (fun acc (s, _) -> acc + f !shapes.(s)) 0 deltas
+          in
+          let peak =
+            if tag = 0 then
+              List.fold_left (fun acc (s, _) -> max acc !shapes.(s).s_peak) 0 deltas
+            else sum (fun s -> s.s_peak)
+          in
+          { s_children = Array.map (fun c -> node_shape.(c)) children;
+            s_fp = fp; s_size = Is.cardinal fp;
+            s_work = sum (fun s -> s.s_work); s_peak = peak })
+  in
+  for id = 0 to n - 1 do
+    match Program.kind_of p id with
+    | Program.Leaf s ->
+      let fp = Strand.footprint s in
+      let mn =
+        if Is.is_empty fp then 0
+        else Is.fold (fun lo _ m -> Int.min lo m) fp max_int
+      in
+      let key =
+        KLeaf
+          ( s.Strand.work,
+            Is.shift s.Strand.reads (-mn),
+            Is.shift s.Strand.writes (-mn) )
+      in
+      node_min.(id) <- mn;
+      node_shape.(id) <-
+        intern key (fun () ->
+            let nfp = Is.shift fp (-mn) in
+            let size = Is.cardinal nfp in
+            { s_children = [||]; s_fp = nfp; s_size = size;
+              s_work = s.Strand.work; s_peak = size })
+    | Program.Seq -> inner id 0 ""
+    | Program.Par -> inner id 1 ""
+    | Program.Fire r -> inner id 2 r
+  done;
+  let root_shape = node_shape.(Program.root p) in
   let root = !shapes.(root_shape) in
   {
     shapes = Array.sub !shapes 0 !n_shapes;
     root_shape;
     qmemo = Hashtbl.create 64;
     work = root.s_work;
-    span = !span;
+    span = Nd_dag.Dag.span (Program.dag p);
     peak = root.s_peak;
     root_size = root.s_size;
-    n_leaves = !n_leaves;
-    n_nodes = Array.length nodes;
-    n_fire_edges;
+    n_leaves = Program.n_leaves p;
+    n_nodes = n;
+    n_fire_edges = Program.n_fire_edges p;
   }
-
-let of_program p = analyze ~registry:(Program.registry p) (Program.tree p)
-
-let work (t : t) = t.work
-
-let span (t : t) = t.span
-
-let peak_footprint (t : t) = t.peak
-
-let root_size (t : t) = t.root_size
 
 (* Mirrors Program.decompose + Pcc.q_star: a node whose size fits in m
    (or a leaf) is a maximal task contributing its size; otherwise it is a
@@ -408,7 +386,16 @@ type certification = {
 }
 
 let certify_theorem1 ?(sigma = 1. /. 3.) ?cost program machine =
-  let cost = match cost with Some c -> c | None -> of_program program in
+  let cost =
+    match cost with
+    | None -> of_program program
+    | Some (c : t) ->
+      if
+        c.n_nodes <> Program.n_nodes program
+        || c.root_size <> Program.size program (Program.root program)
+      then invalid_arg "Cost.certify_theorem1: the cost is of another program";
+      c
+  in
   let stats = Sb.run ~sigma ~accounting:Sb.Rho program machine in
   let levels =
     List.init (Pmh.n_levels machine) (fun j ->

@@ -1,22 +1,24 @@
-(** Static structural cost analysis of spawn trees (ND model).
+(** Static structural cost of ND programs.
 
-    One pass over a {!Nd.Spawn_tree.t} plus its fire-rule registry
-    computes the quantities the paper's theorems talk about — exact
-    work, span {e including fire-edge chains}, peak footprint, and the
-    per-level serial cache complexity [Q*(t; M)] — without materializing
-    the fine-grained algorithm DAG.  The pass is O(tree nodes + fire
-    edges): span comes from a longest-path DP over a DFS event numbering
-    of the tree (which is a topological order of the DAG the DRS would
-    build, see DESIGN.md §14), and work / footprint / [Q*] are memoized
-    per translation-normalized subtree {e shape}, so regular
-    divide-and-conquer algorithms pay for each distinct shape once.
+    [of_program] reads a compiled program: exact work, span {e including
+    fire-edge chains} (the DAG's critical path), peak footprint, and the
+    per-level serial cache complexity [Q*(t; M)].  Work, footprints and
+    [Q*] come from one pass over the program's post-order nodes,
+    memoized per translation-normalized subtree {e shape}, so regular
+    divide-and-conquer algorithms pay for each distinct shape once.  The
+    sizes come from the shapes' own footprint unions, not
+    [Program.size], so [q_star] is derived independently of [Pcc.q_star].
 
-    The numbers are exact, not bounds: on every program where the DAG
-    path is defined, [work]/[span]/[root_size]/[q_star] equal
-    [Dag.work]/[Dag.span]/[Program.size]/[Pcc.q_star] bit for bit (the
-    oracle, the E12 experiment and [test_analyze] enforce this).  The
-    point is scale — the structural pass runs on n=512 workload families
-    whose DAGs are far past {!Nd_dag.Race.max_vertices}.
+    [tree_span] is the compile-free span reference: a longest-path DP
+    over a DFS event numbering of the bare tree, which is a topological
+    order of the DAG the DRS would build (DESIGN.md §14).  Lint rule
+    ND010 sweeps it over problem sizes.
+
+    The numbers are exact, not bounds: the report's [work] and
+    [root_size] and [q_star] equal [Dag.work], [Program.size] and
+    [Pcc.q_star], and [tree_span] equals [Dag.span] and
+    [Program.n_fire_edges], bit for bit (the oracle, the E12 experiment
+    and [test_analyze] enforce this).
 
     [peak_footprint] is the one conservative quantity: the maximum, over
     antichains of the tree, of the summed footprint sizes of
@@ -40,23 +42,18 @@ type report = {
   n_shapes : int;  (** distinct subtree shapes (memoization classes) *)
 }
 
-(** [analyze ~registry tree] runs the structural pass.
-    @raise Invalid_argument on an undefined fire type (same condition as
-    [Program.compile]). *)
-val analyze : registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> t
-
-(** [of_program p] analyzes [p]'s tree against [p]'s registry. *)
+(** [of_program p]: span is [Dag.span (Program.dag p)] and the fire
+    pairs [Program.n_fire_edges p]; it walks no fire arrow. *)
 val of_program : Nd.Program.t -> t
 
+type tree_span = { span : int; n_fire_edges : int }
+
+(** [tree_span ~registry tree]: the span and distinct fire pairs of
+    [Program.compile ~registry tree], from the tree and one DRS walk.
+    @raise Invalid_argument exactly where [Program.compile] does. *)
+val tree_span : registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> tree_span
+
 val report : t -> report
-
-val work : t -> int
-
-val span : t -> int
-
-val peak_footprint : t -> int
-
-val root_size : t -> int
 
 (** [q_star t ~m] is the serial cache complexity of the m-maximal task
     decomposition: the summed sizes of maximal tasks plus the number of
@@ -89,9 +86,10 @@ type certification = {
     space-bounded scheduler under ρ accounting and checks the paper's
     Theorem 1 cache bound: per-level misses at cache level [j] must not
     exceed the static [Q*(t; sigma * M_j)].  [sigma] defaults to 1/3
-    (Lemma 6).  The simulation needs the compiled program; the bounds
-    come from the structural pass, [cost] when the caller already has
-    [of_program program], else a fresh one. *)
+    (Lemma 6).  The bounds come from [cost] when the caller already has
+    [of_program program], else from a fresh one.
+    @raise Invalid_argument if [cost]'s node count or root size differs
+    from [program]'s: it is the cost of another program. *)
 val certify_theorem1 :
   ?sigma:float -> ?cost:t -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
 

@@ -30,10 +30,10 @@
       ({!Esp_bags}), reported with the same LCA + pedigree diagnosis as
       {!Nd.Rule_check}.
     - [ND010] {e warning} — span not recovered {e asymptotically}: over
-      a size sweep of the structural {!Cost} pass, the NP/ND span ratio
+      a size sweep of {!Cost.tree_span}, the NP/ND span ratio
       does not grow (the static, asymptotic version of ND007; needs no
       DAG, so it runs at sizes ND007 cannot).  The NP side is the
-      {!Nd.Spawn_tree.np_span} fold, not a second structural pass.
+      {!Nd.Spawn_tree.np_span} fold, not a second span pass.
     - [ND011] {e warning} — peak footprint exceeds the outermost cache
       level of a given PMH: no [tree_sched] budget below the working set
       avoids top-level misses.
@@ -101,7 +101,7 @@ val lint_all :
 val lint_compiled : ?verdict:Esp_bags.verdict -> Nd.Program.t -> finding list
 
 (** [lint_cost ?machine ?procs ~has_fires cost] — the structural checks
-    over a completed {!Cost} pass: ND011 (peak footprint vs the
+    over a program's {!Cost.of_program}: ND011 (peak footprint vs the
     outermost cache of [machine]), ND012 (parallelism below [procs]),
     ND013 (span ≡ work while the tree contains fires, per [has_fires]).
     Checks whose optional context is absent are skipped. *)
@@ -113,8 +113,8 @@ val lint_cost :
   finding list
 
 (** [lint_span_sweep ~subject ~build sizes] — ND010.  [build n] yields
-    the registry and spawn tree at problem size [n]; the sweep runs the
-    structural pass on the ND tree at each size, folds the span of its
+    the registry and spawn tree at problem size [n]; the sweep runs
+    {!Cost.tree_span} on the ND tree at each size, folds the span of its
     [serialize_fires] projection ({!Nd.Spawn_tree.np_span}), and warns
     when the NP/ND span ratio does not grow (no asymptotic span
     recovery).  Trees without fires

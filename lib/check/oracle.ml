@@ -289,18 +289,22 @@ let check_executing cfg program ~reset ~verify =
 (* ---------------------- structural cost analysis --------------------- *)
 
 (* The structural Cost pass must agree bit-for-bit with every exact
-   quantity the DAG path defines (work, span, root footprint size,
-   leaves, Q* at every capacity the sigma sweep touches), and the
+   quantity the DAG path defines (work, root footprint size, leaves, Q*
+   at every capacity the sigma sweep touches), the compile-free pass
+   with the DAG's span and the program's fire pairs, and the
    SB-simulated per-level ρ misses must obey the static Theorem 1 bound
    Q*(t; sigma * M_j) at every sigma. *)
 let check_cost cfg program ~work ~span =
   let stage = "cost" in
   let cost = guard stage (fun () -> Cost.of_program program) in
-  let r = Cost.report cost in
+  let registry = Nd.Program.registry program in
+  let tree = guard stage (fun () -> Cost.tree_span ~registry (Nd.Program.tree program)) in
+  let r = Cost.report cost and pairs = Nd.Program.n_fire_edges program in
   if r.Cost.work <> work then
     fail stage "structural work %d <> DAG work %d" r.Cost.work work;
-  if r.Cost.span <> span then
-    fail stage "structural span %d <> DAG span %d" r.Cost.span span;
+  if (tree.Cost.span, tree.Cost.n_fire_edges) <> (span, pairs) then
+    fail stage "tree span and fire pairs (%d, %d) <> DAG's (%d, %d)"
+      tree.Cost.span tree.Cost.n_fire_edges span pairs;
   if r.Cost.n_leaves <> Nd.Program.n_leaves program then
     fail stage "structural n_leaves %d <> %d" r.Cost.n_leaves
       (Nd.Program.n_leaves program);

@@ -540,19 +540,20 @@ let e12_cost () =
       let p = Workload.compile w in
       let cost = Cost.of_program p in
       let r = Cost.report cost in
-      (* differential gate: the structural pass must reproduce the exact
-         DAG quantities on every row (the base=16 rows are past the
-         exact Race cap — the DAG itself still compiles fine there) *)
+      (* differential gate: the structural work and the compile-free
+         span and fire pairs must reproduce the exact quantities on
+         every row (the base=16 rows are past the exact Race cap — the
+         DAG itself still compiles fine there) *)
       let exact = Nd.Analysis.analyze p in
-      if
-        r.Cost.work <> exact.Nd.Analysis.work
-        || r.Cost.span <> exact.Nd.Analysis.span
-      then
+      let tree = Cost.tree_span ~registry:w.Workload.registry w.Workload.tree in
+      let got = (r.Cost.work, tree.Cost.span, tree.Cost.n_fire_edges)
+      and want = Nd.Analysis.(exact.work, exact.span, Nd.Program.n_fire_edges p) in
+      if got <> want then begin
+        let show (a, b, c) = Printf.sprintf "(%d, %d, %d)" a b c in
         failwith
-          (Printf.sprintf
-             "E12: %s n=%d: structural work/span (%d, %d) <> exact (%d, %d)"
-             name n r.Cost.work r.Cost.span exact.Nd.Analysis.work
-             exact.Nd.Analysis.span);
+          (Printf.sprintf "E12: %s n=%d: work, tree span, fire pairs %s <> exact %s" name n
+             (show got) (show want))
+      end;
       let c = Cost.certify_theorem1 ~sigma ~cost p machine in
       (* the load-bearing acceptance check: every row of the shipped
          table is a certified Theorem-1 instance or the suite run fails *)

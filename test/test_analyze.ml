@@ -357,6 +357,8 @@ let test_lint_json_extended_catalogue () =
 
 module Cost = Nd_analyze.Cost
 
+let cost_of ~registry tree = Cost.of_program (Program.compile ~registry tree)
+
 let test_lint_cost_catalogue () =
   (* ND013: a fire over two bare leaves bottoms out as an end-to-begin
      full edge, so the halves serialize and span = work *)
@@ -365,13 +367,13 @@ let test_lint_cost_catalogue () =
       [ Fire_rule.rule [ 1 ] Fire_rule.Full [ 1 ] ]
   in
   let serial = Spawn_tree.fire ~rule:"X" (strand "f") (strand "g") in
-  let cost = Cost.analyze ~registry:reg serial in
+  let cost = cost_of ~registry:reg serial in
   (match find_ids "ND013" (Lint.lint_cost ~has_fires:true cost) with
   | [ _ ] -> ()
   | o -> Alcotest.failf "expected 1 ND013, got %d" (List.length o));
   (* ND012: a two-leaf par has parallelism 2, far below 16 processors *)
   let par = Spawn_tree.par [ strand "a"; strand "b" ] in
-  let pcost = Cost.analyze ~registry:Fire_rule.empty_registry par in
+  let pcost = cost_of ~registry:Fire_rule.empty_registry par in
   (match find_ids "ND012" (Lint.lint_cost ~procs:16 ~has_fires:false pcost) with
   | [ _ ] -> ()
   | o -> Alcotest.failf "expected 1 ND012, got %d" (List.length o));
@@ -391,7 +393,7 @@ let test_lint_cost_catalogue () =
         { Nd_pmh.Pmh.size = 64; fanout = 4; miss_cost = 8 };
       ]
   in
-  let bcost = Cost.analyze ~registry:Fire_rule.empty_registry big in
+  let bcost = cost_of ~registry:Fire_rule.empty_registry big in
   (match find_ids "ND011" (Lint.lint_cost ~machine ~has_fires:false bcost) with
   | [ _ ] -> ()
   | o -> Alcotest.failf "expected 1 ND011, got %d" (List.length o));
@@ -451,15 +453,19 @@ module Pcc = Nd_mem.Pcc
 
 let q_star_ms = [ 1; 2; 8; 64 ]
 
+(* [of_program]'s work, leaves, root size and Q* against the exact
+   path's, and the compile-free pass's span and fire pairs against the
+   DAG's and the program's *)
 let check_cost_matches_exact ~what p =
   let cost = Cost.of_program p in
+  let tree = Cost.tree_span ~registry:(Program.registry p) (Program.tree p) in
   let exact = Analysis.analyze p in
   let r = Cost.report cost in
   if r.Cost.work <> exact.Analysis.work then
     Alcotest.failf "%s: Cost work %d <> exact %d" what r.Cost.work
       exact.Analysis.work;
-  if r.Cost.span <> exact.Analysis.span then
-    Alcotest.failf "%s: Cost span %d <> exact %d" what r.Cost.span
+  if tree.Cost.span <> exact.Analysis.span then
+    Alcotest.failf "%s: tree span %d <> exact %d" what tree.Cost.span
       exact.Analysis.span;
   if r.Cost.n_leaves <> exact.Analysis.n_leaves then
     Alcotest.failf "%s: Cost n_leaves %d <> exact %d" what r.Cost.n_leaves
@@ -468,9 +474,9 @@ let check_cost_matches_exact ~what p =
   if r.Cost.root_size <> root_size then
     Alcotest.failf "%s: Cost root_size %d <> exact %d" what r.Cost.root_size
       root_size;
-  if r.Cost.n_fire_edges <> Program.n_fire_edges p then
-    Alcotest.failf "%s: Cost fire edges %d <> exact %d" what
-      r.Cost.n_fire_edges
+  if tree.Cost.n_fire_edges <> Program.n_fire_edges p then
+    Alcotest.failf "%s: tree fire edges %d <> exact %d" what
+      tree.Cost.n_fire_edges
       (Program.n_fire_edges p);
   List.iter
     (fun m ->
@@ -489,13 +495,11 @@ let test_cost_matches_exact_corpus () =
     let inst = Gen.build spec in
     match Program.compile ~registry:inst.Gen.registry inst.Gen.tree with
     | exception Invalid_argument _ ->
-      (* the structural pass must refuse the same programs *)
-      (match
-         Cost.analyze ~registry:inst.Gen.registry inst.Gen.tree
-       with
+      (* the compile-free pass must refuse the same programs *)
+      (match Cost.tree_span ~registry:inst.Gen.registry inst.Gen.tree with
       | exception Invalid_argument _ -> ()
       | _ ->
-        Alcotest.failf "seed %d: compile refused but Cost.analyze passed"
+        Alcotest.failf "seed %d: compile refused but Cost.tree_span passed"
           seed)
     | p -> check_cost_matches_exact ~what:(Printf.sprintf "seed %d" seed) p
   done
@@ -542,6 +546,46 @@ let test_certify_with_cost () =
         Alcotest.failf "%s n=%d: certify_theorem1 ~cost differs"
           fam.Nd_experiments.Workloads.name n)
     Nd_experiments.Workloads.all
+
+(* certify_theorem1 refuses a cost whose node count or root size is not
+   its program's, instead of certifying against another program's bounds *)
+let test_certify_refuses_other_cost () =
+  let machine = Nd_serve.Server.standard_machine ~top:1 in
+  let compile name =
+    Nd_algos.Workload.compile
+      (Nd_experiments.Workloads.build ~n:8 ~base:2
+         (Nd_experiments.Workloads.find name) ~seed:7)
+  in
+  let mm = compile "mm" and trs = compile "trs" in
+  (match Cost.certify_theorem1 ~cost:(Cost.of_program mm) trs machine with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "an mm cost certified a trs program");
+  Alcotest.(check bool) "mm with its own cost" true
+    (Cost.certify_theorem1 ~cost:(Cost.of_program mm) mm machine).Cost.certified
+
+(* of_program reads the compiled program instead of walking its tree
+   again: on mm n=32 b=2, one call after a warm-up allocates at most 40
+   words a spawn-tree node outside the minor heap (promoted plus
+   direct), where re-deriving the DAG from the tree, with a second DRS
+   walk and an edge list, allocates over 500 *)
+let test_cost_alloc () =
+  let w =
+    Nd_experiments.Workloads.build ~n:32 ~base:2
+      (Nd_experiments.Workloads.find "mm") ~seed:1
+  in
+  let p = Nd_algos.Workload.compile w in
+  ignore (Cost.of_program p);
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let cost = Cost.of_program p in
+  let _, _, major1 = Gc.counters () in
+  let per_node = (major1 -. major0) /. float_of_int (Program.n_nodes p) in
+  if per_node > 40. then
+    Alcotest.failf
+      "of_program allocated %.0f words outside the minor heap, %.1f a node (%d nodes); \
+       the bound is 40"
+      (major1 -. major0) per_node (Program.n_nodes p);
+  ignore (Sys.opaque_identity cost)
 
 (* -------------- Cost at paper scale: pinned golden table -------------- *)
 
@@ -649,6 +693,9 @@ let () =
             test_cost_matches_exact_workloads;
           Alcotest.test_case "certify with a given cost" `Quick
             test_certify_with_cost;
+          Alcotest.test_case "certify refuses another program's cost" `Quick
+            test_certify_refuses_other_cost;
+          Alcotest.test_case "of_program allocation" `Quick test_cost_alloc;
           Alcotest.test_case "paper-scale golden" `Slow
             test_cost_paper_scale_golden;
         ] );
