@@ -205,8 +205,8 @@ let tree_span ~registry tree =
 (* One pass over the program's post-order nodes (children first) interns
    each node's shape.  Sizes come from this pass's own footprint unions,
    not Program.size, so [q_star] stays a derivation independent of
-   Program.decompose + Pcc.q_star; span and the fire pairs are read off
-   what compile built. *)
+   Program.decompose + Pcc.q_star, and the leaves are counted here; span
+   and the fire pairs are read off what compile built. *)
 let of_program p =
   let shape_ids : int Shape_tbl.t = Shape_tbl.create 256 in
   let shapes = ref (Array.make 64 dummy_shape) in
@@ -233,6 +233,7 @@ let of_program p =
   let n = Program.n_nodes p in
   let node_shape = Array.make n (-1) in
   let node_min = Array.make n 0 in
+  let n_leaves = ref 0 in
   (* [tag]: 0 Seq, 1 Par, 2 Fire *)
   let inner id tag rule =
     let children = Program.children p id in
@@ -279,6 +280,7 @@ let of_program p =
   for id = 0 to n - 1 do
     match Program.kind_of p id with
     | Program.Leaf s ->
+      incr n_leaves;
       let fp = Strand.footprint s in
       let mn =
         if Is.is_empty fp then 0
@@ -311,7 +313,7 @@ let of_program p =
     span = Nd_dag.Dag.span (Program.dag p);
     peak = root.s_peak;
     root_size = root.s_size;
-    n_leaves = Program.n_leaves p;
+    n_leaves = !n_leaves;
     n_nodes = n;
     n_fire_edges = Program.n_fire_edges p;
   }

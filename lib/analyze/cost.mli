@@ -2,11 +2,11 @@
 
     [of_program] reads a compiled program: exact work, span {e including
     fire-edge chains} (the DAG's critical path), peak footprint, and the
-    per-level serial cache complexity [Q*(t; M)].  Work, footprints and
-    [Q*] come from one pass over the program's post-order nodes,
-    memoized per translation-normalized subtree {e shape}, so regular
-    divide-and-conquer algorithms pay for each distinct shape once.  The
-    sizes come from the shapes' own footprint unions, not
+    per-level serial cache complexity [Q*(t; M)].  Work, leaves,
+    footprints and [Q*] come from one pass over the program's post-order
+    nodes, memoized per translation-normalized subtree {e shape}, so
+    regular divide-and-conquer algorithms pay for each distinct shape
+    once.  The sizes come from the shapes' own footprint unions, not
     [Program.size], so [q_star] is derived independently of [Pcc.q_star].
 
     [tree_span] is the compile-free span reference: a longest-path DP
@@ -14,11 +14,11 @@
     order of the DAG the DRS would build (DESIGN.md §14).  Lint rule
     ND010 sweeps it over problem sizes.
 
-    The numbers are exact, not bounds: the report's [work] and
-    [root_size] and [q_star] equal [Dag.work], [Program.size] and
-    [Pcc.q_star], and [tree_span] equals [Dag.span] and
-    [Program.n_fire_edges], bit for bit (the oracle, the E12 experiment
-    and [test_analyze] enforce this).
+    The numbers are exact, not bounds: the report's [work], [n_leaves],
+    [root_size] and [q_star] equal [Dag.work], [Spawn_tree.n_leaves],
+    [Program.size] and [Pcc.q_star], and [tree_span] equals [Dag.span]
+    and [Program.n_fire_edges], bit for bit (the oracle, the E12
+    experiment and [test_analyze] enforce this).
 
     [peak_footprint] is the one conservative quantity: the maximum, over
     antichains of the tree, of the summed footprint sizes of

@@ -289,11 +289,11 @@ let check_executing cfg program ~reset ~verify =
 (* ---------------------- structural cost analysis --------------------- *)
 
 (* The structural Cost pass must agree bit-for-bit with every exact
-   quantity the DAG path defines (work, root footprint size, leaves, Q*
-   at every capacity the sigma sweep touches), the compile-free pass
-   with the DAG's span and the program's fire pairs, and the
-   SB-simulated per-level ρ misses must obey the static Theorem 1 bound
-   Q*(t; sigma * M_j) at every sigma. *)
+   quantity the DAG path defines (work, root footprint size, Q* at every
+   capacity the sigma sweep touches) and count the bare tree's leaves,
+   the compile-free pass must agree with the DAG's span and the
+   program's fire pairs, and the SB-simulated per-level ρ misses must
+   obey the static Theorem 1 bound Q*(t; sigma * M_j) at every sigma. *)
 let check_cost cfg program ~work ~span =
   let stage = "cost" in
   let cost = guard stage (fun () -> Cost.of_program program) in
@@ -305,9 +305,9 @@ let check_cost cfg program ~work ~span =
   if (tree.Cost.span, tree.Cost.n_fire_edges) <> (span, pairs) then
     fail stage "tree span and fire pairs (%d, %d) <> DAG's (%d, %d)"
       tree.Cost.span tree.Cost.n_fire_edges span pairs;
-  if r.Cost.n_leaves <> Nd.Program.n_leaves program then
-    fail stage "structural n_leaves %d <> %d" r.Cost.n_leaves
-      (Nd.Program.n_leaves program);
+  let leaves = Nd.Spawn_tree.n_leaves (Nd.Program.tree program) in
+  if r.Cost.n_leaves <> leaves then
+    fail stage "structural n_leaves %d <> the tree's %d" r.Cost.n_leaves leaves;
   let root_size = Nd.Program.size program (Nd.Program.root program) in
   if r.Cost.root_size <> root_size then
     fail stage "structural root size %d <> exact %d" r.Cost.root_size

@@ -24,12 +24,11 @@
       are non-increasing in σ (larger space bounds only merge maximal
       tasks, never split them);
     - {b static cost agreement}: [Nd_analyze.Cost.of_program]
-      reproduces the DAG's work, leaf count, root footprint size and
-      [Q*] at every capacity the σ sweep touches, the compile-free
-      [Cost.tree_span] the DAG's span and the program's fire pairs, and
-      the SB
-      per-level ρ misses obey Theorem 1's static bound
-      [Q*(t; σ·M_j)] at every σ ([Cost.certify_theorem1]);
+      reproduces the DAG's work, root footprint size and [Q*] at every
+      capacity the σ sweep touches and the bare tree's leaf count, the
+      compile-free [Cost.tree_span] the DAG's span and the program's
+      fire pairs, and the SB per-level ρ misses obey Theorem 1's static
+      bound [Q*(t; σ·M_j)] at every σ ([Cost.certify_theorem1]);
     - {b sharded-sim identity}: SB's decoupled measurement mode
       ([sim_workers]) yields bit-identical per-cache miss tables at
       every worker count, deterministic across repeated runs, without
