@@ -67,7 +67,14 @@ val leaf_vertex : t -> int -> Nd_dag.Dag.vertex_id
 
 (** [vertex_owner t v] is the deepest spawn-tree node a DAG vertex belongs
     to (strand vertices belong to their leaf; synchronization vertices to
-    the node that introduced them). *)
+    the node that introduced them).
+
+    Node ids and vertex ids are both numbered in post-order: a leaf's
+    vertex comes with the leaf, and a [Par] or [Fire] node's begin and
+    end vertices after all of its children's.  So [vertex_owner] is
+    nondecreasing in [v], and every subtree's vertices form one
+    contiguous id range.  The space-bounded scheduler's event tables
+    ([Nd_sched.Sb_sched]) rest on this. *)
 val vertex_owner : t -> Nd_dag.Dag.vertex_id -> node_id
 
 (** The fire edges: the deduplicated non-structural dependencies the

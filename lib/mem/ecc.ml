@@ -18,10 +18,17 @@ let task_effective_depth size alpha =
   if size = 0 then 0
   else int_of_float (Float.ceil (float_of_int size ** (1. -. alpha)))
 
-(* Contract the algorithm DAG to maximal tasks (weighted by effective
-   depth) plus zero-weight glue vertices; the depth-dominated term is its
-   longest path. *)
-let depth_dominated program ~m ~alpha =
+(* What a report needs that does not depend on alpha: Q*, the root's
+   size, and the algorithm DAG contracted to M-maximal tasks plus glue
+   vertices (all of zero work), with each task's size kept. *)
+type contracted = {
+  cq_star : int;
+  s_root : int;
+  tasks_dag : Dag.t;  (* tasks first, in decomposition order, then glue *)
+  task_sizes : int array;
+}
+
+let contract program ~m =
   let d = Program.decompose program ~m in
   let dag = Program.dag program in
   let n_tasks = Array.length d.Program.tasks in
@@ -36,14 +43,7 @@ let depth_dominated program ~m ~alpha =
     end
   done;
   let contracted = Dag.create () in
-  Array.iter
-    (fun t ->
-      ignore
-        (Dag.add_vertex contracted
-           ~work:(task_effective_depth (Program.size program t) alpha)
-           ~reads:Is.empty ~writes:Is.empty ()))
-    d.Program.tasks;
-  for _ = 1 to !n_glue_v do
+  for _ = 1 to n_tasks + !n_glue_v do
     ignore (Dag.add_vertex contracted ~work:0 ~reads:Is.empty ~writes:Is.empty ())
   done;
   let node_of v =
@@ -59,32 +59,47 @@ let depth_dominated program ~m ~alpha =
           if cu <> cv then link cu cv
         done
       done);
-  float_of_int (Dag.span contracted)
+  {
+    cq_star = Pcc.q_star program ~m;
+    s_root = Program.size program (Program.root program);
+    tasks_dag = contracted;
+    task_sizes = Array.map (Program.size program) d.Program.tasks;
+  }
 
-let analyze program ~m ~alpha =
-  if alpha < 0. then invalid_arg "Ecc.analyze: negative alpha";
-  let q_star = Pcc.q_star program ~m in
-  let s_root = Program.size program (Program.root program) in
-  let s_alpha = float_of_int s_root ** alpha in
-  let work_term = Float.ceil (float_of_int q_star /. s_alpha) in
-  let depth_term = depth_dominated program ~m ~alpha in
+(* The depth-dominated term is the contracted DAG's longest path, each
+   task weighted by its effective depth and glue by zero. *)
+let report c ~m ~alpha =
+  let s_alpha = float_of_int c.s_root ** alpha in
+  let work_term = Float.ceil (float_of_int c.cq_star /. s_alpha) in
+  let n_tasks = Array.length c.task_sizes in
+  let depth_term =
+    float_of_int
+      (Dag.longest_path_weighted c.tasks_dag (fun v ->
+           if v < n_tasks then task_effective_depth c.task_sizes.(v) alpha else 0))
+  in
   let effective_depth = Float.max work_term depth_term in
   {
     m;
     alpha;
-    q_star;
+    q_star = c.cq_star;
     q_hat = effective_depth *. s_alpha;
     depth_term;
     work_term;
     effective_depth;
   }
 
+let analyze program ~m ~alpha =
+  if alpha < 0. then invalid_arg "Ecc.analyze: negative alpha";
+  report (contract program ~m) ~m ~alpha
+
 let q_hat program ~m ~alpha = (analyze program ~m ~alpha).q_hat
 
 let parallelizability program ~m ~c =
-  (* Q̂ is monotone in alpha relative to Q*; binary search the threshold *)
+  (* Q̂ is monotone in alpha relative to Q*; binary search the threshold,
+     contracting the DAG once *)
+  let contracted = contract program ~m in
   let ok alpha =
-    let r = analyze program ~m ~alpha in
+    let r = report contracted ~m ~alpha in
     r.q_hat <= c *. float_of_int r.q_star
   in
   if not (ok 0.) then 0.

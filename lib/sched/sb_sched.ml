@@ -56,19 +56,15 @@ let pp_stats ppf s =
     s.time s.work s.miss_cost s.space_hwm util s.n_anchors
     (String.concat ";" (Array.to_list (Array.map string_of_int s.misses)))
 
-(* growable int array, shared by the edge and dependency recorders *)
-type ibuf = { mutable buf : int array; mutable len : int }
-
-let ibuf_create n = { buf = Array.make (max 16 n) 0; len = 0 }
-
-let ibuf_push b x =
-  if b.len >= Array.length b.buf then begin
-    let bigger = Array.make (2 * Array.length b.buf) 0 in
-    Array.blit b.buf 0 bigger 0 b.len;
-    b.buf <- bigger
-  end;
-  b.buf.(b.len) <- x;
-  b.len <- b.len + 1
+(* [off.(i)] holds slot [i]'s count, for [i < n]: make each count the
+   end of its slot's slice, and [off.(n)] the total.  A fill that steps
+   a slot's end back for each entry it places leaves it at the slice's
+   start, so the array ends as CSR offsets with no cursor copy. *)
+let slice_ends off n =
+  for i = 1 to n - 1 do
+    off.(i) <- off.(i) + off.(i - 1)
+  done;
+  if n > 0 then off.(n) <- off.(n - 1)
 
 let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
     ?(alloc_alpha = 1.) ?sim_workers ?(tracer = Nd_trace.Collector.null)
@@ -121,39 +117,6 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
   done;
   let fine_n = n1 + !n_glue1 in
   let fine_id v = let t = tov 1 v in if t >= 0 then t else glue1_id.(v) in
-  (* edges into glue vertices, encoded as [fu * fine_n + fv]; sorted and
-     deduplicated in place (no tuple hashtable, no per-edge allocation),
-     then laid out in CSR form so [fire_fine] walks a flat array segment *)
-  let csr = Dag.csr dag in
-  let enc = ibuf_create 256 in
-  for u = 0 to nv - 1 do
-    let fu = fine_id u in
-    for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
-      let fv = fine_id csr.Dag.succ_tgt.(k) in
-      if fu <> fv && fv >= n1 then ibuf_push enc ((fu * fine_n) + fv)
-    done
-  done;
-  let edges = Array.sub enc.buf 0 enc.len in
-  Array.sort Int.compare edges;
-  let n_edges = ref 0 in
-  for i = 0 to Array.length edges - 1 do
-    if !n_edges = 0 || edges.(i) <> edges.(!n_edges - 1) then begin
-      edges.(!n_edges) <- edges.(i);
-      incr n_edges
-    end
-  done;
-  let glue_pred = Array.make fine_n 0 in
-  let glue_off = Array.make (fine_n + 1) 0 in
-  for k = 0 to !n_edges - 1 do
-    glue_off.(edges.(k) / fine_n + 1) <- glue_off.(edges.(k) / fine_n + 1) + 1;
-    let fv = edges.(k) mod fine_n in
-    glue_pred.(fv) <- glue_pred.(fv) + 1
-  done;
-  for f = 0 to fine_n - 1 do
-    glue_off.(f + 1) <- glue_off.(f) + glue_off.(f + 1)
-  done;
-  (* sorted by source first, so targets land in source order *)
-  let glue_tgt = Array.init !n_edges (fun k -> edges.(k) mod fine_n) in
 
   (* ---- parents, children, atom counts ---- *)
   (* parent task (at level j+1) of a level-j task; for j = h the parent is
@@ -179,16 +142,13 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
     let off = child_off.(l) and tgt = child_tgt.(l) in
     for ti = 0 to n_tasks.(l - 2) - 1 do
       let p = parent_task.(l - 2).(ti) in
-      off.(p + 1) <- off.(p + 1) + 1
+      off.(p) <- off.(p) + 1
     done;
-    for p = 0 to n_tasks.(l - 1) - 1 do
-      off.(p + 1) <- off.(p) + off.(p + 1)
-    done;
-    let cursor = Array.sub off 0 (n_tasks.(l - 1)) in
-    for ti = 0 to n_tasks.(l - 2) - 1 do
+    slice_ends off n_tasks.(l - 1);
+    for ti = n_tasks.(l - 2) - 1 downto 0 do
       let p = parent_task.(l - 2).(ti) in
-      tgt.(cursor.(p)) <- ti;
-      cursor.(p) <- cursor.(p) + 1
+      off.(p) <- off.(p) - 1;
+      tgt.(off.(p)) <- ti
     done
   done;
   (* atoms (level-1 tasks) per level-j task *)
@@ -208,67 +168,92 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
     done
   done;
 
-  (* ---- dependency sets ---- *)
+  (* ---- event tables ---- *)
   (* events: Fine f (level-1 node fired) encoded as [f]; Task (j, ti)
-     completion (j >= 2) encoded as [fine_n + gid j ti].  Subscribers of
-     all events live in one unified CSR over this id space; per-source
-     slots are filled in reverse record order, so walking a segment
-     left-to-right reproduces the LIFO iteration order of the former
-     per-event subscriber lists exactly (the schedule, and hence every
-     stat, is bit-identical to the list-based layout). *)
+     completion (j >= 2) encoded as [fine_n + gid j ti].  Two CSRs come
+     from the DAG's edges: the glue CSR (each fine node's glue targets,
+     ascending, with [glue_pred] counting each glue vertex's sources) and
+     the subscriber CSR over all events (each event's dependent tasks,
+     with [dep_count] counting each task's events).  [walk] meets every
+     distinct pair once, in edge order; it runs twice, to count and then
+     to fill arrays of their final size.  Vertices are numbered in
+     post-order, so a target's repeated pairs are adjacent in vertex
+     order, and a stamp holding each target's last source drops them
+     (DESIGN §10.2).  Subscriber slices fill from their ends, newest pair
+     first: the order the event loop has always fired them in. *)
   let n_events = fine_n + tcount in
-  let dep_count = Array.make (max 1 tcount) 0 in
-  let st = Array.make (max 1 tcount) st_waiting in
-  let dep_seen = Hashtbl.create (8 * nv) in
-  let rec_src = ibuf_create (4 * nv) in
-  let rec_tgt = ibuf_create (4 * nv) in
-  let add_dep j tv es =
-    let d = gid j tv in
-    let key = (es * tcount) + d in
-    if not (Hashtbl.mem dep_seen key) then begin
-      Hashtbl.add dep_seen key ();
-      dep_count.(d) <- dep_count.(d) + 1;
-      ibuf_push rec_src es;
-      ibuf_push rec_tgt d
-    end
-  in
-  for u = 0 to nv - 1 do
-    for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
-      let v = csr.Dag.succ_tgt.(k) in
-      for j = 1 to h do
-        let tv = tov j v in
-        if tv >= 0 then begin
-          let tu = tov j u in
-          if tu <> tv then begin
-            let es =
-              if mode = Coarse && j < h then begin
-                let pu = tov (j + 1) u and pv = tov (j + 1) v in
-                if pu >= 0 && pv >= 0 && pu <> pv then fine_n + gid (j + 1) pu
+  let csr = Dag.csr dag in
+  let glue_last = Array.make fine_n (-1) in
+  let dep_last = Array.make (max 1 tcount) (-1) in
+  let walk glue dep =
+    Array.fill glue_last 0 fine_n (-1);
+    Array.fill dep_last 0 (Array.length dep_last) (-1);
+    for u = 0 to nv - 1 do
+      let fu = fine_id u in
+      for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
+        let v = csr.Dag.succ_tgt.(k) in
+        let fv = fine_id v in
+        if fu <> fv && fv >= n1 && glue_last.(fv) <> fu then begin
+          glue_last.(fv) <- fu;
+          glue fu fv
+        end;
+        for j = 1 to h do
+          let tv = tov j v in
+          if tv >= 0 then begin
+            let tu = tov j u in
+            if tu <> tv then begin
+              let es =
+                if mode = Coarse && j < h then begin
+                  let pu = tov (j + 1) u and pv = tov (j + 1) v in
+                  if pu >= 0 && pv >= 0 && pu <> pv then fine_n + gid (j + 1) pu
+                  else fine_id u
+                end
                 else fine_id u
+              in
+              let d = gid j tv in
+              if dep_last.(d) <> es then begin
+                dep_last.(d) <- es;
+                dep es d
               end
-              else fine_id u
-            in
-            add_dep j tv es
+            end
           end
-        end
+        done
       done
     done
-  done;
-  let n_rec = rec_src.len in
+  in
+  let glue_off = Array.make (fine_n + 1) 0 and glue_pred = Array.make fine_n 0 in
   let subs_off = Array.make (n_events + 1) 0 in
-  for k = 0 to n_rec - 1 do
-    subs_off.(rec_src.buf.(k) + 1) <- subs_off.(rec_src.buf.(k) + 1) + 1
+  let dep_count = Array.make (max 1 tcount) 0 in
+  walk
+    (fun fu fv ->
+      glue_off.(fu) <- glue_off.(fu) + 1;
+      glue_pred.(fv) <- glue_pred.(fv) + 1)
+    (fun es d ->
+      subs_off.(es) <- subs_off.(es) + 1;
+      dep_count.(d) <- dep_count.(d) + 1);
+  slice_ends glue_off fine_n;
+  slice_ends subs_off n_events;
+  let glue_tgt = Array.make glue_off.(fine_n) 0 in
+  let subs_tgt = Array.make subs_off.(n_events) 0 in
+  walk
+    (fun fu fv ->
+      glue_off.(fu) <- glue_off.(fu) - 1;
+      glue_tgt.(glue_off.(fu)) <- fv)
+    (fun es d ->
+      subs_off.(es) <- subs_off.(es) - 1;
+      subs_tgt.(subs_off.(es)) <- d);
+  (* a glue slice holds a handful of targets: insertion sort *)
+  for f = 0 to fine_n - 1 do
+    for k = glue_off.(f) + 1 to glue_off.(f + 1) - 1 do
+      let x = glue_tgt.(k) and i = ref k in
+      while !i > glue_off.(f) && glue_tgt.(!i - 1) > x do
+        glue_tgt.(!i) <- glue_tgt.(!i - 1);
+        decr i
+      done;
+      glue_tgt.(!i) <- x
+    done
   done;
-  for e = 0 to n_events - 1 do
-    subs_off.(e + 1) <- subs_off.(e) + subs_off.(e + 1)
-  done;
-  let subs_tgt = Array.make (max 1 n_rec) 0 in
-  let cursor = Array.sub subs_off 0 n_events in
-  for k = n_rec - 1 downto 0 do
-    let e = rec_src.buf.(k) in
-    subs_tgt.(cursor.(e)) <- rec_tgt.buf.(k);
-    cursor.(e) <- cursor.(e) + 1
-  done;
+  let st = Array.make (max 1 tcount) st_waiting in
 
   (* ---- machine state ---- *)
   (* free anchoring space per cache (levels 1..h); level-1 space is not

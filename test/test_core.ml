@@ -654,6 +654,52 @@ let each_family_program f =
 let test_node_sizes_families () =
   each_family_program (fun what p _ _ -> check_node_sizes what p)
 
+(* Vertices are numbered in post-order: every vertex has an owner, the
+   owners never decrease, and each subtree's vertices are one contiguous
+   id range (counted by owner, recomputed here from the children). *)
+let check_vertex_order what p =
+  let nv = Dag.n_vertices (Program.dag p) in
+  let count = Array.make (Program.n_nodes p) 0 in
+  let lo = Array.make (Program.n_nodes p) max_int and hi = Array.make (Program.n_nodes p) (-1) in
+  for v = 0 to nv - 1 do
+    let o = Program.vertex_owner p v in
+    if o < 0 then Alcotest.failf "%s: vertex %d has no owner" what v;
+    if v > 0 && o < Program.vertex_owner p (v - 1) then
+      Alcotest.failf "%s: owner of vertex %d (%d) below its predecessor's (%d)" what v o
+        (Program.vertex_owner p (v - 1));
+    count.(o) <- count.(o) + 1;
+    lo.(o) <- min lo.(o) v;
+    hi.(o) <- max hi.(o) v
+  done;
+  let rec subtree n =
+    Array.iter
+      (fun c ->
+        subtree c;
+        count.(n) <- count.(n) + count.(c);
+        lo.(n) <- min lo.(n) lo.(c);
+        hi.(n) <- max hi.(n) hi.(c))
+      (Program.children p n);
+    if count.(n) > 0 && hi.(n) - lo.(n) + 1 <> count.(n) then
+      Alcotest.failf "%s: node %d's %d vertices span ids %d..%d" what n count.(n) lo.(n) hi.(n)
+  in
+  subtree (Program.root p);
+  if count.(Program.root p) <> nv then
+    Alcotest.failf "%s: the root's subtree holds %d of %d vertices" what
+      count.(Program.root p) nv
+
+let test_vertex_order_families () =
+  each_family_program (fun what p _ _ -> check_vertex_order what p)
+
+let prop_vertex_order_generated =
+  QCheck2.Test.make ~name:"post-order vertices of generated programs" ~count:300
+    ~print:Nd_check.Gen.to_string (Nd_check.Gen.gen ())
+    (fun spec ->
+      let inst = Nd_check.Gen.build spec in
+      let registry = inst.Nd_check.Gen.registry and tree = inst.Nd_check.Gen.tree in
+      check_vertex_order "ND" (Program.compile ~registry tree);
+      check_vertex_order "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
+      true)
+
 let prop_node_sizes_generated =
   QCheck2.Test.make ~name:"node sizes and works of generated programs" ~count:250
     ~print:Nd_check.Gen.to_string (Nd_check.Gen.gen ())
@@ -860,6 +906,9 @@ let () =
           Alcotest.test_case "node sizes: every family" `Quick
             test_node_sizes_families;
           QCheck_alcotest.to_alcotest prop_node_sizes_generated;
+          Alcotest.test_case "post-order vertices: every family" `Quick
+            test_vertex_order_families;
+          QCheck_alcotest.to_alcotest prop_vertex_order_generated;
           Alcotest.test_case "decompose" `Quick test_decompose;
           Alcotest.test_case "decompose invalid" `Quick test_decompose_invalid;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;

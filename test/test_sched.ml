@@ -397,6 +397,19 @@ let test_tree_space_within_budget () =
 
 (* --------------------------- pinned zoo ----------------------------- *)
 
+(* the zoo's two machines, and the cells of a per-cache miss table *)
+let pinned_machines () =
+  [ small_machine ~top:2 (); Nd_check.Oracle.default_config.machine ]
+
+let miss_cells str = function
+  | None -> str "-"
+  | Some mt ->
+    for level = 1 to Nd_mem.Miss_table.n_levels mt do
+      for cache = 0 to Nd_mem.Miss_table.n_caches mt ~level - 1 do
+        str (string_of_int (Nd_mem.Miss_table.get mt ~level ~cache))
+      done
+    done
+
 (* Every zoo member's table row, busy time, span and per-cache miss
    table, at seeds {1, 7} and comm delay {0, 3}, on two machines, plus
    work stealing's steal count and event trace: one digest per program.
@@ -422,14 +435,7 @@ let zoo_digest p =
                   List.iter str (Scheduler.to_row s);
                   int s.Scheduler.busy;
                   int s.Scheduler.span;
-                  match s.Scheduler.miss_table with
-                  | None -> str "-"
-                  | Some mt ->
-                    for level = 1 to Nd_mem.Miss_table.n_levels mt do
-                      for cache = 0 to Nd_mem.Miss_table.n_caches mt ~level - 1 do
-                        int (Nd_mem.Miss_table.get mt ~level ~cache)
-                      done
-                    done)
+                  miss_cells str s.Scheduler.miss_table)
                 Zoo.all)
             [ 0; 3 ];
           let tracer =
@@ -442,7 +448,7 @@ let zoo_digest p =
             (fun e -> str (Format.asprintf "%a" Nd_trace.Event.pp e))
             (Nd_trace.Collector.events tracer))
         [ 1; 7 ])
-    [ small_machine ~top:2 (); Nd_check.Oracle.default_config.machine ];
+    (pinned_machines ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* Recorded before the vertex simulators moved onto one event engine:
@@ -474,7 +480,10 @@ let recorded_zoo_digests =
 
 let recorded_gen_digest = "02cec876dbefd82ba1e4ee5bdf4593f1"
 
-let test_zoo_pinned () =
+(* [digest] of every family at its first sweep size (family base, seed
+   1) in ND and NP mode, and of the first [n_generated] generated
+   conformance programs, checked against the recorded values *)
+let check_pinned digest ~n_generated ~families ~generated =
   let module W = Nd_algos.Workload in
   let module F = Nd_experiments.Workloads in
   let got =
@@ -484,22 +493,119 @@ let test_zoo_pinned () =
         List.map
           (fun mode ->
             let w = f.F.build ~n ~base:f.F.base ~seed:1 in
-            (f.F.name, W.mode_name mode, zoo_digest (W.compile ~mode w)))
+            (f.F.name, W.mode_name mode, digest (W.compile ~mode w)))
           [ W.ND; W.NP ])
       F.all
   in
   let gen =
     String.concat ""
-      (List.init 50 (fun seed ->
+      (List.init n_generated (fun seed ->
            let inst = Nd_check.Gen.build (Nd_check.Gen.generate ~seed ()) in
-           zoo_digest
+           digest
              (Nd.Program.compile ~registry:inst.Nd_check.Gen.registry
                 inst.Nd_check.Gen.tree)))
   in
   Alcotest.(check (list (triple string string string)))
-    "families x modes" recorded_zoo_digests got;
-  Alcotest.(check string) "generated programs" recorded_gen_digest
+    "families x modes" families got;
+  Alcotest.(check string) "generated programs" generated
     (Digest.to_hex (Digest.string gen))
+
+let test_zoo_pinned () =
+  check_pinned zoo_digest ~n_generated:50 ~families:recorded_zoo_digests
+    ~generated:recorded_gen_digest
+
+(* ---------------------------- pinned SB ----------------------------- *)
+
+(* SB in every mode, not only the zoo's (Coarse, Lru): its stats line
+   and per-cache miss table under {Coarse, Fine} x {Rho, Lru, replay on
+   1 and 2 workers}, on the zoo's two machines, one digest per program.
+   The pin takes 400 generated programs: leaving the glue targets of a
+   fine node unsorted changes the stats of generated program 326 alone,
+   among these programs and the families. *)
+let sb_digest p =
+  let b = Buffer.create 4096 in
+  let str s =
+    Buffer.add_string b s;
+    Buffer.add_char b ','
+  in
+  List.iter
+    (fun machine ->
+      List.iter
+        (fun mode ->
+          List.iter
+            (fun run ->
+              let s = run mode in
+              str (Format.asprintf "%a" Sb.pp_stats s);
+              miss_cells str s.Sb.miss_table)
+            [
+              (fun mode -> Sb.run ~mode ~accounting:Sb.Rho p machine);
+              (fun mode -> Sb.run ~mode ~accounting:Sb.Lru p machine);
+              (fun mode -> Sb.run ~mode ~sim_workers:1 p machine);
+              (fun mode -> Sb.run ~mode ~sim_workers:2 p machine);
+            ])
+        [ Sb.Coarse; Sb.Fine ])
+    (pinned_machines ());
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Recorded before SB's event tables were built in two counting passes *)
+let recorded_sb_digests =
+  [
+    ("mm", "ND", "5b3f0e32a4a64f17e76ec7a219b35b82");
+    ("mm", "NP", "4afbc26e1f222e87089977babbe16ffc");
+    ("mm8", "ND", "28fe29875c4d71408ead03ee0e33d57e");
+    ("mm8", "NP", "28fe29875c4d71408ead03ee0e33d57e");
+    ("trs", "ND", "233b808b3fb2ed63665db5a6c78bba05");
+    ("trs", "NP", "b31714f9a11b2d13b2f2d7ac281e6dfd");
+    ("cholesky", "ND", "90422d519214d5ed2075f419fe930839");
+    ("cholesky", "NP", "18ecff33f26c8e8a4dccf250ab238687");
+    ("lu", "ND", "af615dc15750f6d0718325784bfbe2c3");
+    ("lu", "NP", "468260e4b645999c32737a862da16895");
+    ("apsp", "ND", "ae1ddd2cf845d415bbf90928bd17195a");
+    ("apsp", "NP", "bf48e20c6b804ef029ca8956b9e76d0d");
+    ("fw1d", "ND", "ff32cc661ad9290beabf13e427a35862");
+    ("fw1d", "NP", "657994dd9a562187d63e560a6fc0368c");
+    ("stencil", "ND", "f8ff19445c81be6dbcf29f8019dc06cb");
+    ("stencil", "NP", "1de53f892c0f62df0d3dad55b4c12102");
+    ("gotoh", "ND", "0a8a5118712218ec57126e0efaa5215f");
+    ("gotoh", "NP", "cb4ef1e11a3bfcddab26e0893b140bb1");
+    ("lcs", "ND", "94918e56611f537812d3b4909fdee90d");
+    ("lcs", "NP", "b61dc04aea6842d04ff53f6682f609ed");
+  ]
+
+let recorded_sb_gen_digest = "e53819eb059a1984da88031b849f11f9"
+
+let test_sb_pinned () =
+  check_pinned sb_digest ~n_generated:400 ~families:recorded_sb_digests
+    ~generated:recorded_sb_gen_digest
+
+(* One SB run allocates outside the minor heap little beyond the tables
+   it keeps: on mm n=32 b=2 and the oracle's machine, after a warm-up run
+   (which memoizes the decompositions), at most 60 words a DAG vertex in
+   either readiness mode.  Building the event tables through a hash set
+   and growable buffers took 239 (Coarse) and 338 (Fine). *)
+let test_sb_alloc () =
+  let w =
+    Nd_experiments.Workloads.build ~n:32 ~base:2
+      (Nd_experiments.Workloads.find "mm") ~seed:1
+  in
+  let p = Workload.compile w in
+  let machine = Nd_check.Oracle.default_config.machine in
+  let nv = Nd_dag.Dag.n_vertices (Nd.Program.dag p) in
+  List.iter
+    (fun (name, mode) ->
+      ignore (Sb.run ~mode p machine);
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let s = Sb.run ~mode p machine in
+      let _, _, major1 = Gc.counters () in
+      let per_vertex = (major1 -. major0) /. float_of_int nv in
+      if per_vertex > 60. then
+        Alcotest.failf
+          "%s: one run allocated %.0f words outside the minor heap, %.1f a vertex \
+           (%d vertices); the bound is 60"
+          name (major1 -. major0) per_vertex nv;
+      ignore (Sys.opaque_identity s))
+    [ ("Coarse", Sb.Coarse); ("Fine", Sb.Fine) ]
 
 let () =
   Alcotest.run "nd_sched"
@@ -528,6 +634,9 @@ let () =
             test_sb_replay_single_proc_matches_inline;
           Alcotest.test_case "LRU accounting <= rho" `Quick
             test_sb_lru_accounting;
+          Alcotest.test_case "pinned stats and misses, every mode" `Quick
+            test_sb_pinned;
+          Alcotest.test_case "run allocation" `Quick test_sb_alloc;
         ] );
       ( "work_stealing",
         [
