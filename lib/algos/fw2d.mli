@@ -15,10 +15,6 @@
     serial (the paper gives no rules for it), so the measured ND span is
     Θ(n log n) against Θ(n log² n) for NP — see EXPERIMENTS.md. *)
 
-(** [apsp_tree ~base x] — spawn tree running APSP in place on the
-    distance matrix [x]. *)
-val apsp_tree : base:int -> Mat.t -> Nd.Spawn_tree.t
-
 (** [workload ~n ~base ~seed ()] — random positive distance matrix;
     [check] compares against the classic O(n^3) Floyd–Warshall (exact:
     min-plus is order-insensitive). *)

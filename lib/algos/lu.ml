@@ -172,6 +172,11 @@ let rec tall_mms ~base c a b =
     Spawn_tree.par [ tall_mms ~base c_top a_top b; tall_mms ~base c_bot a_bot b ]
   end
 
+(* Factorizes the square [a] in place ([L] strictly below the diagonal
+   with unit diagonal, [U] on and above), recording global pivot rows in
+   the 1 x n [piv].  [`Parallel] panels (the workload's) factorize each
+   column as [parallel_panel] does; [`Serial] runs each panel as one
+   strand, the comparison EXPERIMENTS.md quotes. *)
 let lu_tree ?(panel = `Parallel) ~base a ~piv =
   if a.Mat.rows <> a.Mat.cols then invalid_arg "Lu.lu_tree: not square";
   let n = a.Mat.rows in

@@ -9,18 +9,6 @@
     TRS and update steps; we implement exactly that, so the NP/ND gap for
     LU comes from the fires {e inside} TRS and MMS. *)
 
-(** [lu_tree ?panel ~base a ~piv] — spawn tree factorizing the square
-    [a] in place ([L] strictly below the diagonal with unit diagonal,
-    [U] on and above), recording global pivot rows in the 1 x n matrix
-    [piv].  [`Parallel] panels (default) factorize each column with a
-    parallel block-argmax reduction, a combine-and-swap strand, and
-    parallel block-row eliminations — the decomposition the paper's
-    O(m log n) span presumes; [`Serial] runs each panel as one strand
-    (scratch for the reduction is drawn from [a]'s space). *)
-val lu_tree :
-  ?panel:[ `Parallel | `Serial ] -> base:int -> Mat.t -> piv:Mat.t ->
-  Nd.Spawn_tree.t
-
 (** [workload ~n ~base ~seed ()] — factorize a random well-conditioned
     matrix; [check] compares both the packed factors and the pivot vector
     against the serial reference. *)

@@ -36,19 +36,13 @@ val mm_nt_tree :
   variant:variant -> sign:float -> base:int -> Mat.t -> Mat.t -> Mat.t ->
   Nd.Spawn_tree.t
 
-(** [mm8_tree ~space ~base c a b] is the 8-way NP algorithm: all eight
-    quadrant products run in parallel, the four second-half products go to
-    temporaries drawn from [space], and a parallel add-tree folds them in.
-    Returns the tree and the list of temporaries (they must be zeroed
-    before each run). *)
-val mm8_tree :
-  space:Mat.space -> base:int -> Mat.t -> Mat.t -> Mat.t ->
-  Nd.Spawn_tree.t * Mat.t list
-
 (** [workload ?variant ~n ~base ~seed ()] packages [C = A*B] with fresh
     operands. *)
 val workload :
   ?variant:variant -> n:int -> base:int -> seed:int -> unit -> Workload.t
 
-(** [workload8 ~n ~base ~seed ()] packages the 8-way NP algorithm. *)
+(** [workload8 ~n ~base ~seed ()] packages the 8-way NP algorithm: all
+    eight quadrant products run in parallel, the four second-half
+    products go to temporaries (zeroed by [reset]), and a parallel
+    add-tree folds them in. *)
 val workload8 : n:int -> base:int -> seed:int -> unit -> Workload.t

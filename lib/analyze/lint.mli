@@ -55,10 +55,6 @@ val severity_name : severity -> string
 
 val has_errors : finding list -> bool
 
-(** The stable rule catalogue, [["ND001"; ..; "ND013"]]; {!of_json}
-    rejects anything else. *)
-val known_ids : string list
-
 (** [filter_min_severity min fs] keeps the findings at severity [min] or
     above ([Warning] keeps everything, [Error] keeps only errors) — the
     [--min-severity] filter of [ndsim lint] / [ndsim analyze]. *)
@@ -69,7 +65,8 @@ val pp_finding : Format.formatter -> finding -> unit
 (** [to_json fs] / [of_json j] — lossless round-trip as a JSON list of
     objects with fields [id], [severity], [subject], [message].
     @raise Nd_util.Json.Parse_error if [of_json] is given anything else,
-    including an [id] outside the {!known_ids} catalogue. *)
+    including an [id] outside the stable rule catalogue
+    ([["ND001"; ..; "ND013"]]). *)
 val to_json : finding list -> Nd_util.Json.t
 
 val of_json : Nd_util.Json.t -> finding list
@@ -81,23 +78,19 @@ val lint_registry : Nd.Fire_rule.registry -> finding list
     static; never compiles. *)
 val lint_tree : Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
-(** [lint_program ?verdict p] — ND002, ND006, ND007, ND009 on a
-    compiled program; ND009 lifts [verdict] as {!Esp_bags.diagnose}
-    does. *)
-val lint_program : ?verdict:Esp_bags.verdict -> Nd.Program.t -> finding list
-
 (** [lint_all ~registry tree] — the full battery.  Runs the static
-    registry and tree passes first and only compiles (for
-    [lint_program]) when they produced no errors, since compilation
-    raises on exactly the defects they report. *)
+    registry and tree passes first and only compiles (for the program
+    passes: ND002, ND006, ND007, ND009) when they produced no errors,
+    since compilation raises on exactly the defects they report. *)
 val lint_all :
   registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
 (** [lint_compiled ?verdict p] — the same battery on an already
     compiled program: the static passes over [p]'s own registry and
-    tree, then [lint_program ?verdict p] when they produced no errors.
+    tree, then the program passes when they produced no errors.
     [verdict], an {!Esp_bags.analyze} of [p] already run at the default
-    limit, saves ND009 a second ESP pass. *)
+    limit, saves ND009 a second ESP pass (ND009 lifts it as
+    {!Esp_bags.diagnose} does). *)
 val lint_compiled : ?verdict:Esp_bags.verdict -> Nd.Program.t -> finding list
 
 (** [lint_cost ?machine ?procs ~has_fires cost] — the structural checks

@@ -89,11 +89,6 @@ val pp_failure : Format.formatter -> failure -> unit
     checks are not). *)
 val check_spec : ?config:config -> Gen.spec -> (report, failure) result
 
-(** [check_instance ?config instance] — as {!check_spec} but on an
-    already-built instance (lets the fuzzer reuse the build). *)
-val check_instance :
-  ?config:config -> Gen.instance -> (report, failure) result
-
 (** [check_workload ?config ?tol w] runs the oracle over a packaged
     algorithm: executing paths call [w.reset] before and require
     [w.check () <= tol] (default [1e-6]) after; the workload is expected

@@ -22,6 +22,7 @@ type decomposition = {
   task_of_node : int array;
   task_of_vertex : int array;
   n_glue : int;
+  n_parts : int;
 }
 
 type t = {
@@ -408,10 +409,6 @@ let begin_vertex t n =
   check t n;
   t.nodes.(n).begin_v
 
-let end_vertex t n =
-  check t n;
-  t.nodes.(n).end_v
-
 let size t n =
   check t n;
   t.sizes.(n)
@@ -424,13 +421,17 @@ let work_of_node t n =
 (* M-maximal decomposition                                             *)
 (* ------------------------------------------------------------------ *)
 
-let decompose_uncached t ~m =
+(* The cut of the spawn tree at [m]: a node whose [measure] fits,
+   or a leaf, is a task; every other node is glue and its children are
+   cut in turn.  A task's vertices take its index; each glue vertex
+   takes its own part after the tasks', in vertex order. *)
+let cut t ~m measure =
   let tasks = ref [] and n_tasks = ref 0 in
   let task_of_node = Array.make (Array.length t.nodes) (-1) in
   let n_glue = ref 0 in
   let rec go n =
     let node = t.nodes.(n) in
-    if t.sizes.(n) <= m || node.children = [||] then begin
+    if measure.(n) <= m || node.children = [||] then begin
       let idx = !n_tasks in
       incr n_tasks;
       tasks := n :: !tasks;
@@ -445,17 +446,24 @@ let decompose_uncached t ~m =
     end
   in
   go t.root;
-  let task_of_vertex =
-    Array.map
-      (fun owner -> if owner < 0 then -1 else task_of_node.(owner))
-      t.vertex_owner
-  in
+  let n_parts = ref !n_tasks in
+  let task_of_vertex = Array.make (Array.length t.vertex_owner) 0 in
+  Array.iteri
+    (fun v owner ->
+      let ti = task_of_node.(owner) in
+      if ti >= 0 then task_of_vertex.(v) <- ti
+      else begin
+        task_of_vertex.(v) <- !n_parts;
+        incr n_parts
+      end)
+    t.vertex_owner;
   {
     m;
     tasks = Array.of_list (List.rev !tasks);
     task_of_node;
     task_of_vertex;
     n_glue = !n_glue;
+    n_parts = !n_parts;
   }
 
 (* Memoized per program: sigma-sweeps and the Q*/Q-hat metrics query the
@@ -472,11 +480,36 @@ let decompose t ~m =
       match Hashtbl.find_opt t.decomp_cache m with
       | Some d -> d
       | None ->
-        let d = decompose_uncached t ~m in
+        let d = cut t ~m t.sizes in
         Hashtbl.add t.decomp_cache m d;
         d)
 
-let enclosing_task d n = d.task_of_node.(n)
+let coarsen t ~grain = cut t ~m:grain t.works
+
+(* Compile numbers vertices in post-order, so a task's vertices are one
+   id range and the links a target gets from one task come from one run
+   of consecutive sources: a stamp holding each target's last source
+   part drops every repeat, and [Dag.freeze] allocates only distinct
+   pairs. *)
+let contract t d =
+  let part = d.task_of_vertex and g = Dag.create () in
+  for _ = 1 to d.n_parts do
+    ignore (Dag.add_vertex g ~work:0 ~reads:Is.empty ~writes:Is.empty ())
+  done;
+  let c = Dag.csr t.dag and last = Array.make d.n_parts (-1) in
+  Dag.freeze g (fun link ->
+      Array.fill last 0 d.n_parts (-1);
+      Array.iteri
+        (fun u pu ->
+          for k = c.Dag.succ_off.(u) to c.Dag.succ_off.(u + 1) - 1 do
+            let pv = part.(c.Dag.succ_tgt.(k)) in
+            if pu <> pv && last.(pv) <> pu then begin
+              last.(pv) <- pu;
+              link pu pv
+            end
+          done)
+        part);
+  g
 
 let is_ancestor t a n =
   check t a;

@@ -97,11 +97,9 @@ val fire_snk : t -> int -> node_id
     dead-rule lint (ND002) reads them instead of walking again. *)
 val rule_uses : t -> Drs.use list
 
-(** [begin_vertex t n] / [end_vertex t n]: the DAG vertices such that
-    [begin] precedes and [end] follows every strand of [n]'s subtree. *)
+(** [begin_vertex t n]: the DAG vertex that precedes every strand of
+    [n]'s subtree (a leaf's own vertex). *)
 val begin_vertex : t -> node_id -> Nd_dag.Dag.vertex_id
-
-val end_vertex : t -> node_id -> Nd_dag.Dag.vertex_id
 
 (** {2 Sizes} *)
 
@@ -129,12 +127,20 @@ val heap_words : t -> heap_words
 
 (** {2 M-maximal decomposition} *)
 
+(** A cut of the spawn tree into maximal tasks and glue, and of the DAG
+    into parts: part [i < Array.length tasks] holds task [i]'s vertices
+    (its subtree's id range), and every glue vertex (a [Par] or [Fire]
+    glue node's begin or end) is a part of its own, numbered from
+    [Array.length tasks] up in vertex order. *)
 type decomposition = {
-  m : int;
+  m : int;  (** the bound the cut was taken at *)
   tasks : node_id array;  (** maximal task roots, in DFS order *)
   task_of_node : int array;  (** node -> task index, or -1 for glue nodes *)
-  task_of_vertex : int array;  (** DAG vertex -> task index, or -1 *)
+  task_of_vertex : int array;
+      (** DAG vertex -> part: its task's index, or the glue vertex's own
+          part *)
   n_glue : int;  (** number of glue nodes *)
+  n_parts : int;  (** tasks plus glue vertices *)
 }
 
 (** [decompose t ~m] splits the spawn tree into M-maximal tasks (size at
@@ -150,9 +156,21 @@ type decomposition = {
     @raise Invalid_argument if [m < 1]. *)
 val decompose : t -> m:int -> decomposition
 
-(** [enclosing_task d n]: task index containing node [n], or [-1] if [n]
-    is glue. *)
-val enclosing_task : decomposition -> node_id -> int
+(** [coarsen t ~grain] is the same cut by work: its tasks are the
+    maximal subtrees of work at most [grain], and a leaf above [grain]
+    is a task of its own.  [m] holds [grain].  Not memoized: the
+    dataflow executor takes it once per run. *)
+val coarsen : t -> grain:int -> decomposition
+
+(** [contract t d] lifts [t]'s DAG onto [d]'s parts: one zero-work
+    vertex per part, and one edge [p -> q] for each pair of different
+    parts that some DAG edge [u -> v] joins ([u] in [p], [v] in [q]),
+    linked at the first such edge (each slice lists its targets newest
+    first, as {!Nd_dag.Dag.csr} says).  Ecc's depth term and the
+    executor's grain plan run on this graph; the space-bounded
+    scheduler numbers its fine events by [d]'s parts.  [d] must be a
+    cut of [t]. *)
+val contract : t -> decomposition -> Nd_dag.Dag.t
 
 (** [is_ancestor t a n] is true when [a] is an ancestor of [n] (or equal). *)
 val is_ancestor : t -> node_id -> node_id -> bool

@@ -29,11 +29,10 @@ type t
 
 type impl = Word | Interval
 
-(** Process-wide default for {!create} (and {!q1}) when [?impl] is
-    omitted.  Seeded from the [NDSIM_CACHE_SIM] environment variable
-    ([word] selects {!Word}); otherwise {!Interval}. *)
-val default_impl : unit -> impl
-
+(** [set_default_impl impl] sets the process-wide default for {!create}
+    (and {!q1}) when [?impl] is omitted.  Until it is called, the default
+    is seeded from the [NDSIM_CACHE_SIM] environment variable ([word]
+    selects {!Word}); otherwise {!Interval}. *)
 val set_default_impl : impl -> unit
 
 (** [create ?impl ~m ()] — an empty LRU cache of capacity [m] words.

@@ -1,5 +1,4 @@
 module Dag = Nd_dag.Dag
-module Is = Nd_util.Interval_set
 open Nd
 
 type report = {
@@ -24,45 +23,16 @@ let task_effective_depth size alpha =
 type contracted = {
   cq_star : int;
   s_root : int;
-  tasks_dag : Dag.t;  (* tasks first, in decomposition order, then glue *)
+  tasks_dag : Dag.t;  (* [Program.contract]: tasks first, then glue *)
   task_sizes : int array;
 }
 
 let contract program ~m =
   let d = Program.decompose program ~m in
-  let dag = Program.dag program in
-  let n_tasks = Array.length d.Program.tasks in
-  (* dense ids for glue vertices *)
-  let nv = Dag.n_vertices dag in
-  let glue_id = Array.make nv (-1) in
-  let n_glue_v = ref 0 in
-  for v = 0 to nv - 1 do
-    if d.Program.task_of_vertex.(v) < 0 then begin
-      glue_id.(v) <- n_tasks + !n_glue_v;
-      incr n_glue_v
-    end
-  done;
-  let contracted = Dag.create () in
-  for _ = 1 to n_tasks + !n_glue_v do
-    ignore (Dag.add_vertex contracted ~work:0 ~reads:Is.empty ~writes:Is.empty ())
-  done;
-  let node_of v =
-    let t = d.Program.task_of_vertex.(v) in
-    if t >= 0 then t else glue_id.(v)
-  in
-  let csr = Dag.csr dag in
-  Dag.freeze contracted (fun link ->
-      for u = 0 to nv - 1 do
-        let cu = node_of u in
-        for k = csr.Dag.succ_off.(u) to csr.Dag.succ_off.(u + 1) - 1 do
-          let cv = node_of csr.Dag.succ_tgt.(k) in
-          if cu <> cv then link cu cv
-        done
-      done);
   {
     cq_star = Pcc.q_star program ~m;
     s_root = Program.size program (Program.root program);
-    tasks_dag = contracted;
+    tasks_dag = Program.contract program d;
     task_sizes = Array.map (Program.size program) d.Program.tasks;
   }
 

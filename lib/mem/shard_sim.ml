@@ -108,30 +108,21 @@ let run_shard ?impl ~machine trace pairs =
     pairs;
   table
 
-let replay_sharded ?impl ?workers ~machine trace =
-  let workers =
-    match workers with
-    | Some w -> max 1 w
-    | None -> (
-      match env_workers () with
-      | Some w -> w
-      | None -> Nd_runtime.Executor.default_workers ())
-  in
-  let shards = Pmh.shard_pairs machine ~shards:workers in
-  let n = Array.length shards in
-  let tables = Array.make n None in
-  Nd_runtime.Executor.parallel_for ~workers n (fun _wid s ->
-      tables.(s) <- Some (run_shard ?impl ~machine trace shards.(s)));
-  let into = Miss_table.create ~n_caches:(machine_caches machine) in
-  Array.iteri
-    (fun s t ->
-      match t with
-      | Some t -> Miss_table.merge_exclusive ~into ~claims:shards.(s) t
-      | None -> invalid_arg "Shard_sim.replay_sharded: lost shard")
-    tables;
-  Miss_table.assert_complete into;
-  into
-
 let replay ?impl ~workers ~machine trace =
   if workers <= 1 then replay_serial ?impl ~machine trace
-  else replay_sharded ?impl ~workers ~machine trace
+  else begin
+    let shards = Pmh.shard_pairs machine ~shards:workers in
+    let n = Array.length shards in
+    let tables = Array.make n None in
+    Nd_runtime.Executor.parallel_for ~workers n (fun _wid s ->
+        tables.(s) <- Some (run_shard ?impl ~machine trace shards.(s)));
+    let into = Miss_table.create ~n_caches:(machine_caches machine) in
+    Array.iteri
+      (fun s t ->
+        match t with
+        | Some t -> Miss_table.merge_exclusive ~into ~claims:shards.(s) t
+        | None -> invalid_arg "Shard_sim.replay: lost shard")
+      tables;
+    Miss_table.assert_complete into;
+    into
+  end

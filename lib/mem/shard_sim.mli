@@ -41,28 +41,19 @@ val env_workers : unit -> int option
 
 (** [replay_serial ?impl ~machine trace] — the serial reference: a
     single interleaved pass over the trace with every (level, cache)
-    simulator live at once.  [impl] defaults to
-    {!Cache_sim.default_impl}. *)
+    simulator live at once.  [impl] defaults to {!Cache_sim.create}'s
+    default. *)
 val replay_serial :
   ?impl:Cache_sim.impl -> machine:Nd_pmh.Pmh.t -> Trace.t -> Miss_table.t
 
-(** [replay_sharded ?impl ?workers ~machine trace] — partition the
-    (level, cache) pairs with {!Nd_pmh.Pmh.shard_pairs}, simulate each
-    shard on its own domain via [Executor.parallel_for] with private
-    simulators, and fold the shard tables through the partition-checked
-    {!Miss_table.merge_exclusive} (so a dropped or double-counted shard
-    raises rather than mis-counting).  [workers] defaults to
-    [NDSIM_SIM_WORKERS], then [Executor.default_workers].  The result
-    is bit-identical to {!replay_serial} at every worker count. *)
-val replay_sharded :
-  ?impl:Cache_sim.impl ->
-  ?workers:int ->
-  machine:Nd_pmh.Pmh.t ->
-  Trace.t ->
-  Miss_table.t
-
 (** [replay ?impl ~workers ~machine trace] — {!replay_serial} when
-    [workers <= 1], {!replay_sharded} otherwise. *)
+    [workers <= 1]; otherwise the (level, cache) pairs are partitioned
+    with {!Nd_pmh.Pmh.shard_pairs}, each shard is simulated on its own
+    domain via [Executor.parallel_for] with private simulators, and the
+    shard tables fold through the partition-checked
+    {!Miss_table.merge_exclusive} (so a dropped or double-counted shard
+    raises rather than mis-counting).  The result is bit-identical to
+    {!replay_serial} at every worker count. *)
 val replay :
   ?impl:Cache_sim.impl ->
   workers:int ->

@@ -224,124 +224,6 @@ let exec_leaf_range program ~tracer ~traced wid lo hi =
 
 (* ------------------------- dataflow executor ----------------------- *)
 
-(* A schedulable unit of the dataflow runtime: either a single DAG
-   vertex (the grain-0 default, and glue sync vertices under
-   coarsening), or a contiguous leaf range of the program tree whose
-   total work fit under the grain threshold and is run serially. *)
-type task = Tvertex of int | Tleaves of { lo : int; hi : int }
-
-type plan = {
-  kinds : task array;
-  succ_off : int array;
-  succ_tgt : int array;
-  indeg : int array;
-}
-
-(* Coarsen the DAG along the program tree: maximal subtrees with work
-   <= grain collapse into one serial task; Seq glue disappears; Par and
-   Fire glue contribute their begin/end sync vertices as singleton
-   tasks.  Cross-task DAG edges are contracted and deduplicated into a
-   fresh CSR.  The contraction is acyclic because every DAG edge either
-   stays inside one chosen subtree or respects tree order between
-   disjoint subtrees (checked defensively below). *)
-let coarse_plan program ~grain =
-  let dag = Program.dag program in
-  let c = Dag.csr dag in
-  let nv = Dag.n_vertices dag in
-  let nn = Program.n_nodes program in
-  let chosen = Array.make nn (-1) in
-  let task_of_vertex = Array.make nv (-1) in
-  let kinds = ref [] in
-  let ntasks = ref 0 in
-  let add k =
-    let id = !ntasks in
-    incr ntasks;
-    kinds := k :: !kinds;
-    id
-  in
-  let rec go n =
-    if Program.work_of_node program n <= grain then begin
-      let lo, hi = Program.leaf_range program n in
-      chosen.(n) <- add (Tleaves { lo; hi })
-    end
-    else
-      match Program.kind_of program n with
-      | Program.Leaf _ ->
-        (* a single strand above the grain threshold *)
-        let v = Program.begin_vertex program n in
-        task_of_vertex.(v) <- add (Tvertex v)
-      | Program.Seq -> Array.iter go (Program.children program n)
-      | Program.Par | Program.Fire _ ->
-        let bv = Program.begin_vertex program n
-        and ev = Program.end_vertex program n in
-        task_of_vertex.(bv) <- add (Tvertex bv);
-        Array.iter go (Program.children program n);
-        task_of_vertex.(ev) <- add (Tvertex ev)
-  in
-  go (Program.root program);
-  (* vertices swallowed by a coarse subtree: find the chosen ancestor of
-     the owning tree node *)
-  for v = 0 to nv - 1 do
-    if task_of_vertex.(v) < 0 then begin
-      let w = ref (Program.vertex_owner program v) in
-      while !w >= 0 && chosen.(!w) < 0 do
-        w := Program.parent program !w
-      done;
-      assert (!w >= 0);
-      task_of_vertex.(v) <- chosen.(!w)
-    end
-  done;
-  let nt = !ntasks in
-  let seen = Hashtbl.create (4 * nt) in
-  let counts = Array.make nt 0 in
-  let indeg = Array.make nt 0 in
-  let edges = ref [] in
-  for u = 0 to nv - 1 do
-    let tu = task_of_vertex.(u) in
-    for i = c.Dag.succ_off.(u) to c.Dag.succ_off.(u + 1) - 1 do
-      let tv = task_of_vertex.(c.Dag.succ_tgt.(i)) in
-      if tu <> tv then begin
-        let key = (tu * nt) + tv in
-        if not (Hashtbl.mem seen key) then begin
-          Hashtbl.add seen key ();
-          counts.(tu) <- counts.(tu) + 1;
-          indeg.(tv) <- indeg.(tv) + 1;
-          edges := key :: !edges
-        end
-      end
-    done
-  done;
-  let succ_off = Array.make (nt + 1) 0 in
-  for t = 0 to nt - 1 do
-    succ_off.(t + 1) <- succ_off.(t) + counts.(t)
-  done;
-  let fill = Array.sub succ_off 0 nt in
-  let succ_tgt = Array.make (max 1 succ_off.(nt)) 0 in
-  List.iter
-    (fun key ->
-      let tu = key / nt in
-      succ_tgt.(fill.(tu)) <- key mod nt;
-      fill.(tu) <- fill.(tu) + 1)
-    !edges;
-  (* defensive acyclicity check: a cyclic contraction would deadlock the
-     workers, which is much harder to diagnose than failing here *)
-  let deg = Array.copy indeg in
-  let q = Queue.create () in
-  Array.iteri (fun t d -> if d = 0 then Queue.add t q) deg;
-  let done_ = ref 0 in
-  while not (Queue.is_empty q) do
-    let t = Queue.pop q in
-    incr done_;
-    for i = succ_off.(t) to succ_off.(t + 1) - 1 do
-      let s = succ_tgt.(i) in
-      deg.(s) <- deg.(s) - 1;
-      if deg.(s) = 0 then Queue.add s q
-    done
-  done;
-  if !done_ < nt then
-    invalid_arg "Executor: grain coarsening produced a cyclic task graph";
-  { kinds = Array.of_list (List.rev !kinds); succ_off; succ_tgt; indeg }
-
 (* The generic dependence-counting engine: tasks are ints, adjacency is
    CSR int arrays, ready tasks flow through per-worker Chase-Lev deques.
    The wake-up loop is allocation-free: an int-array scan plus one
@@ -469,25 +351,35 @@ type task_graph = {
   tg_steal_vertex : int -> int option;
 }
 
+(* Under a grain the plan is [Program.coarsen]'s cut contracted: a
+   task part runs its subtree's leaves serially, a glue part is a sync
+   vertex and runs nothing.  A cyclic plan would deadlock the workers,
+   which is much harder to diagnose than [Dag.topo_order]'s [Cycle]. *)
 let task_graph ?(grain = 0) ?(tracer = Trace.null) program =
   let traced = Trace.enabled tracer in
-  if grain > 0 then
-    let plan = coarse_plan program ~grain in
+  if grain > 0 then begin
+    let d = Program.coarsen program ~grain in
+    let plan = Program.contract program d in
+    ignore (Dag.topo_order plan);
+    let c = Dag.csr plan and n_tasks = Array.length d.Program.tasks in
+    let sync = Array.make (d.Program.n_parts - n_tasks) 0 in
+    Array.iteri
+      (fun v t -> if t >= n_tasks then sync.(t - n_tasks) <- v)
+      d.Program.task_of_vertex;
     {
-      tg_tasks = Array.length plan.indeg;
-      tg_succ_off = plan.succ_off;
-      tg_succ_tgt = plan.succ_tgt;
-      tg_indeg = plan.indeg;
+      tg_tasks = d.Program.n_parts;
+      tg_succ_off = c.Dag.succ_off;
+      tg_succ_tgt = c.Dag.succ_tgt;
+      tg_indeg = c.Dag.indeg;
       tg_exec =
         (fun wid t ->
-          match plan.kinds.(t) with
-          | Tvertex v -> act program ~tracer ~traced wid v
-          | Tleaves { lo; hi } ->
+          if t < n_tasks then
+            let lo, hi = Program.leaf_range program d.Program.tasks.(t) in
             exec_leaf_range program ~tracer ~traced wid lo hi);
       tg_steal_vertex =
-        (fun t ->
-          match plan.kinds.(t) with Tvertex v -> Some v | Tleaves _ -> None);
+        (fun t -> if t < n_tasks then None else Some sync.(t - n_tasks));
     }
+  end
   else
     let c = Dag.csr (Program.dag program) in
     {

@@ -19,9 +19,10 @@
     (in tree order, which is a valid topological order of any subtree's
     sub-DAG), eliminating per-vertex scheduling overhead below the
     threshold.  For the dataflow executor this contracts the DAG into a
-    coarse task graph once per run; [grain = 0] (the default) keeps
-    vertex granularity.  Correctness is unaffected: coarsening only ever
-    adds serialization.
+    coarse task graph once per run ({!Nd.Program.coarsen} then
+    {!Nd.Program.contract}); [grain = 0] (the default) keeps vertex
+    granularity.  Correctness is unaffected: coarsening only ever adds
+    serialization.
 
     Correctness requires the program's DAG to be determinacy-race free
     (verified by {!Nd_dag.Race} in the test suite); then every execution
@@ -162,10 +163,12 @@ val make_engine :
     (DAG vertices at [grain = 0], coarse tasks otherwise) whose
     dependencies are the CSR [tg_succ_off]/[tg_succ_tgt] with
     in-degrees [tg_indeg], and [tg_exec wid t] executing task [t] on
-    worker [wid].  [tg_steal_vertex t] is the representative DAG vertex
-    for steal trace events ([None] for coarse leaf-range tasks).
-    [tg_indeg] may be shared with the program's cached CSR — treat it
-    as read-only. *)
+    worker [wid].  Under a grain the tasks are {!Nd.Program.coarsen}'s
+    parts: its subtree tasks first, then one task per sync vertex of
+    the glue, in vertex order.  [tg_steal_vertex t] is the
+    representative DAG vertex for steal trace events ([None] for coarse
+    leaf-range tasks).  [tg_indeg] may be shared with the program's
+    cached CSR — treat it as read-only. *)
 type task_graph = {
   tg_tasks : int;
   tg_succ_off : int array;
@@ -177,7 +180,10 @@ type task_graph = {
 
 (** [task_graph ?grain ?tracer program] compiles [program] to the task
     graph every backend runs: grain coarsening (or the raw DAG CSR)
-    plus the tracing-aware strand execution closure. *)
+    plus the tracing-aware strand execution closure.
+    @raise Nd_dag.Dag.Cycle if the coarse task graph is cyclic, which
+    would deadlock the workers (a defensive check: tree order is a
+    topological order of every compiled program). *)
 val task_graph :
   ?grain:int -> ?tracer:Nd_trace.Collector.t -> Nd.Program.t -> task_graph
 

@@ -107,16 +107,8 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
 
   (* ---- level-1 fine event graph: tasks + glue vertices ---- *)
   let n1 = n_tasks.(0) in
-  let glue1_id = Array.make nv (-1) in
-  let n_glue1 = ref 0 in
-  for v = 0 to nv - 1 do
-    if tov 1 v < 0 then begin
-      glue1_id.(v) <- n1 + !n_glue1;
-      incr n_glue1
-    end
-  done;
-  let fine_n = n1 + !n_glue1 in
-  let fine_id v = let t = tov 1 v in if t >= 0 then t else glue1_id.(v) in
+  let fine_n = decomp.(0).Program.n_parts in
+  let fine_id = tov 1 in
 
   (* ---- parents, children, atom counts ---- *)
   (* parent task (at level j+1) of a level-j task; for j = h the parent is
@@ -199,13 +191,14 @@ let run ?(sigma = 1. /. 3.) ?(mode = Coarse) ?(accounting = Rho)
         end;
         for j = 1 to h do
           let tv = tov j v in
-          if tv >= 0 then begin
+          if tv < n_tasks.(j - 1) then begin
             let tu = tov j u in
             if tu <> tv then begin
               let es =
                 if mode = Coarse && j < h then begin
                   let pu = tov (j + 1) u and pv = tov (j + 1) v in
-                  if pu >= 0 && pv >= 0 && pu <> pv then fine_n + gid (j + 1) pu
+                  let nt = n_tasks.(j) in
+                  if pu < nt && pv < nt && pu <> pv then fine_n + gid (j + 1) pu
                   else fine_id u
                 end
                 else fine_id u

@@ -83,7 +83,7 @@ let run ?seed:_ ?comm_delay program machine =
   let remaining = Array.make n_tasks 0 in
   for v = 0 to nv - 1 do
     let ti = d.Program.task_of_vertex.(v) in
-    if ti >= 0 then remaining.(ti) <- remaining.(ti) + 1
+    if ti < n_tasks then remaining.(ti) <- remaining.(ti) + 1
   done;
   let admitted = Array.make n_tasks false in
   let task_buf = Array.init n_tasks (fun _ -> Queue.create ()) in
@@ -115,7 +115,7 @@ let run ?seed:_ ?comm_delay program machine =
   in
   let enable v =
     let ti = d.Program.task_of_vertex.(v) in
-    if ti < 0 then Heap.push ready 0 v
+    if ti >= n_tasks then Heap.push ready 0 v
     else if admitted.(ti) then Heap.push ready task_prio.(ti) v
     else begin
       Queue.push v task_buf.(ti);
@@ -129,7 +129,7 @@ let run ?seed:_ ?comm_delay program machine =
   admit_fitting ~force:true;
   let retire v =
     let ti = d.Program.task_of_vertex.(v) in
-    if ti >= 0 then begin
+    if ti < n_tasks then begin
       remaining.(ti) <- remaining.(ti) - 1;
       if remaining.(ti) = 0 then begin
         (* task done: its footprint retires; let the next ones in *)

@@ -22,12 +22,9 @@ type interval = {
     timestamp order of their begins. *)
 val intervals : Collector.t -> interval list
 
-(** [traced_work t ~n] — per-vertex work as recorded in the trace, for
-    vertices [0 <= v < n]; untraced vertices are 0. *)
-val traced_work : Collector.t -> n:int -> int array
-
-(** [critical_path t dag] — length of the heaviest [dag] path under
-    {!traced_work} weights. *)
+(** [critical_path t dag] — length of the heaviest [dag] path, each
+    vertex weighted by its work as recorded in the trace (0 when
+    untraced). *)
 val critical_path : Collector.t -> Nd_dag.Dag.t -> int
 
 (** [coverage t dag] — [(traced, total)] counts of positive-work DAG

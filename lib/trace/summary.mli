@@ -1,19 +1,5 @@
 (** Plain-text per-worker utilization / steal summary of a trace. *)
 
-type worker_row = {
-  worker : int;
-  strands : int;  (** completed strand intervals *)
-  busy : int;  (** sum of strand interval durations *)
-  fires : int;
-  attempts : int;  (** failed steal sweeps *)
-  steals : int;  (** successful steals *)
-  anchors : int;
-  misses : int;  (** cache misses charged, all levels *)
-  miss_cost : int;
-}
-
-val per_worker : Collector.t -> worker_row list
-
 (** [table t] — one row per worker plus a totals row; utilization is
     busy time over the trace's wall-clock extent. *)
 val table : Collector.t -> Nd_util.Table.t

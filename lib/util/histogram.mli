@@ -1,10 +1,10 @@
 (** Log-bucketed latency histograms, mergeable across workers.
 
     Values are non-negative integers (the server records nanoseconds).
-    Buckets follow the HdrHistogram layout: values below {!n_sub} are
-    exact; above that, each power-of-two range is split into {!n_sub}
-    linear sub-buckets, so any recorded value is reconstructed with a
-    relative error below [1/n_sub] (6.25%).  The whole structure is a
+    Buckets follow the HdrHistogram layout: values below 16 are exact;
+    above that, each power-of-two range is split into 16 linear
+    sub-buckets, so any recorded value is reconstructed with a relative
+    error below 1/16 (6.25%).  The whole structure is a
     flat int array: {!record} is a couple of shifts and one increment,
     and {!merge} is element-wise addition.
 
@@ -17,9 +17,6 @@
     and hands readers a private {!copy}. *)
 
 type t
-
-(** Sub-buckets per power-of-two range (16). *)
-val n_sub : int
 
 val create : unit -> t
 
@@ -38,7 +35,7 @@ val max_value : t -> int
 val mean : t -> float
 
 (** [percentile t q] for [q] in [0..1]: an upper bound for the value at
-    rank [ceil (q * count)], exact below {!n_sub} and within one
+    rank [ceil (q * count)], exact below 16 and within one
     sub-bucket above.  0 when empty. *)
 val percentile : t -> float -> int
 

@@ -712,6 +712,120 @@ let prop_node_sizes_generated =
       (* and the NP span fold is the span of the compiled NP projection *)
       Spawn_tree.np_span tree = Dag.span (Program.dag np))
 
+(* One cut of the spawn tree and its contraction, checked against
+   references rebuilt here: [fits n] says whether node [n] is under the
+   cut's bound.  Each task is a maximal fitting subtree (it fits or is a
+   leaf, and its parent does not fit), every node and vertex maps to the
+   task whose root is its nearest such ancestor, and the other vertices
+   (the glue's sync vertices) are parts of their own, numbered on from
+   the tasks in vertex order.  The contraction's edges are exactly the
+   distinct pairs of different parts that DAG edges join, once each,
+   and acyclic. *)
+let check_cut what p (d : Program.decomposition) fits =
+  let dag = Program.dag p in
+  let nv = Dag.n_vertices dag and nn = Program.n_nodes p in
+  let tasks = d.Program.tasks and nt = Array.length d.Program.tasks in
+  let task_at = Array.make nn (-1) in
+  Array.iteri
+    (fun i r ->
+      if not (fits r || Program.children p r = [||]) then
+        Alcotest.failf "%s: task %d (node %d) neither fits nor is a leaf" what i r;
+      let up = Program.parent p r in
+      if up >= 0 && fits up then
+        Alcotest.failf "%s: task %d (node %d) is not maximal: its parent fits" what i r;
+      task_at.(r) <- i)
+    tasks;
+  let rec task_of n =
+    if n < 0 then -1 else if task_at.(n) >= 0 then task_at.(n) else task_of (Program.parent p n)
+  in
+  let n_glue = ref 0 in
+  for n = 0 to nn - 1 do
+    if task_of n < 0 then begin
+      if fits n || Program.children p n = [||] then
+        Alcotest.failf "%s: node %d is in no task, yet fits or is a leaf" what n;
+      incr n_glue
+    end;
+    if d.Program.task_of_node.(n) <> task_of n then
+      Alcotest.failf "%s: node %d in task %d, expected %d" what n d.Program.task_of_node.(n)
+        (task_of n)
+  done;
+  if d.Program.n_glue <> !n_glue then
+    Alcotest.failf "%s: %d glue nodes, expected %d" what d.Program.n_glue !n_glue;
+  let next_glue = ref nt in
+  for v = 0 to nv - 1 do
+    let part = d.Program.task_of_vertex.(v) and t = task_of (Program.vertex_owner p v) in
+    let expected =
+      if t >= 0 then t
+      else begin
+        incr next_glue;
+        !next_glue - 1
+      end
+    in
+    if part <> expected then
+      Alcotest.failf "%s: vertex %d in part %d, expected %d" what v part expected
+  done;
+  if d.Program.n_parts <> !next_glue then
+    Alcotest.failf "%s: %d parts, expected %d" what d.Program.n_parts !next_glue;
+  let c = Dag.csr dag in
+  let pairs = Hashtbl.create 64 in
+  for u = 0 to nv - 1 do
+    for k = c.Dag.succ_off.(u) to c.Dag.succ_off.(u + 1) - 1 do
+      let pu = d.Program.task_of_vertex.(u)
+      and pv = d.Program.task_of_vertex.(c.Dag.succ_tgt.(k)) in
+      if pu <> pv then Hashtbl.replace pairs (pu, pv) ()
+    done
+  done;
+  let g = Program.contract p d in
+  let cc = Dag.csr g in
+  if Dag.n_vertices g <> d.Program.n_parts then
+    Alcotest.failf "%s: contraction has %d vertices for %d parts" what (Dag.n_vertices g)
+      d.Program.n_parts;
+  let last = Array.make d.Program.n_parts (-1) in
+  for a = 0 to d.Program.n_parts - 1 do
+    for k = cc.Dag.succ_off.(a) to cc.Dag.succ_off.(a + 1) - 1 do
+      let b = cc.Dag.succ_tgt.(k) in
+      if last.(b) = a then Alcotest.failf "%s: part %d's slice repeats %d" what a b;
+      last.(b) <- a;
+      if not (Hashtbl.mem pairs (a, b)) then
+        Alcotest.failf "%s: edge %d -> %d joins no DAG edge" what a b
+    done
+  done;
+  if Dag.n_edges g <> Hashtbl.length pairs then
+    Alcotest.failf "%s: contraction has %d edges, the DAG joins %d pairs" what (Dag.n_edges g)
+      (Hashtbl.length pairs);
+  ignore (Dag.topo_order g)
+
+(* [decompose] at m in {1, 8, 64, the root's size} and [coarsen] at
+   grain in {1, 17, 300, max_int} *)
+let check_cuts what p =
+  let root_size = Program.size p (Program.root p) in
+  List.iter
+    (fun m ->
+      check_cut
+        (Printf.sprintf "%s decompose m=%d" what m)
+        p (Program.decompose p ~m)
+        (fun n -> Program.size p n <= m))
+    [ 1; 8; 64; max 1 root_size ];
+  List.iter
+    (fun grain ->
+      check_cut
+        (Printf.sprintf "%s coarsen grain=%d" what grain)
+        p (Program.coarsen p ~grain)
+        (fun n -> Program.work_of_node p n <= grain))
+    [ 1; 17; 300; max_int ]
+
+let test_cuts_families () = each_family_program (fun what p _ _ -> check_cuts what p)
+
+let prop_cuts_generated =
+  QCheck2.Test.make ~name:"cuts and contractions of generated programs" ~count:300
+    ~print:Nd_check.Gen.to_string (Nd_check.Gen.gen ())
+    (fun spec ->
+      let inst = Nd_check.Gen.build spec in
+      let registry = inst.Nd_check.Gen.registry and tree = inst.Nd_check.Gen.tree in
+      check_cuts "ND" (Program.compile ~registry tree);
+      check_cuts "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
+      true)
+
 (* --------------- resolver vs the old Hashtbl walk ----------------- *)
 
 let stress_iters =
@@ -911,6 +1025,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_vertex_order_generated;
           Alcotest.test_case "decompose" `Quick test_decompose;
           Alcotest.test_case "decompose invalid" `Quick test_decompose_invalid;
+          Alcotest.test_case "cuts and contractions: every family" `Quick
+            test_cuts_families;
+          QCheck_alcotest.to_alcotest prop_cuts_generated;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;
           Alcotest.test_case "compile allocation" `Quick test_compile_alloc;
         ] );

@@ -307,6 +307,31 @@ let test_helpers_reused () =
     Alcotest.failf "20 two-worker fiber runs ran on %d distinct domains"
       (List.length ids)
 
+(* One grain plan allocates outside the minor heap little beyond the
+   arrays it keeps: on mm n=32 b=2 at grain 1, where every leaf is a
+   task and nearly every DAG edge joins two parts, one
+   [Executor.task_graph] after a warm-up takes at most 60 words a DAG
+   vertex.  Lifting the edges through a hash set, a cons per kept edge
+   and a hand-filled CSR took 253. *)
+let test_plan_alloc () =
+  let w =
+    Nd_experiments.Workloads.build ~n:32 ~base:2
+      (Nd_experiments.Workloads.find "mm") ~seed:1
+  in
+  let p = Workload.compile w in
+  let nv = Nd_dag.Dag.n_vertices (Program.dag p) in
+  ignore (Sys.opaque_identity (Executor.task_graph ~grain:1 p));
+  Gc.minor ();
+  let _, _, major0 = Gc.counters () in
+  let g = Executor.task_graph ~grain:1 p in
+  let _, _, major1 = Gc.counters () in
+  let per_vertex = (major1 -. major0) /. float_of_int nv in
+  if per_vertex > 60. then
+    Alcotest.failf
+      "one grain-1 plan allocated %.0f words outside the minor heap, %.1f a vertex \
+       (%d vertices, %d tasks); the bound is 60"
+      (major1 -. major0) per_vertex nv g.Executor.tg_tasks
+
 let () =
   Alcotest.run "nd_runtime"
     [
@@ -322,6 +347,7 @@ let () =
           Alcotest.test_case "dataflow correct" `Quick test_dataflow_correct;
           Alcotest.test_case "fork-join correct" `Quick test_fork_join_correct;
           Alcotest.test_case "repeated runs" `Quick test_repeated_runs;
+          Alcotest.test_case "grain plan allocation" `Quick test_plan_alloc;
         ] );
       ( "parallel_for",
         [
