@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Exports nothing calls: every `val` in lib/**/*.mli whose name occurs as
 a whole word in no .ml under lib/, bin/, test/, spine/, bench/ or
-examples/ other than its own module's.  Each one must be listed in the
+examples/ other than its own module's, and every optional parameter
+`?label:` of such a `val` that no such .ml passes (as `~label` or
+`?label`), listed as `name?label`.  Each one must be listed in the
 allowlist with its reason (one `path name — reason` a line); the check
 fails on any other.  Run from the repository root."""
 import os
@@ -11,6 +13,17 @@ import sys
 ROOTS = ["lib", "bin", "test", "spine", "bench", "examples"]
 ALLOW = os.path.join(os.path.dirname(os.path.abspath(__file__)), "unused_exports.allow")
 VAL = re.compile(r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:", re.M)
+# a val's type runs to the next item, doc comment or blank line
+VAL_TYPE = re.compile(
+    r"^\s*val\s+([a-z_][A-Za-z0-9_']*)\s*:(.*?)"
+    r"(?=^\s*$|^\s*(?:val|type|module|exception|external|end|include|\(\*)\b|\Z)",
+    re.M | re.S,
+)
+OPTIONAL = re.compile(r"\?([a-z_][A-Za-z0-9_']*)\s*:")
+
+
+def word(w):
+    return re.compile(r"(?<![A-Za-z0-9_'])" + re.escape(w) + r"(?![A-Za-z0-9_'])")
 
 
 def sources(ext):
@@ -28,10 +41,16 @@ def main():
     unused = []
     for mli in sorted(p for p in sources(".mli") if p.startswith("lib" + os.sep)):
         own = mli[:-1]
-        for name in sorted(set(VAL.findall(open(mli, encoding="utf-8").read()))):
-            word = re.compile(r"(?<![A-Za-z0-9_'])" + re.escape(name) + r"(?![A-Za-z0-9_'])")
-            if not any(word.search(t) for p, t in texts.items() if p != own):
+        others = [t for p, t in texts.items() if p != own]
+        text = open(mli, encoding="utf-8").read()
+        for name in sorted(set(VAL.findall(text))):
+            if not any(word(name).search(t) for t in others):
                 unused.append(f"{mli} {name}")
+        for name, ty in VAL_TYPE.findall(text):
+            for label in sorted(set(OPTIONAL.findall(ty))):
+                passed = re.compile(r"[~?]" + re.escape(label) + r"(?![A-Za-z0-9_'])")
+                if not any(passed.search(t) for t in others):
+                    unused.append(f"{mli} {name}?{label}")
     allowed = set()
     for line in open(ALLOW, encoding="utf-8"):
         line = line.strip()

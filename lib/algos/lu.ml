@@ -5,20 +5,10 @@ let piv_region piv k0 k1 =
   if k1 <= k0 then Is.empty
   else Is.interval (Mat.addr piv 0 k0) (Mat.addr piv 0 k0 + (k1 - k0))
 
-let panel_leaf view piv ~c0 ~r0 =
-  let m = view.Mat.cols in
-  let fp = Is.union (Mat.region view) (piv_region piv c0 (c0 + m)) in
-  Spawn_tree.leaf
-    (Strand.make ~label:"lupanel"
-       ~work:(view.Mat.rows * m * m)
-       ~reads:fp ~writes:fp
-       ~action:(fun () -> Kernels.lu_panel view ~piv ~c0 ~r0)
-       ())
-
 (* Parallel panel factorization: per column, a parallel block-argmax
    reduction, one combine-and-swap strand, then parallel block-row
    eliminations.  This is what the paper's O(m log n) LU span presumes
-   (the serial-leaf variant has a Theta(n^2) pivot chain). *)
+   (a panel run as one strand would give a Theta(n^2) pivot chain). *)
 let parallel_panel view piv ~c0 ~r0 ~chunk ~scratch =
   let rows = view.Mat.rows and m = view.Mat.cols in
   let col_region j i0 i1 =
@@ -174,29 +164,19 @@ let rec tall_mms ~base c a b =
 
 (* Factorizes the square [a] in place ([L] strictly below the diagonal
    with unit diagonal, [U] on and above), recording global pivot rows in
-   the 1 x n [piv].  [`Parallel] panels (the workload's) factorize each
-   column as [parallel_panel] does; [`Serial] runs each panel as one
-   strand, the comparison EXPERIMENTS.md quotes. *)
-let lu_tree ?(panel = `Parallel) ~base a ~piv =
+   the 1 x n [piv]; each panel factorizes its columns as
+   [parallel_panel] does. *)
+let lu_tree ~base a ~piv =
   if a.Mat.rows <> a.Mat.cols then invalid_arg "Lu.lu_tree: not square";
   let n = a.Mat.rows in
   Workload.validate_shape ~n ~base;
   if piv.Mat.cols < n then invalid_arg "Lu.lu_tree: piv too small";
   let chunk = max 8 base in
-  let scratch =
-    match panel with
-    | `Serial -> None
-    | `Parallel ->
-      Some (Mat.alloc a.Mat.space ~rows:1 ~cols:(2 * ((n / chunk) + 2)))
-  in
+  let scratch = Mat.alloc a.Mat.space ~rows:1 ~cols:(2 * ((n / chunk) + 2)) in
   let rec go ~r0 ~c0 ~m =
     let rows = n - r0 in
-    if m <= base then begin
-      let view = Mat.sub a ~r0 ~c0 ~rows ~cols:m in
-      match scratch with
-      | Some scratch -> parallel_panel view piv ~c0 ~r0 ~chunk ~scratch
-      | None -> panel_leaf view piv ~c0 ~r0
-    end
+    if m <= base then
+      parallel_panel (Mat.sub a ~r0 ~c0 ~rows ~cols:m) piv ~c0 ~r0 ~chunk ~scratch
     else
       let h = m / 2 in
       let l00 = Mat.sub a ~r0 ~c0 ~rows:h ~cols:h in

@@ -231,8 +231,8 @@ let candidates spec =
     (Stdlib.Seq.map (fun tree -> { spec with tree }) (tree_candidates spec.tree))
     (Stdlib.Seq.map (fun rules -> { spec with rules }) (rule_candidates spec.rules))
 
-let shrink ?(budget = 400) spec ~still_fails =
-  let calls = ref 0 in
+let shrink spec ~still_fails =
+  let budget = 400 and calls = ref 0 in
   let try_cand s =
     if !calls >= budget then false
     else begin

@@ -59,10 +59,10 @@ val generate : seed:int -> ?params:params -> unit -> spec
     [still_fails] holds: subtrees are replaced by their children or by a
     trivial strand, [Seq]/[Par] children are dropped, leaf footprints
     are emptied, rules are dropped and recursive rule targets weakened
-    to [Full].  [still_fails] is called at most [~budget] (default 400)
-    times; the result is a local minimum, every mutation of which
+    to [Full].  [still_fails] is called at most 400 times; unless that
+    runs out, the result is a local minimum, every mutation of which
     passes. *)
-val shrink : ?budget:int -> spec -> still_fails:(spec -> bool) -> spec
+val shrink : spec -> still_fails:(spec -> bool) -> spec
 
 (** {2 Building runnable instances} *)
 

@@ -362,10 +362,12 @@ let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
         (List.length races)
         (Format.asprintf "%a" (Race.pp_race (Nd.Program.dag program))
            (List.hd races));
-    (* serial elision first: it defines the reference observables *)
+    (* serial elision first: it defines the reference observables,
+       recorded only for a race-free program (memory equality is only
+       promised there) *)
     reset ();
     guard "serial elision" (fun () -> Nd.Serial_exec.run_sequential program);
-    reference ();
+    if races = [] then reference ();
     verify "serial elision";
     let paths =
       1
@@ -393,14 +395,6 @@ let check_instance ?(config = default_config) (inst : Gen.instance) =
   match Nd.Program.compile ~registry:inst.registry inst.tree with
   | exception e -> Error { stage = "compile"; message = Printexc.to_string e }
   | program ->
-  (* memory equality is only promised for race-free programs; compute
-     the flag before any executing path needs it (a detector overflow —
-     now the explicit Race.Limit_exceeded — counts as "unknown", which
-     skips the memory check, not the rest) *)
-  let race_free =
-    try Race.race_free (Nd.Program.dag program)
-    with Race.Limit_exceeded _ -> false
-  in
   let reference = ref [||] in
   let verify stage =
     Array.iteri
@@ -409,7 +403,7 @@ let check_instance ?(config = default_config) (inst : Gen.instance) =
         if n <> 1 then
           fail stage "strand %d executed %d times (want exactly once)" i n)
       inst.counts;
-    if race_free && !reference <> [||] && inst.memory <> !reference then begin
+    if !reference <> [||] && inst.memory <> !reference then begin
       let i = ref 0 in
       while inst.memory.(!i) = !reference.(!i) do
         incr i

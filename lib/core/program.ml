@@ -135,6 +135,7 @@ let compile ~registry tree =
   let rec build t =
     let first = !n_nodes in
     match t with
+    | Spawn_tree.Seq [] | Spawn_tree.Par [] -> invalid_arg "Program.compile: empty Seq or Par"
     | Spawn_tree.Leaf s ->
       let v =
         Dag.add_vertex dag ~label:s.Strand.label ~work:s.Strand.work

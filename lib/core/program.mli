@@ -31,7 +31,8 @@ type kind = Leaf of Strand.t | Seq | Par | Fire of string
 
 (** [compile ~registry tree] runs the DRS.
     @raise Invalid_argument if the tree references an unregistered fire
-    type. *)
+    type, or holds a [Seq] or [Par] with no children (so every node
+    covers at least one leaf). *)
 val compile : registry:Fire_rule.registry -> Spawn_tree.t -> t
 
 val dag : t -> Nd_dag.Dag.t
@@ -146,6 +147,12 @@ type decomposition = {
 (** [decompose t ~m] splits the spawn tree into M-maximal tasks (size at
     most [m], parent bigger) and glue nodes.  A leaf whose strand exceeds
     [m] is still a task of its own (it cannot be split).
+
+    The cuts nest: for [m <= m'], every [m]-task lies inside one
+    [m']-task, and the [m]-tasks inside [m']-task [i] are the ascending
+    index range from the one holding [i]'s first leaf to the one holding
+    its last ([leaf_range], [leaf_node]).  The space-bounded scheduler
+    reads its task parents, children and atoms off this.
 
     Results are memoized per program (keyed by [m]) — sigma-sweeps and
     the PCC/ECC metrics re-request the same decompositions, and the

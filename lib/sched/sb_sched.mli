@@ -6,8 +6,9 @@
     - {b Anchoring}: a ready task is anchored at the cache level with
       respect to which it is maximal (size at most [sigma * M_level]),
       on the cache above the processor that found it, and is allocated
-      [g_level(S) = min(f, max(1, floor(f * (3S/M)^alpha')))] subclusters
-      whose processors then work exclusively on it.
+      [g(S) = min(f, max(1, ceil(f * 3S/M)))] of that cache's free
+      subclusters ({!allocation}), whose processors then work
+      exclusively on it.
     - {b Boundedness}: the total size of tasks anchored at a cache never
       exceeds [sigma * M].
     - {b Readiness} (Figure 12): within an anchored level-i task, the
@@ -56,9 +57,8 @@ type stats = {
 
 exception Deadlock of string
 
-(** [run ?sigma ?mode ?alloc_alpha ?sim_workers ?tracer program machine]
-    simulates and returns the stats.  [sigma] defaults to 1/3 (Lemma 6);
-    [alloc_alpha] is the α' of the allocation function (default 1).
+(** [run ?sigma ?mode ?accounting ?sim_workers ?tracer program machine]
+    simulates and returns the stats.  [sigma] defaults to 1/3 (Lemma 6).
 
     [sim_workers] selects the {e decoupled measurement mode}: the drive
     loop schedules under ρ costs (as in [Rho] accounting — [accounting]
@@ -88,12 +88,19 @@ val run :
   ?sigma:float ->
   ?mode:mode ->
   ?accounting:accounting ->
-  ?alloc_alpha:float ->
   ?sim_workers:int ->
   ?tracer:Nd_trace.Collector.t ->
   Nd.Program.t ->
   Nd_pmh.Pmh.t ->
   stats
+
+(** [allocation machine ~level s] is g(s) = min(f, max(1, ceil(f·3s/M))),
+    with f and M the fanout and size of cache level [level]: how many
+    free subclusters a task of size [s] anchored at that level is
+    allotted.  The paper's g takes the floor of f·(3s/M)^α'; here α' is
+    1, and the ceiling stands in for the extra subclusters the full
+    scheduler provisions for worst-case allocations (DESIGN §2). *)
+val allocation : Nd_pmh.Pmh.t -> level:int -> int -> int
 
 (** [utilization s] = busy / (time * procs), or [0.] when the run had
     zero time or zero processors (no processor was ever busy). *)

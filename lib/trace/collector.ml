@@ -15,8 +15,7 @@ type t = {
 let null =
   { enabled = false; rings = [||]; clock = (fun () -> 0); to_us = 1. }
 
-let create ?(capacity = 1 lsl 18) ?(clock = fun () -> 0) ?(ts_to_us = 1.)
-    ~workers () =
+let create ?(capacity = 1 lsl 18) ~workers () =
   if workers < 1 then invalid_arg "Collector.create: workers < 1";
   if capacity < 1 then invalid_arg "Collector.create: capacity < 1";
   {
@@ -24,8 +23,8 @@ let create ?(capacity = 1 lsl 18) ?(clock = fun () -> 0) ?(ts_to_us = 1.)
     rings =
       Array.init workers (fun _ ->
           { buf = Array.make capacity None; head = 0; len = 0; dropped = 0 });
-    clock;
-    to_us = ts_to_us;
+    clock = (fun () -> 0);
+    to_us = 1.;
   }
 
 let wallclock ?capacity ~workers () =
@@ -33,7 +32,7 @@ let wallclock ?capacity ~workers () =
      intervals occasionally jump or go negative *)
   let t0 = Monotonic_clock.now () in
   let clock () = Int64.to_int (Int64.sub (Monotonic_clock.now ()) t0) in
-  create ?capacity ~clock ~ts_to_us:1e-3 ~workers ()
+  { (create ?capacity ~workers ()) with clock; to_us = 1e-3 }
 
 let enabled t = t.enabled
 

@@ -17,16 +17,12 @@ type t
 (** The no-op sink: [emit] returns immediately, [events] is empty. *)
 val null : t
 
-(** [create ~workers ()] — an enabled collector with [workers] rings.
-    [capacity] (default [2^18]) bounds each ring.  [clock] supplies
-    {!emit_now} timestamps (default: always 0 — simulators pass explicit
-    times).  [ts_to_us] converts stored timestamps to microseconds for
-    the Chrome exporter (default 1: timestamps {e are} microseconds /
-    simulator cost units).
+(** [create ~workers ()] — an enabled collector with [workers] rings,
+    for the simulators, which pass explicit times: {!emit_now} stamps 0,
+    and {!ts_to_us} is 1 (timestamps {e are} microseconds / simulator
+    cost units).  [capacity] (default [2^18]) bounds each ring.
     @raise Invalid_argument if [workers < 1] or [capacity < 1]. *)
-val create :
-  ?capacity:int -> ?clock:(unit -> int) -> ?ts_to_us:float -> workers:int ->
-  unit -> t
+val create : ?capacity:int -> workers:int -> unit -> t
 
 (** [wallclock ~workers ()] — a collector for the real runtime: the clock
     is [CLOCK_MONOTONIC] nanoseconds since creation, and [ts_to_us] is

@@ -826,6 +826,67 @@ let prop_cuts_generated =
       check_cuts "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
       true)
 
+(* For m < m' in {1, 8, 64, the root's size}: each m-task's root lies
+   under exactly one m'-task root (found here by walking up the tree),
+   and the m-tasks under m'-task [i] are the ascending range from the
+   m-task holding [i]'s first leaf to the one holding its last. *)
+let check_nesting what p =
+  let sizes = [ 1; 8; 64; max 1 (Program.size p (Program.root p)) ] in
+  List.iter
+    (fun m ->
+      List.iter
+        (fun m' ->
+          if m < m' then begin
+            let what = Printf.sprintf "%s m=%d in m'=%d" what m m' in
+            let d = Program.decompose p ~m and d' = Program.decompose p ~m:m' in
+            let root_of = Array.make (Program.n_nodes p) (-1) in
+            Array.iteri (fun i r -> root_of.(r) <- i) d'.Program.tasks;
+            let rec container n =
+              if n < 0 then Alcotest.failf "%s: a task lies in no m'-task" what
+              else if root_of.(n) >= 0 then root_of.(n)
+              else container (Program.parent p n)
+            in
+            let inside = Array.make (Array.length d'.Program.tasks) [] in
+            for i = Array.length d.Program.tasks - 1 downto 0 do
+              let c = container d.Program.tasks.(i) in
+              inside.(c) <- i :: inside.(c)
+            done;
+            Array.iteri
+              (fun i r ->
+                let lo, hi = Program.leaf_range p r in
+                let holding l = d.Program.task_of_node.(Program.leaf_node p l) in
+                let first = holding lo and last = holding (hi - 1) in
+                let range = List.init (max 0 (last - first + 1)) (fun k -> first + k) in
+                if inside.(i) <> range then
+                  Alcotest.failf "%s: task %d holds [%s], the leaf range gives %d..%d" what
+                    i
+                    (String.concat "; " (List.map string_of_int inside.(i)))
+                    first last)
+              d'.Program.tasks
+          end)
+        sizes)
+    sizes
+
+let test_nesting_families () = each_family_program (fun what p _ _ -> check_nesting what p)
+
+let prop_nesting_generated =
+  QCheck2.Test.make ~name:"cuts of generated programs nest" ~count:300
+    ~print:Nd_check.Gen.to_string (Nd_check.Gen.gen ())
+    (fun spec ->
+      let inst = Nd_check.Gen.build spec in
+      let registry = inst.Nd_check.Gen.registry and tree = inst.Nd_check.Gen.tree in
+      check_nesting "ND" (Program.compile ~registry tree);
+      check_nesting "NP" (Program.compile ~registry (Spawn_tree.serialize_fires tree));
+      true)
+
+let test_compile_empty () =
+  List.iter
+    (fun t ->
+      match Program.compile ~registry:Fire_rule.empty_registry t with
+      | _ -> Alcotest.fail "an empty Seq or Par compiled"
+      | exception Invalid_argument _ -> ())
+    [ Spawn_tree.Seq []; Spawn_tree.Par []; Spawn_tree.Par [ Spawn_tree.Par []; strand "a" ] ]
+
 (* --------------- resolver vs the old Hashtbl walk ----------------- *)
 
 let stress_iters =
@@ -1028,6 +1089,9 @@ let () =
           Alcotest.test_case "cuts and contractions: every family" `Quick
             test_cuts_families;
           QCheck_alcotest.to_alcotest prop_cuts_generated;
+          Alcotest.test_case "cuts nest: every family" `Quick test_nesting_families;
+          QCheck_alcotest.to_alcotest prop_nesting_generated;
+          Alcotest.test_case "compile rejects an empty Seq or Par" `Quick test_compile_empty;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;
           Alcotest.test_case "compile allocation" `Quick test_compile_alloc;
         ] );

@@ -607,6 +607,27 @@ let test_sb_alloc () =
       ignore (Sys.opaque_identity s))
     [ ("Coarse", Sb.Coarse); ("Fine", Sb.Fine) ]
 
+(* g_i(S) lies in [1, f_i] at every cache level of the oracle's and the
+   pipeline's machines, for every task size S up to M_i, so 3S/M
+   reaches 3: the oracle anchors at sigma up to 1.  The memory root
+   allots nothing: its anchor holds every top-level cache. *)
+let test_sb_allocation_range () =
+  List.iter
+    (fun (name, machine) ->
+      for level = 1 to Pmh.n_levels machine do
+        let f = Pmh.fanout machine ~level in
+        for size = 1 to Pmh.size machine ~level do
+          let g = Sb.allocation machine ~level size in
+          if g < 1 || g > f then
+            Alcotest.failf "%s level %d size %d: allocation %d outside [1, %d]" name level
+              size g f
+        done
+      done)
+    [
+      ("oracle", Nd_check.Oracle.default_config.machine);
+      ("pipeline", Nd_serve.Server.standard_machine ~top:1);
+    ]
+
 let () =
   Alcotest.run "nd_sched"
     [
@@ -637,6 +658,7 @@ let () =
           Alcotest.test_case "pinned stats and misses, every mode" `Quick
             test_sb_pinned;
           Alcotest.test_case "run allocation" `Quick test_sb_alloc;
+          Alcotest.test_case "allocation in [1, f]" `Quick test_sb_allocation_range;
         ] );
       ( "work_stealing",
         [
