@@ -117,7 +117,7 @@ let race_cmd =
     let p = Workload.compile ~mode:(mode_of np) w in
     let dag = Nd.Program.dag p in
     if explain then
-      match Nd.Rule_check.diagnose ~limit:8 p with
+      match Nd_analyze.Esp_bags.diagnose ~limit:8 p with
       | [] -> Format.printf "race-free: no rules missing@."
       | findings ->
         List.iter
@@ -125,12 +125,7 @@ let race_cmd =
           findings;
         exit 1
     else
-      match Nd_dag.Race.find_races ~limit:16 dag with
-      | exception Nd_dag.Race.Limit_exceeded { vertices; limit } ->
-        die_usage
-          "race: %d vertices exceeds the reachability cap %d; shrink -n or \
-           raise NDSIM_RACE_MAX (or use 'ndsim lint', which has no cap)"
-          vertices limit
+      match Nd_analyze.Esp_bags.find_races ~limit:16 p with
       | [] -> Format.printf "race-free (%d vertices, %d edges)@."
                 (Nd_dag.Dag.n_vertices dag) (Nd_dag.Dag.n_edges dag)
       | races ->

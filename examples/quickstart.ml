@@ -44,7 +44,7 @@ let () =
   let w = Nd_algos.Trs.workload ~n:32 ~base:4 ~seed:7 () in
   let p = Nd_algos.Workload.compile w in
   Format.printf "@.TRS n=32: %a@." Analysis.pp_report (Analysis.analyze p);
-  let racy = Nd_dag.Race.find_races ~limit:1 (Program.dag p) <> [] in
+  let racy = not (Nd_analyze.Esp_bags.race_free p) in
   print_endline
     (if racy then "TRS DAG has races (bug!)"
      else "TRS DAG is determinacy-race free");

@@ -31,9 +31,6 @@ val mode_name : mode -> string
     to [ND]). *)
 val compile : ?mode:mode -> t -> Nd.Program.t
 
-(** [pow2 x] — is [x] a positive power of two? *)
-val pow2 : int -> bool
-
 (** [validate_shape ~n ~base] enforces the usual divide-and-conquer
     preconditions: both powers of two, [1 <= base <= n].
     @raise Invalid_argument otherwise. *)

@@ -255,25 +255,10 @@ let find_races ?limit program = (analyze ?limit program).races
 
 let race_free program = find_races ~limit:1 program = []
 
-(* Same LCA + pedigree lift as Rule_check.diagnose, minus the exact
-   checker's reachability closure (and hence its size cap). *)
 let diagnose ?limit ?verdict program =
   let races =
     match verdict with
     | Some v -> v.races
     | None -> find_races ?limit program
   in
-  List.map
-    (fun (r : Race.race) ->
-      let nu = Program.vertex_owner program r.Race.u in
-      let nv = Program.vertex_owner program r.Race.v in
-      let anc = Rule_check.lca program nu nv in
-      let lo, hi = if nu <= nv then (nu, nv) else (nv, nu) in
-      {
-        Rule_check.race = r;
-        lca = anc;
-        lca_kind = Program.kind_of program anc;
-        src_pedigree = Rule_check.pedigree_from program ~ancestor:anc lo;
-        dst_pedigree = Rule_check.pedigree_from program ~ancestor:anc hi;
-      })
-    races
+  List.map (Rule_check.lift program) races

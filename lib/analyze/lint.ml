@@ -53,12 +53,6 @@ let severity_name = function Error -> "error" | Warning -> "warning"
 
 let has_errors = List.exists (fun f -> f.severity = Error)
 
-let known_ids =
-  [
-    "ND001"; "ND002"; "ND003"; "ND004"; "ND005"; "ND006"; "ND007"; "ND008";
-    "ND009"; "ND010"; "ND011"; "ND012"; "ND013";
-  ]
-
 let filter_min_severity min fs =
   match min with
   | Warning -> fs
@@ -80,30 +74,6 @@ let to_json findings =
              ("message", Json.String f.message);
            ])
        findings)
-
-let of_json j =
-  List.map
-    (fun o ->
-      let str field =
-        match Json.member field o with
-        | Some (Json.String s) -> s
-        | _ -> raise (Json.Parse_error ("lint finding: missing " ^ field))
-      in
-      let id = str "id" in
-      if not (List.mem id known_ids) then
-        raise (Json.Parse_error ("lint finding: unknown id " ^ id));
-      {
-        id;
-        severity =
-          (match str "severity" with
-          | "error" -> Error
-          | "warning" -> Warning
-          | other ->
-            raise (Json.Parse_error ("lint finding: bad severity " ^ other)));
-        subject = str "subject";
-        message = str "message";
-      })
-    (Json.to_list j)
 
 let rule_str r = Format.asprintf "%a" Fire_rule.pp_rule r
 

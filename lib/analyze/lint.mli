@@ -51,8 +51,6 @@ type finding = {
   message : string;
 }
 
-val severity_name : severity -> string
-
 val has_errors : finding list -> bool
 
 (** [filter_min_severity min fs] keeps the findings at severity [min] or
@@ -62,14 +60,9 @@ val filter_min_severity : severity -> finding list -> finding list
 
 val pp_finding : Format.formatter -> finding -> unit
 
-(** [to_json fs] / [of_json j] — lossless round-trip as a JSON list of
-    objects with fields [id], [severity], [subject], [message].
-    @raise Nd_util.Json.Parse_error if [of_json] is given anything else,
-    including an [id] outside the stable rule catalogue
-    ([["ND001"; ..; "ND013"]]). *)
+(** [to_json fs] — a JSON list of objects with fields [id], [severity]
+    (["error"] or ["warning"]), [subject] and [message]. *)
 val to_json : finding list -> Nd_util.Json.t
-
-val of_json : Nd_util.Json.t -> finding list
 
 (** [lint_registry reg] — ND001 (rule targets), ND003, ND004, ND005. *)
 val lint_registry : Nd.Fire_rule.registry -> finding list

@@ -346,17 +346,9 @@ let check_cost cfg program ~work ~span =
 let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
   try
     let work, span = check_structure program tree_work in
-    let races = guard "race" (fun () -> Race.find_races (Nd.Program.dag program)) in
-    (* the near-linear ESP-bags detector must reproduce the exact
-       verdict on every program the oracle sees (see Nd_analyze) *)
-    let esp_free =
-      guard "esp-bags" (fun () -> Nd_analyze.Esp_bags.race_free program)
+    let races =
+      guard "race" (fun () -> Nd_analyze.Esp_bags.find_races program)
     in
-    if esp_free <> (races = []) then
-      fail "esp-bags"
-        "ESP-bags verdict race_free=%b disagrees with the exact checker \
-         (race_free=%b, %d races)"
-        esp_free (races = []) (List.length races);
     if races_fail && races <> [] then
       fail "race" "expected race-free, found %d (first: %s)"
         (List.length races)

@@ -17,9 +17,10 @@
     - {b span sanity}: [span <= work], and every simulated makespan
       obeys [max (span, ceil (work/p)) <= time], with greedy further
       bounded above by Brent's [work/p + span];
-    - {b determinacy}: when {!Nd_dag.Race.race_free} holds, every path
-      leaves the same memory image as the serial elision (for specs) or
-      passes the workload's own numeric check (for workloads);
+    - {b determinacy}: when one [Nd_analyze.Esp_bags] pass finds no
+      race, every path leaves the same memory image as the serial
+      elision (for specs) or passes the workload's own numeric check
+      (for workloads);
     - {b miss monotonicity}: the SB scheduler's per-level ρ miss counts
       are non-increasing in σ (larger space bounds only merge maximal
       tasks, never split them);

@@ -18,9 +18,6 @@ type report = {
 (** [analyze program] measures the compiled program. *)
 val analyze : Program.t -> report
 
-(** [analyze_tree ~registry tree] compiles then measures. *)
-val analyze_tree : registry:Fire_rule.registry -> Spawn_tree.t -> report
-
 (** [np_of ~registry tree] is the report of the NP projection
     (fires serialized); the registry is still needed to compile, though no
     fire arrows remain. *)

@@ -43,24 +43,19 @@ let pedigree_from program ~ancestor node =
   in
   go ancestor []
 
-let diagnose ?(limit = 16) program =
-  let dag = Program.dag program in
-  let races = Race.find_races ~limit dag in
-  List.map
-    (fun (r : Race.race) ->
-      let nu = Program.vertex_owner program r.Race.u in
-      let nv = Program.vertex_owner program r.Race.v in
-      let anc = lca program nu nv in
-      (* orient source = the strand earlier in DFS (leaf) order *)
-      let lo, hi = if nu <= nv then (nu, nv) else (nv, nu) in
-      {
-        race = r;
-        lca = anc;
-        lca_kind = Program.kind_of program anc;
-        src_pedigree = pedigree_from program ~ancestor:anc lo;
-        dst_pedigree = pedigree_from program ~ancestor:anc hi;
-      })
-    races
+let lift program (r : Race.race) =
+  let nu = Program.vertex_owner program r.Race.u in
+  let nv = Program.vertex_owner program r.Race.v in
+  let anc = lca program nu nv in
+  (* orient source = the strand earlier in DFS (leaf) order *)
+  let lo, hi = if nu <= nv then (nu, nv) else (nv, nu) in
+  {
+    race = r;
+    lca = anc;
+    lca_kind = Program.kind_of program anc;
+    src_pedigree = pedigree_from program ~ancestor:anc lo;
+    dst_pedigree = pedigree_from program ~ancestor:anc hi;
+  }
 
 let pp_finding program ppf f =
   let dag = Program.dag program in

@@ -1,9 +1,9 @@
 (** Fire-rule diagnosis: explain determinacy races in rule-set terms.
 
-    When {!Nd_dag.Race} finds an unordered conflicting strand pair, the
-    actionable question is {e which fire construct should have ordered
-    them, and with which pedigrees}.  [diagnose] lifts each race to the
-    lowest common ancestor of the two strands in the spawn tree and
+    When [Nd_analyze.Esp_bags] finds an unordered conflicting strand
+    pair, the actionable question is {e which fire construct should have
+    ordered them, and with which pedigrees}.  {!lift} takes each race to
+    the lowest common ancestor of the two strands in the spawn tree and
     reports their pedigrees relative to it — if the LCA is a fire node,
     the fix is a rule [+p ⇝ -q] (or a refinement of one) in that fire's
     rule set; if it is a par node, the parallelism itself is unsound.
@@ -19,20 +19,9 @@ type finding = {
   dst_pedigree : Pedigree.t;  (** LCA -> the later-in-DFS strand *)
 }
 
-(** [diagnose ?limit program] — one finding per detected race (default
-    limit 16).  Exact, so bounded by the reachability closure:
-    @raise Nd_dag.Race.Limit_exceeded when the program's DAG exceeds
-    {!Nd_dag.Race.max_vertices} vertices (never degrades silently; the
-    near-linear [Nd_analyze.Esp_bags.diagnose] has no such cap). *)
-val diagnose : ?limit:int -> Program.t -> finding list
-
-(** [lca program a b] — lowest common ancestor of two nodes. *)
-val lca : Program.t -> Program.node_id -> Program.node_id -> Program.node_id
-
-(** [pedigree_from program ~ancestor node] — child indices from
-    [ancestor] down to [node].
-    @raise Invalid_argument if [ancestor] is not an ancestor of [node]. *)
-val pedigree_from :
-  Program.t -> ancestor:Program.node_id -> Program.node_id -> Pedigree.t
+(** [lift program race] — the finding for one race between two vertices
+    of [Program.dag program]: the spawn-tree LCA of their owning nodes,
+    its kind, and the pedigree from the LCA down to each of them. *)
+val lift : Program.t -> Nd_dag.Race.race -> finding
 
 val pp_finding : Program.t -> Format.formatter -> finding -> unit

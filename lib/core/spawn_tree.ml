@@ -62,12 +62,6 @@ let rec serialize_fires = function
   | Par l -> Par (List.map serialize_fires l)
   | Fire { src; snk; _ } -> Seq [ serialize_fires src; serialize_fires snk ]
 
-let rec parallelize_fires = function
-  | Leaf _ as t -> t
-  | Seq l -> Seq (List.map parallelize_fires l)
-  | Par l -> Par (List.map parallelize_fires l)
-  | Fire { src; snk; _ } -> Par [ parallelize_fires src; parallelize_fires snk ]
-
 let fire_types t =
   let seen = Hashtbl.create 8 in
   let acc = ref [] in

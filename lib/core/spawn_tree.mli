@@ -54,11 +54,6 @@ val serialize_fires : t -> t
     nothing. *)
 val np_span : t -> int
 
-(** [parallelize_fires t] replaces every [Fire] with [Par \[src; snk\]] —
-    the (unsound in general) zero-dependency projection, useful for span
-    lower-bound sanity checks in tests. *)
-val parallelize_fires : t -> t
-
 (** [fire_types t] lists the distinct fire-rule type names appearing in the
     tree, in first-occurrence order. *)
 val fire_types : t -> string list

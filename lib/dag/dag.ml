@@ -244,48 +244,3 @@ let sources t =
     if c.indeg.(v) = 0 then acc := v :: !acc
   done;
   !acc
-
-let sinks t =
-  let c = csr t in
-  let acc = ref [] in
-  for v = t.n - 1 downto 0 do
-    if c.succ_off.(v + 1) = c.succ_off.(v) then acc := v :: !acc
-  done;
-  !acc
-
-type reachability = { nbits : int; words : int; bits : Bytes.t }
-(* row v = descendants of v (including v), packed little-endian bit per id *)
-
-let reachability ?(max_vertices = 60_000) t =
-  if t.n > max_vertices then invalid_arg "Dag.reachability: too many vertices";
-  let c = csr t in
-  let words = (t.n + 7) / 8 in
-  let bits = Bytes.make (t.n * words) '\000' in
-  let set row v =
-    let idx = (row * words) + (v / 8) in
-    Bytes.unsafe_set bits idx
-      (Char.chr (Char.code (Bytes.unsafe_get bits idx) lor (1 lsl (v mod 8))))
-  in
-  let or_row dst src =
-    let d0 = dst * words and s0 = src * words in
-    for i = 0 to words - 1 do
-      let b = Char.code (Bytes.unsafe_get bits (d0 + i)) lor Char.code (Bytes.unsafe_get bits (s0 + i)) in
-      Bytes.unsafe_set bits (d0 + i) (Char.unsafe_chr b)
-    done
-  in
-  let order = topo_order t in
-  (* reverse topological: successors first *)
-  for i = t.n - 1 downto 0 do
-    let v = order.(i) in
-    set v v;
-    for k = c.succ_off.(v) to c.succ_off.(v + 1) - 1 do
-      or_row v c.succ_tgt.(k)
-    done
-  done;
-  { nbits = t.n; words; bits }
-
-let reachable r u v =
-  if u < 0 || u >= r.nbits || v < 0 || v >= r.nbits then
-    invalid_arg "Dag.reachable: id out of range";
-  let idx = (u * r.words) + (v / 8) in
-  Char.code (Bytes.get r.bits idx) land (1 lsl (v mod 8)) <> 0

@@ -99,27 +99,9 @@ val span : t -> int
     source to a sink. *)
 val critical_path : t -> vertex_id list
 
-(** Vertices with no predecessors / successors. *)
+(** Vertices with no predecessors. *)
 val sources : t -> vertex_id list
-
-val sinks : t -> vertex_id list
 
 (** [longest_path_weighted t weight] generalizes {!span} to arbitrary
     non-negative vertex weights. *)
 val longest_path_weighted : t -> (vertex_id -> int) -> int
-
-(** [reachability ?max_vertices t] computes the full transitive-closure as
-    bitsets; [reachable r u v] tells whether there is a directed path
-    [u ->* v] (including [u = v]).  Quadratic space ([n^2 / 8] bytes):
-    intended for validation on moderate instances only.
-    @raise Invalid_argument beyond [max_vertices] (default 60_000)
-    vertices.  [Race.max_vertices] carries the effective cap (overridable
-    via the [NDSIM_RACE_MAX] environment variable) and [Race.find_races]
-    turns the overflow into the explicit [Race.Limit_exceeded]; callers
-    that need ordering at larger scale use the near-linear
-    [Nd_analyze.Esp_bags] pass instead. *)
-type reachability
-
-val reachability : ?max_vertices:int -> t -> reachability
-
-val reachable : reachability -> vertex_id -> vertex_id -> bool

@@ -7,55 +7,6 @@ type race = {
   write_write : bool;
 }
 
-exception Limit_exceeded of { vertices : int; limit : int }
-
-let default_max_vertices = 60_000
-
-let max_vertices =
-  match Sys.getenv_opt "NDSIM_RACE_MAX" with
-  | None | Some "" -> default_max_vertices
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some n when n >= 1 -> n
-    | _ -> default_max_vertices)
-
-(* Exhaustive pairwise check guarded by cheap footprint overlap tests; the
-   reachability closure answers the ordering question in O(1) per pair.
-   The closure is quadratic in space, so past [max_vertices] we refuse
-   loudly rather than degrade: callers either catch [Limit_exceeded] and
-   fall back to the near-linear Nd_analyze.Esp_bags detector, or let it
-   propagate. *)
-let find_races ?(limit = 16) ?(max_vertices = max_vertices) dag =
-  let n = Dag.n_vertices dag in
-  if n > max_vertices then
-    raise (Limit_exceeded { vertices = n; limit = max_vertices });
-  let reach = Dag.reachability ~max_vertices dag in
-  let races = ref [] in
-  let count = ref 0 in
-  (try
-     for u = 0 to n - 1 do
-       let wu = Dag.writes_of dag u in
-       let ru = Dag.reads_of dag u in
-       if not (Is.is_empty wu && Is.is_empty ru) then
-         for v = u + 1 to n - 1 do
-           let wv = Dag.writes_of dag v in
-           let ww = Is.inter wu wv in
-           let rw = Is.union (Is.inter ru wv) (Is.inter wu (Dag.reads_of dag v)) in
-           if not (Is.is_empty ww && Is.is_empty rw) then
-             if not (Dag.reachable reach u v || Dag.reachable reach v u) then begin
-               let write_write = not (Is.is_empty ww) in
-               let overlap = if write_write then ww else rw in
-               races := { u; v; overlap; write_write } :: !races;
-               incr count;
-               if !count >= limit then raise Exit
-             end
-         done
-     done
-   with Exit -> ());
-  List.rev !races
-
-let race_free ?max_vertices dag = find_races ~limit:1 ?max_vertices dag = []
-
 let pp_race dag ppf r =
   Format.fprintf ppf "%s race between #%d(%s) and #%d(%s) on %a"
     (if r.write_write then "write-write" else "read-write")

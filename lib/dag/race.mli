@@ -1,12 +1,13 @@
-(** Determinacy-race detection on algorithm DAGs.
+(** Determinacy races on algorithm DAGs.
 
     Two vertices race when their footprints conflict (write/write or
     read/write overlap) and neither is an ancestor of the other.  The
     paper's fire-rule sets are supposed to serialize every pair of subtasks
-    that write the same region; this module verifies that property for the
-    DAGs the DRS produces (experiment E8), and it is how we detected that
-    the literal MM rule set from Section 2 of the paper leaves a
-    write-write race (see DESIGN.md). *)
+    that write the same region.  [Nd_analyze.Esp_bags] checks that
+    property for the DAGs the DRS produces (experiment E8) and reports
+    each unordered pair as a {!race}; it is how we detected that the
+    literal MM rule set from Section 2 of the paper leaves a write-write
+    race (see DESIGN.md). *)
 
 type race = {
   u : Dag.vertex_id;
@@ -14,37 +15,5 @@ type race = {
   overlap : Nd_util.Interval_set.t;  (** conflicting addresses *)
   write_write : bool;  (** [false] means a read/write conflict *)
 }
-
-(** Raised by {!find_races} / {!race_free} when the DAG has more than
-    {!max_vertices} vertices: the exact checker needs the full
-    {!Dag.reachability} closure, whose quadratic bit-matrix would not fit.
-    The failure is deliberate and loud — an oversized program must never
-    be silently reported race-free.  Catch it to fall back to the
-    near-linear [Nd_analyze.Esp_bags] detector. *)
-exception Limit_exceeded of { vertices : int; limit : int }
-
-(** Built-in size cap of the exact checker, 60_000 vertices (a full
-    closure at that size is a ~450 MB bit-matrix). *)
-val default_max_vertices : int
-
-(** Effective default cap: {!default_max_vertices} unless the
-    [NDSIM_RACE_MAX] environment variable holds a positive integer, which
-    then overrides it (read once at module initialization; malformed or
-    non-positive values fall back to the built-in cap).  Raise it to push
-    the exact checker past 60k vertices at the price of quadratic memory,
-    or lower it to fail fast onto the [Esp_bags] path. *)
-val max_vertices : int
-
-(** [find_races ?limit ?max_vertices dag] returns up to [limit]
-    (default 16) races, or [[]] when the DAG is determinacy-race free.
-    Exact: uses full reachability.  [max_vertices] overrides the cap for
-    this call only (default {!max_vertices}).
-    @raise Limit_exceeded when the DAG exceeds the cap. *)
-val find_races : ?limit:int -> ?max_vertices:int -> Dag.t -> race list
-
-(** [race_free ?max_vertices dag] is
-    [find_races ~limit:1 ?max_vertices dag = \[\]].
-    @raise Limit_exceeded when the DAG exceeds the cap. *)
-val race_free : ?max_vertices:int -> Dag.t -> bool
 
 val pp_race : Dag.t -> Format.formatter -> race -> unit

@@ -320,7 +320,7 @@ let e8_rules () =
       | None -> (name, "corrected")
     in
     let p = Workload.compile w in
-    let races = Nd_dag.Race.find_races ~limit:64 (Nd.Program.dag p) in
+    let races = Nd_analyze.Esp_bags.find_races ~limit:64 p in
     w.Workload.reset ();
     Nd.Serial_exec.run ~rng:(Nd_util.Prng.create 99) p;
     Table.add_row t

@@ -1,12 +1,7 @@
 open Nd
 
-let q_star_split program ~m =
-  let d = Program.decompose program ~m in
-  let sizes =
-    Array.fold_left (fun acc t -> acc + Program.size program t) 0 d.Program.tasks
-  in
-  (sizes, d.Program.n_glue)
-
 let q_star program ~m =
-  let sizes, glue = q_star_split program ~m in
-  sizes + glue
+  let d = Program.decompose program ~m in
+  Array.fold_left
+    (fun acc t -> acc + Program.size program t)
+    d.Program.n_glue d.Program.tasks

@@ -9,6 +9,3 @@
 (** [q_star program ~m] — the PCC at cache size [m].
     @raise Invalid_argument if [m < 1]. *)
 val q_star : Nd.Program.t -> m:int -> int
-
-(** [q_star_split program ~m] returns [(sum_of_task_sizes, n_glue)]. *)
-val q_star_split : Nd.Program.t -> m:int -> int * int

@@ -97,5 +97,5 @@ val desktop : unit -> t
 val server : unit -> t
 
 (** [scaled ~top_caches ()] — the desktop socket replicated
-    [top_caches] times (used for the E4 processor-scaling sweep). *)
+    [top_caches] times. *)
 val scaled : top_caches:int -> unit -> t

@@ -70,5 +70,3 @@ let pop t =
   end
   else t.data.(0) <- None;
   (top.key, top.value)
-
-let peek_key t = if t.n = 0 then raise Not_found else (get t 0).key

@@ -21,7 +21,3 @@ val push : 'a t -> int -> 'a -> unit
 (** [pop t] removes and returns the minimum-key element [(key, v)].
     @raise Not_found when empty. *)
 val pop : 'a t -> int * 'a
-
-(** [peek_key t] returns the minimum key without removing.
-    @raise Not_found when empty. *)
-val peek_key : 'a t -> int

@@ -150,6 +150,4 @@ module Sync = struct
   let record t v = Mutex.protect t.lock (fun () -> record t.h v)
 
   let snapshot t = Mutex.protect t.lock (fun () -> copy t.h)
-
-  let merge_into ~into t = Mutex.protect t.lock (fun () -> merge ~into t.h)
 end

@@ -72,7 +72,4 @@ module Sync : sig
 
   (** A private, consistent copy — safe to read lock-free. *)
   val snapshot : t -> histogram
-
-  (** Merge a consistent view of [t] into the (caller-private) [into]. *)
-  val merge_into : into:histogram -> t -> unit
 end

@@ -29,8 +29,6 @@ let interval lo hi =
   if lo > hi then invalid_arg "Interval_set.interval: lo > hi";
   if lo = hi then empty else [| lo; hi |]
 
-let singleton x = [| x; x + 1 |]
-
 let strided ~lo ~width ~stride ~count =
   if width < 0 || count < 0 || stride < width then
     invalid_arg "Interval_set.strided: negative size or stride < width";

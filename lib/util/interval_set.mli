@@ -38,9 +38,6 @@ val is_empty : t -> bool
     @raise Invalid_argument if [lo > hi]. *)
 val interval : int -> int -> t
 
-(** [singleton x] is the one-element set [{x}]. *)
-val singleton : int -> t
-
 (** [strided ~lo ~width ~stride ~count] is the run [\[lo + i·stride,
     lo + i·stride + width)] for [i < count], e.g. the footprint of a
     row-major block, built straight into its canonical layout: one

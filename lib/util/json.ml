@@ -27,67 +27,7 @@ let escape_to buf s =
     s;
   Buffer.add_char buf '"'
 
-(* ASCII-only escaping: every non-ASCII scalar value becomes \uXXXX, with
-   astral-plane characters encoded as UTF-16 surrogate pairs — the form
-   Chrome's trace viewer and strict JSON consumers expect.  Only valid
-   UTF-8 round-trips byte-exactly: a malformed byte is escaped as its own
-   code point (there is no JSON escape denoting a raw invalid byte). *)
-let escape_ascii_to buf s =
-  Buffer.add_char buf '"';
-  let n = String.length s in
-  let i = ref 0 in
-  while !i < n do
-    let c = s.[!i] in
-    (match c with
-    | '"' ->
-      Buffer.add_string buf "\\\"";
-      incr i
-    | '\\' ->
-      Buffer.add_string buf "\\\\";
-      incr i
-    | '\n' ->
-      Buffer.add_string buf "\\n";
-      incr i
-    | '\r' ->
-      Buffer.add_string buf "\\r";
-      incr i
-    | '\t' ->
-      Buffer.add_string buf "\\t";
-      incr i
-    | '\b' ->
-      Buffer.add_string buf "\\b";
-      incr i
-    | '\012' ->
-      Buffer.add_string buf "\\f";
-      incr i
-    | c when Char.code c < 0x20 ->
-      Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
-      incr i
-    | c when Char.code c < 0x80 ->
-      Buffer.add_char buf c;
-      incr i
-    | _ ->
-      let d = String.get_utf_8_uchar s !i in
-      if Uchar.utf_decode_is_valid d then begin
-        let cp = Uchar.to_int (Uchar.utf_decode_uchar d) in
-        if cp < 0x10000 then Buffer.add_string buf (Printf.sprintf "\\u%04x" cp)
-        else begin
-          let u = cp - 0x10000 in
-          Buffer.add_string buf
-            (Printf.sprintf "\\u%04x\\u%04x"
-               (0xd800 lor (u lsr 10))
-               (0xdc00 lor (u land 0x3ff)))
-        end;
-        i := !i + Uchar.utf_decode_length d
-      end
-      else begin
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c));
-        incr i
-      end)
-  done;
-  Buffer.add_char buf '"'
-
-let rec write ~escape buf v =
+let rec write buf v =
   match v with
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
@@ -99,13 +39,13 @@ let rec write ~escape buf v =
       Buffer.add_string buf s
     end
     else Buffer.add_string buf "null"
-  | String s -> escape buf s
+  | String s -> escape_to buf s
   | List l ->
     Buffer.add_char buf '[';
     List.iteri
       (fun i x ->
         if i > 0 then Buffer.add_char buf ',';
-        write ~escape buf x)
+        write buf x)
       l;
     Buffer.add_char buf ']'
   | Obj fields ->
@@ -113,22 +53,17 @@ let rec write ~escape buf v =
     List.iteri
       (fun i (k, x) ->
         if i > 0 then Buffer.add_char buf ',';
-        escape buf k;
+        escape_to buf k;
         Buffer.add_char buf ':';
-        write ~escape buf x)
+        write buf x)
       fields;
     Buffer.add_char buf '}'
 
-let to_buffer buf v = write ~escape:escape_to buf v
+let to_buffer = write
 
 let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
-  Buffer.contents buf
-
-let to_string_ascii v =
-  let buf = Buffer.create 256 in
-  write ~escape:escape_ascii_to buf v;
   Buffer.contents buf
 
 let to_channel oc v =

@@ -21,12 +21,6 @@ val to_buffer : Buffer.t -> t -> unit
 
 val to_string : t -> string
 
-(** [to_string_ascii v] serializes with every non-ASCII character escaped
-    as [\uXXXX] — astral-plane characters become UTF-16 surrogate pairs.
-    Strings must be valid UTF-8 to round-trip byte-exactly; malformed
-    bytes are escaped as individual code points. *)
-val to_string_ascii : t -> string
-
 (** [to_channel oc v] writes the value followed by a newline. *)
 val to_channel : out_channel -> t -> unit
 

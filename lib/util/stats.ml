@@ -3,21 +3,6 @@ let mean l =
   | [] -> invalid_arg "Stats.mean: empty"
   | _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
 
-let stdev l =
-  match l with
-  | [] | [ _ ] -> 0.
-  | _ ->
-    let m = mean l in
-    let ss = List.fold_left (fun acc x -> acc +. ((x -. m) ** 2.)) 0. l in
-    sqrt (ss /. float_of_int (List.length l - 1))
-
-let geomean l =
-  match l with
-  | [] -> invalid_arg "Stats.geomean: empty"
-  | _ ->
-    let s = List.fold_left (fun acc x -> acc +. log x) 0. l in
-    exp (s /. float_of_int (List.length l))
-
 let linear_fit xs ys =
   let n = List.length xs in
   if n < 2 || n <> List.length ys then
@@ -48,8 +33,6 @@ let power_fit xs ys =
   let lx = List.map log xs and ly = List.map log ys in
   let slope, intercept, r2 = linear_fit lx ly in
   (slope, exp intercept, r2)
-
-let ratio_trend xs ys f = List.map2 (fun x y -> y /. f x) xs ys
 
 let spread l =
   match l with

@@ -4,25 +4,12 @@
 
 val mean : float list -> float
 
-val stdev : float list -> float
-
-val geomean : float list -> float
-
-(** [linear_fit xs ys] returns [(slope, intercept, r2)] of the ordinary
-    least-squares line through the points.
-    @raise Invalid_argument on fewer than two points or length mismatch. *)
-val linear_fit : float list -> float list -> float * float * float
-
 (** [power_fit xs ys] fits [y = c * x^e] by linear regression in log-log
     space and returns [(e, c, r2)].  Points with non-positive coordinates
     are rejected with [Invalid_argument]. *)
 val power_fit : float list -> float list -> float * float * float
 
-(** [ratio_trend xs ys f] returns the list of [y /. f x] — the standard way
-    we check a measured quantity against a claimed growth [f]: the ratios
-    should be flat (bounded above and below by constants). *)
-val ratio_trend : float list -> float list -> (float -> float) -> float list
-
-(** [spread l] is [max l /. min l] — flatness measure of a ratio trend.
+(** [spread l] is [max l /. min l] — flatness measure of a list of
+    ratios [y /. f x] of a measured quantity to a claimed growth [f].
     @raise Invalid_argument on an empty list or non-positive minimum. *)
 val spread : float list -> float

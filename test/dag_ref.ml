@@ -226,18 +226,10 @@ let sources t =
   done;
   !acc
 
-let sinks t =
-  let acc = ref [] in
-  for v = t.n - 1 downto 0 do
-    if t.vertices.(v).succs = [] then acc := v :: !acc
-  done;
-  !acc
-
 type reachability = { nbits : int; words : int; bits : Bytes.t }
 (* row v = descendants of v (including v), packed little-endian bit per id *)
 
-let reachability ?(max_vertices = 60_000) t =
-  if t.n > max_vertices then invalid_arg "Dag.reachability: too many vertices";
+let reachability t =
   let words = (t.n + 7) / 8 in
   let bits = Bytes.make (t.n * words) '\000' in
   let set row v =

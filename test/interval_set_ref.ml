@@ -17,8 +17,6 @@ let interval lo hi =
   if lo > hi then invalid_arg "Interval_set.interval: lo > hi";
   if lo = hi then [] else [ (lo, hi) ]
 
-let singleton x = [ (x, x + 1) ]
-
 (* Normalize an arbitrary interval list: sort then coalesce. *)
 let normalize l =
   let l = List.filter (fun (lo, hi) -> lo < hi) l in

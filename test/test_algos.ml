@@ -7,7 +7,7 @@ open Nd_algos
    including the multicore executors' — computes the right answer. *)
 let check_workload ?(orders = 3) ~tol name (w : Workload.t) =
   let p = Workload.compile w in
-  (match Nd_dag.Race.find_races ~limit:4 (Nd.Program.dag p) with
+  (match Race_ref.find_races ~limit:4 (Nd.Program.dag p) with
   | [] -> ()
   | races ->
     Alcotest.failf "%s: %d races, first: %s" name (List.length races)
@@ -86,7 +86,7 @@ let test_literal_rules_racy () =
   let racy name w =
     let p = Workload.compile w in
     Alcotest.(check bool) (name ^ " literal is racy") false
-      (Nd_dag.Race.race_free (Nd.Program.dag p))
+      (Race_ref.race_free (Nd.Program.dag p))
   in
   racy "mm" (Matmul.workload ~variant:Matmul.Literal ~n:16 ~base:2 ~seed:2 ());
   racy "trs" (Trs.workload ~variant:Trs.Literal ~n:16 ~base:2 ~seed:2 ());

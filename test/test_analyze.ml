@@ -1,8 +1,9 @@
 (* Static-analysis tests (Nd_analyze): the ESP-bags detector must agree
-   with the exact reachability checker on every generated spec and every
-   packaged workload, must keep working past the exact checker's vertex
-   cap, and the fire-rule linter must flag each defect class in its
-   catalogue — and stay quiet on the shipped (corrected) rule sets.
+   with the exhaustive search over the DAG's reachability closure
+   (test/race_ref.ml) on every generated spec and every packaged
+   workload, must answer programs of any size, and the fire-rule linter
+   must flag each defect class in its catalogue — and stay quiet on the
+   shipped (corrected) rule sets.
 
    NDSIM_STRESS_ITERS scales the generated corpus (default 3; nightly
    CI soaks with 1000).  The corpus floor is 500 cases even at the
@@ -12,7 +13,6 @@ module Gen = Nd_check.Gen
 module Esp = Nd_analyze.Esp_bags
 module Lint = Nd_analyze.Lint
 module Footprint = Nd_analyze.Footprint
-module Race = Nd_dag.Race
 module Json = Nd_util.Json
 open Nd
 
@@ -33,7 +33,7 @@ let test_esp_matches_exact_corpus () =
     match Program.compile ~registry:inst.Gen.registry inst.Gen.tree with
     | exception Invalid_argument _ -> ()
     | p ->
-      let exact = Race.race_free (Program.dag p) in
+      let exact = Race_ref.race_free (Program.dag p) in
       let esp = Esp.race_free p in
       if esp <> exact then
         Alcotest.failf "seed %d: ESP race_free=%b, exact race_free=%b@.%a"
@@ -62,7 +62,7 @@ let check_workload_agreement (w : Nd_algos.Workload.t) =
   List.iter
     (fun mode ->
       let p = Nd_algos.Workload.compile ~mode w in
-      let exact = Race.race_free (Program.dag p) in
+      let exact = Race_ref.race_free (Program.dag p) in
       let esp = Esp.race_free p in
       if esp <> exact then
         Alcotest.failf "%s n=%d %s: ESP race_free=%b, exact race_free=%b"
@@ -80,25 +80,121 @@ let test_esp_matches_exact_workloads () =
     workload_cases;
   List.iter (fun mk -> check_workload_agreement (mk ())) literal_cases
 
-(* ----------------- ESP past the exact checker's cap ------------------ *)
+(* ------------------- every reported race is real -------------------- *)
 
-let test_esp_beyond_exact_limit () =
-  (* FW-2D (apsp) at n=64 compiles to ~98k vertices — past
-     Race.max_vertices, so the exact checker must refuse and the ESP
-     pass must still answer; it also exercises both query paths (S-bag
-     hits and ~757k fire edges).  BENCH_3 covers the scaling sweep. *)
+(* The corpus cases compare verdicts only; here each pair ESP reports on
+   the racy literal rule sets must be unordered in the reachability
+   closure and carry the footprint conflict the record claims. *)
+let test_esp_races_are_real () =
+  let module Is = Nd_util.Interval_set in
+  let module Race = Nd_dag.Race in
+  List.iter
+    (fun mk ->
+      let w = mk () in
+      let p = Nd_algos.Workload.compile w in
+      let dag = Program.dag p in
+      let reach = Race_ref.reachability dag in
+      let reads = Nd_dag.Dag.reads_of dag and writes = Nd_dag.Dag.writes_of dag in
+      let what =
+        Printf.sprintf "%s n=%d" w.Nd_algos.Workload.name w.Nd_algos.Workload.n
+      in
+      let races = Esp.find_races ~limit:max_int p in
+      if races = [] then Alcotest.failf "%s: no race reported" what;
+      let pairs = Hashtbl.create 64 in
+      List.iter
+        (fun (r : Race.race) ->
+          let u = r.Race.u and v = r.Race.v in
+          if Hashtbl.mem pairs (min u v, max u v) then
+            Alcotest.failf "%s: pair %d/%d twice" what u v;
+          Hashtbl.add pairs (min u v, max u v) ();
+          if Race_ref.reachable reach u v || Race_ref.reachable reach v u then
+            Alcotest.failf "%s: %d and %d are ordered" what u v;
+          let ww = Is.inter (writes u) (writes v) in
+          let rw =
+            Is.union (Is.inter (reads u) (writes v)) (Is.inter (writes u) (reads v))
+          in
+          let write_write = not (Is.is_empty ww) in
+          let overlap = if write_write then ww else rw in
+          Alcotest.(check bool) (what ^ ": write_write") write_write r.Race.write_write;
+          if Is.is_empty overlap || not (Is.equal overlap r.Race.overlap) then
+            Alcotest.failf "%s: overlap of %d/%d is not their conflict" what u v)
+        races;
+      let exact = List.length (Race_ref.find_races ~limit:max_int dag) in
+      if List.length races > exact then
+        Alcotest.failf "%s: ESP reports %d pairs, exact finds %d" what
+          (List.length races) exact)
+    literal_cases
+
+(* ---------------------- the limit on reported races ------------------- *)
+
+let test_esp_limit () =
+  (* ndsim race lists 16, --explain 8, E8 counts 64: each limit must cut
+     the same serial-elision sequence *)
+  let w =
+    Nd_algos.Matmul.workload ~variant:Nd_algos.Matmul.Literal ~n:16 ~base:2
+      ~seed:7 ()
+  in
+  let p = Nd_algos.Workload.compile w in
+  let all = Esp.find_races ~limit:max_int p in
+  let total = List.length all in
+  if total <= 64 then Alcotest.failf "literal MM n=16: only %d races" total;
+  List.iter
+    (fun k ->
+      let got = Esp.find_races ~limit:k p in
+      Alcotest.(check int) (Printf.sprintf "limit %d: count" k) (min k total)
+        (List.length got);
+      Alcotest.(check bool) (Printf.sprintf "limit %d: a prefix" k) true
+        (got = List.filteri (fun i _ -> i < k) all);
+      Alcotest.(check int)
+        (Printf.sprintf "limit %d: diagnose" k)
+        (min k total)
+        (List.length (Esp.diagnose ~limit:k p)))
+    [ 1; 8; 16; 64; total; total + 1 ];
+  Alcotest.(check int) "default limit" 16 (List.length (Esp.find_races p))
+
+(* -------------------- E8's counts at its limit of 64 ------------------ *)
+
+let test_esp_e8_counts () =
+  (* E8 counts up to 64 races per row.  Uncapped, ESP reports fewer
+     pairs than the exhaustive search on literal mm and trs (it finds a
+     race at every racing location, not every racing pair), so the cap
+     is what keeps E8's column equal to the exact one *)
+  let seed = 20160215 and n = 16 and base = 2 in
+  let open Nd_algos in
+  let rows =
+    [
+      ("mm/literal", Matmul.workload ~variant:Matmul.Literal ~n ~base ~seed (), 64);
+      ("mm/safe", Matmul.workload ~variant:Matmul.Safe ~n ~base ~seed (), 0);
+      ("trs/literal", Trs.workload ~variant:Trs.Literal ~n ~base ~seed (), 64);
+      ("trs/corrected", Trs.workload ~variant:Trs.Corrected ~n ~base ~seed (), 0);
+      ("lcs/literal", Lcs.workload ~variant:`Literal ~n ~base ~seed (), 16);
+      ("lcs/corrected", Lcs.workload ~variant:`Corrected ~n ~base ~seed (), 0);
+      ("fw1d/literal", Fw1d.workload ~variant:`Literal ~n ~base ~seed (), 5);
+      ("fw1d/corrected", Fw1d.workload ~variant:`Corrected ~n ~base ~seed (), 0);
+      ("cholesky", Cholesky.workload ~n ~base ~seed (), 0);
+      ("apsp", Fw2d.workload ~n ~base ~seed (), 0);
+      ("lu", Lu.workload ~n ~base ~seed (), 0);
+    ]
+  in
+  List.iter
+    (fun (name, w, expected) ->
+      let p = Workload.compile w in
+      let esp = List.length (Esp.find_races ~limit:64 p) in
+      let exact = List.length (Race_ref.find_races ~limit:64 (Program.dag p)) in
+      Alcotest.(check int) (name ^ ": ESP") expected esp;
+      Alcotest.(check int) (name ^ ": exact") expected exact)
+    rows
+
+(* -------------------- ESP on a 98k-vertex program -------------------- *)
+
+let test_esp_large_program () =
+  (* FW-2D (apsp) at n=64 compiles to ~98k vertices, past what the
+     quadratic reference can hold; the ESP pass answers, and the program
+     exercises both query paths (S-bag hits and ~757k fire edges).
+     BENCH_3 covers the scaling sweep. *)
   let fam = Nd_experiments.Workloads.find "apsp" in
   let w = Nd_experiments.Workloads.build ~n:64 ~base:2 fam ~seed:7 in
   let p = Nd_algos.Workload.compile w in
-  let n = Nd_dag.Dag.n_vertices (Program.dag p) in
-  if n <= Race.max_vertices then
-    Alcotest.failf "apsp n=64 has only %d vertices (cap %d): not past the cap"
-      n Race.max_vertices;
-  (match Race.find_races (Program.dag p) with
-  | exception Race.Limit_exceeded { vertices; limit } ->
-    Alcotest.(check int) "reported vertex count" n vertices;
-    Alcotest.(check int) "reported limit" Race.max_vertices limit
-  | _ -> Alcotest.fail "exact checker did not raise Limit_exceeded");
   let v = Esp.analyze p in
   Alcotest.(check (list reject)) "ESP: race free" [] v.Esp.races;
   let s = v.Esp.stats in
@@ -126,8 +222,8 @@ let test_lint_rejects_literal_mm () =
       Alcotest.(check string) "lifted to the MM fire" "fire \"MM_literal\""
         f.Lint.subject)
     races;
-  (* the ESP diagnosis must carry the same LCA + pedigrees the exact
-     Rule_check diagnosis reports *)
+  (* the ESP diagnosis must carry LCA + pedigrees that the exhaustive
+     search's races lift to *)
   let p = Nd_algos.Workload.compile w in
   (* an ESP verdict already run lifts to the same findings *)
   Alcotest.(check string) "lint with the verdict of a race request"
@@ -139,7 +235,7 @@ let test_lint_rejects_literal_mm () =
       Pedigree.to_string f.Rule_check.dst_pedigree )
   in
   let exact =
-    List.map key (Rule_check.diagnose ~limit:1_000 p)
+    List.map key (Race_ref.diagnose ~limit:1_000 p)
   in
   List.iter
     (fun f ->
@@ -181,6 +277,31 @@ let test_esp_diagnoses_dropped_rule () =
       (Pedigree.to_string f.Rule_check.dst_pedigree)
   | other -> Alcotest.failf "expected exactly 1 finding, got %d" (List.length other)
 
+(* Par [r1; Seq [r2; w]]: r1 and r2 read cell 0 and w writes it.  w is
+   ordered after r2 but not after r1, so (r1, w) is the one race, and
+   only a reader antichain that still holds r1 when w writes finds it. *)
+let test_esp_keeps_parallel_readers () =
+  let cell = Nd_util.Interval_set.interval 0 1 and e = Nd_util.Interval_set.empty in
+  let s label ~reads ~writes =
+    Spawn_tree.leaf (Strand.make ~label ~work:1 ~reads ~writes ())
+  in
+  let p =
+    Program.compile ~registry:Fire_rule.empty_registry
+      (Spawn_tree.par
+         [
+           s "r1" ~reads:cell ~writes:e;
+           Spawn_tree.seq [ s "r2" ~reads:cell ~writes:e; s "w" ~reads:e ~writes:cell ];
+         ])
+  in
+  let dag = Program.dag p in
+  let labels (r : Nd_dag.Race.race) =
+    (Nd_dag.Dag.label dag r.Nd_dag.Race.u, Nd_dag.Dag.label dag r.Nd_dag.Race.v)
+  in
+  let pair = Alcotest.(list (pair string string)) in
+  Alcotest.check pair "exact" [ ("r1", "w") ]
+    (List.map labels (Race_ref.find_races dag));
+  Alcotest.check pair "ESP" [ ("r1", "w") ] (List.map labels (Esp.find_races p))
+
 (* -------------------- lint: registry defect classes ------------------ *)
 
 let strand label =
@@ -189,6 +310,9 @@ let strand label =
        ~writes:Nd_util.Interval_set.empty ())
 
 let find_ids id findings = List.filter (fun f -> f.Lint.id = id) findings
+
+let severity f =
+  match f.Lint.severity with Lint.Error -> "error" | Lint.Warning -> "warning"
 
 let test_lint_dangling_and_dead () =
   (* dangling: a rule's via names an undefined fire type *)
@@ -199,7 +323,7 @@ let test_lint_dangling_and_dead () =
   let fs = Lint.lint_registry dangling in
   (match find_ids "ND001" fs with
   | [ f ] ->
-    Alcotest.(check string) "severity" "error" (Lint.severity_name f.Lint.severity);
+    Alcotest.(check string) "severity" "error" (severity f);
     Alcotest.(check string) "subject" "H" f.Lint.subject
   | other -> Alcotest.failf "expected 1 ND001, got %d" (List.length other));
   (* dangling fire type used directly by the tree *)
@@ -229,7 +353,7 @@ let test_lint_dangling_and_dead () =
   (match find_ids "ND002" fs with
   | [ f ] ->
     Alcotest.(check string) "severity" "warning"
-      (Lint.severity_name f.Lint.severity);
+      (severity f);
     Alcotest.(check string) "subject" "H" f.Lint.subject;
     if not (Lint.has_errors fs = false) then
       Alcotest.fail "dead rule alone must not be an error"
@@ -284,7 +408,7 @@ let test_lint_footprint_overlap () =
   let tree = Spawn_tree.par [ w "x" (is 0 2); w "y" (is 1 3) ] in
   let fs = Lint.lint_tree Fire_rule.empty_registry tree in
   (match find_ids "ND008" fs with
-  | [ f ] -> Alcotest.(check string) "severity" "error" (Lint.severity_name f.Lint.severity)
+  | [ f ] -> Alcotest.(check string) "severity" "error" (severity f)
   | other -> Alcotest.failf "expected 1 ND008, got %d" (List.length other));
   (* the same overlap under Seq is ordered: no finding *)
   let tree = Spawn_tree.seq [ w "x" (is 0 2); w "y" (is 1 3) ] in
@@ -324,6 +448,30 @@ let test_lint_shipped_sets_clean () =
 
 (* -------------------------- JSON round-trip -------------------------- *)
 
+(* the reading a client of [ndsim lint --json] makes of one object *)
+let finding_of_json j =
+  (match j with
+  | Json.Obj fields ->
+    Alcotest.(check (list string)) "fields"
+      [ "id"; "severity"; "subject"; "message" ] (List.map fst fields)
+  | _ -> Alcotest.fail "finding is not an object");
+  let field k =
+    match Json.member k j with
+    | Some v -> Json.to_string_exn v
+    | None -> Alcotest.failf "missing field %s" k
+  in
+  let severity =
+    match field "severity" with
+    | "error" -> Lint.Error
+    | "warning" -> Lint.Warning
+    | s -> Alcotest.failf "unknown severity %S" s
+  in
+  { Lint.id = field "id"; severity; subject = field "subject"; message = field "message" }
+
+let json_round_trip findings =
+  List.map finding_of_json
+    (Json.to_list (Json.parse (Json.to_string (Lint.to_json findings))))
+
 let test_lint_json_roundtrip () =
   let w =
     Nd_algos.Matmul.workload ~variant:Nd_algos.Matmul.Literal ~n:8 ~base:2
@@ -334,24 +482,21 @@ let test_lint_json_roundtrip () =
       w.Nd_algos.Workload.tree
   in
   if findings = [] then Alcotest.fail "expected findings to round-trip";
-  let back =
-    Lint.of_json (Json.parse (Json.to_string (Lint.to_json findings)))
-  in
-  Alcotest.(check bool) "round-trip" true (back = findings)
+  Alcotest.(check bool) "round-trip" true (json_round_trip findings = findings)
 
 let test_lint_json_extended_catalogue () =
-  (* the structural checks ND010-ND013 must survive the codec too *)
-  let mk id = { Lint.id; severity = Lint.Warning; subject = "t"; message = id } in
-  let findings = List.map mk [ "ND010"; "ND011"; "ND012"; "ND013" ] in
-  let back =
-    Lint.of_json (Json.parse (Json.to_string (Lint.to_json findings)))
+  (* the structural ids ND010-ND013 and text that needs escaping *)
+  let mk id message = { Lint.id; severity = Lint.Warning; subject = "t"; message } in
+  let findings =
+    [
+      mk "ND010" "span \"sweep\"\n\tslope 1.02";
+      mk "ND011" "path a\\b";
+      mk "ND012" "\xce\xbb \xf0\x9f\x98\x80";
+      mk "ND013" "";
+    ]
   in
-  Alcotest.(check bool) "extended round-trip" true (back = findings);
-  (* an id outside the catalogue is a parse error, not a silent accept *)
-  let bogus = Json.to_string (Lint.to_json [ mk "ND999" ]) in
-  match Lint.of_json (Json.parse bogus) with
-  | exception Json.Parse_error _ -> ()
-  | _ -> Alcotest.fail "unknown id ND999 must be rejected"
+  Alcotest.(check bool) "extended round-trip" true
+    (json_round_trip findings = findings)
 
 (* ------------------ lint: structural cost catalogue ------------------ *)
 
@@ -584,11 +729,10 @@ let test_cost_alloc () =
 (* -------------- Cost at paper scale: pinned golden table -------------- *)
 
 let test_cost_paper_scale_golden () =
-  (* mm and apsp at n=512 — the apsp DAG (~98k vertices) is past the
-     exact Race cap, which is the point of the structural pass.  The DAG
-     still compiles (only the quadratic reachability refuses), so the
-     differential identity holds even here; the pinned numbers guard
-     against silent drift of either path. *)
+  (* mm and apsp at n=512, far past what a quadratic reachability
+     closure can hold, which is the point of the structural pass.  The
+     DAG still compiles, so the differential identity holds even here;
+     the pinned numbers guard against silent drift of either path. *)
   let golden =
     (* (algo, n, base, work, span, root_size, q_star at m=1365) *)
     [
@@ -601,9 +745,6 @@ let test_cost_paper_scale_golden () =
       let fam = Nd_experiments.Workloads.find name in
       let w = Nd_experiments.Workloads.build ~n ~base fam ~seed:7 in
       let p = Nd_algos.Workload.compile w in
-      if Nd_dag.Dag.n_vertices (Program.dag p) <= Race.default_max_vertices
-      then
-        Alcotest.failf "%s n=%d is not past the exact race cap" name n;
       check_cost_matches_exact ~what:(Printf.sprintf "%s n=%d" name n) p;
       let cost = Cost.of_program p in
       let r = Cost.report cost in
@@ -620,26 +761,6 @@ let test_cost_paper_scale_golden () =
       end)
     golden
 
-(* -------------------- race cap: per-call override -------------------- *)
-
-let test_race_max_vertices_override () =
-  let w =
-    Nd_experiments.Workloads.build ~n:8 ~base:2
-      (Nd_experiments.Workloads.find "mm") ~seed:7
-  in
-  let p = Nd_algos.Workload.compile w in
-  let dag = Program.dag p in
-  let n = Nd_dag.Dag.n_vertices dag in
-  if n <= 4 then Alcotest.fail "mm n=8 unexpectedly tiny";
-  (match Race.find_races ~max_vertices:4 dag with
-  | exception Race.Limit_exceeded { vertices; limit } ->
-    Alcotest.(check int) "vertices" n vertices;
-    Alcotest.(check int) "override cap" 4 limit
-  | _ -> Alcotest.fail "lowered cap did not trip");
-  (* a raised per-call cap admits the program *)
-  Alcotest.(check bool) "race free under raised cap" true
-    (Race.race_free ~max_vertices:(n + 1) dag)
-
 (* ----------------------------- registry ------------------------------ *)
 
 let () =
@@ -651,10 +772,16 @@ let () =
             test_esp_matches_exact_corpus;
           Alcotest.test_case "matches exact: workloads" `Quick
             test_esp_matches_exact_workloads;
-          Alcotest.test_case "works past the exact cap" `Slow
-            test_esp_beyond_exact_limit;
+          Alcotest.test_case "apsp n=64 (98k vertices)" `Slow
+            test_esp_large_program;
           Alcotest.test_case "diagnoses the dropped FG rule" `Quick
             test_esp_diagnoses_dropped_rule;
+          Alcotest.test_case "keeps parallel readers" `Quick
+            test_esp_keeps_parallel_readers;
+          Alcotest.test_case "reported races are real" `Quick
+            test_esp_races_are_real;
+          Alcotest.test_case "limit cuts one sequence" `Quick test_esp_limit;
+          Alcotest.test_case "E8 counts at limit 64" `Slow test_esp_e8_counts;
         ] );
       ( "lint",
         [
@@ -670,7 +797,7 @@ let () =
             test_lint_shipped_sets_clean;
           Alcotest.test_case "JSON round-trip" `Quick
             test_lint_json_roundtrip;
-          Alcotest.test_case "JSON extended catalogue + rejection" `Quick
+          Alcotest.test_case "JSON extended catalogue" `Quick
             test_lint_json_extended_catalogue;
           Alcotest.test_case "structural cost catalogue" `Quick
             test_lint_cost_catalogue;
@@ -690,10 +817,5 @@ let () =
           Alcotest.test_case "of_program allocation" `Quick test_cost_alloc;
           Alcotest.test_case "paper-scale golden" `Slow
             test_cost_paper_scale_golden;
-        ] );
-      ( "race-cap",
-        [
-          Alcotest.test_case "per-call max_vertices override" `Quick
-            test_race_max_vertices_override;
         ] );
     ]

@@ -15,6 +15,7 @@ module Explore = Nd_check.Explore
 module Deque = Nd_runtime.Deque
 module Fiber = Nd_runtime.Fiber_exec
 module Race = Nd_dag.Race
+module Esp = Nd_analyze.Esp_bags
 open Nd
 
 let stress_iters =
@@ -31,7 +32,14 @@ let test_spec_corpus () =
   for seed = 1_000 to 1_000 + count - 1 do
     let spec = Gen.generate ~seed () in
     match Oracle.check_spec spec with
-    | Ok _ -> ()
+    | Ok r ->
+      (* the oracle's one ESP-bags pass against the exhaustive search *)
+      let inst = Gen.build spec in
+      let p = Program.compile ~registry:inst.Gen.registry inst.Gen.tree in
+      let exact = Race_ref.race_free (Program.dag p) in
+      if r.Oracle.race_free <> exact then
+        Alcotest.failf "seed %d: oracle race_free=%b, exact race_free=%b@.%a"
+          seed r.Oracle.race_free exact Gen.pp spec
     | Error f ->
       let shrunk =
         Gen.shrink spec ~still_fails:(fun s ->
@@ -79,11 +87,11 @@ let test_mm_literal_rejected () =
   | Ok _ -> Alcotest.fail "oracle accepted the racy literal MM rules"
   | Error f -> Alcotest.(check string) "failing stage" "race" f.Oracle.stage);
   let p = Nd_algos.Workload.compile w in
-  (match Race.find_races (Program.dag p) with
+  (match Esp.find_races p with
   | [] -> Alcotest.fail "no race found in literal MM"
   | r :: _ ->
     Alcotest.(check bool) "write/write overlap" true r.Race.write_write);
-  match Rule_check.diagnose ~limit:1 p with
+  match Esp.diagnose ~limit:1 p with
   | [] -> Alcotest.fail "no diagnosis for literal MM"
   | f :: _ -> (
     match f.Rule_check.lca_kind with
@@ -119,13 +127,13 @@ let b_before_c = Fire_rule.rule [ 2 ] Fire_rule.Full [ 1 ]
 
 let test_complete_rule_set_clean () =
   let p = fg_program [ a_before_d; b_before_c ] in
-  Alcotest.(check bool) "race free" true (Race.race_free (Program.dag p));
-  Alcotest.(check int) "no findings" 0 (List.length (Rule_check.diagnose p))
+  Alcotest.(check bool) "race free" true (Esp.race_free p);
+  Alcotest.(check int) "no findings" 0 (List.length (Esp.diagnose p))
 
 let test_dropped_rule_diagnosed () =
   let p = fg_program [ a_before_d ] in
-  Alcotest.(check bool) "racy" false (Race.race_free (Program.dag p));
-  match Rule_check.diagnose p with
+  Alcotest.(check bool) "racy" false (Esp.race_free p);
+  match Esp.diagnose p with
   | [ f ] ->
     (match f.Rule_check.lca_kind with
     | Program.Fire "FG" -> ()

@@ -5,6 +5,17 @@ open Nd
 let strand ?(work = 1) ?(reads = Is.empty) ?(writes = Is.empty) label =
   Spawn_tree.leaf (Strand.make ~label ~work ~reads ~writes ())
 
+let analyze_tree ~registry t = Analysis.analyze (Program.compile ~registry t)
+
+(* every Fire replaced by Par [src; snk]: the (unsound in general)
+   zero-dependency projection, a lower bound on the ND span *)
+let rec parallelize_fires = function
+  | Spawn_tree.Leaf _ as t -> t
+  | Spawn_tree.Seq l -> Spawn_tree.Seq (List.map parallelize_fires l)
+  | Spawn_tree.Par l -> Spawn_tree.Par (List.map parallelize_fires l)
+  | Spawn_tree.Fire { src; snk; _ } ->
+    Spawn_tree.Par [ parallelize_fires src; parallelize_fires snk ]
+
 (* ---------------------------- pedigree ---------------------------- *)
 
 let test_pedigree () =
@@ -65,7 +76,7 @@ let test_projections () =
   (match Spawn_tree.serialize_fires t with
   | Spawn_tree.Seq [ _; _ ] -> ()
   | _ -> Alcotest.fail "serialize");
-  (match Spawn_tree.parallelize_fires t with
+  (match parallelize_fires t with
   | Spawn_tree.Par [ _; _ ] -> ()
   | _ -> Alcotest.fail "parallelize");
   Alcotest.(check (list string)) "fire types" [ "R" ] (Spawn_tree.fire_types t)
@@ -150,14 +161,14 @@ let test_main_fg_edges () =
   let b = leaf_vertex_by_label p "B" in
   let c = leaf_vertex_by_label p "C" in
   let d = leaf_vertex_by_label p "D" in
-  let r = Dag.reachability dag in
-  Alcotest.(check bool) "A->B" true (Dag.reachable r a b);
-  Alcotest.(check bool) "C->D" true (Dag.reachable r c d);
-  Alcotest.(check bool) "A->C (fire)" true (Dag.reachable r a c);
+  let r = Race_ref.reachability dag in
+  Alcotest.(check bool) "A->B" true (Race_ref.reachable r a b);
+  Alcotest.(check bool) "C->D" true (Race_ref.reachable r c d);
+  Alcotest.(check bool) "A->C (fire)" true (Race_ref.reachable r a c);
   Alcotest.(check bool) "B and C unordered" false
-    (Dag.reachable r b c || Dag.reachable r c b);
+    (Race_ref.reachable r b c || Race_ref.reachable r c b);
   Alcotest.(check bool) "B and D unordered" false
-    (Dag.reachable r b d || Dag.reachable r d b)
+    (Race_ref.reachable r b d || Race_ref.reachable r d b)
 
 let test_undefined_rule_rejected () =
   let t = Spawn_tree.fire ~rule:"nope" (strand "a") (strand "b") in
@@ -168,7 +179,7 @@ let test_undefined_rule_rejected () =
 let test_empty_rules_is_parallel () =
   let reg = Fire_rule.define Fire_rule.empty_registry "PAR" [] in
   let t = Spawn_tree.fire ~rule:"PAR" (strand "a") (strand "b") in
-  let r = Analysis.analyze_tree ~registry:reg t in
+  let r = analyze_tree ~registry:reg t in
   Alcotest.(check int) "span 1 = fully parallel" 1 r.Analysis.span
 
 let test_leaf_fire_full () =
@@ -178,7 +189,7 @@ let test_leaf_fire_full () =
       [ Fire_rule.rule [ 1 ] (Fire_rule.Named "R") [ 1 ] ]
   in
   let t = Spawn_tree.fire ~rule:"R" (strand "a") (strand "b") in
-  let r = Analysis.analyze_tree ~registry:reg t in
+  let r = analyze_tree ~registry:reg t in
   Alcotest.(check int) "span 2 = serialized" 2 r.Analysis.span
 
 (* ------------------- recursive fire rule example ------------------- *)
@@ -197,7 +208,7 @@ let test_recursive_rule () =
       [ Fire_rule.rule [ 2 ] (Fire_rule.Named "R") [ 1 ] ]
   in
   let t = Spawn_tree.fire ~rule:"R" (balanced 4) (balanced 4) in
-  let r = Analysis.analyze_tree ~registry:reg t in
+  let r = analyze_tree ~registry:reg t in
   (* rewriting: +<2> of source vs -<1> of sink recursively: ends with a
      single leaf-to-leaf edge: last leaf-group of src chains into first of
      sink: span = 2 (one src leaf then one sink leaf). *)
@@ -212,14 +223,14 @@ let test_no_progress_falls_back_to_full () =
       [ Fire_rule.rule [] (Fire_rule.Named "LOOP") [] ]
   in
   let t = Spawn_tree.fire ~rule:"LOOP" (balanced 2) (balanced 2) in
-  let r = Analysis.analyze_tree ~registry:reg t in
+  let r = analyze_tree ~registry:reg t in
   Alcotest.(check int) "span serialized" 2 r.Analysis.span
 
 (* --------------------------- rule check ---------------------------- *)
 
 let test_rule_check_clean () =
   let p = main_fg_program () in
-  Alcotest.(check int) "no findings" 0 (List.length (Rule_check.diagnose p))
+  Alcotest.(check int) "no findings" 0 (List.length (Race_ref.diagnose p))
 
 let test_rule_check_finds_missing_rule () =
   (* a fire with an empty rule set over conflicting strands: the race must
@@ -229,7 +240,7 @@ let test_rule_check_finds_missing_rule () =
   let reg = Fire_rule.define Fire_rule.empty_registry "EMPTY" [] in
   let t = Spawn_tree.fire ~rule:"EMPTY" (s "a") (s "b") in
   let p = Program.compile ~registry:reg t in
-  match Rule_check.diagnose p with
+  match Race_ref.diagnose p with
   | [ f ] ->
     (match f.Rule_check.lca_kind with
     | Program.Fire "EMPTY" -> ()
@@ -244,13 +255,21 @@ let test_pedigree_from () =
   let p = main_fg_program () in
   let root = Program.root p in
   (* leaf 2 = C: inside the fire's sink (child 2), first child of the seq *)
-  let c = Program.leaf_node p 2 in
+  let c = Program.leaf_vertex p 2 in
+  let lift u v =
+    Rule_check.lift p { Nd_dag.Race.u; v; overlap = Is.empty; write_write = true }
+  in
+  let f = lift (Program.leaf_vertex p 0) c in
+  Alcotest.(check string) "path to A" "<1.1>"
+    (Pedigree.to_string f.Rule_check.src_pedigree);
   Alcotest.(check string) "path to C" "<2.1>"
-    (Pedigree.to_string (Rule_check.pedigree_from p ~ancestor:root c));
+    (Pedigree.to_string f.Rule_check.dst_pedigree);
+  Alcotest.(check int) "lca of leaves" root f.Rule_check.lca;
+  let self = lift c c in
   Alcotest.(check string) "self" "<>"
-    (Pedigree.to_string (Rule_check.pedigree_from p ~ancestor:c c));
-  Alcotest.(check int) "lca of leaves" root
-    (Rule_check.lca p (Program.leaf_node p 0) c)
+    (Pedigree.to_string self.Rule_check.src_pedigree);
+  Alcotest.(check int) "lca of a leaf with itself" (Program.leaf_node p 2)
+    self.Rule_check.lca
 
 (* ------------------------- serial executor ------------------------- *)
 
@@ -396,10 +415,10 @@ let test_dag_acyclic_property =
   in
   QCheck2.Test.make ~name:"ND span between Par and Seq projections" ~count:100
     gen_tree (fun t ->
-      let nd = Analysis.analyze_tree ~registry:reg t in
+      let nd = analyze_tree ~registry:reg t in
       let np = Analysis.np_of ~registry:reg t in
       let par =
-        Analysis.analyze_tree ~registry:reg (Spawn_tree.parallelize_fires t)
+        analyze_tree ~registry:reg (parallelize_fires t)
       in
       nd.Analysis.work = np.Analysis.work
       && nd.Analysis.span <= np.Analysis.span

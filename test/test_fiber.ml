@@ -13,7 +13,6 @@
 module Fiber = Nd_runtime.Fiber_exec
 module Executor = Nd_runtime.Executor
 module Gen = Nd_check.Gen
-module Race = Nd_dag.Race
 open Nd
 open Nd_algos
 
@@ -487,7 +486,7 @@ let check_three_way ~seed =
   let inst = Gen.build spec in
   let program = Program.compile ~registry:inst.Gen.registry inst.Gen.tree in
   let nleaves = Array.length inst.Gen.counts in
-  let race_free = Race.race_free (Program.dag program) in
+  let race_free = Race_ref.race_free (Program.dag program) in
   Gen.reset inst;
   Serial_exec.run_sequential program;
   let reference = Array.copy inst.Gen.memory in

@@ -27,10 +27,8 @@ let test_qstar_hand () =
   Alcotest.(check int) "m=16" 16 (Nd_mem.Pcc.q_star p ~m:16);
   (* m = 8: two tasks of 8, one glue node: 8+8+1 *)
   Alcotest.(check int) "m=8" 17 (Nd_mem.Pcc.q_star p ~m:8);
-  (* m = 4: four tasks, three glue *)
-  Alcotest.(check int) "m=4" 19 (Nd_mem.Pcc.q_star p ~m:4);
-  let sizes, glue = Nd_mem.Pcc.q_star_split p ~m:4 in
-  Alcotest.(check (pair int int)) "split" (16, 3) (sizes, glue)
+  (* m = 4: four tasks of 4, three glue *)
+  Alcotest.(check int) "m=4" 19 (Nd_mem.Pcc.q_star p ~m:4)
 
 let test_qstar_shape_mm () =
   (* Claim 1: Q*(N; M) = Theta(n^3 / sqrt(M)): quadrupling M halves Q* *)

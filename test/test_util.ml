@@ -10,7 +10,6 @@ let check_is msg expected actual =
 let test_interval_basic () =
   check_is "single" [ (3, 7) ] (Is.interval 3 7);
   check_is "empty" [] (Is.interval 5 5);
-  check_is "singleton" [ (4, 5) ] (Is.singleton 4);
   Alcotest.(check bool) "is_empty" true (Is.is_empty Is.empty);
   Alcotest.check_raises "lo>hi" (Invalid_argument "Interval_set.interval: lo > hi")
     (fun () -> ignore (Is.interval 7 3))
@@ -231,7 +230,6 @@ let prop_matches_reference =
       same_set "of_intervals a" a ra
       && same_set "of_intervals b" b rb
       && same_set "empty" Is.empty Ref.empty
-      && same_set "singleton" (Is.singleton x) (Ref.singleton x)
       && (if len >= 0 then
             same_set "interval" (Is.interval x (x + len))
               (Ref.interval x (x + len))
@@ -343,19 +341,8 @@ let test_footprint_words () =
 
 (* --------------------------- statistics --------------------------- *)
 
-let test_mean_stdev () =
-  Alcotest.(check (float 1e-9)) "mean" 2. (Stats.mean [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-9)) "stdev" 1. (Stats.stdev [ 1.; 2.; 3. ]);
-  Alcotest.(check (float 1e-9)) "stdev singleton" 0. (Stats.stdev [ 5. ]);
-  Alcotest.(check (float 1e-9)) "geomean" 2. (Stats.geomean [ 1.; 2.; 4. ])
-
-let test_linear_fit () =
-  let xs = [ 1.; 2.; 3.; 4. ] in
-  let ys = List.map (fun x -> (3. *. x) +. 1.) xs in
-  let slope, intercept, r2 = Stats.linear_fit xs ys in
-  Alcotest.(check (float 1e-9)) "slope" 3. slope;
-  Alcotest.(check (float 1e-9)) "intercept" 1. intercept;
-  Alcotest.(check (float 1e-9)) "r2" 1. r2
+let test_mean () =
+  Alcotest.(check (float 1e-9)) "mean" 2. (Stats.mean [ 1.; 2.; 3. ])
 
 let test_power_fit () =
   let xs = [ 2.; 4.; 8.; 16.; 32. ] in
@@ -365,12 +352,9 @@ let test_power_fit () =
   Alcotest.(check (float 1e-6)) "constant" 5. c;
   Alcotest.(check (float 1e-6)) "r2" 1. r2
 
-let test_ratio_trend () =
-  let xs = [ 1.; 2.; 4. ] in
-  let ys = [ 2.; 4.; 8. ] in
-  let r = Stats.ratio_trend xs ys (fun x -> x) in
-  Alcotest.(check (list (float 1e-9))) "flat" [ 2.; 2.; 2. ] r;
-  Alcotest.(check (float 1e-9)) "spread" 1. (Stats.spread r)
+let test_spread () =
+  Alcotest.(check (float 1e-9)) "flat" 1. (Stats.spread [ 2.; 2.; 2. ]);
+  Alcotest.(check (float 1e-9)) "max over min" 4. (Stats.spread [ 2.; 8.; 4. ])
 
 (* ----------------------------- prng ------------------------------ *)
 
@@ -422,7 +406,6 @@ let test_heap_order () =
   let h = Heap.create () in
   List.iter (fun k -> Heap.push h k (10 * k)) [ 5; 1; 4; 1; 3 ];
   Alcotest.(check int) "length" 5 (Heap.length h);
-  Alcotest.(check int) "peek" 1 (Heap.peek_key h);
   let keys = List.init 5 (fun _ -> fst (Heap.pop h)) in
   Alcotest.(check (list int)) "sorted" [ 1; 1; 3; 4; 5 ] keys;
   Alcotest.(check bool) "empty" true (Heap.is_empty h);
@@ -553,14 +536,6 @@ let test_json_surrogate_decode () =
       "\"\\ud83d\\ud83d\\ude00\"";
     ]
 
-let test_json_surrogate_encode () =
-  let s = utf8_string [ 0x1f600; 0x61; 0x10ffff ] in
-  let ascii = Json.to_string_ascii (Json.String s) in
-  Alcotest.(check bool) "pure ASCII" true
-    (String.for_all (fun c -> Char.code c < 0x80) ascii);
-  Alcotest.(check string) "escaped round-trip" s
-    (Json.to_string_exn (Json.parse ascii))
-
 (* valid Unicode scalar values, surrogate range excluded by construction *)
 let gen_unicode_string =
   QCheck2.Gen.(
@@ -576,11 +551,10 @@ let gen_unicode_string =
     map utf8_string (small_list cp))
 
 let prop_json_unicode_roundtrip =
-  QCheck2.Test.make ~name:"json: parse (to_string* s) = s" ~count:300
+  QCheck2.Test.make ~name:"json: parse (to_string s) = s" ~count:300
     gen_unicode_string (fun s ->
       let v = Json.String s in
-      Json.parse (Json.to_string v) = v
-      && Json.parse (Json.to_string_ascii v) = v)
+      Json.parse (Json.to_string v) = v)
 
 (* ---------------------------- int_set ----------------------------- *)
 
@@ -695,10 +669,9 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean/stdev/geomean" `Quick test_mean_stdev;
-          Alcotest.test_case "linear_fit" `Quick test_linear_fit;
+          Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "power_fit" `Quick test_power_fit;
-          Alcotest.test_case "ratio_trend" `Quick test_ratio_trend;
+          Alcotest.test_case "spread" `Quick test_spread;
         ] );
       ( "prng",
         [
@@ -719,8 +692,6 @@ let () =
         ] );
       ( "json",
         Alcotest.test_case "surrogate decode" `Quick test_json_surrogate_decode
-        :: Alcotest.test_case "surrogate encode" `Quick
-             test_json_surrogate_encode
         :: json_qsuite );
       ( "int_set",
         [
