@@ -26,6 +26,12 @@ let now_ns () = Mclock.now ()
 
 let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9
 
+(* the records go under bench-out/, never over the committed BENCH_*.json
+   of the directory the harness runs in *)
+let write_record table file =
+  if not (Sys.file_exists "bench-out") then Sys.mkdir "bench-out" 0o755;
+  Nd_util.Table.write_json table (Filename.concat "bench-out" file)
+
 (* repetitions per hand-rolled measurement; recorded in the JSON so the
    perf trajectory knows what it is comparing *)
 let bench_k = 3
@@ -219,7 +225,7 @@ let run_bench3 () =
       ("apsp", 16); ("apsp", 32); ("apsp", 64);
     ];
   Nd_util.Table.print table;
-  Nd_util.Table.write_json table "BENCH_3.json"
+  write_record table "BENCH_3.json"
 
 (* interval-granular vs word-exact LRU: same miss counts, wall-clock
    ratio.  The q1 rows replay whole programs through one cache; the
@@ -305,7 +311,7 @@ let run_bench4 () =
   in
   sweep_case "mm" 256 32 [ 0.2; 1. /. 3.; 0.5 ];
   Nd_util.Table.print table;
-  Nd_util.Table.write_json table "BENCH_4.json"
+  write_record table "BENCH_4.json"
 
 let () =
   let t0 = now_ns () in
@@ -329,7 +335,7 @@ let () =
       if selected name then begin
         let table = f () in
         Nd_util.Table.print table;
-        if name = "e9" then Nd_util.Table.write_json table "BENCH_2.json"
+        if name = "e9" then write_record table "BENCH_2.json"
       end)
     Nd_experiments.Suite.all;
   if selected "bench3" then run_bench3 ();

@@ -307,7 +307,7 @@ let analyze_cmd =
           (Lint.lint_cost ~machine ~procs ~has_fires cost @ sweep w)
       in
       let cert =
-        if no_certify then None else Some (Cost.certify_theorem1 ~cost p machine)
+        if no_certify then None else Some (Cost.certify_theorem1 p machine)
       in
       (w, cost, cert, findings)
     in

@@ -1,24 +1,14 @@
 (** Static structural cost of ND programs.
 
-    [of_program] reads a compiled program: exact work, span {e including
-    fire-edge chains} (the DAG's critical path), peak footprint, and the
-    per-level serial cache complexity [Q*(t; M)].  Work, leaves,
-    footprints and [Q*] come from one pass over the program's post-order
-    nodes, memoized per translation-normalized subtree {e shape}, so
-    regular divide-and-conquer algorithms pay for each distinct shape
-    once.  The sizes come from the shapes' own footprint unions, not
-    [Program.size], so [q_star] is derived independently of [Pcc.q_star].
-
-    [tree_span] is the compile-free span reference: a longest-path DP
-    over a DFS event numbering of the bare tree, which is a topological
-    order of the DAG the DRS would build (DESIGN.md §14).  Lint rule
-    ND010 sweeps it over problem sizes.
-
-    The numbers are exact, not bounds: the report's [work], [n_leaves],
-    [root_size] and [q_star] equal [Dag.work], [Spawn_tree.n_leaves],
-    [Program.size] and [Pcc.q_star], and [tree_span] equals [Dag.span]
-    and [Program.n_fire_edges], bit for bit (the oracle, the E12
-    experiment and [test_analyze] enforce this).
+    [of_program] reads a compiled program in one pass over its
+    post-order nodes: the peak footprint comes from that pass, work,
+    span {e including fire-edge chains} (the DAG's critical path) and
+    the leaf count from [Nd.Analysis.analyze], the root size from
+    [Program.size] and the fire pairs from [Program.n_fire_edges].  The
+    per-level serial cache complexity [Q*(t; M)] is
+    [Nd_mem.Pcc.q_star], which [certify_theorem1] reads at each level
+    of the machine.  The compile-free references these are tested
+    against live in [test/cost_ref.ml] (DESIGN.md §14).
 
     [peak_footprint] is the one conservative quantity: the maximum, over
     antichains of the tree, of the summed footprint sizes of
@@ -39,29 +29,13 @@ type report = {
   n_leaves : int;
   n_nodes : int;  (** spawn-tree nodes *)
   n_fire_edges : int;  (** distinct rewritten dataflow arrows *)
-  n_shapes : int;  (** distinct subtree shapes (memoization classes) *)
 }
 
-(** [of_program p]: span is [Dag.span (Program.dag p)] and the fire
-    pairs [Program.n_fire_edges p]; it walks no fire arrow. *)
+(** [of_program p]: one pass over [p]'s nodes for the peak; it walks no
+    fire arrow. *)
 val of_program : Nd.Program.t -> t
 
-type tree_span = { span : int; n_fire_edges : int }
-
-(** [tree_span ~registry tree]: the span and distinct fire pairs of
-    [Program.compile ~registry tree], from the tree and one DRS walk.
-    @raise Invalid_argument exactly where [Program.compile] does. *)
-val tree_span : registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> tree_span
-
 val report : t -> report
-
-(** [q_star t ~m] is the serial cache complexity of the m-maximal task
-    decomposition: the summed sizes of maximal tasks plus the number of
-    glue nodes — structurally identical to
-    [Nd_mem.Pcc.q_star (Program.compile ...) ~m], but computed by a
-    memoized recurrence over subtree shapes.
-    @raise Invalid_argument if [m < 1]. *)
-val q_star : t -> m:int -> int
 
 val pp_report : Format.formatter -> report -> unit
 
@@ -82,16 +56,14 @@ type certification = {
   certified : bool;  (** [misses <= bound] at every level *)
 }
 
-(** [certify_theorem1 ?sigma ?cost program machine] runs the
-    space-bounded scheduler under ρ accounting and checks the paper's
-    Theorem 1 cache bound: per-level misses at cache level [j] must not
-    exceed the static [Q*(t; sigma * M_j)].  [sigma] defaults to 1/3
-    (Lemma 6).  The bounds come from [cost] when the caller already has
-    [of_program program], else from a fresh one.
-    @raise Invalid_argument if [cost]'s node count or root size differs
-    from [program]'s: it is the cost of another program. *)
+(** [certify_theorem1 ?sigma program machine] runs the space-bounded
+    scheduler under ρ accounting and checks the paper's Theorem 1 cache
+    bound: per-level misses at cache level [j] must not exceed the
+    static [Q*(t; sigma * M_j)] ([Nd_mem.Pcc.q_star]).  [sigma] defaults
+    to 1/3 (Lemma 6).  The scheduler's level [j] is the same cut, so the
+    bounds read the decompositions its run has just memoized. *)
 val certify_theorem1 :
-  ?sigma:float -> ?cost:t -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
+  ?sigma:float -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
 
 val certification_to_json : certification -> Nd_util.Json.t
 

@@ -18,10 +18,6 @@ type conflict = {
   write_write : bool;
 }
 
-(** [footprints t] — the [(reads, writes)] union of the whole subtree. *)
-val footprints :
-  Nd.Spawn_tree.t -> Nd_util.Interval_set.t * Nd_util.Interval_set.t
-
 (** [check ?registry t] — all sibling conflicts, in DFS order.  With
     [registry], [Fire] nodes whose type resolves to an empty rule set
     are treated as [Par]; without it only [Par] nodes are checked. *)

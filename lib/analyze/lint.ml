@@ -349,8 +349,8 @@ let lint_cost ?machine ?procs ~has_fires cost =
          r.Cost.span);
   List.rev !fs
 
-(* ND010: the asymptotic version of ND007.  Runs the compile-free span
-   pass on a sweep of sizes for the ND tree, folds the span of its
+(* ND010: the asymptotic version of ND007.  Compiles the ND tree at a
+   sweep of sizes, takes each DAG's span, folds the span of its
    fully-serialized NP projection, and judges whether the fires buy
    span {e asymptotically}: a flat NP/ND span ratio means at best a
    constant factor. *)
@@ -361,7 +361,7 @@ let lint_span_sweep ~subject ~build sizes =
         let registry, tree = build n in
         if Spawn_tree.fire_types tree = [] then None
         else
-          let nd = (Cost.tree_span ~registry tree).Cost.span in
+          let nd = Dag.span (Program.dag (Program.compile ~registry tree)) in
           Some (n, nd, Spawn_tree.np_span tree))
       (List.sort_uniq compare sizes)
   in

@@ -30,9 +30,8 @@
       ({!Esp_bags}), reported with the same LCA + pedigree diagnosis as
       {!Nd.Rule_check}.
     - [ND010] {e warning} — span not recovered {e asymptotically}: over
-      a size sweep of {!Cost.tree_span}, the NP/ND span ratio
-      does not grow (the static, asymptotic version of ND007; needs no
-      DAG, so it runs at sizes ND007 cannot).  The NP side is the
+      a size sweep of compiled DAG spans, the NP/ND span ratio does not
+      grow (the asymptotic version of ND007).  The NP side is the
       {!Nd.Spawn_tree.np_span} fold, not a second span pass.
     - [ND011] {e warning} — peak footprint exceeds the outermost cache
       level of a given PMH: no [tree_sched] budget below the working set
@@ -99,8 +98,9 @@ val lint_cost :
   finding list
 
 (** [lint_span_sweep ~subject ~build sizes] — ND010.  [build n] yields
-    the registry and spawn tree at problem size [n]; the sweep runs
-    {!Cost.tree_span} on the ND tree at each size, folds the span of its
+    the registry and spawn tree at problem size [n]; the sweep takes
+    the span of the ND tree's compiled DAG at each size
+    ([Program.compile], [Dag.span]), folds the span of its
     [serialize_fires] projection ({!Nd.Spawn_tree.np_span}), and warns
     when the NP/ND span ratio does not grow (no asymptotic span
     recovery).  Trees without fires

@@ -288,52 +288,20 @@ let check_executing cfg program ~reset ~verify =
 
 (* ---------------------- structural cost analysis --------------------- *)
 
-(* The structural Cost pass must agree bit-for-bit with every exact
-   quantity the DAG path defines (work, root footprint size, Q* at every
-   capacity the sigma sweep touches) and count the bare tree's leaves,
-   the compile-free pass must agree with the DAG's span and the
-   program's fire pairs, and the SB-simulated per-level ρ misses must
-   obey the static Theorem 1 bound Q*(t; sigma * M_j) at every sigma. *)
-let check_cost cfg program ~work ~span =
+(* The structural Cost pass must count the bare tree's leaves, and the
+   SB-simulated per-level ρ misses must obey the static Theorem 1 bound
+   Q*(t; sigma * M_j) at every sigma. *)
+let check_cost cfg program =
   let stage = "cost" in
-  let cost = guard stage (fun () -> Cost.of_program program) in
-  let registry = Nd.Program.registry program in
-  let tree = guard stage (fun () -> Cost.tree_span ~registry (Nd.Program.tree program)) in
-  let r = Cost.report cost and pairs = Nd.Program.n_fire_edges program in
-  if r.Cost.work <> work then
-    fail stage "structural work %d <> DAG work %d" r.Cost.work work;
-  if (tree.Cost.span, tree.Cost.n_fire_edges) <> (span, pairs) then
-    fail stage "tree span and fire pairs (%d, %d) <> DAG's (%d, %d)"
-      tree.Cost.span tree.Cost.n_fire_edges span pairs;
+  let r = guard stage (fun () -> Cost.report (Cost.of_program program)) in
   let leaves = Nd.Spawn_tree.n_leaves (Nd.Program.tree program) in
   if r.Cost.n_leaves <> leaves then
     fail stage "structural n_leaves %d <> the tree's %d" r.Cost.n_leaves leaves;
-  let root_size = Nd.Program.size program (Nd.Program.root program) in
-  if r.Cost.root_size <> root_size then
-    fail stage "structural root size %d <> exact %d" r.Cost.root_size
-      root_size;
-  let ms =
-    List.sort_uniq compare
-      (1 :: 2
-      :: List.concat_map
-           (fun sigma ->
-             List.init (Pmh.n_levels cfg.machine) (fun j ->
-                 max 1
-                   (int_of_float
-                      (sigma *. float_of_int (Pmh.size cfg.machine ~level:(j + 1))))))
-           cfg.sigmas)
-  in
-  List.iter
-    (fun m ->
-      let q = Cost.q_star cost ~m and qe = Nd_mem.Pcc.q_star program ~m in
-      if q <> qe then fail stage "structural Q*(m=%d) %d <> exact %d" m q qe)
-    ms;
   List.iter
     (fun sigma ->
       let stage = Printf.sprintf "cost theorem1 sigma=%.2f" sigma in
       let c =
-        guard stage (fun () ->
-            Cost.certify_theorem1 ~sigma ~cost program cfg.machine)
+        guard stage (fun () -> Cost.certify_theorem1 ~sigma program cfg.machine)
       in
       if not c.Cost.certified then
         fail stage "Theorem 1 violated:@ %s"
@@ -367,7 +335,7 @@ let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
       + check_sb cfg program ~work ~span
       + check_ws cfg program ~work ~span
       + check_sim_shard cfg program ~work
-      + check_cost cfg program ~work ~span
+      + check_cost cfg program
       + check_zoo cfg program ~work ~span
       + check_executing cfg program ~reset ~verify
     in

@@ -2,9 +2,9 @@
     a [⇝] arrow is rewritten through the registered rule sets.
 
     {!Program.compile} (DAG edges, fire edges and the rule tallies the
-    dead-rule lint, ND002, reads) and the compile-free span pass
-    ([Nd_analyze.Cost.tree_span]) call {!rewrite}, each over its own copy of the
-    same post-order node layout.  The walk is the paper's: a fire node seeds the arrow
+    dead-rule lint, ND002, reads) calls {!rewrite}, and so does the
+    compile-free span reference of the tests ([test/cost_ref.ml]), over
+    its own copy of the same post-order node layout.  The walk is the paper's: a fire node seeds the arrow
     [(src, snk, rule)]; each rule [+p ⇝R -q] of the set resolves [p]
     below the source and [q] below the sink — stopping at the deepest
     existing node — and recurses on [R], or emits a full edge for [;].
@@ -49,7 +49,7 @@ type use = {
     pairs, and their order, that test_core checks against the reference
     walk of [test/drs_ref.ml].  A caller that needs each pair once
     drops the repeats itself ({!Program.compile} after sorting the
-    pairs, [Cost.tree_span] with an {!Nd_util.Int_set}).  The result
+    pairs, the test-side span reference with an {!Nd_util.Int_set}).  The result
     lists every rule applied at least once, ordered by set name and
     then index.
 

@@ -523,12 +523,11 @@ let e12_cost () =
   let t =
     Table.create
       ~title:
-        "E12: structural cost analysis — Cost == exact DAG analysis, and \
-         Theorem-1 certification (SB misses <= Q*(sigma*M_j)) at paper \
-         scale"
+        "E12: structural cost analysis and Theorem-1 certification (SB \
+         misses <= Q*(sigma*M_j)) at paper scale"
       [
-        "algo"; "work"; "span"; "peak fp"; "root size"; "shapes"; "level";
-        "m"; "misses"; "Q*(sM_j)"; "certified";
+        "algo"; "work"; "span"; "peak fp"; "root size"; "level"; "m";
+        "misses"; "Q*(sM_j)"; "certified";
       ]
   in
   let machine = sim_machine ~top_caches:1 in
@@ -538,23 +537,8 @@ let e12_cost () =
       let fam = Workloads.find name in
       let w = Workloads.build ~n ~base fam ~seed in
       let p = Workload.compile w in
-      let cost = Cost.of_program p in
-      let r = Cost.report cost in
-      (* differential gate: the structural work and the compile-free
-         span and fire pairs must reproduce the exact quantities on
-         every row (the base=16 rows are past the exact Race cap — the
-         DAG itself still compiles fine there) *)
-      let exact = Nd.Analysis.analyze p in
-      let tree = Cost.tree_span ~registry:w.Workload.registry w.Workload.tree in
-      let got = (r.Cost.work, tree.Cost.span, tree.Cost.n_fire_edges)
-      and want = Nd.Analysis.(exact.work, exact.span, Nd.Program.n_fire_edges p) in
-      if got <> want then begin
-        let show (a, b, c) = Printf.sprintf "(%d, %d, %d)" a b c in
-        failwith
-          (Printf.sprintf "E12: %s n=%d: work, tree span, fire pairs %s <> exact %s" name n
-             (show got) (show want))
-      end;
-      let c = Cost.certify_theorem1 ~sigma ~cost p machine in
+      let r = Cost.report (Cost.of_program p) in
+      let c = Cost.certify_theorem1 ~sigma p machine in
       (* the load-bearing acceptance check: every row of the shipped
          table is a certified Theorem-1 instance or the suite run fails *)
       if not c.Cost.certified then
@@ -570,7 +554,6 @@ let e12_cost () =
               Table.cell_int r.Cost.span;
               Table.cell_int r.Cost.peak_footprint;
               Table.cell_int r.Cost.root_size;
-              Table.cell_int r.Cost.n_shapes;
               Table.cell_int l.Cost.level;
               Table.cell_int l.Cost.m;
               Table.cell_int l.Cost.misses;
@@ -579,8 +562,7 @@ let e12_cost () =
             ])
         c.Cost.levels)
     (* every workload family at the E10 paper scales, plus the mm/apsp
-       n=512 base=16 rows whose ~98k-vertex DAGs are past the exact
-       race-checker cap — the scale the structural pass exists for *)
+       n=512 base=16 rows and their ~98k-vertex DAGs *)
     [
       ("mm", 512, 32); ("mm", 512, 16); ("mm8", 64, 4); ("trs", 64, 4);
       ("cholesky", 64, 4); ("lu", 64, 4); ("apsp", 64, 4);

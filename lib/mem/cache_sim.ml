@@ -476,11 +476,6 @@ let create ?impl ~m () =
 
 let impl = function W _ -> Word | I _ -> Interval
 
-let access t addr =
-  match t with
-  | W w -> word_access w addr
-  | I i -> int_access_range i addr (addr + 1) > 0
-
 let access_set t fp =
   match t with
   | W w ->

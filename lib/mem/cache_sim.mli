@@ -41,9 +41,6 @@ val create : ?impl:impl -> m:int -> unit -> t
 
 val impl : t -> impl
 
-(** [access t addr] touches one word; returns [true] on a miss. *)
-val access : t -> int -> bool
-
 (** [access_set t fp] touches every word of a footprint (in address
     order) and returns the number of misses. *)
 val access_set : t -> Nd_util.Interval_set.t -> int

@@ -176,7 +176,7 @@ let handle_analyze st wk ~top =
       let w, p = compiled st wk in
       let module Cost = Nd_analyze.Cost in
       let cost = Cost.of_program p in
-      let cert = Cost.certify_theorem1 ~cost p (standard_machine ~top) in
+      let cert = Cost.certify_theorem1 p (standard_machine ~top) in
       Json.Obj
         (wk_fields w
         @ [

@@ -32,8 +32,6 @@ val min_value : t -> int
 
 val max_value : t -> int
 
-val mean : t -> float
-
 (** [percentile t q] for [q] in [0..1]: an upper bound for the value at
     rank [ceil (q * count)], exact below 16 and within one
     sub-bucket above.  0 when empty. *)

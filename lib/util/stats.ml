@@ -1,8 +1,3 @@
-let mean l =
-  match l with
-  | [] -> invalid_arg "Stats.mean: empty"
-  | _ -> List.fold_left ( +. ) 0. l /. float_of_int (List.length l)
-
 let linear_fit xs ys =
   let n = List.length xs in
   if n < 2 || n <> List.length ys then
@@ -33,12 +28,3 @@ let power_fit xs ys =
   let lx = List.map log xs and ly = List.map log ys in
   let slope, intercept, r2 = linear_fit lx ly in
   (slope, exp intercept, r2)
-
-let spread l =
-  match l with
-  | [] -> invalid_arg "Stats.spread: empty"
-  | _ ->
-    let mn = List.fold_left min (List.hd l) l in
-    let mx = List.fold_left max (List.hd l) l in
-    if mn <= 0. then invalid_arg "Stats.spread: non-positive minimum";
-    mx /. mn

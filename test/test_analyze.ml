@@ -592,44 +592,36 @@ let test_lint_min_severity_filter () =
   | [ f ] -> Alcotest.(check string) "error only" "ND008" f.Lint.id
   | o -> Alcotest.failf "expected 1 finding, got %d" (List.length o)
 
-(* --------------- Cost == exact Analysis: generated corpus ------------ *)
+(* ------------- Cost and Pcc == the tree references ------------------ *)
 
 module Pcc = Nd_mem.Pcc
 
 let q_star_ms = [ 1; 2; 8; 64 ]
 
-(* [of_program]'s work, root size and Q* against the exact path's and
-   its leaves against the bare tree's, and the compile-free pass's span
-   and fire pairs against the DAG's and the program's *)
+(* [of_program]'s report and [Pcc.q_star] against [Cost_ref]'s
+   compile-free passes over the bare tree: work, root size, peak and
+   leaves from its footprint recursion, Q* from its serial recurrence,
+   and span and fire pairs from its event sweep *)
 let check_cost_matches_exact ~what p =
-  let cost = Cost.of_program p in
-  let tree = Cost.tree_span ~registry:(Program.registry p) (Program.tree p) in
-  let exact = Analysis.analyze p in
-  let r = Cost.report cost in
-  if r.Cost.work <> exact.Analysis.work then
-    Alcotest.failf "%s: Cost work %d <> exact %d" what r.Cost.work
-      exact.Analysis.work;
-  if tree.Cost.span <> exact.Analysis.span then
-    Alcotest.failf "%s: tree span %d <> exact %d" what tree.Cost.span
-      exact.Analysis.span;
-  let leaves = Spawn_tree.n_leaves (Program.tree p) in
-  if r.Cost.n_leaves <> leaves then
-    Alcotest.failf "%s: Cost n_leaves %d <> the tree's %d" what r.Cost.n_leaves
-      leaves;
-  let root_size = Program.size p (Program.root p) in
-  if r.Cost.root_size <> root_size then
-    Alcotest.failf "%s: Cost root_size %d <> exact %d" what r.Cost.root_size
-      root_size;
-  if tree.Cost.n_fire_edges <> Program.n_fire_edges p then
-    Alcotest.failf "%s: tree fire edges %d <> exact %d" what
-      tree.Cost.n_fire_edges
-      (Program.n_fire_edges p);
+  let r = Cost.report (Cost.of_program p) in
+  let tree = Program.tree p in
+  let want = Cost_ref.of_tree tree in
+  let ts = Cost_ref.tree_span ~registry:(Program.registry p) tree in
+  let check name got exp =
+    if got <> exp then
+      Alcotest.failf "%s: %s %d <> the reference's %d" what name got exp
+  in
+  check "work" r.Cost.work want.Cost_ref.work;
+  check "span" r.Cost.span ts.Cost_ref.span;
+  check "fire pairs" r.Cost.n_fire_edges ts.Cost_ref.n_fire_edges;
+  check "leaves" r.Cost.n_leaves want.Cost_ref.n_leaves;
+  check "root size" r.Cost.root_size want.Cost_ref.size;
+  check "peak" r.Cost.peak_footprint want.Cost_ref.peak;
   List.iter
     (fun m ->
-      let q = Cost.q_star cost ~m in
-      let qe = Pcc.q_star p ~m in
-      if q <> qe then
-        Alcotest.failf "%s: Cost Q*(m=%d) %d <> exact %d" what m q qe)
+      check
+        (Printf.sprintf "Pcc Q*(m=%d)" m)
+        (Pcc.q_star p ~m) (Cost_ref.q_star want ~m))
     q_star_ms
 
 let test_cost_matches_exact_corpus () =
@@ -642,10 +634,10 @@ let test_cost_matches_exact_corpus () =
     match Program.compile ~registry:inst.Gen.registry inst.Gen.tree with
     | exception Invalid_argument _ ->
       (* the compile-free pass must refuse the same programs *)
-      (match Cost.tree_span ~registry:inst.Gen.registry inst.Gen.tree with
+      (match Cost_ref.tree_span ~registry:inst.Gen.registry inst.Gen.tree with
       | exception Invalid_argument _ -> ()
       | _ ->
-        Alcotest.failf "seed %d: compile refused but Cost.tree_span passed"
+        Alcotest.failf "seed %d: compile refused but Cost_ref.tree_span passed"
           seed)
     | p -> check_cost_matches_exact ~what:(Printf.sprintf "seed %d" seed) p
   done
@@ -677,62 +669,128 @@ let test_cost_matches_exact_workloads () =
         p)
     workload_cases
 
-(* a caller's own structural pass gives the certificate a fresh one
-   gives, on every family; the previous family's cost, whose node count
-   or root size differs, is refused instead of certifying against
-   another program's bounds *)
-let test_certify_with_cost () =
+(* Seq [ Par [a; b]; Par [c; d] ], each strand of work 1 writing four
+   words except d, which writes two of a's: the peak is the larger Par's
+   sum, 8, where the root touches 12 words, and every Q* is worked by
+   hand (a node of size <= m costs its size, any other 1 plus its
+   children's) *)
+let test_cost_hand () =
+  let strand label lo hi =
+    Spawn_tree.leaf
+      (Strand.make ~label ~work:1 ~reads:Nd_util.Interval_set.empty
+         ~writes:(Nd_util.Interval_set.interval lo hi) ())
+  in
+  let tree =
+    Spawn_tree.seq
+      [
+        Spawn_tree.par [ strand "a" 0 4; strand "b" 4 8 ];
+        Spawn_tree.par [ strand "c" 8 12; strand "d" 0 2 ];
+      ]
+  in
+  let p = Program.compile ~registry:Fire_rule.empty_registry tree in
+  let r = Cost.report (Cost.of_program p) in
+  let want = Cost_ref.of_tree tree in
+  List.iter
+    (fun (name, exp, got, reference) ->
+      Alcotest.(check int) name exp got;
+      Alcotest.(check int) (name ^ ", Cost_ref") exp reference)
+    [
+      ("work", 4, r.Cost.work, want.Cost_ref.work);
+      ("root size", 12, r.Cost.root_size, want.Cost_ref.size);
+      ("peak", 8, r.Cost.peak_footprint, want.Cost_ref.peak);
+      ("leaves", 4, r.Cost.n_leaves, want.Cost_ref.n_leaves);
+    ];
+  Alcotest.(check int) "span" 2 r.Cost.span;
+  Alcotest.(check int) "nodes" 7 r.Cost.n_nodes;
+  List.iter
+    (fun (m, q) ->
+      let name = Printf.sprintf "Q*(m=%d)" m in
+      Alcotest.(check int) name q (Pcc.q_star p ~m);
+      Alcotest.(check int) (name ^ ", Cost_ref") q (Cost_ref.q_star want ~m))
+    [ (12, 12); (8, 15); (6, 16); (4, 17); (1, 17) ]
+
+(* certify_theorem1 bounds cache level j with Pcc.q_star at SB's own
+   capacity m = max 1 (floor (sigma * M_j)), against the misses of SB's
+   ρ run at the same sigma, and the bound holds on every family *)
+let test_certify_levels () =
   let machine = Nd_serve.Server.standard_machine ~top:1 in
-  let prev = ref None in
+  let n_levels = Nd_pmh.Pmh.n_levels machine in
   List.iter
     (fun fam ->
       let n = List.hd fam.Nd_experiments.Workloads.sizes in
-      let what = Printf.sprintf "%s n=%d" fam.Nd_experiments.Workloads.name n in
       let w = Nd_experiments.Workloads.build ~n fam ~seed:7 in
       let p = Nd_algos.Workload.compile w in
-      let cost = Cost.of_program p in
-      if Cost.certify_theorem1 ~cost p machine <> Cost.certify_theorem1 p machine
-      then Alcotest.failf "%s: certify_theorem1 ~cost differs" what;
-      (match !prev with
-      | None -> ()
-      | Some (other, other_cost) -> (
-        match Cost.certify_theorem1 ~cost:other_cost p machine with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.failf "%s: certified with %s's cost" what other));
-      prev := Some (what, cost))
+      List.iter
+        (fun sigma ->
+          let what =
+            Printf.sprintf "%s n=%d sigma=%.2f"
+              fam.Nd_experiments.Workloads.name n sigma
+          in
+          let c = Cost.certify_theorem1 ~sigma p machine in
+          let stats =
+            Nd_sched.Sb_sched.run ~sigma ~accounting:Nd_sched.Sb_sched.Rho p
+              machine
+          in
+          Alcotest.(check int) (what ^ " levels") n_levels
+            (List.length c.Cost.levels);
+          List.iteri
+            (fun j l ->
+              let m =
+                max 1
+                  (int_of_float
+                     (sigma
+                     *. float_of_int (Nd_pmh.Pmh.size machine ~level:(j + 1))))
+              in
+              let at = Printf.sprintf "%s level %d" what (j + 1) in
+              Alcotest.(check int) (at ^ " index") (j + 1) l.Cost.level;
+              Alcotest.(check int) (at ^ " m") m l.Cost.m;
+              Alcotest.(check int) (at ^ " bound") (Pcc.q_star p ~m)
+                l.Cost.bound;
+              Alcotest.(check int) (at ^ " misses")
+                stats.Nd_sched.Sb_sched.misses.(j) l.Cost.misses)
+            c.Cost.levels;
+          Alcotest.(check bool) (what ^ " certified") true c.Cost.certified)
+        [ 1. /. 3.; 0.5 ];
+      if
+        Cost.certify_theorem1 p machine
+        <> Cost.certify_theorem1 ~sigma:(1. /. 3.) p machine
+      then
+        Alcotest.failf "%s n=%d: sigma does not default to 1/3"
+          fam.Nd_experiments.Workloads.name n)
     Nd_experiments.Workloads.all
 
-(* of_program reads the compiled program instead of walking its tree
-   again: on mm n=32 b=2, one call after a warm-up allocates at most 40
-   words a spawn-tree node outside the minor heap (promoted plus
-   direct), where re-deriving the DAG from the tree, with a second DRS
-   walk and an edge list, allocates over 500 *)
+(* of_program reads the compiled program in one pass that keeps one int
+   a node: one call after a warm-up allocates at most 8 words a
+   spawn-tree node outside the minor heap (promoted plus direct), on mm
+   n=32 b=2 and on lcs n=1024 b=16, whose nodes are all distinct
+   subtrees *)
 let test_cost_alloc () =
-  let w =
-    Nd_experiments.Workloads.build ~n:32 ~base:2
-      (Nd_experiments.Workloads.find "mm") ~seed:1
-  in
-  let p = Nd_algos.Workload.compile w in
-  ignore (Cost.of_program p);
-  Gc.minor ();
-  let _, _, major0 = Gc.counters () in
-  let cost = Cost.of_program p in
-  let _, _, major1 = Gc.counters () in
-  let per_node = (major1 -. major0) /. float_of_int (Program.n_nodes p) in
-  if per_node > 40. then
-    Alcotest.failf
-      "of_program allocated %.0f words outside the minor heap, %.1f a node (%d nodes); \
-       the bound is 40"
-      (major1 -. major0) per_node (Program.n_nodes p);
-  ignore (Sys.opaque_identity cost)
+  List.iter
+    (fun (name, n, base) ->
+      let w =
+        Nd_experiments.Workloads.build ~n ~base
+          (Nd_experiments.Workloads.find name) ~seed:1
+      in
+      let p = Nd_algos.Workload.compile w in
+      ignore (Cost.of_program p);
+      Gc.minor ();
+      let _, _, major0 = Gc.counters () in
+      let cost = Cost.of_program p in
+      let _, _, major1 = Gc.counters () in
+      let per_node = (major1 -. major0) /. float_of_int (Program.n_nodes p) in
+      if per_node > 8. then
+        Alcotest.failf
+          "%s n=%d b=%d: of_program allocated %.0f words outside the minor \
+           heap, %.1f a node (%d nodes); the bound is 8"
+          name n base (major1 -. major0) per_node (Program.n_nodes p);
+      ignore (Sys.opaque_identity cost))
+    [ ("mm", 32, 2); ("lcs", 1024, 16) ]
 
 (* -------------- Cost at paper scale: pinned golden table -------------- *)
 
 let test_cost_paper_scale_golden () =
-  (* mm and apsp at n=512, far past what a quadratic reachability
-     closure can hold, which is the point of the structural pass.  The
-     DAG still compiles, so the differential identity holds even here;
-     the pinned numbers guard against silent drift of either path. *)
+  (* mm and apsp at n=512, ~98k-vertex DAGs: the references still agree
+     here, and the pinned numbers guard against silent drift of both *)
   let golden =
     (* (algo, n, base, work, span, root_size, q_star at m=1365) *)
     [
@@ -746,19 +804,11 @@ let test_cost_paper_scale_golden () =
       let w = Nd_experiments.Workloads.build ~n ~base fam ~seed:7 in
       let p = Nd_algos.Workload.compile w in
       check_cost_matches_exact ~what:(Printf.sprintf "%s n=%d" name n) p;
-      let cost = Cost.of_program p in
-      let r = Cost.report cost in
-      Printf.printf "GOLDEN %s n=%d base=%d: work=%d span=%d root=%d q1365=%d vertices=%d shapes=%d\n%!"
-        name n base r.Cost.work r.Cost.span r.Cost.root_size
-        (Cost.q_star cost ~m:1365)
-        (Nd_dag.Dag.n_vertices (Program.dag p)) r.Cost.n_shapes;
-      if work >= 0 then begin
-        Alcotest.(check int) (name ^ " work") work r.Cost.work;
-        Alcotest.(check int) (name ^ " span") span r.Cost.span;
-        Alcotest.(check int) (name ^ " root size") root_size r.Cost.root_size;
-        Alcotest.(check int) (name ^ " Q*(1365)") q1365
-          (Cost.q_star cost ~m:1365)
-      end)
+      let r = Cost.report (Cost.of_program p) in
+      Alcotest.(check int) (name ^ " work") work r.Cost.work;
+      Alcotest.(check int) (name ^ " span") span r.Cost.span;
+      Alcotest.(check int) (name ^ " root size") root_size r.Cost.root_size;
+      Alcotest.(check int) (name ^ " Q*(1365)") q1365 (Pcc.q_star p ~m:1365))
     golden
 
 (* ----------------------------- registry ------------------------------ *)
@@ -812,8 +862,10 @@ let () =
             test_cost_matches_exact_corpus;
           Alcotest.test_case "matches exact: workloads" `Quick
             test_cost_matches_exact_workloads;
-          Alcotest.test_case "certify with a given cost" `Quick
-            test_certify_with_cost;
+          Alcotest.test_case "hand example: peak and Q*" `Quick
+            test_cost_hand;
+          Alcotest.test_case "certify reads SB's level cuts" `Quick
+            test_certify_levels;
           Alcotest.test_case "of_program allocation" `Quick test_cost_alloc;
           Alcotest.test_case "paper-scale golden" `Slow
             test_cost_paper_scale_golden;

@@ -25,6 +25,21 @@ let stress_iters =
 
 (* --------------------- generated-spec corpus ------------------------ *)
 
+(* the capacities Theorem 1 reads at every sigma of the oracle's sweep,
+   plus m = 1 and 2, where nearly every inner node is glue *)
+let oracle_ms =
+  let cfg = Oracle.default_config in
+  let machine = cfg.Oracle.machine in
+  List.sort_uniq compare
+    (1 :: 2
+    :: List.concat_map
+         (fun sigma ->
+           List.init (Nd_pmh.Pmh.n_levels machine) (fun j ->
+               max 1
+                 (int_of_float
+                    (sigma *. float_of_int (Nd_pmh.Pmh.size machine ~level:(j + 1))))))
+         cfg.Oracle.sigmas)
+
 let test_spec_corpus () =
   (* bounded soak: 20 specs per stress iteration, seeds disjoint from
      the CI fuzz job's base seed 42 *)
@@ -39,7 +54,23 @@ let test_spec_corpus () =
       let exact = Race_ref.race_free (Program.dag p) in
       if r.Oracle.race_free <> exact then
         Alcotest.failf "seed %d: oracle race_free=%b, exact race_free=%b@.%a"
-          seed r.Oracle.race_free exact Gen.pp spec
+          seed r.Oracle.race_free exact Gen.pp spec;
+      (* its span, the fire pairs and Pcc's Q* against the compile-free
+         references *)
+      let ts = Cost_ref.tree_span ~registry:inst.Gen.registry inst.Gen.tree in
+      if (r.Oracle.span, Program.n_fire_edges p)
+         <> (ts.Cost_ref.span, ts.Cost_ref.n_fire_edges)
+      then
+        Alcotest.failf "seed %d: span and fire pairs (%d, %d) <> the tree's (%d, %d)"
+          seed r.Oracle.span (Program.n_fire_edges p) ts.Cost_ref.span
+          ts.Cost_ref.n_fire_edges;
+      let want = Cost_ref.of_tree inst.Gen.tree in
+      List.iter
+        (fun m ->
+          let q = Nd_mem.Pcc.q_star p ~m and qr = Cost_ref.q_star want ~m in
+          if q <> qr then
+            Alcotest.failf "seed %d: Pcc Q*(m=%d) %d <> the tree's %d" seed m q qr)
+        oracle_ms
     | Error f ->
       let shrunk =
         Gen.shrink spec ~still_fails:(fun s ->

@@ -70,15 +70,18 @@ let test_qstar_np_invariant () =
 
 (* --------------------------- cache sim ----------------------------- *)
 
+(* one word touched: true on a miss *)
+let access c a = Nd_mem.Cache_sim.access_set c (Is.interval a (a + 1)) = 1
+
 let test_lru_basic () =
   let c = Nd_mem.Cache_sim.create ~m:2 () in
-  Alcotest.(check bool) "1 miss" true (Nd_mem.Cache_sim.access c 1);
-  Alcotest.(check bool) "2 miss" true (Nd_mem.Cache_sim.access c 2);
-  Alcotest.(check bool) "1 hit" false (Nd_mem.Cache_sim.access c 1);
+  Alcotest.(check bool) "1 miss" true (access c 1);
+  Alcotest.(check bool) "2 miss" true (access c 2);
+  Alcotest.(check bool) "1 hit" false (access c 1);
   (* 3 evicts 2 (LRU) *)
-  Alcotest.(check bool) "3 miss" true (Nd_mem.Cache_sim.access c 3);
-  Alcotest.(check bool) "1 still hit" false (Nd_mem.Cache_sim.access c 1);
-  Alcotest.(check bool) "2 evicted" true (Nd_mem.Cache_sim.access c 2);
+  Alcotest.(check bool) "3 miss" true (access c 3);
+  Alcotest.(check bool) "1 still hit" false (access c 1);
+  Alcotest.(check bool) "2 evicted" true (access c 2);
   Alcotest.(check int) "misses" 4 (Nd_mem.Cache_sim.misses c);
   Alcotest.(check int) "accesses" 6 (Nd_mem.Cache_sim.accesses c)
 
@@ -125,8 +128,8 @@ let test_interval_split_evict () =
     (* cold fill *)
     record (Cs.access_set c (Is.interval 10 12));
     (* evicts the two oldest words: [0,2) out, [2,4) stays *)
-    record (if Cs.access c 2 then 1 else 0);
-    record (if Cs.access c 0 then 1 else 0);
+    record (if access c 2 then 1 else 0);
+    record (if access c 0 then 1 else 0);
     (* partial hit across the resident tail and a fresh run *)
     record (Cs.access_set c (Is.of_intervals [ (2, 3); (20, 22) ]));
     (* footprint wider than the cache: self-eviction path *)
@@ -158,8 +161,8 @@ let test_interval_equiv_random () =
     for s = 1 to steps do
       if Prng.int rng 4 = 0 then begin
         let a = Prng.int rng 160 in
-        let mw = Cs.access cw a in
-        let mi = Cs.access ci a in
+        let mw = access cw a in
+        let mi = access ci a in
         if mw <> mi then
           Alcotest.failf "trace %d step %d (m=%d): word %b / interval %b at %d"
             t s m mw mi a

@@ -341,9 +341,6 @@ let test_footprint_words () =
 
 (* --------------------------- statistics --------------------------- *)
 
-let test_mean () =
-  Alcotest.(check (float 1e-9)) "mean" 2. (Stats.mean [ 1.; 2.; 3. ])
-
 let test_power_fit () =
   let xs = [ 2.; 4.; 8.; 16.; 32. ] in
   let ys = List.map (fun x -> 5. *. (x ** 1.5)) xs in
@@ -352,9 +349,19 @@ let test_power_fit () =
   Alcotest.(check (float 1e-6)) "constant" 5. c;
   Alcotest.(check (float 1e-6)) "r2" 1. r2
 
-let test_spread () =
-  Alcotest.(check (float 1e-9)) "flat" 1. (Stats.spread [ 2.; 2.; 2. ]);
-  Alcotest.(check (float 1e-9)) "max over min" 4. (Stats.spread [ 2.; 8.; 4. ])
+(* log-log space has no place for a zero or negative coordinate *)
+let test_power_fit_rejects () =
+  List.iter
+    (fun (what, xs, ys) ->
+      match Stats.power_fit xs ys with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "power_fit accepted a %s" what)
+    [
+      ("zero x", [ 0.; 2.; 4. ], [ 1.; 2.; 3. ]);
+      ("negative x", [ 1.; -2.; 4. ], [ 1.; 2.; 3. ]);
+      ("zero y", [ 1.; 2.; 4. ], [ 1.; 0.; 3. ]);
+      ("negative y", [ 1.; 2.; 4. ], [ 1.; 2.; -3. ]);
+    ]
 
 (* ----------------------------- prng ------------------------------ *)
 
@@ -669,9 +676,9 @@ let () =
         ] );
       ( "stats",
         [
-          Alcotest.test_case "mean" `Quick test_mean;
           Alcotest.test_case "power_fit" `Quick test_power_fit;
-          Alcotest.test_case "spread" `Quick test_spread;
+          Alcotest.test_case "power_fit rejects non-positive points" `Quick
+            test_power_fit_rejects;
         ] );
       ( "prng",
         [
