@@ -32,24 +32,6 @@ let write_record table file =
   if not (Sys.file_exists "bench-out") then Sys.mkdir "bench-out" 0o755;
   Nd_util.Table.write_json table (Filename.concat "bench-out" file)
 
-(* repetitions per hand-rolled measurement; recorded in the JSON so the
-   perf trajectory knows what it is comparing *)
-let bench_k = 3
-
-(* one untimed warmup (page in the data, JIT the GC into shape), then
-   the min of [bench_k] timed runs on the monotonic clock — the minimum
-   estimates the noise-free cost when interference is strictly additive *)
-let time_min_of_k f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to bench_k do
-    let t0 = now_ns () in
-    ignore (f ());
-    let dt = seconds_since t0 in
-    if dt < !best then best := dt
-  done;
-  !best
-
 let bechamel_tests () =
   let mm = Matmul.workload ~n:32 ~base:4 ~seed () in
   let trs = Trs.workload ~n:32 ~base:4 ~seed () in
@@ -227,96 +209,10 @@ let run_bench3 () =
   Nd_util.Table.print table;
   write_record table "BENCH_3.json"
 
-(* interval-granular vs word-exact LRU: same miss counts, wall-clock
-   ratio.  The q1 rows replay whole programs through one cache; the
-   sigma-sweep row drives the SB scheduler in Lru accounting mode over a
-   sigma grid (decomposition memo + per-level access_set on the hot
-   path).  [k]/[agree] make the JSON self-describing for the perf
-   trajectory. *)
-let run_bench4 () =
-  let module Cs = Nd_mem.Cache_sim in
-  let table =
-    Nd_util.Table.create
-      ~title:"BENCH_4: interval-granular vs word-exact LRU simulation"
-      [ "case"; "k"; "word s"; "interval s"; "speedup"; "agree" ]
-  in
-  let add_row case word_s int_s agree =
-    Nd_util.Table.add_row table
-      [
-        case;
-        Nd_util.Table.cell_int bench_k;
-        Nd_util.Table.cell_float ~prec:4 word_s;
-        Nd_util.Table.cell_float ~prec:4 int_s;
-        Nd_util.Table.cell_float ~prec:1 (word_s /. int_s);
-        (if agree then "yes" else "NO");
-      ]
-  in
-  let q1_case algo n base m =
-    let fam = Nd_experiments.Workloads.find algo in
-    let w = Nd_experiments.Workloads.build ~n ~base fam ~seed in
-    let p = Workload.compile w in
-    let misses = Hashtbl.create 2 in
-    let run impl () =
-      let q = Cs.q1 ~impl p ~m in
-      Hashtbl.replace misses impl q;
-      q
-    in
-    let word_s = time_min_of_k (run Cs.Word) in
-    let int_s = time_min_of_k (run Cs.Interval) in
-    add_row
-      (Printf.sprintf "q1 %s n=%d b=%d M=%d" algo n base m)
-      word_s int_s
-      (Hashtbl.find misses Cs.Word = Hashtbl.find misses Cs.Interval)
-  in
-  q1_case "mm" 64 2 4096;
-  q1_case "mm" 512 32 4096;
-  q1_case "fw1d" 256 16 1024;
-  q1_case "fw1d" 512 16 1024;
-  let sweep_case algo n base sigmas =
-    let fam = Nd_experiments.Workloads.find algo in
-    let w = Nd_experiments.Workloads.build ~n ~base fam ~seed in
-    let p = Workload.compile w in
-    let machine =
-      Nd_pmh.Pmh.create ~root_fanout:1
-        [
-          { Nd_pmh.Pmh.size = 64; fanout = 1; miss_cost = 2 };
-          { Nd_pmh.Pmh.size = 512; fanout = 4; miss_cost = 8 };
-          { Nd_pmh.Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-        ]
-    in
-    let costs = Hashtbl.create 2 in
-    let run impl () =
-      Cs.set_default_impl impl;
-      let total =
-        List.fold_left
-          (fun acc sigma ->
-            let s =
-              Nd_sched.Sb_sched.run ~sigma ~accounting:Nd_sched.Sb_sched.Lru p
-                machine
-            in
-            acc + s.Nd_sched.Sb_sched.miss_cost)
-          0 sigmas
-      in
-      Hashtbl.replace costs impl total;
-      total
-    in
-    let word_s = time_min_of_k (run Cs.Word) in
-    let int_s = time_min_of_k (run Cs.Interval) in
-    Cs.set_default_impl Cs.Interval;
-    add_row
-      (Printf.sprintf "sb-lru sigma-sweep %s n=%d b=%d (%d sigmas)" algo n base
-         (List.length sigmas))
-      word_s int_s
-      (Hashtbl.find costs Cs.Word = Hashtbl.find costs Cs.Interval)
-  in
-  sweep_case "mm" 256 32 [ 0.2; 1. /. 3.; 0.5 ];
-  Nd_util.Table.print table;
-  write_record table "BENCH_4.json"
-
 let () =
   let t0 = now_ns () in
-  (* BENCH_ONLY=e2,bench4 restricts the run to a comma-separated subset
-     of sections ("memory", suite experiment names, "bench3", "bench4",
+  (* BENCH_ONLY=e2,bench3 restricts the run to a comma-separated subset
+     of sections ("memory", suite experiment names, "bench3",
      "bechamel") — lets CI fit a time budget without a separate
      harness *)
   let wanted =
@@ -339,6 +235,5 @@ let () =
       end)
     Nd_experiments.Suite.all;
   if selected "bench3" then run_bench3 ();
-  if selected "bench4" then run_bench4 ();
   if selected "bechamel" then run_bechamel ();
   Printf.printf "total bench time: %.1f s\n" (seconds_since t0)

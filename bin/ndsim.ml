@@ -264,8 +264,8 @@ let analyze_cmd =
     Arg.(value & flag
          & info [ "no-certify" ]
              ~doc:"Skip the Theorem-1 certification (which replays the \
-                   space-bounded scheduler); keep only the O(tree) static \
-                   pass.")
+                   space-bounded scheduler); keep only the static cost \
+                   report.")
   in
   let run algo n base seed np all top json no_certify strict min_severity =
     let min_severity = parse_min_severity min_severity in
@@ -359,11 +359,10 @@ let analyze_cmd =
   in
   Cmd.v
     (Cmd.info "analyze"
-       ~doc:"Structural cost analysis: one O(tree) pass computing work, \
-             span, peak footprint and the serial cache complexity Q* \
-             without materializing the DAG, plus Theorem-1 certification \
-             (SB per-level misses <= Q*(sigma*M_j)) and the asymptotic \
-             lint checks ND010-ND013.")
+       ~doc:"Structural cost analysis of the compiled program: work, \
+             span, peak footprint and the serial cache complexity Q*, \
+             plus Theorem-1 certification (SB per-level misses <= \
+             Q*(sigma*M_j)) and the asymptotic lint checks ND010-ND013.")
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ np_arg
           $ all_arg $ top_arg $ json_arg $ no_certify_arg $ strict_arg
           $ min_severity_arg)
@@ -383,9 +382,8 @@ let sb_cmd =
              ~doc:"Decoupled measurement mode: schedule under rho costs, then \
                    replay the recorded access trace against per-cache LRU \
                    simulators sharded across $(docv) domains (bit-identical \
-                   at every count).  Defaults to the NDSIM_SIM_WORKERS \
-                   environment variable when set; also prints the \
-                   per-(level,cache) miss table.")
+                   at every count), and also print the per-(level,cache) \
+                   miss table.  Without it SB charges rho costs inline.")
   in
   let run algo n base seed np top fine sim_workers trace_out =
     let w = build_workload algo n base seed in
@@ -397,12 +395,9 @@ let sb_cmd =
       | Some _ -> Nd_trace.Collector.create ~workers:(Pmh.n_procs machine) ()
     in
     let mode = if fine then Nd_sched.Sb_sched.Fine else Nd_sched.Sb_sched.Coarse in
-    let sim_workers =
-      match sim_workers with
-      | Some w when w >= 1 -> Some w
-      | Some w -> die_usage "--sim-workers %d: must be >= 1" w
-      | None -> Nd_mem.Shard_sim.env_workers ()
-    in
+    Option.iter
+      (fun w -> if w < 1 then die_usage "--sim-workers %d: must be >= 1" w)
+      sim_workers;
     Format.printf "machine: %s@." (Pmh.describe machine);
     let s = Nd_sched.Sb_sched.run ~mode ?sim_workers ~tracer p machine in
     Format.printf "SB(%s,%s%s): %a@."

@@ -22,6 +22,11 @@
       shared {!Nd_sched.Scheduler.S} face, compared on makespan,
       per-level misses and space high-water mark for every workload
       family at paper scale (recorded as BENCH_6.json in CI).
+    - E11 — sharded cache simulation: SB's decoupled measurement mode
+      replayed on one worker and on eight, with identical per-cache
+      miss tables (BENCH_7.json).
+    - E12 — structural cost analysis and Theorem-1 certification at
+      paper scale (BENCH_8.json).
 
     Each experiment function {e builds} and returns its table without
     printing; the drivers below print in suite order.  Experiments are
@@ -52,21 +57,19 @@ val e10_zoo : unit -> Nd_util.Table.t
 
 (** [e11_sharded_sim ()] — the sharded cache-simulation benchmark
     (BENCH_7): SB in decoupled measurement mode over a sigma sweep,
-    serial replay vs 8-worker sharded replay side by side, with a
-    miss-identical column.  The builder {e raises} if any sharded table
-    diverges from its serial reference, so a suite run doubles as the
-    bit-identity acceptance gate. *)
+    one-worker replay (the [serial] rows) vs 8-worker sharded replay
+    side by side, with a miss-identical column.  The builder {e raises}
+    if any sharded table diverges from the one-worker table, so a suite
+    run doubles as the bit-identity acceptance gate. *)
 val e11_sharded_sim : unit -> Nd_util.Table.t
 
 (** [e12_cost ()] — the structural cost-analysis table (BENCH_8): every
-    workload family at paper scale, plus mm/apsp n=512 base=16 whose
-    ~98k-vertex DAGs are past the exact race-checker cap.  Each row
-    carries the structural work/span/peak-footprint/root-size, the
-    shape-memo count, and the per-level SB ρ misses next to the static
-    Theorem-1 bound [Q*(sigma*M_j)].  The builder {e raises} if the
-    structural pass disagrees with the exact DAG analysis or if any
-    level's misses exceed the bound, so a suite run doubles as the
-    Theorem-1 certification gate. *)
+    workload family at paper scale, plus mm/apsp n=512 base=16 and
+    their ~98k-vertex DAGs.  Each row carries {!Nd_analyze.Cost}'s
+    work, span, peak footprint and root size, and the per-level SB ρ
+    misses next to the static Theorem-1 bound [Q*(sigma*M_j)].  The
+    builder {e raises} if any level's misses exceed the bound, so a
+    suite run doubles as the Theorem-1 certification gate. *)
 val e12_cost : unit -> Nd_util.Table.t
 
 (** [overview ()] — per-algorithm inventory (work, spans, DAG sizes) at

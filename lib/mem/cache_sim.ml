@@ -1,79 +1,6 @@
 module Is = Nd_util.Interval_set
 open Nd
 
-type impl = Word | Interval
-
-(* ------------------------------------------------------------------ *)
-(* Word-exact LRU: an intrusive doubly-linked list threaded through a  *)
-(* hashtable, one cell per resident word.  O(1) per word touched.      *)
-(* ------------------------------------------------------------------ *)
-
-type cell = {
-  addr : int;
-  mutable prev : cell option;
-  mutable next : cell option;
-}
-
-type word_t = {
-  w_capacity : int;
-  table : (int, cell) Hashtbl.t;
-  mutable head : cell option;  (* most recent *)
-  mutable tail : cell option;  (* least recent *)
-  mutable w_occupancy : int;
-  mutable w_misses : int;
-  mutable w_accesses : int;
-}
-
-let word_create ~m =
-  {
-    w_capacity = m;
-    table = Hashtbl.create (2 * m);
-    head = None;
-    tail = None;
-    w_occupancy = 0;
-    w_misses = 0;
-    w_accesses = 0;
-  }
-
-let unlink t cell =
-  (match cell.prev with
-  | Some p -> p.next <- cell.next
-  | None -> t.head <- cell.next);
-  (match cell.next with
-  | Some n -> n.prev <- cell.prev
-  | None -> t.tail <- cell.prev);
-  cell.prev <- None;
-  cell.next <- None
-
-let push_front t cell =
-  cell.next <- t.head;
-  cell.prev <- None;
-  (match t.head with Some h -> h.prev <- Some cell | None -> t.tail <- Some cell);
-  t.head <- Some cell
-
-let word_access t addr =
-  t.w_accesses <- t.w_accesses + 1;
-  match Hashtbl.find_opt t.table addr with
-  | Some cell ->
-    unlink t cell;
-    push_front t cell;
-    false
-  | None ->
-    t.w_misses <- t.w_misses + 1;
-    if t.w_occupancy >= t.w_capacity then begin
-      match t.tail with
-      | Some victim ->
-        unlink t victim;
-        Hashtbl.remove t.table victim.addr;
-        t.w_occupancy <- t.w_occupancy - 1
-      | None -> assert false
-    end;
-    let cell = { addr; prev = None; next = None } in
-    Hashtbl.replace t.table addr cell;
-    push_front t cell;
-    t.w_occupancy <- t.w_occupancy + 1;
-    true
-
 (* ------------------------------------------------------------------ *)
 (* Interval-granular LRU.                                              *)
 (*                                                                     *)
@@ -107,18 +34,18 @@ let word_access t addr =
 (*                                                                     *)
 (* Slot 0 is nil for every link and doubles as the splay's header.     *)
 (*                                                                     *)
-(* Miss counts are bit-identical to the word-exact simulator: the scan *)
-(* processes maximal hit/miss runs left to right and applies evictions *)
-(* eagerly between runs, so a previously-resident word that the word   *)
-(* simulator would evict before its own scan reaches it (footprints    *)
-(* larger than the remaining capacity) is re-classified as a miss      *)
-(* here, too.  Cost is amortized O(log #segments) per run instead of   *)
-(* O(1) per word — footprints built from block rows win by the block   *)
-(* length.                                                             *)
+(* Miss counts are bit-identical to a word-at-a-time LRU list (the     *)
+(* reference in test/lru_ref.ml): the scan processes maximal hit/miss  *)
+(* runs left to right and applies evictions eagerly between runs, so a *)
+(* previously-resident word that the word list would evict before its  *)
+(* own scan reaches it (footprints larger than the remaining capacity) *)
+(* is re-classified as a miss here, too.  Cost is amortized            *)
+(* O(log #segments) per run instead of O(1) per word — footprints      *)
+(* built from block rows win by the block length.                      *)
 (* ------------------------------------------------------------------ *)
 
-type int_t = {
-  i_capacity : int;
+type t = {
+  capacity : int;
   mutable seg_lo : int array;
   mutable seg_hi : int array;
   mutable stamp0 : int array;
@@ -131,18 +58,18 @@ type int_t = {
   mutable newest : int;
   mutable free : int;  (* vacated slots, chained through [newer] *)
   mutable used : int;  (* slots [1, used] have been handed out *)
-  mutable i_occupancy : int;
+  mutable occupancy : int;
   mutable clock : int;
-  mutable i_misses : int;
-  mutable i_accesses : int;
+  mutable misses : int;
 }
 
-let int_create ~m =
+let create ~m () =
+  if m < 1 then invalid_arg "Cache_sim.create: m < 1";
   (* at most [m] segments are live at once; start small, since a PMH
      has many caches *)
   let n = 1 + min m 15 in
   {
-    i_capacity = m;
+    capacity = m;
     seg_lo = Array.make n 0;
     seg_hi = Array.make n 0;
     stamp0 = Array.make n 0;
@@ -155,13 +82,12 @@ let int_create ~m =
     newest = 0;
     free = 0;
     used = 0;
-    i_occupancy = 0;
+    occupancy = 0;
     clock = 0;
-    i_misses = 0;
-    i_accesses = 0;
+    misses = 0;
   }
 
-let int_alloc t =
+let alloc t =
   let x = t.free in
   if x <> 0 then begin
     t.free <- t.newer.(x);
@@ -262,7 +188,7 @@ let link_after t x y =
   if n = 0 then t.newest <- y else t.older.(n) <- y
 
 (* Drop the root segment [x] from both structures and free its slot. *)
-let int_remove_root t x =
+let remove_root t x =
   let l = t.left.(x) and r = t.right.(x) in
   if l = 0 then t.root <- r
   else begin
@@ -282,33 +208,32 @@ let int_remove_root t x =
    current access's); once none is left only the scanned prefix of the
    current access remains, and its oldest words are the leftmost: the
    caller trims them from the segment it is about to insert. *)
-let int_evict t need =
+let evict t need =
   let need = ref need in
   while !need > 0 && t.oldest <> 0 do
     let x = t.oldest in
     let len = t.seg_hi.(x) - t.seg_lo.(x) in
     if len <= !need then begin
       t.root <- splay t t.root t.seg_lo.(x);
-      int_remove_root t x;
-      t.i_occupancy <- t.i_occupancy - len;
+      remove_root t x;
+      t.occupancy <- t.occupancy - len;
       need := !need - len
     end
     else begin
       (* the head shrinks from the left and stays the head *)
       t.seg_lo.(x) <- t.seg_lo.(x) + !need;
       t.stamp0.(x) <- t.stamp0.(x) + !need;
-      t.i_occupancy <- t.i_occupancy - !need;
+      t.occupancy <- t.occupancy - !need;
       need := 0
     end
   done;
   !need
 
 (* Touch every word of [lo, hi) in address order; returns the misses. *)
-let int_access_range t lo hi =
+let access_range t lo hi =
   if lo >= hi then 0
   else begin
-    t.i_accesses <- t.i_accesses + (hi - lo);
-    let miss0 = t.i_misses in
+    let miss0 = t.misses in
     let dropped = ref 0 in
     let cursor = ref lo in
     while !cursor < hi do
@@ -324,7 +249,7 @@ let int_access_range t lo hi =
           t.seg_hi.(x) <- c;
           if e < shi then begin
             (* the right remainder follows [x] by address and by stamp *)
-            let y = int_alloc t in
+            let y = alloc t in
             t.seg_lo.(y) <- e;
             t.seg_hi.(y) <- shi;
             t.stamp0.(y) <- t.stamp0.(x) + (e - slo);
@@ -338,7 +263,7 @@ let int_access_range t lo hi =
           t.seg_lo.(x) <- e;
           t.stamp0.(x) <- t.stamp0.(x) + (e - slo)
         end
-        else int_remove_root t x;
+        else remove_root t x;
         cursor := e
       end
       else begin
@@ -348,12 +273,12 @@ let int_access_range t lo hi =
         in
         let e = if next = 0 then hi else min t.seg_lo.(next) hi in
         let run = e - c in
-        t.i_misses <- t.i_misses + run;
-        t.i_occupancy <- t.i_occupancy + run;
-        if t.i_occupancy > t.i_capacity then begin
-          let rest = int_evict t (t.i_occupancy - t.i_capacity) in
+        t.misses <- t.misses + run;
+        t.occupancy <- t.occupancy + run;
+        if t.occupancy > t.capacity then begin
+          let rest = evict t (t.occupancy - t.capacity) in
           dropped := !dropped + rest;
-          t.i_occupancy <- t.i_occupancy - rest
+          t.occupancy <- t.occupancy - rest
         end;
         cursor := e
       end
@@ -362,7 +287,7 @@ let int_access_range t lo hi =
     if seg_lo < hi then begin
       (* the fresh segment overlaps nothing resident: every segment it
          met was carved or evicted *)
-      let y = int_alloc t in
+      let y = alloc t in
       t.seg_lo.(y) <- seg_lo;
       t.seg_hi.(y) <- hi;
       t.stamp0.(y) <- t.clock + !dropped;
@@ -386,10 +311,10 @@ let int_access_range t lo hi =
       link_after t t.newest y
     end;
     t.clock <- t.clock + (hi - lo);
-    t.i_misses - miss0
+    t.misses - miss0
   end
 
-let int_validate t =
+let validate t =
   let fail fmt = Printf.ksprintf failwith ("Cache_sim.validate: " ^^ fmt) in
   let in_tree = Bytes.make (Array.length t.seg_lo) '\000' in
   let segs = ref 0 and words = ref 0 and last_hi = ref min_int in
@@ -409,10 +334,10 @@ let int_validate t =
     end
   in
   walk t.root;
-  if !words <> t.i_occupancy then
-    fail "occupancy %d, but segments hold %d words" t.i_occupancy !words;
-  if t.i_occupancy > t.i_capacity then
-    fail "occupancy %d over capacity %d" t.i_occupancy t.i_capacity;
+  if !words <> t.occupancy then
+    fail "occupancy %d, but segments hold %d words" t.occupancy !words;
+  if t.occupancy > t.capacity then
+    fail "occupancy %d over capacity %d" t.occupancy t.capacity;
   let listed = ref 0 and prev = ref 0 and stamp_end = ref min_int in
   let x = ref t.oldest in
   while !x <> 0 do
@@ -446,57 +371,13 @@ let int_validate t =
   if !segs + !free <> t.used then
     fail "%d slots handed out, %d live and %d free" t.used !segs !free
 
-(* ------------------------------------------------------------------ *)
-(* Front end                                                           *)
-(* ------------------------------------------------------------------ *)
 
-type t = W of word_t | I of int_t
+let access_set t fp = Is.fold (fun lo hi acc -> acc + access_range t lo hi) fp 0
 
-let default = ref None
+let misses t = t.misses
 
-let default_impl () =
-  match !default with
-  | Some impl -> impl
-  | None ->
-    let impl =
-      match Sys.getenv_opt "NDSIM_CACHE_SIM" with
-      | Some ("word" | "WORD") -> Word
-      | Some _ | None -> Interval
-    in
-    default := Some impl;
-    impl
-
-let set_default_impl impl = default := Some impl
-
-let create ?impl ~m () =
-  if m < 1 then invalid_arg "Cache_sim.create: m < 1";
-  match (match impl with Some i -> i | None -> default_impl ()) with
-  | Word -> W (word_create ~m)
-  | Interval -> I (int_create ~m)
-
-let impl = function W _ -> Word | I _ -> Interval
-
-let access_set t fp =
-  match t with
-  | W w ->
-    let m = ref 0 in
-    Is.iter
-      (fun lo hi ->
-        for a = lo to hi - 1 do
-          if word_access w a then incr m
-        done)
-      fp;
-    !m
-  | I i -> Is.fold (fun lo hi acc -> acc + int_access_range i lo hi) fp 0
-
-let misses = function W w -> w.w_misses | I i -> i.i_misses
-
-let accesses = function W w -> w.w_accesses | I i -> i.i_accesses
-
-let validate = function W _ -> () | I i -> int_validate i
-
-let q1 ?impl program ~m =
-  let cache = create ?impl ~m () in
+let q1 program ~m =
+  let cache = create ~m () in
   let rec go tree =
     match tree with
     | Spawn_tree.Leaf s -> ignore (access_set cache (Strand.footprint s))

@@ -6,8 +6,8 @@
     processors below it, so shared levels pay for the contention between
     them.  This is the model the vertex-level schedulers (ws, pdf, tree)
     and the space-bounded scheduler's [Lru] accounting all charge, so
-    their miss columns are comparable.  {!Shard_sim}'s serial replay is
-    the independent reference it is tested against. *)
+    their miss columns are comparable.  [test_mem] tests it against an
+    interleaved pass over word-at-a-time LRU lists ([test/lru_ref.ml]). *)
 
 type t
 

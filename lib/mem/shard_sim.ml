@@ -1,14 +1,6 @@
 module Is = Nd_util.Interval_set
 module Pmh = Nd_pmh.Pmh
 
-let env_workers () =
-  match Sys.getenv_opt "NDSIM_SIM_WORKERS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some w when w >= 1 -> Some w
-    | Some _ | None -> None)
-  | None -> None
-
 module Trace = struct
   (* SoA: parallel proc/footprint arrays, doubling growth.  One entry
      per leaf strand executed, in simulation event order. *)
@@ -44,44 +36,20 @@ let machine_caches machine =
   Array.init (Pmh.n_levels machine) (fun i ->
       Pmh.n_caches machine ~level:(i + 1))
 
-(* ------------------------- serial reference ------------------------- *)
-
-(* One interleaved pass with every cache live at once — deliberately a
-   different code shape from the sharded path, so the differential tests
-   compare two independent implementations of the same access routing. *)
-let replay_serial ?impl ~machine trace =
-  let h = Pmh.n_levels machine in
-  let sims =
-    Array.init h (fun i ->
-        Array.init
-          (Pmh.n_caches machine ~level:(i + 1))
-          (fun _ ->
-            Cache_sim.create ?impl ~m:(Pmh.size machine ~level:(i + 1)) ()))
-  in
-  for k = 0 to Trace.length trace - 1 do
-    let proc = Trace.proc trace k and fp = Trace.footprint trace k in
-    for j = 1 to h do
-      let c = Pmh.cache_of_proc machine ~proc ~level:j in
-      ignore (Cache_sim.access_set sims.(j - 1).(c) fp)
-    done
-  done;
-  Miss_table.of_sims sims
-
-(* -------------------------- sharded replay -------------------------- *)
-
 (* Each shard owns a disjoint set of (level, cache) pairs and scans the
    whole trace once with private simulators: caches at different levels
-   and disjoint same-level caches evolve independently (DESIGN.md §10),
+   and disjoint same-level caches evolve independently (DESIGN.md §13.2),
    and each cache sees exactly the per-cache subsequence of the global
-   trace order, so the counts are bit-identical to the serial pass. *)
-let run_shard ?impl ~machine trace pairs =
+   trace order, so the counts do not depend on how the pairs are split:
+   one shard holding every pair gives the same table as any partition. *)
+let run_shard ~machine trace pairs =
   let h = Pmh.n_levels machine in
   let n_caches = machine_caches machine in
   let sims = Array.init h (fun i -> Array.make n_caches.(i) None) in
   Array.iter
     (fun (level, cache) ->
       sims.(level - 1).(cache) <-
-        Some (Cache_sim.create ?impl ~m:(Pmh.size machine ~level) ()))
+        Some (Cache_sim.create ~m:(Pmh.size machine ~level) ()))
     pairs;
   let levels =
     Array.of_list
@@ -108,21 +76,17 @@ let run_shard ?impl ~machine trace pairs =
     pairs;
   table
 
-let replay ?impl ~workers ~machine trace =
-  if workers <= 1 then replay_serial ?impl ~machine trace
-  else begin
-    let shards = Pmh.shard_pairs machine ~shards:workers in
-    let n = Array.length shards in
-    let tables = Array.make n None in
-    Nd_runtime.Executor.parallel_for ~workers n (fun _wid s ->
-        tables.(s) <- Some (run_shard ?impl ~machine trace shards.(s)));
-    let into = Miss_table.create ~n_caches:(machine_caches machine) in
-    Array.iteri
-      (fun s t ->
-        match t with
-        | Some t -> Miss_table.merge_exclusive ~into ~claims:shards.(s) t
-        | None -> invalid_arg "Shard_sim.replay: lost shard")
-      tables;
-    Miss_table.assert_complete into;
-    into
-  end
+let replay ~workers ~machine trace =
+  let shards = Pmh.shard_pairs machine ~shards:(max 1 workers) in
+  let tables = Array.make (Array.length shards) None in
+  Nd_runtime.Executor.parallel_for ~workers (Array.length shards) (fun _wid s ->
+      tables.(s) <- Some (run_shard ~machine trace shards.(s)));
+  let into = Miss_table.create ~n_caches:(machine_caches machine) in
+  Array.iteri
+    (fun s t ->
+      match t with
+      | Some t -> Miss_table.merge_exclusive ~into ~claims:shards.(s) t
+      | None -> invalid_arg "Shard_sim.replay: lost shard")
+    tables;
+  Miss_table.assert_complete into;
+  into

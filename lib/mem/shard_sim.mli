@@ -10,12 +10,12 @@
     access trace in event order, and replays it here.
 
     Replay is embarrassingly parallel: caches at different levels — and
-    disjoint same-level caches — evolve independently (DESIGN.md §10),
+    disjoint same-level caches — evolve independently (DESIGN.md §13),
     and each cache's access sequence is the per-cache subsequence of
     the recorded order, which any partition of the (level, cache) pairs
-    preserves.  So serial replay, sharded replay at any worker count,
-    and the word-exact reference implementation all produce
-    bit-identical miss tables; the differential harness in [test_mem]
+    preserves.  So replay at every worker count produces the same miss
+    table, and the same as an interleaved pass over word-at-a-time LRU
+    lists ([test/lru_ref.ml]); the differential harness in [test_mem]
     and the oracle's sim-shard stage enforce this. *)
 
 module Trace : sig
@@ -35,28 +35,13 @@ module Trace : sig
   val footprint : t -> int -> Nd_util.Interval_set.t
 end
 
-(** The [NDSIM_SIM_WORKERS] environment variable as a positive integer,
-    if set and well-formed. *)
-val env_workers : unit -> int option
-
-(** [replay_serial ?impl ~machine trace] — the serial reference: a
-    single interleaved pass over the trace with every (level, cache)
-    simulator live at once.  [impl] defaults to {!Cache_sim.create}'s
-    default. *)
-val replay_serial :
-  ?impl:Cache_sim.impl -> machine:Nd_pmh.Pmh.t -> Trace.t -> Miss_table.t
-
-(** [replay ?impl ~workers ~machine trace] — {!replay_serial} when
-    [workers <= 1]; otherwise the (level, cache) pairs are partitioned
-    with {!Nd_pmh.Pmh.shard_pairs}, each shard is simulated on its own
-    domain via [Executor.parallel_for] with private simulators, and the
-    shard tables fold through the partition-checked
-    {!Miss_table.merge_exclusive} (so a dropped or double-counted shard
-    raises rather than mis-counting).  The result is bit-identical to
-    {!replay_serial} at every worker count. *)
-val replay :
-  ?impl:Cache_sim.impl ->
-  workers:int ->
-  machine:Nd_pmh.Pmh.t ->
-  Trace.t ->
-  Miss_table.t
+(** [replay ~workers ~machine trace] — the (level, cache) pairs are
+    partitioned into at most [max 1 workers] shards with
+    {!Nd_pmh.Pmh.shard_pairs}, each shard is simulated with private
+    simulators on [Executor.parallel_for ~workers] (one shard runs on
+    the caller), and the shard tables fold through the
+    partition-checked {!Miss_table.merge_exclusive} and
+    {!Miss_table.assert_complete} (so a dropped or double-counted shard
+    raises rather than mis-counting).  The result is the same table at
+    every worker count. *)
+val replay : workers:int -> machine:Nd_pmh.Pmh.t -> Trace.t -> Miss_table.t

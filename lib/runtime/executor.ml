@@ -2,18 +2,13 @@ module Dag = Nd_dag.Dag
 module Trace = Nd_trace.Collector
 open Nd
 
-let env_workers () =
-  match Sys.getenv_opt "NDSIM_WORKERS" with
-  | Some s -> (
-    match int_of_string_opt (String.trim s) with
-    | Some w when w >= 1 -> Some w
-    | Some _ | None -> None)
-  | None -> None
-
 let default_workers () =
-  match env_workers () with
-  | Some w -> w
-  | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
+  match
+    Option.bind (Sys.getenv_opt "NDSIM_WORKERS") (fun s ->
+        int_of_string_opt (String.trim s))
+  with
+  | Some w when w >= 1 -> w
+  | Some _ | None -> max 1 (min 8 (Domain.recommended_domain_count ()))
 
 (* Capped exponential backoff for idle spin loops, shared by both
    executors.  Phase 1: doubling bursts of [cpu_relax] hints.  Phase 2:

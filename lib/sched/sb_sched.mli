@@ -68,8 +68,9 @@ exception Deadlock of string
     with that many workers, and [misses]/[miss_cost]/[miss_table] are
     replaced by the replayed per-cache tables.  [time]/[busy] remain the
     ρ-cost schedule.  The replayed tables are bit-identical at every
-    worker count (and to a serial replay), which the differential
-    harness in [test_mem] and the oracle's sim-shard stage enforce.
+    worker count (and to a word-exact serial replay), which the
+    differential harness in [test_mem] and the oracle's sim-shard stage
+    enforce.
     Inline [Lru] accounting cannot be parallelized this way because its
     miss counts feed atom durations and hence the schedule itself; on a
     1-processor machine the two coincide (atom order is then

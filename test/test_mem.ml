@@ -73,17 +73,24 @@ let test_qstar_np_invariant () =
 (* one word touched: true on a miss *)
 let access c a = Nd_mem.Cache_sim.access_set c (Is.interval a (a + 1)) = 1
 
+(* the same hand trace through the simulator and the word-exact
+   reference *)
 let test_lru_basic () =
-  let c = Nd_mem.Cache_sim.create ~m:2 () in
-  Alcotest.(check bool) "1 miss" true (access c 1);
-  Alcotest.(check bool) "2 miss" true (access c 2);
-  Alcotest.(check bool) "1 hit" false (access c 1);
+  let c = Nd_mem.Cache_sim.create ~m:2 () and r = Lru_ref.create ~m:2 in
+  let step name expected a =
+    Alcotest.(check bool) name expected (access c a);
+    Alcotest.(check bool) (name ^ " (reference)") expected (Lru_ref.access r a)
+  in
+  step "1 miss" true 1;
+  step "2 miss" true 2;
+  step "1 hit" false 1;
   (* 3 evicts 2 (LRU) *)
-  Alcotest.(check bool) "3 miss" true (access c 3);
-  Alcotest.(check bool) "1 still hit" false (access c 1);
-  Alcotest.(check bool) "2 evicted" true (access c 2);
+  step "3 miss" true 3;
+  step "1 still hit" false 1;
+  step "2 evicted" true 2;
   Alcotest.(check int) "misses" 4 (Nd_mem.Cache_sim.misses c);
-  Alcotest.(check int) "accesses" 6 (Nd_mem.Cache_sim.accesses c)
+  Alcotest.(check int) "reference misses" 4 (Lru_ref.misses r);
+  Alcotest.(check int) "reference accesses" 6 (Lru_ref.accesses r)
 
 let test_lru_set () =
   let c = Nd_mem.Cache_sim.create ~m:8 () in
@@ -121,29 +128,29 @@ let stress_iters =
    partial-hit splits, partial (left-shrink) evictions, and an access
    larger than the whole cache (self-eviction) *)
 let test_interval_split_evict () =
-  let trace c =
+  let trace access_set misses c =
     let h = ref [] in
     let record (x : int) = h := x :: !h in
-    record (Cs.access_set c (Is.interval 0 4));
+    let word a = access_set c (Is.interval a (a + 1)) in
+    record (access_set c (Is.interval 0 4));
     (* cold fill *)
-    record (Cs.access_set c (Is.interval 10 12));
+    record (access_set c (Is.interval 10 12));
     (* evicts the two oldest words: [0,2) out, [2,4) stays *)
-    record (if access c 2 then 1 else 0);
-    record (if access c 0 then 1 else 0);
+    record (word 2);
+    record (word 0);
     (* partial hit across the resident tail and a fresh run *)
-    record (Cs.access_set c (Is.of_intervals [ (2, 3); (20, 22) ]));
+    record (access_set c (Is.of_intervals [ (2, 3); (20, 22) ]));
     (* footprint wider than the cache: self-eviction path *)
-    record (Cs.access_set c (Is.interval 100 108));
-    (Cs.misses c, Cs.accesses c, List.rev !h)
+    record (access_set c (Is.interval 100 108));
+    (misses c, List.rev !h)
   in
-  let word = trace (Cs.create ~impl:Cs.Word ~m:4 ()) in
-  let intv = trace (Cs.create ~impl:Cs.Interval ~m:4 ()) in
-  let _, _, per_step = intv in
+  let word = trace Lru_ref.access_set Lru_ref.misses (Lru_ref.create ~m:4) in
+  let intv = trace Cs.access_set Cs.misses (Cs.create ~m:4 ()) in
   Alcotest.(check (list int))
     "expected per-step misses"
     [ 4; 2; 0; 1; 2; 8 ]
-    per_step;
-  Alcotest.(check (triple int int (list int))) "word = interval" word intv
+    (snd intv);
+  Alcotest.(check (pair int (list int))) "word = interval" word intv
 
 (* randomized equivalence: the interval simulator must be bit-identical
    to the word-exact reference on arbitrary interleavings of single-word
@@ -155,13 +162,13 @@ let test_interval_equiv_random () =
   let rng = Prng.create 20260806 in
   for t = 1 to n_traces do
     let m = 1 + Prng.int rng 64 in
-    let cw = Cs.create ~impl:Cs.Word ~m () in
-    let ci = Cs.create ~impl:Cs.Interval ~m () in
+    let cw = Lru_ref.create ~m in
+    let ci = Cs.create ~m () in
     let steps = 1 + Prng.int rng 30 in
     for s = 1 to steps do
       if Prng.int rng 4 = 0 then begin
         let a = Prng.int rng 160 in
-        let mw = access cw a in
+        let mw = Lru_ref.access cw a in
         let mi = access ci a in
         if mw <> mi then
           Alcotest.failf "trace %d step %d (m=%d): word %b / interval %b at %d"
@@ -176,20 +183,20 @@ let test_interval_equiv_random () =
               (lo, lo + 1 + Prng.int rng 48))
         in
         let fp = Is.of_intervals frags in
-        let mw = Cs.access_set cw fp in
+        let mw = Lru_ref.access_set cw fp in
         let mi = Cs.access_set ci fp in
         if mw <> mi then
           Alcotest.failf "trace %d step %d (m=%d): word %d / interval %d misses"
             t s m mw mi
       end
     done;
-    if Cs.misses cw <> Cs.misses ci || Cs.accesses cw <> Cs.accesses ci then
-      Alcotest.failf "trace %d (m=%d): totals diverge (w %d/%d, i %d/%d)" t m
-        (Cs.misses cw) (Cs.accesses cw) (Cs.misses ci) (Cs.accesses ci)
+    if Lru_ref.misses cw <> Cs.misses ci then
+      Alcotest.failf "trace %d (m=%d): totals diverge (w %d, i %d)" t m
+        (Lru_ref.misses cw) (Cs.misses ci)
   done
 
-(* every shipped workload family at its smallest sweep size: q1 under
-   both implementations must agree exactly *)
+(* every shipped workload family at its smallest sweep size: q1 must
+   agree exactly with the reference's *)
 let test_interval_equiv_workloads () =
   List.iter
     (fun name ->
@@ -200,8 +207,7 @@ let test_interval_equiv_workloads () =
         (fun m ->
           Alcotest.(check int)
             (Printf.sprintf "%s n=%d m=%d" name n m)
-            (Cs.q1 ~impl:Cs.Word p ~m)
-            (Cs.q1 ~impl:Cs.Interval p ~m))
+            (Lru_ref.q1 p ~m) (Cs.q1 p ~m))
         [ 16; 64; 256 ])
     (Nd_experiments.Workloads.names ())
 
@@ -220,8 +226,8 @@ let test_interval_long_traces () =
     (fun m ->
       for tr = 1 to n_traces do
         let rng = Prng.create ((1_000 * m) + tr) in
-        let cw = Cs.create ~impl:Cs.Word ~m () in
-        let ci = Cs.create ~impl:Cs.Interval ~m () in
+        let cw = Lru_ref.create ~m in
+        let ci = Cs.create ~m () in
         let span = 4 * m in
         let frag () =
           let lo = Prng.int rng span in
@@ -233,7 +239,7 @@ let test_interval_long_traces () =
         in
         for s = 1 to steps do
           let fp = Is.of_intervals (List.init (1 + Prng.int rng 8) (fun _ -> frag ())) in
-          let mw = Cs.access_set cw fp in
+          let mw = Lru_ref.access_set cw fp in
           let mi = Cs.access_set ci fp in
           if mw <> mi then
             Alcotest.failf "m=%d trace %d step %d: word %d / interval %d misses" m tr s
@@ -241,10 +247,9 @@ let test_interval_long_traces () =
           try Cs.validate ci
           with Failure msg -> Alcotest.failf "m=%d trace %d step %d: %s" m tr s msg
         done;
-        Alcotest.(check (pair int int))
+        Alcotest.(check int)
           (Printf.sprintf "m=%d trace %d totals" m tr)
-          (Cs.misses cw, Cs.accesses cw)
-          (Cs.misses ci, Cs.accesses ci)
+          (Lru_ref.misses cw) (Cs.misses ci)
       done)
     [ 1; 7; 64; 512; 4096 ]
 
@@ -266,7 +271,7 @@ let test_interval_alloc () =
                (lo, lo + 1 + Prng.int rng 16)))
       in
       let warm = Array.init 4_096 footprint and fps = Array.init 20_000 footprint in
-      let c = Cs.create ~impl:Cs.Interval ~m () in
+      let c = Cs.create ~m () in
       Array.iter (fun fp -> ignore (Cs.access_set c fp)) warm;
       let before = Gc.allocated_bytes () in
       Array.iter (fun fp -> ignore (Cs.access_set c fp)) fps;
@@ -313,25 +318,43 @@ let build_case seed =
   done;
   (machine, trace)
 
+(* the inclusive bank the schedulers charge (SB's Lru accounting, ws,
+   pdf and tree), fed the same stream in trace order: its table, level
+   totals and miss cost (Σ misses × C_j), and the sum of what [charge]
+   returned, must equal the word-exact replay's.  [Some what] names the
+   first that differs. *)
+let bank_differs ~machine trace reference =
+  let bank = Nd_mem.Lru_bank.create machine in
+  let charged = ref 0 in
+  for k = 0 to Shard.Trace.length trace - 1 do
+    charged :=
+      !charged
+      + Nd_mem.Lru_bank.charge bank ~proc:(Shard.Trace.proc trace k)
+          (Shard.Trace.footprint trace k)
+  done;
+  let cost = Mt.total_cost reference ~miss_cost:(fun level -> Pmh.miss_cost machine ~level) in
+  if not (Mt.equal reference (Nd_mem.Lru_bank.miss_table bank)) then Some "miss table"
+  else if Nd_mem.Lru_bank.misses bank <> Mt.level_totals reference then Some "level misses"
+  else if Nd_mem.Lru_bank.miss_cost bank <> cost then Some "miss cost"
+  else if !charged <> cost then Some "sum of charges"
+  else None
+
 (* the bit-identity chain the sharded simulation rests on: sharded
-   replay at any worker count = serial interval replay = word-exact
-   replay, on arbitrary machines and traces.  At least 500 cases even
-   at the default NDSIM_STRESS_ITERS (the acceptance floor). *)
+   replay at any worker count = word-exact serial replay = the bank, on
+   arbitrary machines and traces.  At least 500 cases even at the
+   default NDSIM_STRESS_ITERS (the acceptance floor). *)
 let replay_differential seed =
   let machine, trace = build_case seed in
-  let ref_intv = Shard.replay_serial ~machine trace in
-  let ref_word = Shard.replay_serial ~impl:Cs.Word ~machine trace in
-  if not (Mt.equal ref_intv ref_word) then
-    QCheck.Test.fail_reportf "seed %d: serial interval <> word-exact" seed;
+  let reference = Lru_ref.replay_serial ~machine trace in
   List.iter
     (fun w ->
-      List.iter
-        (fun impl ->
-          let t = Shard.replay ~impl ~workers:w ~machine trace in
-          if not (Mt.equal ref_intv t) then
-            QCheck.Test.fail_reportf "seed %d: w=%d diverges from serial" seed w)
-        [ Cs.Interval; Cs.Word ])
+      if not (Mt.equal reference (Shard.replay ~workers:w ~machine trace)) then
+        QCheck.Test.fail_reportf "seed %d: w=%d diverges from word-exact serial replay"
+          seed w)
     [ 1; 2; 8 ];
+  (match bank_differs ~machine trace reference with
+  | Some what -> QCheck.Test.fail_reportf "seed %d: Lru_bank's %s diverges" seed what
+  | None -> ());
   true
 
 let test_replay_differential =
@@ -344,8 +367,8 @@ let test_replay_differential =
 
 (* every shipped workload family at its smallest sweep size: leaves in
    program order, routed round-robin across the desktop machine's
-   processors — the replayed tables must be bit-identical across worker
-   counts and cache-sim implementations *)
+   processors — the replayed tables must equal the word-exact serial
+   replay's at every worker count, and so must the bank's *)
 let test_replay_workload_families () =
   let machine = Pmh.desktop () in
   let n_procs = Pmh.n_procs machine in
@@ -362,17 +385,16 @@ let test_replay_workload_families () =
           Shard.Trace.push trace ~proc:(i mod n_procs) (Strand.footprint s)
         | Program.Seq | Program.Par | Program.Fire _ -> ()
       done;
-      let reference = Shard.replay_serial ~machine trace in
+      let reference = Lru_ref.replay_serial ~machine trace in
       List.iter
         (fun w ->
-          List.iter
-            (fun impl ->
-              let t = Shard.replay ~impl ~workers:w ~machine trace in
-              if not (Mt.equal reference t) then
-                Alcotest.failf "%s (n=%d): w=%d diverges from serial replay"
-                  name n w)
-            [ Cs.Interval; Cs.Word ])
-        [ 1; 2; 8 ])
+          if not (Mt.equal reference (Shard.replay ~workers:w ~machine trace)) then
+            Alcotest.failf "%s (n=%d): w=%d diverges from word-exact serial replay" name
+              n w)
+        [ 1; 2; 8 ];
+      match bank_differs ~machine trace reference with
+      | Some what -> Alcotest.failf "%s (n=%d): Lru_bank's %s diverges" name n what
+      | None -> ())
     (Nd_experiments.Workloads.names ())
 
 let expect_invalid name f =

@@ -174,8 +174,7 @@ let test_sb_replay_workers_identical () =
             (Printf.sprintf "%s w=%d: miss cost" name w)
             base.Sb.miss_cost s.Sb.miss_cost;
           if not (Nd_mem.Miss_table.equal bt (miss_table_of name s)) then
-            Alcotest.failf "%s w=%d: miss table differs from serial replay"
-              name w)
+            Alcotest.failf "%s w=%d: miss table differs from w=1's" name w)
         [ 2; 8 ])
     (workloads ())
 
