@@ -39,14 +39,7 @@ let bechamel_tests () =
   let p_mm = Workload.compile mm in
   let p_trs = Workload.compile trs in
   let p_lcs = Workload.compile lcs in
-  let machine =
-    Nd_pmh.Pmh.create ~root_fanout:1
-      [
-        { Nd_pmh.Pmh.size = 64; fanout = 1; miss_cost = 2 };
-        { Nd_pmh.Pmh.size = 512; fanout = 4; miss_cost = 8 };
-        { Nd_pmh.Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-      ]
-  in
+  let machine = Nd_pmh.Pmh.standard ~top:1 in
   mm.Workload.reset ();
   trs.Workload.reset ();
   lcs.Workload.reset ();

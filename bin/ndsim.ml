@@ -44,19 +44,22 @@ let build_workload algo n base seed =
     die_usage "unknown algorithm %s; expected one of %s" algo
       (String.concat ", " (Nd_experiments.Workloads.names ()))
 
+(* the paper-literal rule variant, for the families that have one;
+   [ndsim race] and [ndsim lint] take it with --literal *)
+let literal_workload algo n base seed =
+  let n = Option.value n ~default:16 and base = Option.value base ~default:2 in
+  match algo with
+  | "mm" -> Matmul.workload ~variant:Matmul.Literal ~n ~base ~seed ()
+  | "trs" -> Trs.workload ~variant:Trs.Literal ~n ~base ~seed ()
+  | "lcs" -> Lcs.workload ~variant:`Literal ~n ~base ~seed ()
+  | "fw1d" -> Fw1d.workload ~variant:`Literal ~n ~base ~seed ()
+  | other -> die_usage "no literal variant for %s" other
+
 let mode_of np = if np then Workload.NP else Workload.ND
 
 (* a checked answer off by more than this, or NaN, fails the command
    with exit 1 *)
 let wrong err = not (err <= 1e-6)
-
-let sim_machine top =
-  Pmh.create ~root_fanout:top
-    [
-      { Pmh.size = 64; fanout = 1; miss_cost = 2 };
-      { Pmh.size = 512; fanout = 4; miss_cost = 8 };
-      { Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-    ]
 
 let trace_out_arg =
   Arg.(value & opt (some string) None
@@ -104,14 +107,7 @@ let race_cmd =
   in
   let run algo n base seed np explain literal =
     let w =
-      if literal then
-        let n = Option.value n ~default:16 and base = Option.value base ~default:2 in
-        match algo with
-        | "mm" -> Matmul.workload ~variant:Matmul.Literal ~n ~base ~seed ()
-        | "trs" -> Trs.workload ~variant:Trs.Literal ~n ~base ~seed ()
-        | "lcs" -> Lcs.workload ~variant:`Literal ~n ~base ~seed ()
-        | "fw1d" -> Fw1d.workload ~variant:`Literal ~n ~base ~seed ()
-        | other -> die_usage "no literal variant for %s" other
+      if literal then literal_workload algo n base seed
       else build_workload algo n base seed
     in
     let p = Workload.compile ~mode:(mode_of np) w in
@@ -176,15 +172,6 @@ let lint_cmd =
          & info [ "literal" ]
              ~doc:"Lint the paper-literal rule variant where one exists (mm, trs, lcs, fw1d).")
   in
-  let literal_workload algo n base seed =
-    let n = Option.value n ~default:16 and base = Option.value base ~default:2 in
-    match algo with
-    | "mm" -> Matmul.workload ~variant:Matmul.Literal ~n ~base ~seed ()
-    | "trs" -> Trs.workload ~variant:Trs.Literal ~n ~base ~seed ()
-    | "lcs" -> Lcs.workload ~variant:`Literal ~n ~base ~seed ()
-    | "fw1d" -> Fw1d.workload ~variant:`Literal ~n ~base ~seed ()
-    | other -> die_usage "no literal variant for %s" other
-  in
   let run algo n base seed all json literal strict min_severity =
     let min_severity = parse_min_severity min_severity in
     let targets =
@@ -233,8 +220,8 @@ let lint_cmd =
   in
   Cmd.v
     (Cmd.info "lint"
-       ~doc:"Static analysis: fire-rule linter, footprint conflicts, and \
-             ESP-bags race detection (rule catalogue ND001-ND013).")
+       ~doc:"Static analysis: fire-rule linter and ESP-bags race \
+             detection (rule catalogue ND001-ND013).")
     Term.(const run $ algo_arg $ n_arg $ base_arg $ seed_arg $ all_arg
           $ json_arg $ variant_arg $ strict_arg $ min_severity_arg)
 
@@ -278,7 +265,7 @@ let analyze_cmd =
           Nd_experiments.Workloads.all
       else [ build_workload algo n base seed ]
     in
-    let machine = sim_machine top in
+    let machine = Pmh.standard ~top in
     let procs = Pmh.n_procs machine in
     (* the ND010 sweep needs only the growth trend, and the rewriting is
        linear in the fire-edge count — which explodes at the largest
@@ -388,7 +375,7 @@ let sb_cmd =
   let run algo n base seed np top fine sim_workers trace_out =
     let w = build_workload algo n base seed in
     let p = Workload.compile ~mode:(mode_of np) w in
-    let machine = sim_machine top in
+    let machine = Pmh.standard ~top in
     let tracer =
       match trace_out with
       | None -> Nd_trace.Collector.null
@@ -447,7 +434,7 @@ let sched_cmd =
     | Some (module S : Nd_sched.Scheduler.S) ->
       let w = build_workload algo n base seed in
       let p = Workload.compile ~mode:(mode_of np) w in
-      let machine = sim_machine top in
+      let machine = Pmh.standard ~top in
       Format.printf "machine: %s@." (Pmh.describe machine);
       let s = S.run ~seed ~comm_delay p machine in
       Format.printf "%s: %a@." S.name Nd_sched.Scheduler.pp_stats s
@@ -557,7 +544,7 @@ let trace_cmd =
     let w = build_workload algo n base seed in
     let p = Workload.compile ~mode:(mode_of np) w in
     let dag = Nd.Program.dag p in
-    let machine = sim_machine top in
+    let machine = Pmh.standard ~top in
     let sb_mode =
       if fine then Nd_sched.Sb_sched.Fine else Nd_sched.Sb_sched.Coarse
     in
@@ -730,14 +717,9 @@ let fuzz_cmd =
   in
   let run count seed max_depth replay workers failures_file =
     let params = { Nd_check.Gen.default_params with max_depth } in
-    let config =
-      match workers with
-      | None -> Nd_check.Oracle.default_config
-      | Some w ->
-        { Nd_check.Oracle.default_config with exec_workers = [ w ] }
-    in
+    let workers = Option.map (fun w -> [ w ]) workers in
     let still_fails s =
-      match Nd_check.Oracle.check_spec ~config s with
+      match Nd_check.Oracle.check_spec ?workers s with
       | Ok _ -> false
       | Error _ -> true
     in
@@ -746,7 +728,7 @@ let fuzz_cmd =
         failure;
       let shrunk = Nd_check.Gen.shrink spec ~still_fails in
       let shrunk_failure =
-        match Nd_check.Oracle.check_spec ~config shrunk with
+        match Nd_check.Oracle.check_spec ?workers shrunk with
         | Error f -> f
         | Ok _ -> failure
         (* shrinking raced a flaky check; show the original *)
@@ -769,7 +751,7 @@ let fuzz_cmd =
     | Some seed -> (
       let spec = Nd_check.Gen.generate ~seed ~params () in
       Format.printf "seed %d generates:@.%a@." seed Nd_check.Gen.pp spec;
-      match Nd_check.Oracle.check_spec ~config spec with
+      match Nd_check.Oracle.check_spec ?workers spec with
       | Ok r ->
         Format.printf
           "ok: %d vertices, %d leaves, work=%d span=%d, race_free=%b, %d \
@@ -783,7 +765,7 @@ let fuzz_cmd =
       for i = 0 to count - 1 do
         let case_seed = seed + i in
         let spec = Nd_check.Gen.generate ~seed:case_seed ~params () in
-        (match Nd_check.Oracle.check_spec ~config spec with
+        (match Nd_check.Oracle.check_spec ?workers spec with
         | Ok r ->
           if r.race_free then incr race_free;
           paths := !paths + r.paths

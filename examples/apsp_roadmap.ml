@@ -21,14 +21,7 @@ let () =
     (w.Workload.check ());
 
   (* what would this cost on a hierarchy?  simulate the SB scheduler *)
-  let machine =
-    Pmh.create ~root_fanout:1
-      [
-        { Pmh.size = 64; fanout = 1; miss_cost = 2 };
-        { Pmh.size = 512; fanout = 4; miss_cost = 8 };
-        { Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-      ]
-  in
+  let machine = Pmh.standard ~top:1 in
   Format.printf "@.machine: %s@." (Pmh.describe machine);
   let s = Nd_sched.Sb_sched.run p machine in
   Format.printf "space-bounded schedule: %a@." Nd_sched.Sb_sched.pp_stats s;

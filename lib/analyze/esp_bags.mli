@@ -1,5 +1,7 @@
 (** ESP-bags: near-linear on-the-fly determinacy-race detection, the
-    race detector behind [ndsim race], lint's ND009, experiment E8, the
+    race detector behind [ndsim race], lint's ND009 (its one race
+    finding, for [Par] siblings and fire sides alike; ND008, a
+    tree-only overlap check, is retired), experiment E8, the
     conformance oracle and the server.
 
     One serial-elision DFS of the spawn tree answers every ordering

@@ -16,16 +16,19 @@ module Json = Nd_util.Json
                    same endpoints
    ND005  error    rule-graph cycle with no structural descent (every
                    step has empty pedigrees: the rewriting cannot make
-                   progress and degrades to conservative full edges)
+                   progress; one type degrades to a full edge, a longer
+                   cycle emits no edge)
    ND006  warning  fire ≡ seq at a fire node: the rule set emits a
                    root-to-root full edge, serializing the construct
                    (span pessimization)
    ND007  warning  fires recover no span: the compiled DAG's span equals
                    the fully-serialized projection's
-   ND008  error    definite footprint race between Par siblings (or the
-                   two sides of an empty-rule-set fire)
+   ND008  retired  (was a tree-only footprint check of Par siblings;
+                   ND009 reports those races; the ID is never reused)
    ND009  error    determinacy race (ESP-bags), reported with the same
-                   LCA + pedigree diagnosis as Rule_check
+                   LCA + pedigree diagnosis as Rule_check, under a par
+                   node, an empty-rule-set fire or a fire whose rules
+                   miss an arrow
    ND010  warning  span not recovered asymptotically: over a size sweep
                    of the structural Cost pass, the NP/ND span ratio
                    does not grow (static, asymptotic version of ND007)
@@ -179,28 +182,16 @@ let lint_registry reg =
 (* --------------------------- tree checks --------------------------- *)
 
 let lint_tree reg tree =
-  let dangling =
-    List.filter_map
-      (fun ty ->
-        if Fire_rule.mem reg ty then None
-        else
-          Some
-            (finding "ND001" Error ty
-               "fire type %S is used by the spawn tree but not defined in \
-                the registry"
-               ty))
-      (Spawn_tree.fire_types tree)
-  in
-  let overlaps =
-    List.map
-      (fun (c : Footprint.conflict) ->
-        finding "ND008" Error
-          (Pedigree.to_string c.Footprint.path)
-          "%s"
-          (Format.asprintf "%a" Footprint.pp_conflict c))
-      (Footprint.check ~registry:reg tree)
-  in
-  dangling @ overlaps
+  List.filter_map
+    (fun ty ->
+      if Fire_rule.mem reg ty then None
+      else
+        Some
+          (finding "ND001" Error ty
+             "fire type %S is used by the spawn tree but not defined in the \
+              registry"
+             ty))
+    (Spawn_tree.fire_types tree)
 
 (* -------------------------- program checks ------------------------- *)
 
@@ -300,8 +291,9 @@ let lint_program ?verdict program =
 
 (* ------------------------------ driver ----------------------------- *)
 
-(* [program ()] runs only when the static pass found no errors:
-   compilation raises on exactly the defects the static pass reports *)
+(* [program ()] runs only when the static passes found no error, ND001
+   or ND005.  Compile raises on the first (an undefined fire type); a
+   no-progress rule cycle compiles, but its program is not linted *)
 let lint_with ?verdict ~registry tree program =
   let static = lint_registry registry @ lint_tree registry tree in
   if has_errors static then static

@@ -17,18 +17,23 @@
       the same endpoints.
     - [ND005] {e error} — rule-graph cycle with no structural descent
       (every step of the cycle has empty pedigrees): the rewriting
-      cannot refine such arrows and degrades them to full edges.
+      cannot refine such arrows; a one-type cycle degrades to a full
+      edge, and a longer one emits no edge.
     - [ND006] {e warning} — fire ≡ seq: a fire node's rule set emits a
       root-to-root full edge, serializing the whole construct.
     - [ND007] {e warning} — fires recover no span: the compiled DAG's
       span equals the fully-serialized ({!Nd.Spawn_tree.serialize_fires})
       projection's, which {!Nd.Spawn_tree.np_span} folds over the tree
       without compiling the projection.
-    - [ND008] {e error} — definite footprint race between [Par] siblings
-      or across an empty-rule-set fire ({!Footprint}).
+    - [ND008] {e retired} — was a tree-only check for footprint overlaps
+      between [Par] siblings; ND009 reports those races.  The ID is never
+      reused.
     - [ND009] {e error} — determinacy race found by the ESP-bags pass
       ({!Esp_bags}), reported with the same LCA + pedigree diagnosis as
-      {!Nd.Rule_check}.
+      {!Nd.Rule_check}: its subject is the LCA's kind, ["par"] for
+      [Par] siblings, [fire "E"] for the two sides of fire type [E]
+      (whether [E]'s rule set is empty or misses an arrow).  It lists at
+      most 16 races, {!Esp_bags.analyze}'s default limit.
     - [ND010] {e warning} — span not recovered {e asymptotically}: over
       a size sweep of compiled DAG spans, the NP/ND span ratio does not
       grow (the asymptotic version of ND007).  The NP side is the
@@ -66,14 +71,17 @@ val to_json : finding list -> Nd_util.Json.t
 (** [lint_registry reg] — ND001 (rule targets), ND003, ND004, ND005. *)
 val lint_registry : Nd.Fire_rule.registry -> finding list
 
-(** [lint_tree reg tree] — ND001 (tree fire types), ND008.  Purely
-    static; never compiles. *)
+(** [lint_tree reg tree] — ND001: the fire types the tree uses that
+    [reg] does not define.  Never compiles. *)
 val lint_tree : Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 
 (** [lint_all ~registry tree] — the full battery.  Runs the static
-    registry and tree passes first and only compiles (for the program
-    passes: ND002, ND006, ND007, ND009) when they produced no errors,
-    since compilation raises on exactly the defects they report. *)
+    registry and tree passes first, and compiles for the program passes
+    (ND002, ND006, ND007, ND009) only when they found no ND001 or ND005
+    error.  Compile raises on an undefined fire type (ND001); a
+    no-progress rule cycle (ND005) compiles, but its program passes are
+    skipped too.  A race is a program finding, so a racy tree still
+    gets its ND002, ND006 and ND007 findings. *)
 val lint_all :
   registry:Nd.Fire_rule.registry -> Nd.Spawn_tree.t -> finding list
 

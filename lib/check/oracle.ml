@@ -9,39 +9,28 @@ module Backend = Nd_runtime.Backend
 module Prng = Nd_util.Prng
 module Cost = Nd_analyze.Cost
 
-type config = {
-  procs : int list;
-  sigmas : float list;
-  sb_modes : Sb.mode list;
-  ws_seeds : int list;
-  exec_workers : int list;
-  grains : int list;
-  machine : Pmh.t;
-  serial_orders : int;
-  explore_seeds : int list;
-  check_miss_monotone : bool;
-  sim_workers : int list;
-}
+(* The sweeps, sized so a full oracle run on a generated program takes
+   milliseconds; only the real executors' worker list is the caller's *)
+let procs = [ 1; 2; 5 ]
 
-let default_config =
-  {
-    procs = [ 1; 2; 5 ];
-    sigmas = [ 0.34; 0.5; 1.0 ];
-    sb_modes = [ Sb.Coarse; Sb.Fine ];
-    ws_seeds = [ 1; 2 ];
-    exec_workers = [ 1; 2; 4 ];
-    grains = [ 0; 8 ];
-    machine =
-      Pmh.create ~root_fanout:2
-        [
-          { size = 16; fanout = 2; miss_cost = 2 };
-          { size = 128; fanout = 2; miss_cost = 8 };
-        ];
-    serial_orders = 3;
-    explore_seeds = [ 1 ];
-    check_miss_monotone = true;
-    sim_workers = [ 1; 2 ];
-  }
+let sigmas = [ 0.34; 0.5; 1.0 ]
+
+let ws_seeds = [ 1; 2 ]
+
+let grains = [ 0; 8 ]
+
+let machine =
+  Pmh.create ~root_fanout:2
+    [
+      { size = 16; fanout = 2; miss_cost = 2 };
+      { size = 128; fanout = 2; miss_cost = 8 };
+    ]
+
+let serial_orders = 3
+
+let exec_workers = [ 1; 2; 4 ]
+
+let explore_seeds = [ 1 ]
 
 type report = {
   n_vertices : int;
@@ -84,7 +73,7 @@ let check_structure program tree_work =
 
 let lb ~work ~span p = max span ((work + p - 1) / p)
 
-let check_greedy cfg program ~work ~span =
+let check_greedy program ~work ~span =
   List.iter
     (fun p ->
       let stage = Printf.sprintf "greedy p=%d" p in
@@ -99,12 +88,29 @@ let check_greedy cfg program ~work ~span =
       if s.Scheduler.time > Greedy.brent_bound s then
         fail stage "time %d violates Brent bound %d" s.Scheduler.time
           (Greedy.brent_bound s))
-    cfg.procs;
-  List.length cfg.procs
+    procs;
+  List.length procs
 
 let mode_name = function Sb.Coarse -> "coarse" | Sb.Fine -> "fine"
 
-let check_sb cfg program ~work ~span =
+(* Each sigma's coarse run also checks Theorem 1: level j's ρ misses
+   must not exceed the static Q*(t; sigma * M_j), the bound
+   Cost.certify_theorem1 reads for the same run *)
+let check_theorem1 program sigma (s : Sb.stats) =
+  let stage = Printf.sprintf "cost theorem1 sigma=%.2f" sigma in
+  Array.iteri
+    (fun j misses ->
+      let m =
+        max 1
+          (int_of_float (sigma *. float_of_int (Pmh.size machine ~level:(j + 1))))
+      in
+      let bound = guard stage (fun () -> Nd_mem.Pcc.q_star program ~m) in
+      if misses > bound then
+        fail stage "Theorem 1 violated: level %d misses %d > Q*(%d) = %d"
+          (j + 1) misses m bound)
+    s.Sb.misses
+
+let check_sb program ~work ~span =
   let paths = ref 0 in
   List.iter
     (fun mode ->
@@ -118,7 +124,7 @@ let check_sb cfg program ~work ~span =
           in
           let s =
             guard stage (fun () ->
-                Sb.run ~sigma ~mode ~accounting:Sb.Rho program cfg.machine)
+                Sb.run ~sigma ~mode ~accounting:Sb.Rho program machine)
           in
           if s.Sb.work <> work then
             fail stage "reported work %d <> %d" s.Sb.work work;
@@ -126,21 +132,24 @@ let check_sb cfg program ~work ~span =
             fail stage "busy %d < work %d (lost busy time)" s.Sb.busy work;
           if s.Sb.time < span then
             fail stage "time %d < span %d" s.Sb.time span;
-          (if cfg.check_miss_monotone then
-             match !prev with
-             | Some (psigma, pm) ->
-               Array.iteri
-                 (fun j m ->
-                   if m > pm.(j) then
-                     fail stage
-                       "level-%d misses grew from %d (sigma=%.2f) to %d: ρ \
-                        misses must be non-increasing in sigma"
-                       (j + 1) pm.(j) psigma m)
-                 s.Sb.misses
-             | None -> ());
-          prev := Some (sigma, s.Sb.misses))
-        cfg.sigmas)
-    cfg.sb_modes;
+          (match !prev with
+          | Some (psigma, pm) ->
+            Array.iteri
+              (fun j m ->
+                if m > pm.(j) then
+                  fail stage
+                    "level-%d misses grew from %d (sigma=%.2f) to %d: ρ \
+                     misses must be non-increasing in sigma"
+                    (j + 1) pm.(j) psigma m)
+              s.Sb.misses
+          | None -> ());
+          prev := Some (sigma, s.Sb.misses);
+          if mode = Sb.Coarse then begin
+            incr paths;
+            check_theorem1 program sigma s
+          end)
+        sigmas)
+    [ Sb.Coarse; Sb.Fine ];
   !paths
 
 (* every zoo member behind the shared interface: one run each on the
@@ -148,12 +157,12 @@ let check_sb cfg program ~work ~span =
    conserved work, correct span, busy covering the work (nothing lost),
    makespan at or above the greedy lower bound (which also implies no
    deadlock: a stalled scheduler raises and is caught by [guard]) *)
-let check_zoo cfg program ~work ~span =
-  let p = Pmh.n_procs cfg.machine in
+let check_zoo program ~work ~span =
+  let p = Pmh.n_procs machine in
   List.iter
     (fun (name, (module S : Nd_sched.Scheduler.S)) ->
       let stage = Printf.sprintf "zoo %s" name in
-      let s = guard stage (fun () -> S.run ~seed:1 program cfg.machine) in
+      let s = guard stage (fun () -> S.run ~seed:1 program machine) in
       let open Nd_sched.Scheduler in
       if s.work <> work then fail stage "reported work %d <> %d" s.work work;
       if s.span <> span then fail stage "reported span %d <> %d" s.span span;
@@ -170,68 +179,56 @@ let check_zoo cfg program ~work ~span =
   List.length Nd_sched.Zoo.all
 
 (* the sharded cache-simulation identity: SB's decoupled measurement
-   mode must produce bit-identical per-cache miss tables at every
-   sim-worker count, deterministically across repeated runs, without
+   mode must produce bit-identical per-cache miss tables at 1 and 2
+   sim workers, deterministically across repeated runs, without
    perturbing the (ρ-cost) schedule *)
-let check_sim_shard cfg program ~work =
-  match cfg.sim_workers with
-  | [] -> 0
-  | w0 :: rest ->
-    let table stage s =
-      match s.Sb.miss_table with
-      | Some t -> t
-      | None -> fail stage "no miss table from replay mode"
-    in
-    let stage0 = Printf.sprintf "sim-shard w=%d" w0 in
-    let base =
-      guard stage0 (fun () -> Sb.run ~sim_workers:w0 program cfg.machine)
-    in
-    if base.Sb.work <> work then
-      fail stage0 "reported work %d <> %d" base.Sb.work work;
-    let bt = table stage0 base in
-    List.iter
-      (fun w ->
-        let stage = Printf.sprintf "sim-shard w=%d" w in
-        let s =
-          guard stage (fun () -> Sb.run ~sim_workers:w program cfg.machine)
-        in
-        if s.Sb.time <> base.Sb.time then
-          fail stage "time %d <> %d: sim sharding perturbed the schedule"
-            s.Sb.time base.Sb.time;
-        if s.Sb.misses <> base.Sb.misses then
-          fail stage "level miss totals diverge from w=%d" w0;
-        if s.Sb.miss_cost <> base.Sb.miss_cost then
-          fail stage "miss cost %d <> %d" s.Sb.miss_cost base.Sb.miss_cost;
-        if not (Nd_mem.Miss_table.equal bt (table stage s)) then
-          fail stage "per-cache miss table diverges from w=%d" w0;
-        (* determinism: the same worker count twice, bit-identical *)
-        let s' =
-          guard stage (fun () -> Sb.run ~sim_workers:w program cfg.machine)
-        in
-        if not (Nd_mem.Miss_table.equal (table stage s) (table stage s')) then
-          fail stage "repeated run not deterministic")
-      rest;
-    1 + List.length rest
+let check_sim_shard program ~work =
+  let table stage s =
+    match s.Sb.miss_table with
+    | Some t -> t
+    | None -> fail stage "no miss table from replay mode"
+  in
+  let stage0 = "sim-shard w=1" in
+  let base = guard stage0 (fun () -> Sb.run ~sim_workers:1 program machine) in
+  if base.Sb.work <> work then
+    fail stage0 "reported work %d <> %d" base.Sb.work work;
+  let bt = table stage0 base in
+  let stage = "sim-shard w=2" in
+  let run () = guard stage (fun () -> Sb.run ~sim_workers:2 program machine) in
+  let s = run () in
+  if s.Sb.time <> base.Sb.time then
+    fail stage "time %d <> %d: sim sharding perturbed the schedule" s.Sb.time
+      base.Sb.time;
+  if s.Sb.misses <> base.Sb.misses then
+    fail stage "level miss totals diverge from w=1";
+  if s.Sb.miss_cost <> base.Sb.miss_cost then
+    fail stage "miss cost %d <> %d" s.Sb.miss_cost base.Sb.miss_cost;
+  if not (Nd_mem.Miss_table.equal bt (table stage s)) then
+    fail stage "per-cache miss table diverges from w=1";
+  (* determinism: the same worker count twice, bit-identical *)
+  if not (Nd_mem.Miss_table.equal (table stage s) (table stage (run ()))) then
+    fail stage "repeated run not deterministic";
+  2
 
-let check_ws cfg program ~work ~span =
+let check_ws program ~work ~span =
   List.iter
     (fun seed ->
       let stage = Printf.sprintf "ws seed=%d" seed in
-      let s, _ = guard stage (fun () -> Ws.run ~seed program cfg.machine) in
+      let s, _ = guard stage (fun () -> Ws.run ~seed program machine) in
       if s.Scheduler.work <> work then
         fail stage "reported work %d <> %d" s.Scheduler.work work;
       if s.Scheduler.busy < work then
         fail stage "busy %d < work %d" s.Scheduler.busy work;
       if s.Scheduler.time < span then
         fail stage "time %d < span %d" s.Scheduler.time span)
-    cfg.ws_seeds;
-  List.length cfg.ws_seeds
+    ws_seeds;
+  List.length ws_seeds
 
 (* ------------------------- executing paths ---------------------------- *)
 
 (* [reset] restores inputs, [verify stage] checks observables; both are
    supplied by the spec/workload front ends. *)
-let check_executing cfg program ~reset ~verify =
+let check_executing ~workers program ~reset ~verify =
   let paths = ref 0 in
   let run_path stage f =
     incr paths;
@@ -240,7 +237,7 @@ let check_executing cfg program ~reset ~verify =
     verify stage
   in
   (* randomized topological orders through the serial executor *)
-  for i = 1 to cfg.serial_orders do
+  for i = 1 to serial_orders do
     run_path
       (Printf.sprintf "serial order=%d" i)
       (fun () -> Nd.Serial_exec.run ~rng:(Prng.create (0x5e1 + i)) program)
@@ -259,59 +256,47 @@ let check_executing cfg program ~reset ~verify =
                 (Printf.sprintf "%s w=%d g=%d" B.name w g)
                 (fun () -> B.run ~workers:w ~grain:g program))
             Backend.all)
-        cfg.grains)
-    cfg.exec_workers;
+        grains)
+    workers;
   (* controlled interleavings of the dataflow engine and of the fiber
      scheduler *)
-  if cfg.explore_seeds <> [] then begin
-    let explored stage explore =
-      incr paths;
-      let check () =
-        match verify stage with
-        | () -> Ok ()
-        | exception Fail f -> Error f.message
-      in
-      match
-        explore ~workers:2
-          ~mode:(Explore.Random { seeds = cfg.explore_seeds })
-          ~reset ~check program
-      with
-      | Ok _ -> ()
-      | Error f -> fail stage "%s" (Format.asprintf "%a" Explore.pp_failure f)
+  let explored stage explore =
+    incr paths;
+    let check () =
+      match verify stage with
+      | () -> Ok ()
+      | exception Fail f -> Error f.message
     in
-    explored "explore" (fun ~workers ~mode ~reset ~check program ->
-        Explore.explore_program ~workers ~mode ~reset ~check program);
-    explored "explore-fiber" (fun ~workers ~mode ~reset ~check program ->
-        Explore.explore_fiber_program ~workers ~mode ~reset ~check program)
-  end;
+    match
+      explore ~workers:2
+        ~mode:(Explore.Random { seeds = explore_seeds })
+        ~reset ~check program
+    with
+    | Ok _ -> ()
+    | Error f -> fail stage "%s" (Format.asprintf "%a" Explore.pp_failure f)
+  in
+  explored "explore" (fun ~workers ~mode ~reset ~check program ->
+      Explore.explore_program ~workers ~mode ~reset ~check program);
+  explored "explore-fiber" (fun ~workers ~mode ~reset ~check program ->
+      Explore.explore_fiber_program ~workers ~mode ~reset ~check program);
   !paths
 
 (* ---------------------- structural cost analysis --------------------- *)
 
-(* The structural Cost pass must count the bare tree's leaves, and the
-   SB-simulated per-level ρ misses must obey the static Theorem 1 bound
-   Q*(t; sigma * M_j) at every sigma. *)
-let check_cost cfg program =
+(* The structural Cost pass must count the bare tree's leaves (check_sb
+   checks Theorem 1's static bound) *)
+let check_cost program =
   let stage = "cost" in
   let r = guard stage (fun () -> Cost.report (Cost.of_program program)) in
   let leaves = Nd.Spawn_tree.n_leaves (Nd.Program.tree program) in
   if r.Cost.n_leaves <> leaves then
     fail stage "structural n_leaves %d <> the tree's %d" r.Cost.n_leaves leaves;
-  List.iter
-    (fun sigma ->
-      let stage = Printf.sprintf "cost theorem1 sigma=%.2f" sigma in
-      let c =
-        guard stage (fun () -> Cost.certify_theorem1 ~sigma program cfg.machine)
-      in
-      if not c.Cost.certified then
-        fail stage "Theorem 1 violated:@ %s"
-          (Format.asprintf "%a" Cost.pp_certification c))
-    cfg.sigmas;
-  1 + List.length cfg.sigmas
+  1
 
 (* ------------------------------ fronts ------------------------------- *)
 
-let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
+let run_oracle ~workers program ~tree_work ~races_fail ~reset ~reference
+    ~verify =
   try
     let work, span = check_structure program tree_work in
     let races =
@@ -331,13 +316,13 @@ let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
     verify "serial elision";
     let paths =
       1
-      + check_greedy cfg program ~work ~span
-      + check_sb cfg program ~work ~span
-      + check_ws cfg program ~work ~span
-      + check_sim_shard cfg program ~work
-      + check_cost cfg program
-      + check_zoo cfg program ~work ~span
-      + check_executing cfg program ~reset ~verify
+      + check_greedy program ~work ~span
+      + check_sb program ~work ~span
+      + check_ws program ~work ~span
+      + check_sim_shard program ~work
+      + check_cost program
+      + check_zoo program ~work ~span
+      + check_executing ~workers program ~reset ~verify
     in
     Ok
       {
@@ -351,7 +336,8 @@ let run_oracle cfg program ~tree_work ~races_fail ~reset ~reference ~verify =
       }
   with Fail f -> Error f
 
-let check_instance ?(config = default_config) (inst : Gen.instance) =
+let check_spec ?(workers = exec_workers) spec =
+  let inst = Gen.build spec in
   match Nd.Program.compile ~registry:inst.registry inst.tree with
   | exception e -> Error { stage = "compile"; message = Printexc.to_string e }
   | program ->
@@ -375,7 +361,7 @@ let check_instance ?(config = default_config) (inst : Gen.instance) =
     end
   in
   match
-    run_oracle config program
+    run_oracle ~workers program
       ~tree_work:(Nd.Spawn_tree.work inst.tree)
       ~races_fail:false
       ~reset:(fun () -> Gen.reset inst)
@@ -385,19 +371,15 @@ let check_instance ?(config = default_config) (inst : Gen.instance) =
   | r -> r
   | exception Fail f -> Error f
 
-let check_spec ?config spec = check_instance ?config (Gen.build spec)
-
-let check_workload ?(config = default_config) ?(tol = 1e-6)
-    (w : Nd_algos.Workload.t) =
+let check_workload (w : Nd_algos.Workload.t) =
   let program = Nd_algos.Workload.compile w in
   let verify stage =
     let dev = w.check () in
-    if not (dev <= tol) then
-      fail stage "%s n=%d: deviation %g exceeds tolerance %g" w.name w.n dev
-        tol
+    if not (dev <= 1e-6) then
+      fail stage "%s n=%d: deviation %g exceeds tolerance 1e-6" w.name w.n dev
   in
   match
-    run_oracle config program
+    run_oracle ~workers:exec_workers program
       ~tree_work:(Nd.Spawn_tree.work w.tree)
       ~races_fail:true ~reset:w.reset
       ~reference:(fun () -> ())

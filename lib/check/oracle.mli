@@ -25,12 +25,13 @@
       are non-increasing in σ (larger space bounds only merge maximal
       tasks, never split them);
     - {b static cost}: [Nd_analyze.Cost.of_program] counts the bare
-      tree's leaves, and the SB per-level ρ misses obey Theorem 1's
-      static bound [Q*(t; σ·M_j)] at every σ
-      ([Cost.certify_theorem1]);
+      tree's leaves, and each coarse-mode SB run's per-level ρ misses
+      obey Theorem 1's static bound [Q*(t; σ·M_j)]
+      ([Nd_mem.Pcc.q_star]), the check [Cost.certify_theorem1] makes on
+      the same run;
     - {b sharded-sim identity}: SB's decoupled measurement mode
-      ([sim_workers]) yields bit-identical per-cache miss tables at
-      every worker count, deterministic across repeated runs, without
+      ([sim_workers]) yields bit-identical per-cache miss tables at 1
+      and 2 workers, deterministic across repeated runs, without
       perturbing the schedule;
     - {b liveness}: the SB scheduler never raises [Deadlock] on a
       well-formed program (maximal tasks are disjoint, so coarse-mode
@@ -41,29 +42,13 @@
     A failure pinpoints the first stage that disagreed; with the
     generator's seed it is replayable via [ndsim fuzz --replay]. *)
 
-type config = {
-  procs : int list;  (** greedy simulator sweep *)
-  sigmas : float list;  (** SB space parameter sweep, ascending *)
-  sb_modes : Nd_sched.Sb_sched.mode list;
-  ws_seeds : int list;  (** work-stealing simulator seeds *)
-  exec_workers : int list;  (** real-executor worker counts *)
-  grains : int list;  (** real-executor grain sweep *)
-  machine : Nd_pmh.Pmh.t;  (** PMH for the locality simulators *)
-  serial_orders : int;  (** randomized topological orders to try *)
-  explore_seeds : int list;
-      (** seeds for {!Explore.explore_program} random-walk schedules of
-          the dataflow engine; [[]] disables exploration *)
-  check_miss_monotone : bool;
-  sim_workers : int list;
-      (** SB sharded-replay worker counts: the per-cache miss tables
-          must be bit-identical across all of them (and deterministic
-          across repeated runs), and the schedule must equal the first
-          entry's; [[]] disables the stage *)
-}
+(** The tiny 2-level, 8-processor PMH the locality simulators run on,
+    sized so a full oracle run on a generated program takes
+    milliseconds. *)
+val machine : Nd_pmh.Pmh.t
 
-(** Small sweeps over a tiny 2-level, 8-processor PMH — sized so a full
-    oracle run on a generated program takes milliseconds. *)
-val default_config : config
+(** SB's σ sweep, ascending. *)
+val sigmas : float list
 
 type report = {
   n_vertices : int;
@@ -82,18 +67,15 @@ type failure = {
 
 val pp_failure : Format.formatter -> failure -> unit
 
-(** [check_spec ?config spec] builds the spec ({!Gen.build}) and runs
-    the full oracle.  Programs with races are still legal inputs — the
-    memory-equality check is simply skipped for them (the structural
-    checks are not). *)
-val check_spec : ?config:config -> Gen.spec -> (report, failure) result
+(** [check_spec ?workers spec] builds the spec ({!Gen.build}) and runs
+    the full oracle, with the real executors at each worker count of
+    [workers] (default [[1; 2; 4]]).  Programs with races are still
+    legal inputs — the memory-equality check is simply skipped for them
+    (the structural checks are not). *)
+val check_spec : ?workers:int list -> Gen.spec -> (report, failure) result
 
-(** [check_workload ?config ?tol w] runs the oracle over a packaged
-    algorithm: executing paths call [w.reset] before and require
-    [w.check () <= tol] (default [1e-6]) after; the workload is expected
-    to be race-free and any race found is a failure. *)
-val check_workload :
-  ?config:config ->
-  ?tol:float ->
-  Nd_algos.Workload.t ->
-  (report, failure) result
+(** [check_workload w] runs the oracle over a packaged algorithm:
+    executing paths call [w.reset] before and require
+    [w.check () <= 1e-6] after; the workload is expected to be
+    race-free and any race found is a failure. *)
+val check_workload : Nd_algos.Workload.t -> (report, failure) result

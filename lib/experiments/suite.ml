@@ -10,14 +10,6 @@ let now_ns () = Monotonic_clock.now ()
 
 let seconds_since t0 = Int64.to_float (Int64.sub (now_ns ()) t0) *. 1e-9
 
-let sim_machine ~top_caches =
-  Pmh.create ~root_fanout:top_caches
-    [
-      { Pmh.size = 64; fanout = 1; miss_cost = 2 };
-      { Pmh.size = 512; fanout = 4; miss_cost = 8 };
-      { Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-    ]
-
 let compile_both w =
   (Workload.compile ~mode:Workload.ND w, Workload.compile ~mode:Workload.NP w)
 
@@ -127,7 +119,7 @@ let e3_misses () =
       ~title:"E3: SB per-level misses vs the Theorem-1 bound Q*(sigma*M_j)"
       [ "algo"; "model"; "level"; "misses"; "Q*(sM_j)"; "ratio" ]
   in
-  let machine = sim_machine ~top_caches:1 in
+  let machine = Pmh.standard ~top:1 in
   let sigma = 1. /. 3. in
   List.iter
     (fun (name, n, base) ->
@@ -178,7 +170,7 @@ let e4_scaling () =
       let pnd, pnp = compile_both w in
       List.iter
         (fun top ->
-          let machine = sim_machine ~top_caches:top in
+          let machine = Pmh.standard ~top in
           let snd_ = Nd_sched.Sb_sched.run ~sigma pnd machine in
           let snp = Nd_sched.Sb_sched.run ~sigma pnp machine in
           let perfect =
@@ -247,7 +239,7 @@ let e6_work_stealing () =
         "SB-lru misscost"; "WS misscost"; "steals";
       ]
   in
-  let machine = sim_machine ~top_caches:1 in
+  let machine = Pmh.standard ~top:1 in
   List.iter
     (fun (name, n, base) ->
       let fam = Workloads.find name in
@@ -281,7 +273,7 @@ let e7_ablation () =
       ~title:"E7: coarse (Fig. 12) vs fine cross-anchor readiness (ND)"
       [ "algo"; "time coarse"; "time fine"; "fine/coarse"; "anchors" ]
   in
-  let machine = sim_machine ~top_caches:2 in
+  let machine = Pmh.standard ~top:2 in
   List.iter
     (fun (name, n) ->
       let fam = Workloads.find name in
@@ -428,7 +420,7 @@ let e10_zoo () =
          paper scale (shared per-cache LRU miss model)"
       ([ "algo"; "sched" ] @ Nd_sched.Scheduler.row_header)
   in
-  let machine = sim_machine ~top_caches:1 in
+  let machine = Pmh.standard ~top:1 in
   List.iter
     (fun (name, n, base) ->
       let fam = Workloads.find name in
@@ -465,7 +457,7 @@ let e11_sharded_sim () =
         "miss identical";
       ]
   in
-  let machine = sim_machine ~top_caches:1 in
+  let machine = Pmh.standard ~top:1 in
   let misses_str s =
     String.concat ";"
       (Array.to_list (Array.map string_of_int s.Nd_sched.Sb_sched.misses))
@@ -530,7 +522,7 @@ let e12_cost () =
         "misses"; "Q*(sM_j)"; "certified";
       ]
   in
-  let machine = sim_machine ~top_caches:1 in
+  let machine = Pmh.standard ~top:1 in
   let sigma = 1. /. 3. in
   List.iter
     (fun (name, n, base) ->

@@ -156,6 +156,14 @@ let desktop () =
       { size = 1 lsl 16; fanout = 4; miss_cost = 32 };
     ]
 
+let standard ~top =
+  create ~root_fanout:top
+    [
+      { size = 64; fanout = 1; miss_cost = 2 };
+      { size = 512; fanout = 4; miss_cost = 8 };
+      { size = 4096; fanout = 4; miss_cost = 32 };
+    ]
+
 let server () =
   create ~root_fanout:4
     [

@@ -93,6 +93,12 @@ val flat : procs:int -> m:int -> miss_cost:int -> t
     L2 shared by 4 (8 KiW), L3 shared by all 16 (64 KiW). *)
 val desktop : unit -> t
 
+(** [standard ~top] — the experiments' machine: 3 cache levels of 64,
+    512 and 4096 words with miss costs 2, 8 and 32 (private L1, L2 and
+    L3 each shared by 4), and [top] L3 caches under the root, so
+    [16 * top] processors. *)
+val standard : top:int -> t
+
 (** [server ()] — 3 cache levels, 64 processors across 4 sockets. *)
 val server : unit -> t
 

@@ -23,13 +23,7 @@ let default_config addr =
     quiet = false;
   }
 
-let standard_machine ~top =
-  Nd_pmh.Pmh.create ~root_fanout:top
-    [
-      { Nd_pmh.Pmh.size = 64; fanout = 1; miss_cost = 2 };
-      { Nd_pmh.Pmh.size = 512; fanout = 4; miss_cost = 8 };
-      { Nd_pmh.Pmh.size = 4096; fanout = 4; miss_cost = 32 };
-    ]
+let standard_machine ~top = Nd_pmh.Pmh.standard ~top
 
 (* ----------------------------- state ------------------------------- *)
 

@@ -12,7 +12,6 @@
 module Gen = Nd_check.Gen
 module Esp = Nd_analyze.Esp_bags
 module Lint = Nd_analyze.Lint
-module Footprint = Nd_analyze.Footprint
 module Json = Nd_util.Json
 open Nd
 
@@ -398,34 +397,66 @@ let test_lint_duplicate_shadow_cycle () =
   Alcotest.(check int) "descending cycle is fine" 0
     (List.length (find_ids "ND005" (Lint.lint_registry reg)))
 
-let test_lint_footprint_overlap () =
+(* Races that need no rule to find: Par siblings, and the two sides of
+   a fire whose rule set is empty.  Lint reports them as ND009, the
+   ESP-bags finding, named by the LCA's kind; a race is a program
+   finding, so it no longer hides the tree's dead rules and span
+   findings. *)
+let test_lint_par_races () =
   let is = Nd_util.Interval_set.interval in
   let w label iv =
     Spawn_tree.leaf
       (Strand.make ~label ~work:1 ~reads:Nd_util.Interval_set.empty
          ~writes:iv ())
   in
-  let tree = Spawn_tree.par [ w "x" (is 0 2); w "y" (is 1 3) ] in
-  let fs = Lint.lint_tree Fire_rule.empty_registry tree in
-  (match find_ids "ND008" fs with
-  | [ f ] -> Alcotest.(check string) "severity" "error" (severity f)
-  | other -> Alcotest.failf "expected 1 ND008, got %d" (List.length other));
+  let x () = w "x" (is 0 2) and y () = w "y" (is 1 3) in
+  let ids fs = List.map (fun f -> f.Lint.id) fs in
+  let one_race subject fs =
+    Alcotest.(check (list string)) "findings" [ "ND009" ] (ids fs);
+    let f = List.hd fs in
+    Alcotest.(check string) "severity" "error" (severity f);
+    Alcotest.(check string) "LCA" subject f.Lint.subject;
+    let m = f.Lint.message in
+    List.iter
+      (fun part ->
+        let n = String.length part in
+        let rec has i =
+          i + n <= String.length m && (String.sub m i n = part || has (i + 1))
+        in
+        if not (has 0) then Alcotest.failf "message %S lacks %S" m part)
+      [ "write-write race between"; "on {1}"; "needs an arrow +<1> -> -<2>" ]
+  in
+  one_race "par"
+    (Lint.lint_all ~registry:Fire_rule.empty_registry
+       (Spawn_tree.par [ x (); y () ]));
+  let bare = Fire_rule.define Fire_rule.empty_registry "E" [] in
+  one_race "fire \"E\""
+    (Lint.lint_all ~registry:bare (Spawn_tree.fire ~rule:"E" (x ()) (y ())));
   (* the same overlap under Seq is ordered: no finding *)
-  let tree = Spawn_tree.seq [ w "x" (is 0 2); w "y" (is 1 3) ] in
-  Alcotest.(check int) "seq overlap is fine" 0
-    (List.length (Lint.lint_tree Fire_rule.empty_registry tree));
-  (* direct Footprint API: conflict carries path and overlap *)
+  Alcotest.(check (list string)) "seq overlap is fine" []
+    (ids
+       (Lint.lint_all ~registry:Fire_rule.empty_registry
+          (Spawn_tree.seq [ x (); y () ])));
+  (* a dead rule (step 3 of a 2-child Seq) that recovers no span, beside
+     the Par race: all three findings *)
+  let dead =
+    Fire_rule.define Fire_rule.empty_registry "D"
+      [ Fire_rule.rule [ 3 ] Fire_rule.Full [ 1 ] ]
+  in
   let tree =
     Spawn_tree.seq
-      [ strand "pre"; Spawn_tree.par [ w "x" (is 0 2); w "y" (is 1 3) ] ]
+      [
+        Spawn_tree.fire ~rule:"D"
+          (Spawn_tree.seq [ strand "a"; strand "b" ])
+          (Spawn_tree.seq [ strand "c"; strand "d" ]);
+        Spawn_tree.par [ x (); y () ];
+      ]
   in
-  match Footprint.check tree with
-  | [ c ] ->
-    Alcotest.(check string) "path" "<2>" (Pedigree.to_string c.Footprint.path);
-    Alcotest.(check bool) "write-write" true c.Footprint.write_write;
-    Alcotest.(check bool) "overlap is [1,2)" true
-      (Nd_util.Interval_set.intervals c.Footprint.overlap = [ (1, 2) ])
-  | other -> Alcotest.failf "expected 1 conflict, got %d" (List.length other)
+  let fs = Lint.lint_all ~registry:dead tree in
+  Alcotest.(check (list string)) "dead rule, no span, race"
+    [ "ND002"; "ND007"; "ND009" ] (ids fs);
+  Alcotest.(check (list string)) "subjects" [ "D"; "program"; "par" ]
+    (List.map (fun f -> f.Lint.subject) fs)
 
 (* ----------------- lint: shipped rule sets are clean ----------------- *)
 
@@ -585,11 +616,11 @@ let test_lint_span_sweep_catalogue () =
 
 let test_lint_min_severity_filter () =
   let mk id severity = { Lint.id; severity; subject = "t"; message = id } in
-  let fs = [ mk "ND008" Lint.Error; mk "ND012" Lint.Warning ] in
+  let fs = [ mk "ND009" Lint.Error; mk "ND012" Lint.Warning ] in
   Alcotest.(check int) "warning keeps all" 2
     (List.length (Lint.filter_min_severity Lint.Warning fs));
   match Lint.filter_min_severity Lint.Error fs with
-  | [ f ] -> Alcotest.(check string) "error only" "ND008" f.Lint.id
+  | [ f ] -> Alcotest.(check string) "error only" "ND009" f.Lint.id
   | o -> Alcotest.failf "expected 1 finding, got %d" (List.length o)
 
 (* ------------- Cost and Pcc == the tree references ------------------ *)
@@ -841,8 +872,8 @@ let () =
             test_lint_dangling_and_dead;
           Alcotest.test_case "duplicate, shadow, cycle" `Quick
             test_lint_duplicate_shadow_cycle;
-          Alcotest.test_case "footprint overlap" `Quick
-            test_lint_footprint_overlap;
+          Alcotest.test_case "par and empty-fire races (ND009)" `Quick
+            test_lint_par_races;
           Alcotest.test_case "shipped rule sets clean" `Quick
             test_lint_shipped_sets_clean;
           Alcotest.test_case "JSON round-trip" `Quick

@@ -28,8 +28,7 @@ let stress_iters =
 (* the capacities Theorem 1 reads at every sigma of the oracle's sweep,
    plus m = 1 and 2, where nearly every inner node is glue *)
 let oracle_ms =
-  let cfg = Oracle.default_config in
-  let machine = cfg.Oracle.machine in
+  let machine = Oracle.machine in
   List.sort_uniq compare
     (1 :: 2
     :: List.concat_map
@@ -38,7 +37,7 @@ let oracle_ms =
                max 1
                  (int_of_float
                     (sigma *. float_of_int (Nd_pmh.Pmh.size machine ~level:(j + 1))))))
-         cfg.Oracle.sigmas)
+         Oracle.sigmas)
 
 let test_spec_corpus () =
   (* bounded soak: 20 specs per stress iteration, seeds disjoint from

@@ -398,7 +398,7 @@ let test_tree_space_within_budget () =
 
 (* the zoo's two machines, and the cells of a per-cache miss table *)
 let pinned_machines () =
-  [ small_machine ~top:2 (); Nd_check.Oracle.default_config.machine ]
+  [ small_machine ~top:2 (); Nd_check.Oracle.machine ]
 
 let miss_cells str = function
   | None -> str "-"
@@ -588,7 +588,7 @@ let test_sb_alloc () =
       (Nd_experiments.Workloads.find "mm") ~seed:1
   in
   let p = Workload.compile w in
-  let machine = Nd_check.Oracle.default_config.machine in
+  let machine = Nd_check.Oracle.machine in
   let nv = Nd_dag.Dag.n_vertices (Nd.Program.dag p) in
   List.iter
     (fun (name, mode) ->
@@ -623,7 +623,7 @@ let test_sb_allocation_range () =
         done
       done)
     [
-      ("oracle", Nd_check.Oracle.default_config.machine);
+      ("oracle", Nd_check.Oracle.machine);
       ("pipeline", Nd_serve.Server.standard_machine ~top:1);
     ]
 
