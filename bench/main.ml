@@ -101,7 +101,9 @@ let run_bechamel () =
    edges E and fire edges P, the bytes its compile allocated, those of
    them it allocated outside the minor heap (arrays of more than 256
    words, resident until a major cycle sweeps them; exact on one
-   domain), and the words [Obj.reachable_words] reaches from its DAG adjacency (the
+   domain), the bytes the first read of its analysis tables allocated
+   (sizes and sorted fire pairs, which exec never reads), and the
+   words [Obj.reachable_words] reaches from its DAG adjacency (the
    successor CSR), its fire edges, the whole program (strand actions
    and operands included) and the workload record (spawn tree,
    operands and any reference answer it keeps), and from its leaves'
@@ -111,8 +113,8 @@ let run_memory () =
   let table =
     Nd_util.Table.create ~title:"memory: exec's programs at seed 1 (MB)"
       [
-        "program"; "V"; "E"; "P"; "compile alloc"; "compile major"; "adjacency"; "fire pairs";
-        "program"; "workload"; "footprints";
+        "program"; "V"; "E"; "P"; "compile alloc"; "compile major"; "tables alloc"; "adjacency";
+        "fire pairs"; "program"; "workload"; "footprints";
       ]
   in
   (* each set counted once, the array holding them not at all *)
@@ -140,13 +142,16 @@ let run_memory () =
         let _, promoted1, major1 = Gc.counters () in
         let alloc = Gc.allocated_bytes () -. before in
         let direct = major1 -. major0 -. (promoted1 -. promoted0) in
-        (Printf.sprintf "%s n=%d b=%d" name n base, alloc, direct, w, p))
+        let before = Gc.allocated_bytes () in
+        ignore (Nd.Program.n_fire_edges p);
+        let tables = Gc.allocated_bytes () -. before in
+        (Printf.sprintf "%s n=%d b=%d" name n base, alloc, direct, tables, w, p))
       [ ("mm", 128, 8); ("trs", 128, 8); ("cholesky", 128, 8); ("lcs", 1024, 16) ]
   in
   Gc.full_major ();
   let gc = Gc.stat () in
   List.iter
-    (fun (label, alloc, direct, wl, p) ->
+    (fun (label, alloc, direct, tables, wl, p) ->
       let dag = Nd.Program.dag p in
       let w = Nd.Program.heap_words p in
       Nd_util.Table.add_row table
@@ -157,6 +162,7 @@ let run_memory () =
           Nd_util.Table.cell_int (Nd.Program.n_fire_edges p);
           Nd_util.Table.cell_float ~prec:1 (alloc /. 1e6);
           Nd_util.Table.cell_float ~prec:1 (direct *. 8. /. 1e6);
+          Nd_util.Table.cell_float ~prec:1 (tables /. 1e6);
           mb w.Nd.Program.adjacency;
           mb w.Nd.Program.fire_pairs;
           mb w.Nd.Program.program;

@@ -201,14 +201,18 @@ let analyze ?(limit = 16) program =
       s.Strand.writes
   in
   let rec visit node ~pre =
-    (* fold the fire edges targeting this node into its entry set *)
+    (* fold the fire edges targeting this node into its entry set.  The
+       set is a union of exact happens-before sets, so it is closed
+       under happens-before: once it holds a's leaves it holds all of
+       post(a), which is then skipped *)
     let pre =
       List.fold_left
         (fun acc a ->
           if not completed.(a) then
             invalid_arg
               "Esp_bags: fire edge from an uncompleted subtree (cyclic DAG)";
-          Is.union acc post.(a))
+          let lo, hi = Program.leaf_range program a in
+          if Is.covers acc lo hi then acc else Is.union acc post.(a))
         pre fire_in.(node)
     in
     (match Program.kind_of program node with

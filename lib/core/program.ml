@@ -25,22 +25,6 @@ type decomposition = {
   n_parts : int;
 }
 
-type t = {
-  tree : Spawn_tree.t;
-  registry : Fire_rule.registry;
-  dag : Dag.t;
-  nodes : node array;
-  root : node_id;
-  leaf_nodes : int array;
-  leaf_vertices : int array;
-  sizes : int array;  (* s(n), by node *)
-  works : int array;  (* the subtree's strand work, by node *)
-  vertex_owner : int array;
-  fire_pairs : int array;  (* [a·n_nodes + b], sorted *)
-  rule_uses : Drs.use list;
-  decomp_cache : (int, decomposition) Hashtbl.t;
-  decomp_lock : Mutex.t;
-}
 
 (* ------------------------------------------------------------------ *)
 (* Compilation                                                         *)
@@ -93,22 +77,28 @@ module Chunks = struct
     done
 end
 
-(* One stable counting-sort pass over the values [each f] passes to
-   [f], in order (it is called twice): value [k] goes to [put j k], [j]
-   its position in the order of [key k], whose values lie in
-   [0, Array.length start - 1).  [start] is the pass's scratch. *)
-let counting_sort ~start key each put =
-  Array.fill start 0 (Array.length start) 0;
-  each (fun k ->
-      let d = key k + 1 in
-      start.(d) <- start.(d) + 1);
-  for d = 1 to Array.length start - 1 do
-    start.(d) <- start.(d) + start.(d - 1)
-  done;
-  each (fun k ->
-      let d = key k in
-      put start.(d) k;
-      start.(d) <- start.(d) + 1)
+(* The analysis tables: s(n) by node, and the fire pairs [a·n_nodes +
+   b], sorted.  Compile leaves them [Pending] on the emissions it
+   streamed into the DAG; the first reader builds both. *)
+type tables = { sizes : int array; fire_pairs : int array }
+
+type state = Pending of Chunks.t | Built of tables
+
+type t = {
+  tree : Spawn_tree.t;
+  registry : Fire_rule.registry;
+  dag : Dag.t;
+  nodes : node array;
+  root : node_id;
+  leaf_nodes : int array;
+  leaf_vertices : int array;
+  works : int array;  (* the subtree's strand work, by node *)
+  vertex_owner : int array;
+  tables : state Atomic.t;
+  rule_uses : Drs.use list;
+  decomp_cache : (int, decomposition) Hashtbl.t;
+  lock : Mutex.t;  (* guards [decomp_cache] and the build of [tables] *)
+}
 
 let compile ~registry tree =
   let dag = Dag.create () in
@@ -218,29 +208,14 @@ let compile ~registry tree =
     (fun id n -> Array.iter (fun c -> nodes.(c).parent <- id) n.children)
     nodes;
   let n = Array.length nodes in
-  (* sizes and works: ids are post-order, children first.  A node's
-     footprint set lives in [fps] only until its parent has absorbed
-     it; the program keeps the counts, not the sets. *)
-  let sizes = Array.make n 0 and works = Array.make n 0 in
-  let fps = Array.make n Is.empty in
+  (* works: ids are post-order, children first *)
+  let works = Array.make n 0 in
   Array.iteri
     (fun id nd ->
-      let fp =
-        match nd.kind with
-        | Leaf s ->
-          works.(id) <- s.Strand.work;
-          Strand.footprint s
-        | Seq | Par | Fire _ ->
-          Array.fold_left
-            (fun acc c ->
-              works.(id) <- works.(id) + works.(c);
-              let fc = fps.(c) in
-              fps.(c) <- Is.empty;
-              Is.union acc fc)
-            Is.empty nd.children
-      in
-      sizes.(id) <- Is.cardinal fp;
-      fps.(id) <- fp)
+      match nd.kind with
+      | Leaf s -> works.(id) <- s.Strand.work
+      | Seq | Par | Fire _ ->
+        Array.iter (fun c -> works.(id) <- works.(id) + works.(c)) nd.children)
     nodes;
   (* ---------------- fire-arrow rewriting ---------------- *)
   let fires = ref [] in
@@ -293,27 +268,6 @@ let compile ~registry tree =
             link (child 1).end_v nd.end_v)
         nodes;
       Chunks.iter (fun k -> link nodes.(k / n).end_v nodes.(k mod n).begin_v) emitted);
-  (* LSD radix sort of the emissions: by [b] out of the chunks into the
-     final array, then stably by [a] back into the chunks, whose
-     repeats are then adjacent and dropped as they are copied out *)
-  let fire_pairs =
-    let len = emitted.Chunks.len in
-    if len = 0 then [||]
-    else begin
-      let pairs = Array.make len 0 and start = Array.make (n + 1) 0 in
-      counting_sort ~start (fun k -> k mod n) (fun f -> Chunks.iter f emitted) (Array.set pairs);
-      counting_sort ~start (fun k -> k / n) (fun f -> Array.iter f pairs) (Chunks.set emitted);
-      let d = ref 0 in
-      Chunks.iter
-        (fun k ->
-          if !d = 0 || k <> pairs.(!d - 1) then begin
-            pairs.(!d) <- k;
-            incr d
-          end)
-        emitted;
-      if !d = len then pairs else Array.sub pairs 0 !d
-    end
-  in
   (* post-order visits the leaves left to right *)
   let leaf_nodes = Array.make !n_leaves 0 and leaf_vertices = Array.make !n_leaves 0 in
   let vertex_owner = Array.make (Dag.n_vertices dag) (-1) in
@@ -337,14 +291,98 @@ let compile ~registry tree =
     root;
     leaf_nodes;
     leaf_vertices;
-    sizes;
     works;
     vertex_owner;
-    fire_pairs;
+    tables = Atomic.make (Pending emitted);
     rule_uses;
     decomp_cache = Hashtbl.create 16;
-    decomp_lock = Mutex.create ();
+    lock = Mutex.create ();
   }
+
+(* ------------------------------------------------------------------ *)
+(* The analysis tables, on first read                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* s(n) for every node: ids are post-order, children first.  A node's
+   footprint set lives in [fps] only until its parent has absorbed it;
+   the program keeps the counts, not the sets. *)
+let node_sizes nodes =
+  let n = Array.length nodes in
+  let sizes = Array.make n 0 and fps = Array.make n Is.empty in
+  Array.iteri
+    (fun id nd ->
+      let fp =
+        match nd.kind with
+        | Leaf s -> Strand.footprint s
+        | Seq | Par | Fire _ ->
+          Array.fold_left
+            (fun acc c ->
+              let fc = fps.(c) in
+              fps.(c) <- Is.empty;
+              Is.union acc fc)
+            Is.empty nd.children
+      in
+      sizes.(id) <- Is.cardinal fp;
+      fps.(id) <- fp)
+    nodes;
+  sizes
+
+(* One stable counting-sort pass over the values [each f] passes to
+   [f], in order (it is called twice): value [k] goes to [put j k], [j]
+   its position in the order of [key k], whose values lie in
+   [0, Array.length start - 1).  [start] is the pass's scratch. *)
+let counting_sort ~start key each put =
+  Array.fill start 0 (Array.length start) 0;
+  each (fun k ->
+      let d = key k + 1 in
+      start.(d) <- start.(d) + 1);
+  for d = 1 to Array.length start - 1 do
+    start.(d) <- start.(d) + start.(d - 1)
+  done;
+  each (fun k ->
+      let d = key k in
+      put start.(d) k;
+      start.(d) <- start.(d) + 1)
+
+(* LSD radix sort of the emissions: by [b] out of the chunks into the
+   final array, then stably by [a] back into the chunks, whose repeats
+   are then adjacent and dropped as they are copied out *)
+let sort_pairs n emitted =
+  let len = emitted.Chunks.len in
+  if len = 0 then [||]
+  else begin
+    let pairs = Array.make len 0 and start = Array.make (n + 1) 0 in
+    counting_sort ~start (fun k -> k mod n) (fun f -> Chunks.iter f emitted) (Array.set pairs);
+    counting_sort ~start (fun k -> k / n) (fun f -> Array.iter f pairs) (Chunks.set emitted);
+    let d = ref 0 in
+    Chunks.iter
+      (fun k ->
+        if !d = 0 || k <> pairs.(!d - 1) then begin
+          pairs.(!d) <- k;
+          incr d
+        end)
+      emitted;
+    if !d = len then pairs else Array.sub pairs 0 !d
+  end
+
+(* The caller holds [t.lock]: a reader that saw [Pending] checks again
+   under it, so the tables are built once however many domains race on
+   the first read, and the chunks, the sort's scratch, are dropped. *)
+let tables_locked t =
+  match Atomic.get t.tables with
+  | Built b -> b
+  | Pending emitted ->
+    let b =
+      { sizes = node_sizes t.nodes; fire_pairs = sort_pairs (Array.length t.nodes) emitted }
+    in
+    Atomic.set t.tables (Built b);
+    b
+
+(* a read after the first takes no lock *)
+let tables t =
+  match Atomic.get t.tables with
+  | Built b -> b
+  | Pending _ -> Mutex.protect t.lock (fun () -> tables_locked t)
 
 (* ------------------------------------------------------------------ *)
 (* Accessors                                                           *)
@@ -388,23 +426,20 @@ let leaf_vertex t i = t.leaf_vertices.(i)
 
 let vertex_owner t v = t.vertex_owner.(v)
 
-let n_fire_edges t = Array.length t.fire_pairs
+let n_fire_edges t = Array.length (tables t).fire_pairs
 
 let rule_uses t = t.rule_uses
 
-let fire_src t i = t.fire_pairs.(i) / Array.length t.nodes
+let fire_src t i = (tables t).fire_pairs.(i) / Array.length t.nodes
 
-let fire_snk t i = t.fire_pairs.(i) mod Array.length t.nodes
+let fire_snk t i = (tables t).fire_pairs.(i) mod Array.length t.nodes
 
 type heap_words = { adjacency : int; fire_pairs : int; program : int }
 
 let heap_words t =
   let words x = Obj.reachable_words (Obj.repr x) in
-  {
-    adjacency = words (Dag.csr t.dag);
-    fire_pairs = words t.fire_pairs;
-    program = words t;
-  }
+  let fire_pairs = words (tables t).fire_pairs in
+  { adjacency = words (Dag.csr t.dag); fire_pairs; program = words t }
 
 let begin_vertex t n =
   check t n;
@@ -412,7 +447,7 @@ let begin_vertex t n =
 
 let size t n =
   check t n;
-  t.sizes.(n)
+  (tables t).sizes.(n)
 
 let work_of_node t n =
   check t n;
@@ -469,19 +504,19 @@ let cut t ~m measure =
 
 (* Memoized per program: sigma-sweeps and the Q*/Q-hat metrics query the
    same handful of [m] values over and over, and a decomposition is
-   immutable once built.  The memo table is mutex-guarded (the analysis
+   immutable once built.  The program's lock guards the memo table (the
    server shares one compiled program across pool domains); computing
-   inside the lock doubles as single-flight, so a given [m] is
-   decomposed exactly once per program no matter how many domains race
-   on it.  The critical section is O(nodes) — negligible next to the
+   inside it doubles as single-flight, so a given [m] is decomposed, and
+   the tables built, once per program however many domains race on it.
+   The critical section is O(nodes) — negligible next to the
    simulations that consume the result. *)
 let decompose t ~m =
   if m < 1 then invalid_arg "Program.decompose: m < 1";
-  Mutex.protect t.decomp_lock (fun () ->
+  Mutex.protect t.lock (fun () ->
       match Hashtbl.find_opt t.decomp_cache m with
       | Some d -> d
       | None ->
-        let d = cut t ~m t.sizes in
+        let d = cut t ~m (tables_locked t).sizes in
         Hashtbl.add t.decomp_cache m d;
         d)
 

@@ -21,7 +21,14 @@
 
     Leaves are numbered in depth-first order, so every spawn-tree node
     covers a contiguous leaf interval — the representation behind the
-    M-maximal decompositions used by the metrics and schedulers. *)
+    M-maximal decompositions used by the metrics and schedulers.
+
+    Two tables serve only the analyses: node sizes ({!size},
+    {!decompose}) and the sorted fire pairs ({!n_fire_edges}).  The
+    first call that reads either builds both, once, under the program's
+    lock, from the emissions [compile] kept; a later read takes no lock.
+    Execution reads neither, so a program that is only run never builds
+    them. *)
 
 type t
 
@@ -29,7 +36,9 @@ type node_id = int
 
 type kind = Leaf of Strand.t | Seq | Par | Fire of string
 
-(** [compile ~registry tree] runs the DRS.
+(** [compile ~registry tree] runs the DRS: it builds the spawn-tree
+    nodes, their work, the DAG and its CSR, and leaves the sizes and
+    fire pairs to their first reader.
     @raise Invalid_argument if the tree references an unregistered fire
     type, or holds a [Seq] or [Par] with no children (so every node
     covers at least one leaf). *)
@@ -86,7 +95,9 @@ val vertex_owner : t -> Nd_dag.Dag.vertex_id -> node_id
     series-parallel skeleton; the ESP-bags race detector
     ({!Nd_analyze}) and the fire-rule linter consume it.  They are held
     in one flat int array sorted by [(a, b)]: [n_fire_edges t] pairs,
-    the [i]-th being [(fire_src t i, fire_snk t i)]. *)
+    the [i]-th being [(fire_src t i, fire_snk t i)].  The first call of
+    these three, {!size}, {!decompose} or {!heap_words} sorts them
+    (see the header). *)
 val n_fire_edges : t -> int
 
 val fire_src : t -> int -> node_id
@@ -106,9 +117,10 @@ val begin_vertex : t -> node_id -> Nd_dag.Dag.vertex_id
 
 (** [size t n] = s(n): distinct memory locations accessed by the subtree
     (the paper's statically-allocated task size), the cardinality of
-    the union of its strands' footprints.  [compile] builds each
-    node's union from its children's and drops the children's sets as
-    it goes: a compiled program keeps the sizes, not the sets. *)
+    the union of its strands' footprints.  The first read of the
+    analysis tables (see the header) builds each node's union from its
+    children's and drops the children's sets as it goes: a program
+    keeps the sizes, not the sets. *)
 val size : t -> node_id -> int
 
 (** [work_of_node t n]: total strand work in the subtree. *)
@@ -117,7 +129,9 @@ val work_of_node : t -> node_id -> int
 (** {2 Memory} *)
 
 (** Heap words reachable from parts of a compiled program, by
-    [Obj.reachable_words]: a block shared within a part counts once. *)
+    [Obj.reachable_words]: a block shared within a part counts once.
+    [heap_words] builds the analysis tables first, so [program]
+    counts them and not the emissions they came from. *)
 type heap_words = {
   adjacency : int;  (** the DAG's successor CSR and in-degrees *)
   fire_pairs : int;  (** the sorted fire edges *)
@@ -156,8 +170,9 @@ type decomposition = {
 
     Results are memoized per program (keyed by [m]) — sigma-sweeps and
     the PCC/ECC metrics re-request the same decompositions, and the
-    result is immutable.  The memo table is mutex-guarded and computes
-    under the lock (single-flight), so a compiled program may be shared
+    result is immutable.  The memo table and the first build of the
+    analysis tables share the program's one lock, and each computes
+    under it (single-flight), so a compiled program may be shared
     freely across domains — the analysis server's worker pools rely on
     this.
     @raise Invalid_argument if [m < 1]. *)

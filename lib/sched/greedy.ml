@@ -23,15 +23,17 @@ let run ~procs program =
   let makespan = ref 0 in
   let executed = ref 0 in
   (* live space = sum of running strands' footprints (an upper bound:
-     overlap between concurrent strands is counted once per strand) *)
+     overlap between concurrent strands is counted once per strand);
+     [held.(v)] is the size of [v]'s, counted at dispatch *)
   let resident = ref 0 in
   let space_hwm = ref 0 in
-  let fp_words v = Is.cardinal (Dag.footprint_of dag v) in
+  let held = Array.make nv 0 in
   let dispatch () =
     while !free_procs > 0 && not (Queue.is_empty ready) do
       let v = Queue.pop ready in
       decr free_procs;
-      resident := !resident + fp_words v;
+      held.(v) <- Is.cardinal (Dag.footprint_of dag v);
+      resident := !resident + held.(v);
       if !resident > !space_hwm then space_hwm := !resident;
       Heap.push events (!now + Dag.work_of dag v) v
     done
@@ -43,7 +45,7 @@ let run ~procs program =
     if t > !makespan then makespan := t;
     incr free_procs;
     incr executed;
-    resident := !resident - fp_words v;
+    resident := !resident - held.(v);
     for k = csr.Dag.succ_off.(v) to csr.Dag.succ_off.(v + 1) - 1 do
       let w = csr.Dag.succ_tgt.(k) in
       indeg.(w) <- indeg.(w) - 1;

@@ -44,16 +44,17 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
   let executed = ref 0 in
   let busy = ref 0 in
   let makespan = ref 0 in
-  (* live space = sum of running strands' footprints *)
+  (* live space = sum of running strands' footprints; [held.(p)] is
+     the size of the one [p] runs, counted at dispatch *)
   let resident = ref 0 in
   let space_hwm = ref 0 in
-  let fp_words v = Is.cardinal (Dag.footprint_of dag v) in
+  let held = Array.make n_procs 0 in
   let complete p t v =
     if t > !makespan then makespan := t;
     running.(p) <- -1;
     decr n_running;
     incr executed;
-    resident := !resident - fp_words v;
+    resident := !resident - held.(p);
     if traced then
       Collector.emit tracer ~worker:p ~ts:t (Event.Strand_end { vertex = v });
     retire v;
@@ -80,10 +81,8 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
     let extra =
       surcharge p + if comm_delay > 0 && remote p v then comm_delay else 0
     in
-    let d =
-      extra + Dag.work_of dag v
-      + Lru.charge bank ~proc:p (Dag.footprint_of dag v)
-    in
+    let fp = Dag.footprint_of dag v in
+    let d = extra + Dag.work_of dag v + Lru.charge bank ~proc:p fp in
     if traced then begin
       Collector.emit tracer ~worker:p ~ts:t
         (Event.Strand_begin
@@ -99,7 +98,8 @@ let run ?(comm_delay = 0) ?(tracer = Collector.null) ?(surcharge = fun _ -> 0)
     end;
     running.(p) <- v;
     incr n_running;
-    resident := !resident + fp_words v;
+    held.(p) <- Is.cardinal fp;
+    resident := !resident + held.(p);
     if !resident > !space_hwm then space_hwm := !resident;
     busy := !busy + d;
     Heap.push events (t + d) p

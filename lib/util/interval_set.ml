@@ -421,8 +421,8 @@ let dispatch mask plain_op cursor_op a b =
 let merge mask a b = dispatch mask plain_merge cursor_merge a b
 
 (* The least element and one past the greatest of a non-empty set.
-   Sets whose spans do not overlap share nothing, so [inter], [diff],
-   [overlaps] and [absorb] answer them without a sweep. *)
+   Sets whose spans do not overlap share nothing, so [inter], [diff]
+   and [absorb] answer them without a sweep. *)
 let first t = if is_runs t then t.(1) else t.(0)
 
 let last t =
@@ -438,19 +438,6 @@ let inter a b = if apart a b then empty else merge mask_inter a b
 
 let diff a b = if apart a b then a else merge mask_diff a b
 
-(* Steps two cursors like [cursor_sweep] and stops as soon as both are
-   inside after a coordinate. *)
-let overlaps a b =
-  let rec go a b =
-    more a && more b
-    &&
-    let x = Int.min a.x b.x in
-    if a.x = x then advance a;
-    if b.x = x then advance b;
-    (a.inside && b.inside) || go a b
-  in
-  (not (apart a b)) && go (cursor a) (cursor b)
-
 let absorb acc t =
   let n =
     if apart t !acc then cardinal t
@@ -465,7 +452,11 @@ let absorb acc t =
 
 (* ----------------------------- queries ----------------------------- *)
 
-let mem x t =
+(* The end of the last interval starting at or before [x], or
+   [min_int] if none does.  [x] is in the set iff it lies below that
+   end, and, the intervals being non-adjacent, so is every element of
+   [x, hi) iff [hi] does not pass it. *)
+let reach t x =
   (* binary search for the last interval, or piece, starting at or
      before [x] *)
   let rec go first width lo hi =
@@ -477,17 +468,21 @@ let mem x t =
   in
   if is_runs t then begin
     let q = go 1 4 0 (Array.length t / 4) in
-    q > 0
-    &&
-    let p = 1 + (4 * (q - 1)) in
-    let stride = t.(p + 2) in
-    let i = if stride = 0 then 0 else Int.min (t.(p + 3) - 1) ((x - t.(p)) / stride) in
-    x < t.(p + 1) + (i * stride)
+    if q = 0 then min_int
+    else
+      let p = 1 + (4 * (q - 1)) in
+      let stride = t.(p + 2) in
+      let i = if stride = 0 then 0 else Int.min (t.(p + 3) - 1) ((x - t.(p)) / stride) in
+      t.(p + 1) + (i * stride)
   end
   else begin
     let k = go 0 2 0 (Array.length t / 2) in
-    k > 0 && x < t.((2 * k) - 1)
+    if k = 0 then min_int else t.((2 * k) - 1)
   end
+
+let mem x t = x < reach t x
+
+let covers t lo hi = lo >= hi || hi <= reach t lo
 
 let intervals t = List.rev (fold (fun lo hi acc -> (lo, hi) :: acc) t [])
 

@@ -21,7 +21,7 @@
     operations keep no state between calls, so any number of domains and
     threads may call them at once, and may return an operand unchanged
     when the other is empty.  On two sets whose spans do not overlap,
-    [inter], [diff] and [overlaps] answer in O(1) and [absorb] counts
+    [inter] and [diff] answer in O(1) and [absorb] counts
     without a sweep.  They allocate nothing in the major heap but their
     result: operands that expand together to at most 256 words are
     swept as plain copies that die in the minor heap, and larger ones
@@ -72,6 +72,11 @@ val diff : t -> t -> t
     O(log k). *)
 val mem : int -> t -> bool
 
+(** [covers t lo hi] is true iff every [x] with [lo <= x < hi] is in
+    [t], so always when [lo >= hi]: one binary search, as in {!mem};
+    O(log k). *)
+val covers : t -> int -> int -> bool
+
 (** [cardinal t] is the number of integers in the set; O(k), or O(runs)
     in the run layout. *)
 val cardinal : t -> int
@@ -90,10 +95,6 @@ val intervals : t -> (int * int) list
 
 (** O(k). *)
 val equal : t -> t -> bool
-
-(** [overlaps a b] is [true] iff the intersection is non-empty; O(k + k'),
-    stopping at the first overlap, and allocates two small records. *)
-val overlaps : t -> t -> bool
 
 (** [absorb acc t] unions [t] into the mutable accumulator and returns
     how many elements of [t] were new, i.e. [cardinal (diff t !acc)].

@@ -85,16 +85,8 @@ let intervals t = t
 
 let equal a b = a = b
 
-let overlaps a b =
-  let rec go a b =
-    match (a, b) with
-    | [], _ | _, [] -> false
-    | (a1, b1) :: ta, (a2, b2) :: tb ->
-      if max a1 a2 < min b1 b2 then true
-      else if b1 < b2 then go ta b
-      else go a tb
-  in
-  go a b
+(* [lo, hi) minus the set is empty *)
+let covers t lo hi = lo >= hi || is_empty (diff (interval lo hi) t)
 
 let absorb acc t =
   let fresh = diff t !acc in

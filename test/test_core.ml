@@ -584,22 +584,25 @@ let test_packed_shape () =
   if own > 24 * nodes then
     Alcotest.failf "program: %d words past its tree, DAG and fire pairs for %d nodes" own nodes
 
-(* What one compile allocates, in words a fire pair, on mm n=32 b=2
-   (8,191 nodes, 249,795 fire pairs).  The walk records only arrows
-   with an internal end and keeps no pair set; compile writes the
-   emissions into chunks, streams the edges from its nodes and the
-   chunks straight into the CSR, and sorts the pairs into their final
-   array with the chunks as scratch: about 11 words a pair in all,
-   against about 37 when the walk recorded every arrow and kept a pair
-   set.  The total moves by a few percent with GC timing.
+(* What one compile and the first read of its analysis tables
+   allocate, in words a fire pair, on mm n=32 b=2 (8,191 nodes, 249,795
+   fire pairs).  The walk records only arrows with an internal end and
+   keeps no pair set; compile writes the emissions into chunks and
+   streams the edges from its nodes and the chunks straight into the
+   CSR, and the first read sorts the pairs into their final array with
+   the chunks as scratch: about 11 words a pair in all, against about
+   37 when the walk recorded every arrow and kept a pair set.  The
+   total moves by a few percent with GC timing.
 
    An array of more than 256 words is allocated outside the minor heap
    and stays resident until a major cycle sweeps it.  Those words are
-   exact, the same on every run: 5.73 a pair, about 2 of them the
-   walk's visited table and 1 each the CSR, the fire pairs and the
-   chunks.  A link buffer, an emission buffer that doubles, or a
-   scratch array for the sort each add about a word a pair; with all
-   three compile allocated 8.88. *)
+   exact, the same on every run: 5.73 a pair for both, about 2 of them
+   the walk's visited table and 1 each the CSR, the chunks and the fire
+   pairs.  A link buffer, an emission buffer that doubles, or a scratch
+   array for the sort each add about a word a pair; with all three the
+   two allocated 8.88.  Compile alone leaves the sort to its first
+   reader and allocates 4.64, so a compile that sorts the pairs again
+   fails its bound of 5. *)
 let test_compile_alloc () =
   let f = Nd_experiments.Workloads.find "mm" in
   let w = f.Nd_experiments.Workloads.build ~n:32 ~base:2 ~seed:1 in
@@ -607,20 +610,85 @@ let test_compile_alloc () =
   let _, promoted0, major0 = Gc.counters () in
   let p = Program.compile ~registry:w.Nd_algos.Workload.registry w.Nd_algos.Workload.tree in
   let _, promoted1, major1 = Gc.counters () in
-  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
   let pairs = Program.n_fire_edges p in
+  let _, promoted2, major2 = Gc.counters () in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
   if pairs = 0 then Alcotest.fail "mm has fire edges";
-  let per_pair = words /. float_of_int pairs in
-  if per_pair > 24. then
-    Alcotest.failf "compile allocated %.0f words, %.1f a fire pair (%d pairs); the bound is 24"
-      words per_pair pairs;
-  let direct = major1 -. major0 -. (promoted1 -. promoted0) in
-  let direct_per_pair = direct /. float_of_int pairs in
-  if direct_per_pair > 6.5 then
+  let per_pair x = x /. float_of_int pairs in
+  if per_pair words > 24. then
     Alcotest.failf
-      "compile allocated %.0f words outside the minor heap, %.2f a fire pair (%d pairs); the \
-       bound is 6.5"
-      direct direct_per_pair pairs
+      "compile and first read allocated %.0f words, %.1f a fire pair (%d pairs); the bound is 24"
+      words (per_pair words) pairs;
+  let bound what direct limit =
+    if per_pair direct > limit then
+      Alcotest.failf
+        "%s allocated %.0f words outside the minor heap, %.2f a fire pair (%d pairs); the \
+         bound is %.1f"
+        what direct (per_pair direct) pairs limit
+  in
+  bound "compile and first read" (major2 -. major0 -. (promoted2 -. promoted0)) 6.5;
+  bound "compile alone" (major1 -. major0 -. (promoted1 -. promoted0)) 5.0
+
+(* The analysis tables are built on first read, once, under the
+   program's lock.  Every family's smallest program, in ND and NP, is
+   compiled twice: one copy is first read from four domains at once,
+   each through another reader ([size], [decompose], [n_fire_edges],
+   [fire_src]), and what each reads, and the tables afterwards, must
+   equal those of the other copy, read serially.  A program without
+   fire pairs has no [fire_src] to read, so there the fourth domain
+   reads [n_fire_edges] too. *)
+let test_tables_first_read () =
+  let module W = Nd_algos.Workload in
+  List.iter
+    (fun (fam : Nd_experiments.Workloads.family) ->
+      let n = List.hd fam.sizes in
+      let w = fam.build ~n ~base:fam.base ~seed:1 in
+      List.iter
+        (fun mode ->
+          let what = Printf.sprintf "%s n=%d %s" fam.name n (W.mode_name mode) in
+          let shared = W.compile ~mode w and serial = W.compile ~mode w in
+          let ms = [ 1; 8; 64; max 1 (Program.size serial (Program.root serial)) ] in
+          let sizes p = Array.init (Program.n_nodes p) (Program.size p) in
+          let cuts p = List.map (fun m -> Program.decompose p ~m) ms in
+          let last = Program.n_fire_edges serial - 1 in
+          let readers =
+            [
+              ("size", fun p -> sizes p = sizes serial);
+              ("decompose", fun p -> cuts p = cuts serial);
+              ("n_fire_edges", fun p -> Program.n_fire_edges p = last + 1);
+              ( "fire_src",
+                fun p ->
+                  if last < 0 then Program.n_fire_edges p = 0
+                  else Program.fire_src p last = Program.fire_src serial last );
+            ]
+          in
+          let ready = Atomic.make 0 in
+          let domains =
+            List.map
+              (fun (name, read) ->
+                ( name,
+                  Domain.spawn (fun () ->
+                      Atomic.incr ready;
+                      while Atomic.get ready < List.length readers do
+                        Domain.cpu_relax ()
+                      done;
+                      read shared) ))
+              readers
+          in
+          List.iter
+            (fun (name, d) ->
+              match Domain.join d with
+              | true -> ()
+              | false -> Alcotest.failf "%s: %s read differs from a serial read" what name
+              | exception e ->
+                Alcotest.failf "%s: %s raised %s" what name (Printexc.to_string e))
+            domains;
+          if sizes shared <> sizes serial then Alcotest.failf "%s: sizes differ" what;
+          if cuts shared <> cuts serial then Alcotest.failf "%s: decompositions differ" what;
+          if fire_edges shared <> fire_edges serial then
+            Alcotest.failf "%s: fire pairs differ" what)
+        [ W.ND; W.NP ])
+    Nd_experiments.Workloads.all
 
 (* Every node's size is the number of distinct addresses its leaves'
    strands touch, and its work their summed work, both recounted here
@@ -1113,5 +1181,6 @@ let () =
           Alcotest.test_case "compile rejects an empty Seq or Par" `Quick test_compile_empty;
           Alcotest.test_case "packed shape" `Quick test_packed_shape;
           Alcotest.test_case "compile allocation" `Quick test_compile_alloc;
+          Alcotest.test_case "tables on first read" `Quick test_tables_first_read;
         ] );
     ]

@@ -43,11 +43,18 @@ let test_cardinal_mem () =
   Alcotest.(check bool) "mem 3" false (Is.mem 3 a);
   Alcotest.(check bool) "mem 13" true (Is.mem 13 a)
 
-let test_overlaps () =
+let test_covers () =
   let a = Is.of_intervals [ (0, 5); (10, 15) ] in
-  Alcotest.(check bool) "yes" true (Is.overlaps a (Is.interval 14 20));
-  Alcotest.(check bool) "no" false (Is.overlaps a (Is.interval 5 10));
-  Alcotest.(check bool) "empty" false (Is.overlaps a Is.empty)
+  Alcotest.(check bool) "inside" true (Is.covers a 1 5);
+  Alcotest.(check bool) "past an end" false (Is.covers a 3 6);
+  Alcotest.(check bool) "across a gap" false (Is.covers a 3 12);
+  Alcotest.(check bool) "empty range" true (Is.covers a 7 7);
+  Alcotest.(check bool) "empty set" false (Is.covers Is.empty 0 1);
+  (* the run layout: rows 0..9 of width 2 at stride 5 *)
+  let r = Is.strided ~lo:0 ~width:2 ~stride:5 ~count:10 in
+  Alcotest.(check bool) "a row" true (Is.covers r 45 47);
+  Alcotest.(check bool) "between rows" false (Is.covers r 47 48);
+  Alcotest.(check bool) "past the last row" false (Is.covers r 50 51)
 
 let test_absorb () =
   let acc = ref (Is.interval 0 10) in
@@ -102,10 +109,11 @@ let prop_diff_partition =
       Is.equal a (Is.union (Is.diff a b) (Is.inter a b))
       && Is.is_empty (Is.inter (Is.diff a b) b))
 
-let prop_overlaps_consistent =
-  QCheck2.Test.make ~name:"overlaps a b <=> inter nonempty" ~count:200
-    QCheck2.Gen.(pair gen_set gen_set)
-    (fun (a, b) -> Is.overlaps a b = not (Is.is_empty (Is.inter a b)))
+let prop_covers_consistent =
+  QCheck2.Test.make ~name:"covers a lo hi <=> [lo, hi) - a empty" ~count:200
+    QCheck2.Gen.(pair gen_set (pair (int_bound 230) (int_range (-2) 25)))
+    (fun (a, (lo, len)) ->
+      Is.covers a lo (lo + len) = (len <= 0 || Is.is_empty (Is.diff (Is.interval lo (lo + len)) a)))
 
 (* Differential test against the list representation the packed sets
    replaced (test/interval_set_ref.ml): every exported operation, on
@@ -184,6 +192,23 @@ let same what pp got want =
     QCheck2.Test.fail_reportf "%s: %a, reference %a" what pp got pp want;
   true
 
+(* [covers] queries at every interval's edges: each range from one
+   of [lo - 1 .. lo + 1, hi - 1, hi] to one of [lo, lo + 1, hi - 1 ..
+   hi + 1], so empty, reversed and one-point ranges too, and each range
+   from an interval's start to the next one's end *)
+let covers_ranges intervals =
+  let rec spans = function
+    | (lo, _) :: ((_, hi) :: _ as rest) -> (lo, hi) :: spans rest
+    | [ _ ] | [] -> []
+  in
+  List.concat_map
+    (fun (lo, hi) ->
+      List.concat_map
+        (fun a -> List.map (fun b -> (a, b)) [ lo; lo + 1; hi - 1; hi; hi + 1 ])
+        [ lo - 1; lo; lo + 1; hi - 1; hi ])
+    intervals
+  @ spans intervals
+
 let prop_matches_reference =
   QCheck2.Test.make ~name:"packed sets = list reference"
     ~count:(min 100_000 (max 1000 (100 * stress_iters)))
@@ -254,7 +279,9 @@ let prop_matches_reference =
       && same "equal copy" bool
            (Is.equal a (Is.of_intervals (Is.intervals a)))
            true
-      && same "overlaps" bool (Is.overlaps a b) (Ref.overlaps ra rb)
+      && List.for_all
+           (fun (lo, hi) -> same "covers" bool (Is.covers a lo hi) (Ref.covers ra lo hi))
+           ((x, x + len) :: covers_ranges (Ref.intervals ra))
       && List.for_all
            (fun y -> same "mem" bool (Is.mem y a) (Ref.mem y ra))
            (List.init 281 (fun i -> i - 80)
@@ -647,7 +674,7 @@ let test_table () =
 let () =
   let qsuite =
     List.map QCheck_alcotest.to_alcotest
-      [ prop_union_cardinal; prop_diff_partition; prop_overlaps_consistent ]
+      [ prop_union_cardinal; prop_diff_partition; prop_covers_consistent ]
   in
   let json_qsuite =
     List.map QCheck_alcotest.to_alcotest [ prop_json_unicode_roundtrip ]
@@ -661,7 +688,7 @@ let () =
           Alcotest.test_case "inter" `Quick test_inter;
           Alcotest.test_case "diff" `Quick test_diff;
           Alcotest.test_case "cardinal/mem" `Quick test_cardinal_mem;
-          Alcotest.test_case "overlaps" `Quick test_overlaps;
+          Alcotest.test_case "covers" `Quick test_covers;
           Alcotest.test_case "absorb" `Quick test_absorb;
           Alcotest.test_case "randomized agreement" `Quick test_normalize_random;
         ] );
