@@ -8,30 +8,19 @@ let weight t i =
   let h = (t * 0x9E3779B1) lxor (i * 0x85EBCA77) in
   float_of_int (h land 0xFF) /. 16.
 
-let row_region x t i0 i1 =
-  if t < 0 || i1 <= i0 then Is.empty
-  else Is.interval (Mat.addr x t i0) (Mat.addr x t i0 + (i1 - i0))
-
+(* the footprint of rows [t0, t1) and columns [i0, i1) of [x] *)
 let block_region x t0 t1 i0 i1 =
-  Is.of_intervals
-    (List.init (t1 - t0) (fun k ->
-         let a = Mat.addr x (t0 + k) i0 in
-         (a, a + (i1 - i0))))
+  Mat.region (Mat.sub x ~r0:t0 ~c0:i0 ~rows:(t1 - t0) ~cols:(i1 - i0))
 
-(* diagonal cells (t-1, t-1) needed by rows t0..t1 *)
+(* diagonal cells (t, t) for t in [t0, t1): one run at stride n + 1 *)
 let diag_region x t0 t1 =
-  Is.of_intervals
-    (List.concat_map
-       (fun k ->
-         let t = t0 + k - 1 in
-         if t < 0 then [] else [ (Mat.addr x t t, Mat.addr x t t + 1) ])
-       (List.init (t1 - t0) (fun k -> k + 1)))
+  Is.strided ~lo:(Mat.addr x t0 t0) ~width:1 ~stride:(x.Mat.stride + 1)
+    ~count:(t1 - t0)
 
 let fw_leaf x ~kind t0 t1 i0 i1 =
+  (* the block with the row above it, and the diagonal *)
   let reads =
-    List.fold_left Is.union
-      (block_region x t0 t1 i0 i1)
-      [ row_region x (t0 - 1) i0 i1; diag_region x t0 t1 ]
+    Is.union (block_region x (max 0 (t0 - 1)) t1 i0 i1) (diag_region x t0 t1)
   in
   let action () =
     for t = max 1 t0 to t1 - 1 do

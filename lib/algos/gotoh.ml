@@ -13,23 +13,9 @@ let gap_extend = 0.5
 
 let neg_inf = -1e30
 
-let row_region x i j0 j1 =
-  if j1 <= j0 then Is.empty
-  else Is.interval (Mat.addr x i j0) (Mat.addr x i j0 + (j1 - j0))
-
-let col_region x i0 i1 j =
-  if i1 <= i0 then Is.empty
-  else
-    Is.of_intervals
-      (List.init (i1 - i0) (fun k ->
-           let a = Mat.addr x (i0 + k) j in
-           (a, a + 1)))
-
+(* the footprint of rows [i0, i1) and columns [j0, j1) of [x] *)
 let block_region x i0 i1 j0 j1 =
-  Is.of_intervals
-    (List.init (i1 - i0) (fun k ->
-         let a = Mat.addr x (i0 + k) j0 in
-         (a, a + (j1 - j0))))
+  Mat.region (Mat.sub x ~r0:i0 ~c0:j0 ~rows:(i1 - i0) ~cols:(j1 - j0))
 
 (* one DP block over the three planes *)
 let cell_update ~m ~e ~f ~s ~t i j =
@@ -56,32 +42,22 @@ let cell_update ~m ~e ~f ~s ~t i j =
   Mat.set m i j mv
 
 let gotoh_leaf ~m ~e ~f ~s ~t i0 i1 j0 j1 =
-  let plane_reads x =
-    List.fold_left Is.union Is.empty
-      [
-        block_region x i0 i1 j0 j1;
-        row_region x (i0 - 1) (j0 - 1) j1;
-        col_region x (i0 - 1) i1 (j0 - 1);
-      ]
+  (* rows [r0, i1) and columns [c0, j1) of the three planes: a plane
+     read (the block, the row above it and the column to its left) is
+     one (b+1) x (b+1) block *)
+  let planes r0 c0 =
+    List.fold_left
+      (fun acc x -> Is.union acc (block_region x r0 i1 c0 j1))
+      Is.empty [ m; e; f ]
   in
   let reads =
-    List.fold_left Is.union Is.empty
-      [
-        plane_reads m;
-        plane_reads e;
-        plane_reads f;
-        row_region s 0 (i0 - 1) (i1 - 1);
-        row_region t 0 (j0 - 1) (j1 - 1);
-      ]
+    Is.union
+      (planes (i0 - 1) (j0 - 1))
+      (Is.union
+         (block_region s 0 1 (i0 - 1) (i1 - 1))
+         (block_region t 0 1 (j0 - 1) (j1 - 1)))
   in
-  let writes =
-    List.fold_left Is.union Is.empty
-      [
-        block_region m i0 i1 j0 j1;
-        block_region e i0 i1 j0 j1;
-        block_region f i0 i1 j0 j1;
-      ]
-  in
+  let writes = planes i0 j0 in
   let action () =
     for i = i0 to i1 - 1 do
       for j = j0 to j1 - 1 do

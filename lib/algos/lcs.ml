@@ -11,15 +11,14 @@ let block_region x i0 i1 j0 j1 =
   Mat.region (Mat.sub x ~r0:i0 ~c0:j0 ~rows:(i1 - i0) ~cols:(j1 - j0))
 
 let lcs_leaf x s t i0 i1 j0 j1 =
+  (* the block, the row above it and the column to its left: one
+     (b+1) x (b+1) block *)
   let reads =
-    List.fold_left Is.union Is.empty
-      [
-        block_region x i0 i1 j0 j1;
-        block_region x (i0 - 1) i0 (j0 - 1) j1;
-        block_region x (i0 - 1) i1 (j0 - 1) j0;
-        block_region s 0 1 (i0 - 1) (i1 - 1);
-        block_region t 0 1 (j0 - 1) (j1 - 1);
-      ]
+    Is.union
+      (block_region x (i0 - 1) i1 (j0 - 1) j1)
+      (Is.union
+         (block_region s 0 1 (i0 - 1) (i1 - 1))
+         (block_region t 0 1 (j0 - 1) (j1 - 1)))
   in
   let writes = block_region x i0 i1 j0 j1 in
   (* reads the float store directly, as the kernels do *)

@@ -12,10 +12,7 @@ let piv_region piv k0 k1 =
 let parallel_panel view piv ~c0 ~r0 ~chunk ~scratch =
   let rows = view.Mat.rows and m = view.Mat.cols in
   let col_region j i0 i1 =
-    Is.of_intervals
-      (List.init (i1 - i0) (fun k ->
-           let a = Mat.addr view (i0 + k) j in
-           (a, a + 1)))
+    Mat.region (Mat.sub view ~r0:i0 ~c0:j ~rows:(i1 - i0) ~cols:1)
   in
   let blocks_from i0 =
     let rec go lo acc =
