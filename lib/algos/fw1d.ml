@@ -12,10 +12,13 @@ let weight t i =
 let block_region x t0 t1 i0 i1 =
   Mat.region (Mat.sub x ~r0:t0 ~c0:i0 ~rows:(t1 - t0) ~cols:(i1 - i0))
 
-(* diagonal cells (t, t) for t in [t0, t1): one run at stride n + 1 *)
+(* the diagonal cells (t-1, t-1) that rows t in [max 1 t0, t1) read:
+   one run at stride n + 1 *)
 let diag_region x t0 t1 =
-  Is.strided ~lo:(Mat.addr x t0 t0) ~width:1 ~stride:(x.Mat.stride + 1)
-    ~count:(t1 - t0)
+  let t0 = max 1 t0 in
+  Is.strided
+    ~lo:(Mat.addr x (t0 - 1) (t0 - 1))
+    ~width:1 ~stride:(x.Mat.stride + 1) ~count:(t1 - t0)
 
 let fw_leaf x ~kind t0 t1 i0 i1 =
   (* the block with the row above it, and the diagonal *)

@@ -245,6 +245,55 @@ let test_lcs_check_sees_sequences () =
         Alcotest.failf "%s corrupted before the run" which)
     [ "s"; "t" ]
 
+(* fw1d's leaf over rows [t0, t1) and columns [i0, i1) computes
+   d(t, i) = min(d(t-1, i), d(t-1, t-1) + w(t, i)) for t >= 1: it reads
+   the cells it writes, the row above them, and the diagonal cells
+   (t-1, t-1).  The table is the only matrix of its space, so cell
+   (t, i) is address t·n + i; each leaf's block is derived from its
+   writes. *)
+let test_fw1d_reads () =
+  let module Is = Nd_util.Interval_set in
+  let rec strands acc = function
+    | Nd.Spawn_tree.Leaf s -> s :: acc
+    | Nd.Spawn_tree.Seq l | Nd.Spawn_tree.Par l -> List.fold_left strands acc l
+    | Nd.Spawn_tree.Fire { src; snk; _ } -> strands (strands acc src) snk
+  in
+  let range a b = List.init (max 0 (b - a)) (fun k -> a + k) in
+  List.iter
+    (fun n ->
+      let cells l =
+        Is.of_intervals
+          (List.map (fun (t, i) -> ((t * n) + i, (t * n) + i + 1)) l)
+      in
+      let w = Fw1d.workload ~n ~base:2 ~seed:1 () in
+      List.iter
+        (fun (s : Nd.Strand.t) ->
+          let first = ref max_int and last = ref 0 in
+          Is.iter
+            (fun lo hi ->
+              first := min !first lo;
+              last := max !last (hi - 1))
+            s.Nd.Strand.writes;
+          let t0 = !first / n and t1 = (!last / n) + 1 in
+          let i0 = !first mod n and i1 = (!last mod n) + 1 in
+          let block ts =
+            List.concat_map (fun t -> List.map (fun i -> (t, i)) (range i0 i1)) ts
+          in
+          let rows = range (max 1 t0) t1 in
+          let check what got want =
+            if not (Is.equal got want) then
+              Alcotest.failf "n=%d, leaf on rows [%d, %d) columns [%d, %d): %s %a, want %a"
+                n t0 t1 i0 i1 what Is.pp got Is.pp want
+          in
+          check "writes" s.Nd.Strand.writes (cells (block (range t0 t1)));
+          check "reads" s.Nd.Strand.reads
+            (cells
+               (block (range t0 t1)
+               @ block (List.map pred rows)
+               @ List.map (fun t -> (t - 1, t - 1)) rows)))
+        (strands [] w.Workload.tree))
+    [ 8; 64 ]
+
 let correctness_cases =
   [
     ("mm n=16 b=2", (fun () -> Matmul.workload ~n:16 ~base:2 ~seed:11 ()), 1e-9);
@@ -299,6 +348,8 @@ let () =
           Alcotest.test_case "lcs check sees row 0" `Quick test_lcs_check_sees_row0;
           Alcotest.test_case "lcs check sees the sequences" `Quick
             test_lcs_check_sees_sequences;
+          Alcotest.test_case "fw1d reads what the recurrence reads" `Quick
+            test_fw1d_reads;
         ] );
       ( "span separations",
         [

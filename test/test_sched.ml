@@ -452,7 +452,9 @@ let zoo_digest p =
 
 (* Recorded before the vertex simulators moved onto one event engine:
    every family at its first sweep size (family base, seed 1) in ND and
-   NP mode, and the first 50 generated conformance programs. *)
+   NP mode, and the first 50 generated conformance programs.  fw1d's
+   two were recorded again when its leaves came to declare the
+   diagonal cells (t-1, t-1) they read. *)
 let recorded_zoo_digests =
   [
     ("mm", "ND", "0479bcdbc469de3820aae1f9592699f3");
@@ -467,8 +469,8 @@ let recorded_zoo_digests =
     ("lu", "NP", "195bfaf1e03b4493d8ea568a6de5722a");
     ("apsp", "ND", "9a2bcde80dcd02c4eabdd256f11b536b");
     ("apsp", "NP", "730c37669e22d735de61bc11f38f5a2a");
-    ("fw1d", "ND", "a6c63a47302f7a8d727d72b5a43ad9bb");
-    ("fw1d", "NP", "570f2fe7c237163488bfe5381740df71");
+    ("fw1d", "ND", "ca9a81c82cf5f5fbcc541cd514f6deed");
+    ("fw1d", "NP", "e71fea02b082460fa191f30aefb8222c");
     ("stencil", "ND", "310a2345374e4aec5abaa815162fea1a");
     ("stencil", "NP", "fafacf8dd358f3f5d4c9cb1719040fe4");
     ("gotoh", "ND", "bb18ad90381a6e74c38c6a3940a4c0fa");
@@ -546,7 +548,9 @@ let sb_digest p =
     (pinned_machines ());
   Digest.to_hex (Digest.string (Buffer.contents b))
 
-(* Recorded before SB's event tables were built in two counting passes *)
+(* Recorded before SB's event tables were built in two counting
+   passes; fw1d's two again when its leaves came to declare the
+   diagonal cells (t-1, t-1) they read *)
 let recorded_sb_digests =
   [
     ("mm", "ND", "5b3f0e32a4a64f17e76ec7a219b35b82");
@@ -561,8 +565,8 @@ let recorded_sb_digests =
     ("lu", "NP", "468260e4b645999c32737a862da16895");
     ("apsp", "ND", "ae1ddd2cf845d415bbf90928bd17195a");
     ("apsp", "NP", "bf48e20c6b804ef029ca8956b9e76d0d");
-    ("fw1d", "ND", "ff32cc661ad9290beabf13e427a35862");
-    ("fw1d", "NP", "657994dd9a562187d63e560a6fc0368c");
+    ("fw1d", "ND", "d0a7d23a99621f71c58f5cd93c0c038c");
+    ("fw1d", "NP", "39214df6752a3bafd4d11195f9570524");
     ("stencil", "ND", "f8ff19445c81be6dbcf29f8019dc06cb");
     ("stencil", "NP", "1de53f892c0f62df0d3dad55b4c12102");
     ("gotoh", "ND", "0a8a5118712218ec57126e0efaa5215f");
