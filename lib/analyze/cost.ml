@@ -76,6 +76,7 @@ type certification = {
   sigma : float;
   levels : level_check list;
   certified : bool;
+  stats : Sb.stats;
 }
 
 (* m_j is SB's own level capacity, so each bound reads the cut that
@@ -99,6 +100,7 @@ let certify_theorem1 ?(sigma = 1. /. 3.) program machine =
     sigma;
     levels;
     certified = List.for_all (fun l -> l.misses <= l.bound) levels;
+    stats;
   }
 
 let certification_to_json c =

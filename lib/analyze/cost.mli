@@ -54,6 +54,9 @@ type certification = {
   sigma : float;
   levels : level_check list;
   certified : bool;  (** [misses <= bound] at every level *)
+  stats : Nd_sched.Sb_sched.stats;
+      (** the ρ run the levels' misses come from ([Coarse] mode at
+          [sigma]) *)
 }
 
 (** [certify_theorem1 ?sigma program machine] runs the space-bounded
@@ -61,7 +64,10 @@ type certification = {
     bound: per-level misses at cache level [j] must not exceed the
     static [Q*(t; sigma * M_j)] ([Nd_mem.Pcc.q_star]).  [sigma] defaults
     to 1/3 (Lemma 6).  The scheduler's level [j] is the same cut, so the
-    bounds read the decompositions its run has just memoized. *)
+    bounds read the decompositions its run has just memoized.  The
+    certification carries the run it certified ([stats]): at the default
+    [sigma] it is [Sb_sched.run program machine] with every default, so
+    a caller that also wants that simulation reads it there. *)
 val certify_theorem1 :
   ?sigma:float -> Nd.Program.t -> Nd_pmh.Pmh.t -> certification
 

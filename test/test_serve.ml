@@ -774,11 +774,18 @@ let test_server_one_shot_keys () =
 (* A lint files the race reply of the ESP pass it ran, so a race
    request after it compiles nothing and hits — with the very reply a
    race request computes on a fresh server.  analyze then compiles the
-   key a second time, which keeps the program for simulate. *)
+   key a second time, which keeps the program, and files the simulate
+   reply of the coarse SB run its certificate made: a coarse simulate
+   after it reads no program and hits, with the reply a simulate
+   request computes on a fresh server, while a fine one still
+   computes. *)
 let test_server_lint_files_race () =
   let w = small_wk 5 in
-  let race_first =
-    with_server "racefirst" (fun conn -> Client.call_exn conn (P.Race w))
+  let coarse = P.Simulate { wk = w; top = 1; fine = false } in
+  let sim_first, race_first =
+    with_server "first" (fun conn ->
+        let sim = Client.call_exn conn coarse in
+        (sim, Client.call_exn conn (P.Race w)))
   in
   with_server "lintrace" (fun conn ->
       Alcotest.(check bool) "lint clean" true
@@ -792,10 +799,17 @@ let test_server_lint_files_race () =
       Alcotest.(check string) "race reply as a race request computes it"
         (Json.to_string race_first) (Json.to_string race);
       ignore (Client.call_exn conn (P.Analyze { wk = w; top = 1 }));
-      ignore (Client.call_exn conn (P.Simulate { wk = w; top = 1; fine = false }));
+      let sim = Client.call_exn conn coarse in
+      Alcotest.(check (list int)) "simulate hits, misses, offered" [ 1; 0; 1 ]
+        (counters conn "simulate" [ "hits"; "misses"; "offered" ]);
+      Alcotest.(check string) "simulate reply as a simulate request computes it"
+        (Json.to_string sim_first) (Json.to_string sim);
       Alcotest.(check (list int)) "programs size, misses, hits, bypassed"
-        [ 1; 2; 1; 1 ]
-        (counters conn "programs" [ "size"; "misses"; "hits"; "bypassed" ]))
+        [ 1; 2; 0; 1 ]
+        (counters conn "programs" [ "size"; "misses"; "hits"; "bypassed" ]);
+      ignore (Client.call_exn conn (P.Simulate { wk = w; top = 1; fine = true }));
+      Alcotest.(check (list int)) "fine simulate misses" [ 1; 1; 1 ]
+        (counters conn "simulate" [ "hits"; "misses"; "offered" ]))
 
 (* Shutdown under load: 40 lint requests pipelined over two connections,
    a shutdown on one, then 10 more lints on the other.  Every request
