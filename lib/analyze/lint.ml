@@ -16,8 +16,9 @@ module Json = Nd_util.Json
                    same endpoints
    ND005  error    rule-graph cycle with no structural descent (every
                    step has empty pedigrees: the rewriting cannot make
-                   progress; one type degrades to a full edge, a longer
-                   cycle emits no edge)
+                   progress; a cycle reaching a type that fires itself
+                   degrades to a full edge, any other emits no edge,
+                   and the message says which)
    ND006  warning  fire ≡ seq at a fire node: the rule set emits a
                    root-to-root full edge, serializing the construct
                    (span pessimization)
@@ -168,14 +169,35 @@ let lint_registry reg =
       Hashtbl.replace color n `Done
   in
   List.iter (fun n -> dfs n []) names;
+  (* Drs.walk emits a full edge for a no-progress step only when it
+     fires its own type; a step to another type recurses, and the walk's
+     visited set stops it when it comes back to the first type *)
+  let full_edge name =
+    let seen = Hashtbl.create 8 in
+    let rec reaches_self t =
+      (not (Hashtbl.mem seen t))
+      && begin
+           Hashtbl.replace seen t ();
+           let ts = try Hashtbl.find no_progress t with Not_found -> [] in
+           List.mem t ts || List.exists reaches_self ts
+         end
+    in
+    reaches_self name
+  in
   Hashtbl.iter
     (fun name () ->
       add
         (finding "ND005" Error name
            "fire type %S sits on a rule cycle with no structural descent \
-            (every step has empty pedigrees); the rewriting cannot refine it \
-            and degrades to conservative full edges"
-           name))
+            (every step has empty pedigrees); the rewriting cannot refine it %s"
+           name
+           (if full_edge name then
+              "and degrades to a conservative full edge (the cycle reaches a \
+               type that fires itself)"
+            else
+              "and emits no edge for it (the cycle runs through other types \
+               back to it), so the two sides of its fires race unless another \
+               rule orders them")))
     on_cycle;
   List.rev !fs
 

@@ -17,8 +17,11 @@
       the same endpoints.
     - [ND005] {e error} — rule-graph cycle with no structural descent
       (every step of the cycle has empty pedigrees): the rewriting
-      cannot refine such arrows; a one-type cycle degrades to a full
-      edge, and a longer one emits no edge.
+      cannot refine such arrows.  A type that fires itself that way
+      degrades to a full edge, and so does a type whose cycle reaches
+      one; on any other cycle (two or more types, none firing itself)
+      the rewriting emits no edge, so the construct's two sides race.
+      The finding's message says which applies.
     - [ND006] {e warning} — fire ≡ seq: a fire node's rule set emits a
       root-to-root full edge, serializing the whole construct.
     - [ND007] {e warning} — fires recover no span: the compiled DAG's

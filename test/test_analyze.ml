@@ -397,6 +397,54 @@ let test_lint_duplicate_shadow_cycle () =
   Alcotest.(check int) "descending cycle is fine" 0
     (List.length (find_ids "ND005" (Lint.lint_registry reg)))
 
+(* ND005 says what the rewriting does with the cycle it reports.  On
+   Fire A (Seq [a; b]) (Seq [c; d]), whose four leaves all write one
+   cell, a type that fires itself with empty pedigrees degrades to one
+   full edge, which orders the two sides; a cycle through two types
+   comes back to A and emits no edge, so the sides race. *)
+let test_lint_no_progress_cycles () =
+  let cell = Nd_util.Interval_set.interval 0 1 in
+  let leaf label =
+    Spawn_tree.leaf
+      (Strand.make ~label ~work:1 ~reads:Nd_util.Interval_set.empty
+         ~writes:cell ())
+  in
+  let tree =
+    Spawn_tree.fire ~rule:"A"
+      (Spawn_tree.seq [ leaf "a"; leaf "b" ])
+      (Spawn_tree.seq [ leaf "c"; leaf "d" ])
+  in
+  let has m part =
+    let n = String.length part in
+    let rec at i = i + n <= String.length m && (String.sub m i n = part || at (i + 1)) in
+    at 0
+  in
+  List.iter
+    (fun (what, defs, edges, says) ->
+      let reg =
+        List.fold_left
+          (fun reg (name, via) ->
+            Fire_rule.define reg name
+              [ Fire_rule.rule [] (Fire_rule.Named via) [] ])
+          Fire_rule.empty_registry defs
+      in
+      let fs = find_ids "ND005" (Lint.lint_registry reg) in
+      Alcotest.(check int) (what ^ ": types flagged") (List.length defs)
+        (List.length fs);
+      List.iter
+        (fun f ->
+          if not (has f.Lint.message says) then
+            Alcotest.failf "%s: %S lacks %S" what f.Lint.message says)
+        fs;
+      let p = Program.compile ~registry:reg tree in
+      Alcotest.(check int) (what ^ ": fire edges") edges (Program.n_fire_edges p);
+      Alcotest.(check bool) (what ^ ": the sides race") (edges = 0)
+        (Esp.find_races p <> []))
+    [
+      ("A=[<>~A<>]", [ ("A", "A") ], 1, "degrades to a conservative full edge");
+      ("A=[<>~B<>], B=[<>~A<>]", [ ("A", "B"); ("B", "A") ], 0, "emits no edge");
+    ]
+
 (* Races that need no rule to find: Par siblings, and the two sides of
    a fire whose rule set is empty.  Lint reports them as ND009, the
    ESP-bags finding, named by the LCA's kind; a race is a program
@@ -872,6 +920,8 @@ let () =
             test_lint_dangling_and_dead;
           Alcotest.test_case "duplicate, shadow, cycle" `Quick
             test_lint_duplicate_shadow_cycle;
+          Alcotest.test_case "no-progress cycles (ND005)" `Quick
+            test_lint_no_progress_cycles;
           Alcotest.test_case "par and empty-fire races (ND009)" `Quick
             test_lint_par_races;
           Alcotest.test_case "shipped rule sets clean" `Quick
