@@ -184,14 +184,16 @@ let lcs_length a b =
   done;
   d.(n).(m)
 
-(* the leaves' actions in tree order, which is a topological order *)
-let leaf_actions tree =
+(* the leaves' strands in tree order, which is a topological order *)
+let strands tree =
   let rec go acc = function
-    | Nd.Spawn_tree.Leaf s -> Option.fold ~none:acc ~some:(fun f -> f :: acc) s.Nd.Strand.action
+    | Nd.Spawn_tree.Leaf s -> s :: acc
     | Nd.Spawn_tree.Seq l | Nd.Spawn_tree.Par l -> List.fold_left go acc l
     | Nd.Spawn_tree.Fire { src; snk; _ } -> go (go acc src) snk
   in
   List.rev (go [] tree)
+
+let leaf_actions tree = List.filter_map (fun s -> s.Nd.Strand.action) (strands tree)
 
 (* lcs's check recomputes the reference a row at a time.  The table is
    monotone, so its largest cell is the LCS length at (n, n): that is
@@ -253,11 +255,6 @@ let test_lcs_check_sees_sequences () =
    writes. *)
 let test_fw1d_reads () =
   let module Is = Nd_util.Interval_set in
-  let rec strands acc = function
-    | Nd.Spawn_tree.Leaf s -> s :: acc
-    | Nd.Spawn_tree.Seq l | Nd.Spawn_tree.Par l -> List.fold_left strands acc l
-    | Nd.Spawn_tree.Fire { src; snk; _ } -> strands (strands acc src) snk
-  in
   let range a b = List.init (max 0 (b - a)) (fun k -> a + k) in
   List.iter
     (fun n ->
@@ -282,8 +279,9 @@ let test_fw1d_reads () =
           let rows = range (max 1 t0) t1 in
           let check what got want =
             if not (Is.equal got want) then
-              Alcotest.failf "n=%d, leaf on rows [%d, %d) columns [%d, %d): %s %a, want %a"
-                n t0 t1 i0 i1 what Is.pp got Is.pp want
+              Alcotest.failf
+                "n=%d, leaf on rows [%d, %d) columns [%d, %d): %s %a, want %a" n
+                t0 t1 i0 i1 what Is.pp got Is.pp want
           in
           check "writes" s.Nd.Strand.writes (cells (block (range t0 t1)));
           check "reads" s.Nd.Strand.reads
@@ -291,7 +289,7 @@ let test_fw1d_reads () =
                (block (range t0 t1)
                @ block (List.map pred rows)
                @ List.map (fun t -> (t - 1, t - 1)) rows)))
-        (strands [] w.Workload.tree))
+        (strands w.Workload.tree))
     [ 8; 64 ]
 
 let correctness_cases =

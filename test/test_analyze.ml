@@ -310,6 +310,14 @@ let strand label =
 
 let find_ids id findings = List.filter (fun f -> f.Lint.id = id) findings
 
+(* [part] occurs in [m] *)
+let contains m part =
+  let n = String.length part in
+  let rec at i =
+    i + n <= String.length m && (String.sub m i n = part || at (i + 1))
+  in
+  at 0
+
 let severity f =
   match f.Lint.severity with Lint.Error -> "error" | Lint.Warning -> "warning"
 
@@ -414,11 +422,6 @@ let test_lint_no_progress_cycles () =
       (Spawn_tree.seq [ leaf "a"; leaf "b" ])
       (Spawn_tree.seq [ leaf "c"; leaf "d" ])
   in
-  let has m part =
-    let n = String.length part in
-    let rec at i = i + n <= String.length m && (String.sub m i n = part || at (i + 1)) in
-    at 0
-  in
   List.iter
     (fun (what, defs, edges, says) ->
       let reg =
@@ -433,7 +436,7 @@ let test_lint_no_progress_cycles () =
         (List.length fs);
       List.iter
         (fun f ->
-          if not (has f.Lint.message says) then
+          if not (contains f.Lint.message says) then
             Alcotest.failf "%s: %S lacks %S" what f.Lint.message says)
         fs;
       let p = Program.compile ~registry:reg tree in
@@ -467,11 +470,7 @@ let test_lint_par_races () =
     let m = f.Lint.message in
     List.iter
       (fun part ->
-        let n = String.length part in
-        let rec has i =
-          i + n <= String.length m && (String.sub m i n = part || has (i + 1))
-        in
-        if not (has 0) then Alcotest.failf "message %S lacks %S" m part)
+        if not (contains m part) then Alcotest.failf "message %S lacks %S" m part)
       [ "write-write race between"; "on {1}"; "needs an arrow +<1> -> -<2>" ]
   in
   one_race "par"
