@@ -16,10 +16,14 @@
     on [id].
 
     Result caches keep every answer.  Compiled programs are kept from
-    the second use of their key only, so one-shot keys pin no program;
-    a lint request runs the ESP pass its ND009 check needs once and
-    files the race reply it yields, so a race request after a lint on
-    the same key is a cache hit.
+    the second use of their key only, so one-shot keys pin no program.
+    Two request kinds file another kind's reply from work they do
+    anyway ({!Cache.offer}): a lint runs the ESP pass its ND009 check
+    needs and files the race reply it yields, and an analyze files the
+    simulate reply ([fine = false], same [top]) of the space-bounded
+    run its Theorem-1 certificate makes.  So a race after a lint, and a
+    coarse simulate after an analyze, on the same key are cache hits
+    that read no program; a [fine = true] simulate still computes.
 
     Per-request latency (decode to response written, queue wait
     included) is recorded in one {!Nd_util.Histogram.Sync} per request
